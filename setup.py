@@ -6,8 +6,6 @@ compiler is unavailable the build falls back to the pure wheel and the
 library selects the numpy fallback kernel at import time.
 """
 
-import os
-
 from setuptools import setup
 from setuptools.command.build_ext import build_ext
 
@@ -30,18 +28,17 @@ class optional_build_ext(build_ext):
                   "falling back to the pure-Python kernel")
 
 
-ext_modules = []
-if os.environ.get("CHOWOPS_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
+try:
+    from Cython.Build import cythonize
+    from setuptools import Extension
 
-        ext_modules = cythonize(
-            [Extension("chowops._kernels._fp_ext",
-                       ["src/chowops/_kernels/_fp_ext.pyx"])],
-            language_level=3,
-        )
-    except ImportError:
-        print("chowops: Cython not available; building without the compiled kernel")
+    ext_modules = cythonize(
+        [Extension("chowops._kernels._fp_ext",
+                   ["src/chowops/_kernels/_fp_ext.pyx"])],
+        language_level=3,
+    )
+except ImportError:
+    print("chowops: Cython not available; building without the compiled kernel")
+    ext_modules = []
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -1,23 +1,13 @@
-"""Hot-kernel selection: compiled extension if present, numpy fallback otherwise.
+"""Hot-kernel selection: the compiled extension when it was built, the
+numpy fallback otherwise."""
 
-Set CHOWOPS_NO_EXT=1 to force the fallback (used by the test suite and the
-benchmark to exercise both paths).
-"""
+try:
+    from . import _fp_ext as _impl  # type: ignore[attr-defined]
 
-import os
-
-if os.environ.get("CHOWOPS_NO_EXT") == "1":
+    BACKEND = "cython"
+except ImportError:
     from . import fallback as _impl
 
     BACKEND = "fallback"
-else:
-    try:
-        from . import _fp_ext as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import fallback as _impl
-
-        BACKEND = "fallback"
 
 rref_inplace = _impl.rref

@@ -549,10 +549,9 @@ def _log_p(o, p):
 # modules from rings
 
 
-def truncate(ring: ChowRing, n: int, D=None) -> FiniteModule:
-    """The graded quotient of the ring in degrees < n, as a module over the
-    reduced powers (operations landing in degrees >= n become zero)."""
-    top = n - 1 if D is None else min(n - 1, D)
+def _action_through(ring: ChowRing, top: int):
+    """(dims, mats) of the ring in degrees <= top, with the reduced powers
+    that stay inside that window as FiniteModule action matrices."""
     dims = {d: ring.dim(d) for d in range(max(top + 1, 0)) if ring.dim(d)}
     mats = {}
     for d in sorted(dims):
@@ -564,26 +563,23 @@ def truncate(ring: ChowRing, n: int, D=None) -> FiniteModule:
             mat = np.stack(cols, axis=1)
             if mat.any():
                 mats[(a, d)] = mat
+    return dims, mats
+
+
+def truncate(ring: ChowRing, n: int, D=None) -> FiniteModule:
+    """The graded quotient of the ring in degrees < n, as a module over the
+    reduced powers (operations landing in degrees >= n become zero)."""
+    top = n - 1 if D is None else min(n - 1, D)
     complete = D is None or D >= n - 1
-    return FiniteModule(ring.p, dims, mats,
+    return FiniteModule(ring.p, *_action_through(ring, top),
                         truncated_above=None if complete else top,
                         validate=False)
 
 
 def ring_module(ring: ChowRing, D: int) -> FiniteModule:
     """The ring itself through degree D, marked truncated above D."""
-    dims = {d: ring.dim(d) for d in range(D + 1) if ring.dim(d)}
-    mats = {}
-    for d in sorted(dims):
-        for a in range(1, d + 1):
-            d2 = d + a * (ring.p - 1)
-            if d2 > D or d2 not in dims:
-                continue
-            cols = [ring.coords(ring.act(a, {m: 1}), d2) for m in ring.basis(d)]
-            mat = np.stack(cols, axis=1)
-            if mat.any():
-                mats[(a, d)] = mat
-    return FiniteModule(ring.p, dims, mats, truncated_above=D, validate=False)
+    return FiniteModule(ring.p, *_action_through(ring, D),
+                        truncated_above=D, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +590,8 @@ _RING_FIELDS = {"prime", "cutoff", "generators", "relations", "steenrod",
                 "provenance", "name"}
 
 
-def _load_poly(data, k, where):
+def _load_poly(data, k, p, where):
+    """Terms summed mod p, so repeated monomials add and zero terms vanish."""
     out = {}
     for t, term in enumerate(data):
         here = f"{where}[{t}]"
@@ -610,8 +607,8 @@ def _load_poly(data, k, where):
             raise ValueError(f"{here}.monomial: expected {k} exponents")
         if any(e < 0 for e in mono):
             raise ValueError(f"{here}.monomial: negative exponent")
-        out[mono] = coeff
-    return out
+        out[mono] = (out.get(mono, 0) + coeff) % p
+    return {m: c for m, c in out.items() if c}
 
 
 def ingest_ring(data) -> ChowRing:
@@ -632,7 +629,7 @@ def ingest_ring(data) -> ChowRing:
             raise ValueError(f"generators[{i}]: need name and degree") from None
     names = [n for n, _ in gens]
     k = len(gens)
-    rels = [_load_poly(r, k, f"relations[{i}]")
+    rels = [_load_poly(r, k, p, f"relations[{i}]")
             for i, r in enumerate(data.get("relations", []))]
     steenrod = {}
     for i, s in enumerate(data.get("steenrod", [])):
@@ -642,7 +639,7 @@ def ingest_ring(data) -> ChowRing:
         try:
             a = int(s["a"])
             gen = s["gen"]
-            val = _load_poly(s["value"], k, f"{where}.value")
+            val = _load_poly(s["value"], k, p, f"{where}.value")
         except (KeyError, TypeError):
             raise ValueError(f"{where}: need a, gen, value") from None
         if gen not in names:

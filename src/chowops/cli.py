@@ -205,16 +205,7 @@ def cmd_tv(args):
         mod = _load_module(args.module)
         if args.prime is not None and args.prime != mod.p:
             raise CliError(f"--prime {args.prime} but module file says {mod.p}")
-        degrees = range(args.cutoff + 1)
-        if args.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            from .lannes import tv_dim
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                dims = list(pool.map(lambda k: tv_dim(mod, args.rank, k),
-                                     degrees))
-            table = dict(zip(degrees, dims))
-        else:
-            table = tv_table(mod, args.rank, args.cutoff)
+        table = tv_table(mod, args.rank, args.cutoff)
         rows = [(args.rank, k, table[k]) for k in sorted(table)]
         meta = {"module": mod.name or args.module}
     _emit(args, ("rank", "degree", "dimension"), rows, meta)
@@ -336,9 +327,6 @@ def _add_common(sp, prime=True, cutoff=True):
         sp.add_argument("--cutoff", type=int, default=8,
                         help="verify through this degree (default 8)")
     sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for degreewise computations "
-                         "(results never depend on this)")
     sp.add_argument("--strict", action="store_true",
                     help="exit 3 when any verdict is unresolved")
 
@@ -414,8 +402,6 @@ def main(argv=None):
             fl.check_prime(args.prime)
         if getattr(args, "cutoff", 1) < 1:
             raise CliError("--cutoff must be >= 1")
-        if getattr(args, "threads", 1) < 1:
-            raise CliError("--threads must be >= 1")
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

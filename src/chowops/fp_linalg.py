@@ -8,17 +8,13 @@ concurrent read-only use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ._kernels import BACKEND, rref_inplace
+from ._kernels import rref_inplace
 
 __all__ = [
-    "BACKEND",
     "check_prime",
     "binom_mod_p",
-    "multinomial_mod_p",
     "as_fp_matrix",
     "zeros",
     "identity",
@@ -31,7 +27,6 @@ __all__ = [
     "residual_map",
     "quotient_data",
     "matmul",
-    "GradedMap",
 ]
 
 
@@ -67,18 +62,6 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
     return result
 
 
-def multinomial_mod_p(parts: tuple[int, ...], p: int) -> int:
-    """(sum parts)! / prod(parts!) mod p, as a product of Lucas binomials."""
-    total = 0
-    result = 1
-    for a in parts:
-        total += a
-        result = result * binom_mod_p(total, a, p) % p
-        if result == 0:
-            return 0
-    return result
-
-
 def as_fp_matrix(entries, p: int) -> np.ndarray:
     """Coerce to a canonical int64 matrix with entries in 0..p-1."""
     m = np.array(entries, dtype=np.int64)
@@ -110,6 +93,21 @@ def rank(m, p: int) -> int:
     return len(rref(m, p)[1])
 
 
+def _free_rows(rows, ambient: int, p: int):
+    """Row-reduce `rows` (spanning a subspace of F_p^ambient) and return
+    (q, free): `free` lists the non-pivot columns in ascending order, and
+    q has one row per free column c, with a 1 at c and -R[i, c] at the i-th
+    pivot column.  q @ v is the canonical residual of v modulo the row
+    space, so the row space is exactly ker q."""
+    r, pivots = rref(rows, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(ambient) if c not in pivot_set]
+    q = np.zeros((len(free), ambient), dtype=np.int64)
+    q[np.arange(len(free)), free] = 1
+    q[:, pivots] = (-r[:len(pivots), free].T) % p
+    return q, free
+
+
 def kernel_matrix(m, p: int) -> np.ndarray:
     """Right kernel as a (cols x dim) matrix, echelonized, deterministic order.
 
@@ -122,14 +120,7 @@ def kernel_matrix(m, p: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     if rows == 0:
         return identity(cols)
-    r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, c in enumerate(free):
-        basis[c, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-int(r[i, c])) % p
-    return basis
+    return np.ascontiguousarray(_free_rows(a, cols, p)[0].T)
 
 
 def kernel_basis(m, p: int) -> list[np.ndarray]:
@@ -172,16 +163,7 @@ def residual_map(basis, ambient_dim: int, p: int) -> np.ndarray:
         else:
             raise ValueError(
                 f"basis rows {b.shape[0]} != ambient dimension {ambient_dim}")
-    r, pivots = rref(b.T, p)
-    free = [c for c in range(ambient_dim) if c not in set(pivots)]
-    q = np.zeros((len(free), ambient_dim), dtype=np.int64)
-    for i, c in enumerate(free):
-        q[i, c] = 1
-        for row, pc in enumerate(pivots):
-            # row `row` of r is the echelon vector with leading 1 at pc;
-            # reducing v against it changes the free coordinate c by -v[pc]*r[row, c]
-            q[i, pc] = (-int(r[row, c])) % p
-    return q
+    return _free_rows(b.T, ambient_dim, p)[0]
 
 
 def quotient_data(rows, ambient: int, p: int):
@@ -191,15 +173,7 @@ def quotient_data(rows, ambient: int, p: int):
     the subspace as its kernel."""
     if not len(rows):
         return identity(ambient), list(range(ambient))
-    r, pivots = rref(np.array(rows, dtype=np.int64), p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ambient) if c not in pivot_set]
-    nf = np.zeros((len(free), ambient), dtype=np.int64)
-    for i, c in enumerate(free):
-        nf[i, c] = 1
-        for row, pc in enumerate(pivots):
-            nf[i, pc] = (-int(r[row, c])) % p
-    return nf, free
+    return _free_rows(np.array(rows, dtype=np.int64), ambient, p)
 
 
 def matmul(a, b, p: int) -> np.ndarray:
@@ -210,36 +184,3 @@ def matmul(a, b, p: int) -> np.ndarray:
     if inner and (p - 1) ** 2 > (2**62) // inner:
         raise ValueError(f"prime {p} too large for exact int64 matmul")
     return (a @ b) % p
-
-
-@dataclass(frozen=True)
-class GradedMap:
-    """Degreewise family of F_p matrices between graded objects.
-
-    `mats[d]` sends degree-d coordinates of the source to degree-d
-    coordinates of the target; absent degrees are zero maps.
-    """
-
-    p: int
-    mats: dict[int, np.ndarray] = field(default_factory=dict)
-    source_dims: dict[int, int] = field(default_factory=dict)
-    target_dims: dict[int, int] = field(default_factory=dict)
-
-    def mat(self, d: int) -> np.ndarray:
-        m = self.mats.get(d)
-        if m is None:
-            return zeros(self.target_dims.get(d, 0), self.source_dims.get(d, 0))
-        return m
-
-    def rank(self, d: int) -> int:
-        return rank(self.mat(d), self.p)
-
-    def injective_in(self, d: int) -> bool:
-        return self.rank(d) == self.source_dims.get(d, 0)
-
-    def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other (degrees taken from other's source)."""
-        mats = {}
-        for d in sorted(set(self.mats) | set(other.mats) | set(other.source_dims)):
-            mats[d] = matmul(self.mat(d), other.mat(d), self.p)
-        return GradedMap(self.p, mats, dict(other.source_dims), dict(self.target_dims))

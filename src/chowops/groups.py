@@ -305,13 +305,6 @@ class QuillenCategoryData:
     # records h e h^-1 for e in objects[i].elements
     morphisms: dict = field(default_factory=dict)
 
-    def compose(self, G, m1, m2, i, j, k):
-        """Induced map of c_{h2} o c_{h1}: E_i -> E_k (for tests)."""
-        h1, _ = m1
-        h2, _ = m2
-        h = G.mul(h2, h1)
-        return tuple(G.conj(h, e) for e in self.objects[i].elements)
-
 
 def all_elementary_abelians(G: FiniteGroup, p: int):
     """Every elementary abelian p-subgroup (as sorted element tuples),
@@ -425,6 +418,18 @@ def rep_classes(r: int, G: FiniteGroup, p: int):
 # file schema
 
 
+def _check_ints(value, where, depth):
+    """Refuse anything but integers nested `depth` lists deep; JSON booleans
+    and floats are refused rather than truncated."""
+    if depth:
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        for i, x in enumerate(value):
+            _check_ints(x, f"{where}[{i}]", depth - 1)
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+
+
 def load_group(data, name=None) -> FiniteGroup:
     """Group file schema: {"order", "table"} | {"degree", "generators"} |
     {"abelian": [e_1, ...]}, with optional "name" and "faithful_degree"."""
@@ -433,6 +438,13 @@ def load_group(data, name=None) -> FiniteGroup:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown group file fields: {sorted(unknown)}")
+    shapes = [key for key in ("table", "generators", "abelian") if key in data]
+    if len(shapes) > 1:
+        raise ValueError(f"group file names more than one of {shapes}")
+    for key, depth in (("order", 0), ("degree", 0), ("abelian", 1),
+                       ("table", 2), ("generators", 2)):
+        if key in data:
+            _check_ints(data[key], key, depth)
     name = data.get("name", name)
     fd = data.get("faithful_degree")
     if "table" in data:
@@ -445,7 +457,7 @@ def load_group(data, name=None) -> FiniteGroup:
         if "degree" not in data:
             raise ValueError("permutation groups need a 'degree' field")
         g = FiniteGroup.from_permutations(
-            data["generators"], int(data["degree"]), name=name)
+            data["generators"], data["degree"], name=name)
     elif "abelian" in data:
         g = FiniteGroup.from_abelian(data["abelian"], name=name)
     else:

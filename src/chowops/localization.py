@@ -471,24 +471,25 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
 # d0 / d1
 
 
+def _first_level(G, D, p, max_level, holds):
+    """(n - 1, verdict) for the first level n whose diagram `holds`."""
+    cap = max_level if max_level is not None else D + 2
+    for level in range(1, cap + 1):
+        if holds(build_lambda(G, level, D, p)):
+            return level - 1, "verified-through-cutoff"
+    return cap, "unresolved"
+
+
 def d0_estimate(G: gp.FiniteGroup, D: int, p: int, max_level=None):
     """Smallest n with lambda_{n+1} injective in every degree <= D.
 
     Injectivity beyond D is unverified, hence the verdict."""
-    cap = max_level if max_level is not None else D + 2
-    for level in range(1, cap + 1):
-        if build_lambda(G, level, D, p).all_injective():
-            return level - 1, "verified-through-cutoff"
-    return cap, "unresolved"
+    return _first_level(G, D, p, max_level, EqualizerDiagram.all_injective)
 
 
 def d1_estimate(G: gp.FiniteGroup, D: int, p: int, max_level=None):
     """As d0_estimate, with isomorphism onto the computed equalizer."""
-    cap = max_level if max_level is not None else D + 2
-    for level in range(1, cap + 1):
-        if build_lambda(G, level, D, p).all_iso():
-            return level - 1, "verified-through-cutoff"
-    return cap, "unresolved"
+    return _first_level(G, D, p, max_level, EqualizerDiagram.all_iso)
 
 
 # ---------------------------------------------------------------------------

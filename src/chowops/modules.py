@@ -388,10 +388,6 @@ class FPModule:
         raise KeyError(name)
 
     @property
-    def max_gen_degree(self) -> int:
-        return max((d for _, d in self.generators), default=0)
-
-    @property
     def max_relation_degree(self) -> int:
         out = 0
         for rel in self.relations:

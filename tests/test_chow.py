@@ -236,6 +236,23 @@ class TestIngest:
         r = ingest_ring(blob)
         assert [r.dim(d) for d in range(5)] == [1, 1, 1, 0, 0]
 
+    def test_repeated_monomials_sum_mod_p(self):
+        # x^2 + 2 x^2 = 3 x^2 is the zero relation at p = 3
+        blob = {
+            "prime": 3, "cutoff": 8, "provenance": "ingested",
+            "generators": [{"name": "x", "degree": 1}],
+            "relations": [[{"coeff": 1, "monomial": [2]},
+                           {"coeff": 2, "monomial": [2]}]],
+            "steenrod": [],
+        }
+        r = ingest_ring(blob)
+        assert r.relations == [{}]
+        assert [r.dim(d) for d in range(4)] == [1, 1, 1, 1]
+        # the top-power rule P^1 x = x^3, written with coefficient 4 = 1
+        blob["steenrod"] = [{"a": 1, "gen": "x",
+                             "value": [{"coeff": 4, "monomial": [3]}]}]
+        assert ingest_ring(blob).steenrod[(0, 1)] == {(3,): 1}
+
 
 def test_abelian_ring_uses_p_part():
     G = FiniteGroup.from_abelian([6], name="Z6")

@@ -138,6 +138,13 @@ def test_missing_file(capsys):
     assert code == 2 and "no such file" in err
 
 
+def test_malformed_group_file(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"abelian": [2.7]}))
+    code, _, err = run(capsys, "reps", "--group", str(path))
+    assert code == 2 and "abelian[0]" in err
+
+
 def test_bad_prime(capsys):
     code, _, err = run(capsys, "adem", "--prime", "4", "--expr", "P^1")
     assert code == 2

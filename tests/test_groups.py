@@ -43,8 +43,31 @@ class TestConstruction:
             with open(data_dir / "groups" / name) as fh:
                 g = load_group(json.load(fh))
             assert len(g) in (4, 6, 8)
+        for path in sorted((data_dir / "groups").glob("*.json")):
+            with open(path) as fh:
+                load_group(json.load(fh))
         with pytest.raises(ValueError, match="unknown"):
             load_group({"abelian": [2], "color": "red"})
+
+    def test_load_group_needs_one_shape(self):
+        with pytest.raises(ValueError, match="more than one"):
+            load_group({"table": [[0, 1], [1, 0]], "abelian": [3]})
+        with pytest.raises(ValueError, match="more than one"):
+            load_group({"degree": 2, "generators": [[1, 0]], "abelian": [2]})
+
+    @pytest.mark.parametrize("data, field", [
+        ({"abelian": [2.7]}, r"abelian\[0\]"),
+        ({"abelian": [True, 2]}, r"abelian\[0\]"),
+        ({"abelian": 4}, "abelian"),
+        ({"order": 2.0, "table": [[0, 1], [1, 0]]}, "order"),
+        ({"table": [[0, 1], [1, 0.5]]}, r"table\[1\]\[1\]"),
+        ({"degree": 3.0, "generators": [[1, 0, 2]]}, "degree"),
+        ({"degree": 3, "generators": [[1, 0, "2"]]},
+         r"generators\[0\]\[2\]"),
+    ])
+    def test_load_group_refuses_non_integers(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            load_group(data)
 
     def test_element_orders(self):
         g = FiniteGroup.from_abelian([4])
@@ -96,9 +119,12 @@ class TestElementaryAbelians:
                 if j2 != j:
                     continue
                 recorded = {images for _, images in cat.morphisms.get((i, k), [])}
-                for m1 in ms1:
-                    for m2 in ms2:
-                        assert cat.compose(g, m1, m2, i, j, k) in recorded
+                for h1, _ in ms1:
+                    for h2, _ in ms2:
+                        # the induced map of c_{h2} o c_{h1}: E_i -> E_k
+                        h = g.mul(h2, h1)
+                        assert tuple(g.conj(h, e)
+                                     for e in objs[i].elements) in recorded
 
     def test_nonabelian_morphisms_dedup(self):
         objs, cat = elementary_abelians(s3(), 2)

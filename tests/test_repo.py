@@ -1,0 +1,18 @@
+"""The checkout tracks no file that .gitignore lists, such as generated C
+or saved test output."""
+
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                    reason="needs git and a git checkout")
+def test_no_ignored_file_is_tracked():
+    out = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"],
+                         cwd=ROOT, capture_output=True, text=True, check=True)
+    assert out.stdout == ""
