@@ -10,7 +10,8 @@ rings with the total-power action), `groups` (finite group machinery),
 and d0/d1 estimates), `cli` (the chowops command).
 """
 
-from ._kernels import BACKEND as kernel_backend
-
+# One numpy row reduction serves every caller; benchmark records carry
+# this name so that results from different kernels are never compared.
+kernel_backend = "fallback"
 __version__ = "0.1.0"
 __all__ = ["kernel_backend", "__version__"]

@@ -598,11 +598,12 @@ def _load_poly(data, k, p, where):
         if set(term) - {"coeff", "monomial"}:
             raise ValueError(f"{here}: unknown fields "
                              f"{sorted(set(term) - {'coeff', 'monomial'})}")
-        try:
-            mono = tuple(int(e) for e in term["monomial"])
-            coeff = int(term.get("coeff", 1))
-        except (KeyError, TypeError):
-            raise ValueError(f"{here}: need a monomial exponent vector") from None
+        if "monomial" not in term:
+            raise ValueError(f"{here}: need a monomial exponent vector")
+        coeff = term.get("coeff", 1)
+        fl.check_ints(term["monomial"], f"{here}.monomial", 1)
+        fl.check_ints(coeff, f"{here}.coeff")
+        mono = tuple(term["monomial"])
         if len(mono) != k:
             raise ValueError(f"{here}.monomial: expected {k} exponents")
         if any(e < 0 for e in mono):
@@ -624,30 +625,34 @@ def ingest_ring(data) -> ChowRing:
     gens = []
     for i, g in enumerate(data["generators"]):
         try:
-            gens.append((g["name"], int(g["degree"])))
+            gens.append((g["name"], g["degree"]))
         except (KeyError, TypeError):
             raise ValueError(f"generators[{i}]: need name and degree") from None
+        fl.check_ints(g["degree"], f"generators[{i}].degree")
     names = [n for n, _ in gens]
     k = len(gens)
     rels = [_load_poly(r, k, p, f"relations[{i}]")
             for i, r in enumerate(data.get("relations", []))]
+    cutoff = data.get("cutoff", 8)
+    fl.check_ints(cutoff, "cutoff")
     steenrod = {}
     for i, s in enumerate(data.get("steenrod", [])):
         where = f"steenrod[{i}]"
         if set(s) - {"a", "gen", "value"}:
             raise ValueError(f"{where}: unknown fields")
         try:
-            a = int(s["a"])
+            a = s["a"]
             gen = s["gen"]
             val = _load_poly(s["value"], k, p, f"{where}.value")
         except (KeyError, TypeError):
             raise ValueError(f"{where}: need a, gen, value") from None
+        fl.check_ints(a, f"{where}.a")
         if gen not in names:
             raise ValueError(f"{where}.gen: unknown generator {gen!r}")
         steenrod[(names.index(gen), a)] = val
     ring = ChowRing(p, gens, rels, steenrod,
                     provenance=data.get("provenance", "ingested"),
-                    cutoff=int(data.get("cutoff", 8)),
+                    cutoff=cutoff,
                     name=data.get("name", "ingested ring"),
                     validate=True)
     return ring

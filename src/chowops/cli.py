@@ -319,16 +319,19 @@ def _prime(args):
     return args.prime if args.prime is not None else 2
 
 
-def _add_common(sp, prime=True, cutoff=True):
+def _add_common(sp, prime=True, cutoff=True, fmt=True, strict=False):
+    """Register the shared flags a subcommand reads, and no others."""
     if prime:
         sp.add_argument("--prime", type=int, default=None,
                         help="the prime p (default 2)")
     if cutoff:
         sp.add_argument("--cutoff", type=int, default=8,
                         help="verify through this degree (default 8)")
-    sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    sp.add_argument("--strict", action="store_true",
-                    help="exit 3 when any verdict is unresolved")
+    if fmt:
+        sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    if strict:
+        sp.add_argument("--strict", action="store_true",
+                        help="exit 3 when any verdict is unresolved")
 
 
 def build_parser():
@@ -341,13 +344,13 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("adem", help="admissible normal form of an expression")
-    _add_common(sp, cutoff=False)
+    _add_common(sp, cutoff=False, fmt=False)
     sp.add_argument("--expr", required=True,
                     help="e.g. 'P^1 P^1' or '2 * P^3 + P^2 P^1' (Sq^{2a} ok at p=2)")
     sp.set_defaults(fn=cmd_adem)
 
     sp = sub.add_parser("act", help="apply an operation to a polynomial")
-    _add_common(sp, cutoff=False)
+    _add_common(sp, cutoff=False, fmt=False)
     sp.add_argument("--rank", type=int, required=True,
                     help="number of degree-1 generators y1..yk")
     sp.add_argument("--op", required=True)
@@ -362,7 +365,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_tv)
 
     sp = sub.add_parser("nil", help="nilpotence degree of a presented module")
-    _add_common(sp, prime=False)
+    _add_common(sp, prime=False, strict=True)
     sp.add_argument("--module", required=True)
     sp.set_defaults(fn=cmd_nil)
 
@@ -375,7 +378,7 @@ def build_parser():
     sp = sub.add_parser("quillen-check",
                         help="F-isomorphism certificate into the limit over "
                              "elementary abelian subgroups")
-    _add_common(sp)
+    _add_common(sp, strict=True)
     sp.add_argument("--group", required=True)
     sp.set_defaults(fn=cmd_quillen)
 
@@ -387,7 +390,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_localize)
 
     sp = sub.add_parser("d0", help="smallest n with level-(n+1) map injective")
-    _add_common(sp)
+    _add_common(sp, fmt=False, strict=True)
     sp.add_argument("--group", required=True)
     sp.add_argument("--faithful-degree", type=int, default=None,
                     help="degree of a faithful representation, for bound checks")

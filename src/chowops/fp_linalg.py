@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import rref_inplace
-
 __all__ = [
     "check_prime",
+    "check_ints",
     "binom_mod_p",
     "as_fp_matrix",
     "zeros",
@@ -41,6 +40,19 @@ def check_prime(p: int) -> int:
             raise ValueError(f"{n} is not prime")
         d += 1
     return n
+
+
+def check_ints(value, where: str, depth: int = 0) -> None:
+    """Refuse anything but integers nested `depth` lists deep, naming the
+    field path `where`; JSON booleans and floats are refused rather than
+    truncated."""
+    if depth:
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        for i, x in enumerate(value):
+            check_ints(x, f"{where}[{i}]", depth - 1)
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
 
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
@@ -81,12 +93,34 @@ def identity(n: int) -> np.ndarray:
 
 
 def rref(m, p: int):
-    """Reduced row echelon form.  Returns (R, pivot_columns); m is not mutated."""
+    """Reduced row echelon form.  Returns (R, pivot_columns); m is not mutated.
+
+    One pivot column at a time; each step clears the whole column with one
+    vectorised row update."""
     a = as_fp_matrix(m, p)
-    if a.size == 0:
-        return a, []
-    pivots = rref_inplace(a, p)
-    return a, list(pivots)
+    rows, cols = a.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + nz[0]
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        v = int(a[r, c])
+        if v != 1:
+            a[r] = (a[r] * pow(v, -1, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def rank(m, p: int) -> int:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fp_linalg as fl
+
 MAX_ORDER = 10_000
 ASSOC_CHECK_CAP = 512  # full associativity test is O(n^3)
 
@@ -418,18 +420,6 @@ def rep_classes(r: int, G: FiniteGroup, p: int):
 # file schema
 
 
-def _check_ints(value, where, depth):
-    """Refuse anything but integers nested `depth` lists deep; JSON booleans
-    and floats are refused rather than truncated."""
-    if depth:
-        if not isinstance(value, list):
-            raise ValueError(f"{where}: expected a list, got {value!r}")
-        for i, x in enumerate(value):
-            _check_ints(x, f"{where}[{i}]", depth - 1)
-    elif isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
-
-
 def load_group(data, name=None) -> FiniteGroup:
     """Group file schema: {"order", "table"} | {"degree", "generators"} |
     {"abelian": [e_1, ...]}, with optional "name" and "faithful_degree"."""
@@ -441,12 +431,19 @@ def load_group(data, name=None) -> FiniteGroup:
     shapes = [key for key in ("table", "generators", "abelian") if key in data]
     if len(shapes) > 1:
         raise ValueError(f"group file names more than one of {shapes}")
+    for key, shape in (("order", "table"), ("degree", "generators")):
+        if key in data and shape not in data:
+            raise ValueError(f"'{key}' belongs only next to '{shape}'")
     for key, depth in (("order", 0), ("degree", 0), ("abelian", 1),
-                       ("table", 2), ("generators", 2)):
+                       ("table", 2), ("generators", 2),
+                       ("faithful_degree", 0)):
         if key in data:
-            _check_ints(data[key], key, depth)
+            fl.check_ints(data[key], key, depth)
     name = data.get("name", name)
     fd = data.get("faithful_degree")
+    if fd is not None and fd < 1:
+        raise ValueError(f"faithful_degree: expected a positive integer, "
+                         f"got {fd}")
     if "table" in data:
         table = data["table"]
         order = data.get("order", len(table))

@@ -16,6 +16,7 @@ rejected with a pointed message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -426,9 +427,18 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
         stacked = np.vstack(rows) if rows else fl.zeros(0, total)
         return fl.kernel_matrix(stacked, p), offs
 
+    @cache
     def res_stack(d):
         return np.vstack([setup.res_mat(i, d) for i in range(n_obj)]) \
             if ring_G.dim(d) else fl.zeros(0, 0)
+
+    @cache
+    def residual(d):
+        # ker Q is the column span of res_stack(d), so a vector lies in the
+        # image of CH_G^d exactly when Q sends it to zero; one elimination
+        # per degree serves every element tested in that degree
+        stacked = res_stack(d)
+        return fl.residual_map(stacked, stacked.shape[0], p)
 
     limit_dims = {}
     kernel_report = []
@@ -454,7 +464,7 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
                 coords = np.concatenate([
                     setup.sub_data[i].ring.coords(comp_polys[i], deg)
                     for i in range(n_obj)])
-                if fl.image_contains(res_stack(deg), coords, p):
+                if not fl.matmul(residual(deg), coords, p).any():
                     j_found = j
                     break
                 comp_polys = [setup.sub_data[i].ring.power(f, p)

@@ -414,6 +414,7 @@ class FPModule:
                 gens.append((g["name"], g["degree"]))
             except (KeyError, TypeError):
                 raise ValueError(f"generators[{i}]: need name and degree") from None
+            fl.check_ints(g["degree"], f"generators[{i}].degree")
         names = [n for n, _ in gens]
         rels = []
         for ri, rel in enumerate(data.get("relations", [])):
@@ -421,11 +422,12 @@ class FPModule:
             for ti, t in enumerate(rel):
                 where = f"relations[{ri}][{ti}]"
                 try:
-                    coeff = int(t.get("coeff", 1))
+                    coeff = t.get("coeff", 1)
                     op = t["op"]
                     gen = t["gen"]
                 except (KeyError, TypeError, AttributeError):
                     raise ValueError(f"{where}: need op and gen") from None
+                fl.check_ints(coeff, f"{where}.coeff")
                 if gen not in names:
                     raise ValueError(f"{where}.gen: unknown generator {gen!r}")
                 op = op.strip()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,34 @@ class TestIngest:
         blob["steenrod"] = [{"a": 1, "gen": "x",
                              "value": [{"coeff": 4, "monomial": [3]}]}]
         assert ingest_ring(blob).steenrod[(0, 1)] == {(3,): 1}
+
+    @pytest.mark.parametrize("path, value", [
+        (("generators", 0, "degree"), 1.9),
+        (("generators", 0, "degree"), True),
+        (("relations", 0, 0, "coeff"), 1.5),
+        (("relations", 0, 0, "monomial"), [2.7]),
+        (("relations", 0, 0, "monomial"), 3),
+        (("steenrod", 0, "a"), 1.0),
+        (("steenrod", 0, "value", 0, "coeff"), False),
+        (("cutoff",), 6.5),
+    ])
+    def test_non_integers_refused(self, path, value):
+        blob = {
+            "prime": 3, "cutoff": 8, "provenance": "ingested",
+            "generators": [{"name": "y", "degree": 1}],
+            "relations": [[{"coeff": 1, "monomial": [4]}]],
+            "steenrod": [{"a": 1, "gen": "y",
+                          "value": [{"coeff": 1, "monomial": [3]}]}],
+        }
+        ingest_ring(json.loads(json.dumps(blob)))
+        target = blob
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        field = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                  for k in path[1:])
+        with pytest.raises(ValueError, match=re.escape(field)):
+            ingest_ring(blob)
 
 
 def test_abelian_ring_uses_p_part():

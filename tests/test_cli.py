@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chowops.cli import main, parse_poly, format_poly
 
 
@@ -143,6 +145,33 @@ def test_malformed_group_file(capsys, tmp_path):
     path.write_text(json.dumps({"abelian": [2.7]}))
     code, _, err = run(capsys, "reps", "--group", str(path))
     assert code == 2 and "abelian[0]" in err
+
+
+def test_malformed_module_file(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"prime": 2, "generators": [{"name": "g", "degree": 2.9}]}))
+    code, _, err = run(capsys, "tv", "--module", str(path), "--cutoff", "3")
+    assert code == 2 and "generators[0].degree" in err
+
+
+# each subcommand takes --strict and --format only where they change the
+# exit code or the output
+@pytest.mark.parametrize("argv", [
+    ["adem", "--expr", "P^1", "--strict"],
+    ["adem", "--expr", "P^1", "--format", "json"],
+    ["act", "--rank", "1", "--op", "P^1", "--poly", "y1", "--strict"],
+    ["act", "--rank", "1", "--op", "P^1", "--poly", "y1", "--format", "json"],
+    ["tv", "--group", "z3.json", "--strict"],
+    ["reps", "--group", "s3.json", "--strict"],
+    ["localize", "--group", "z2.json", "--strict"],
+    ["d0", "--group", "klein.json", "--format", "json"],
+])
+def test_flags_without_effect_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_prime(capsys):

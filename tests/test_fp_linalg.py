@@ -75,14 +75,20 @@ def test_solve_roundtrip(rows, cols, p, seed):
     assert ((m @ sol) % p == v).all()
 
 
-def test_residual_map_characterizes_span():
-    p = 3
-    basis = fl.as_fp_matrix([[1, 0], [1, 1], [0, 2]], p)
-    q = fl.residual_map(basis, 3, p)
-    for j in range(2):
-        assert not (q @ basis[:, j] % p).any()
-    outside = np.array([1, 0, 0])
-    assert (q @ outside % p).any()
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([2, 3, 5]),
+       st.booleans(), st.integers(0, 10**9))
+def test_residual_map_characterizes_span(ambient, k, p, all_zero, seed):
+    # Q @ v = 0 is the membership test the F-isomorphism certificate runs;
+    # image_contains, one solve per vector, is the reference
+    rng = np.random.default_rng(seed)
+    a = np.zeros((ambient, k), dtype=np.int64)
+    if not all_zero:
+        a = rng.integers(0, p, size=(ambient, k))
+    q = fl.residual_map(a, ambient, p)
+    inside = a @ rng.integers(0, p, size=k) % p
+    for v in (inside, rng.integers(0, p, size=ambient)):
+        assert (not fl.matmul(q, v, p).any()) == fl.image_contains(a, v, p)
 
 
 def test_rref_idempotent_and_unit_pivots():

@@ -64,8 +64,22 @@ class TestConstruction:
         ({"degree": 3.0, "generators": [[1, 0, 2]]}, "degree"),
         ({"degree": 3, "generators": [[1, 0, "2"]]},
          r"generators\[0\]\[2\]"),
+        ({"abelian": [2, 2], "faithful_degree": 2.5}, "faithful_degree"),
+        ({"abelian": [2, 2], "faithful_degree": True}, "faithful_degree"),
     ])
     def test_load_group_refuses_non_integers(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            load_group(data)
+
+    @pytest.mark.parametrize("data, field", [
+        ({"abelian": [2, 2], "faithful_degree": 0}, "faithful_degree"),
+        ({"abelian": [2, 2], "faithful_degree": -1}, "faithful_degree"),
+        ({"abelian": [2], "order": 3}, "'order'"),
+        ({"degree": 2, "generators": [[1, 0]], "order": 2}, "'order'"),
+        ({"abelian": [2], "degree": 2}, "'degree'"),
+        ({"table": [[0, 1], [1, 0]], "degree": 2}, "'degree'"),
+    ])
+    def test_load_group_refuses_meaningless_fields(self, data, field):
         with pytest.raises(ValueError, match=field):
             load_group(data)
 

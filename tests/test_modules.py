@@ -264,6 +264,19 @@ class TestPresentationSchema:
         with pytest.raises(ValueError, match="unknown"):
             FPModule.from_json({"prime": 2, "generators": [], "extra": 1})
 
+    @pytest.mark.parametrize("degree, coeff, field", [
+        (2.9, 1, r"generators\[0\]\.degree"),
+        (True, 1, r"generators\[0\]\.degree"),
+        (2, 1.5, r"relations\[0\]\[0\]\.coeff"),
+        (2, True, r"relations\[0\]\[0\]\.coeff"),
+    ])
+    def test_non_integers_refused(self, degree, coeff, field):
+        blob = {"prime": 2,
+                "generators": [{"name": "g", "degree": degree}],
+                "relations": [[{"coeff": coeff, "op": "P^1", "gen": "g"}]]}
+        with pytest.raises(ValueError, match=field):
+            FPModule.from_json(blob)
+
     def test_inhomogeneous_relation_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):
             FPModule(2, [("a", 1), ("b", 3)],
