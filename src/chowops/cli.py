@@ -289,17 +289,26 @@ def cmd_localize(args):
 
 
 def cmd_d0(args):
+    if args.faithful_degree is not None and args.faithful_degree < 1:
+        raise CliError(f"--faithful-degree must be a positive integer, "
+                       f"got {args.faithful_degree}")
     G = _load_group(args.group)
-    fd = args.faithful_degree or G.faithful_degree
+    fd = (args.faithful_degree if args.faithful_degree is not None
+          else G.faithful_degree)
     p = _prime(args)
+    rep = None
     try:
-        d0, v0 = d0_estimate(G, args.cutoff, p)
+        if fd is None:
+            d0, v0 = d0_estimate(G, args.cutoff, p)
+        else:
+            # one level sweep finds d0 and d1 together
+            rep = bounds_report(G, fd, args.cutoff, p)
+            d0, v0 = rep["d0"], rep["d0_verdict"]
     except ValueError as exc:
         raise CliError(str(exc))
     print(f"d0 = {d0} ({v0})")
     exit_code = EXIT_OK
-    if fd:
-        rep = bounds_report(G, fd, args.cutoff, p)
+    if rep is not None:
         print(f"d1 = {rep['d1']} ({rep['d1_verdict']})")
         print(f"largest certified nilpotent level = {rep['largest_nil_level']}")
         print(f"bounds: d0 <= {rep['bound_d0']}, d1 <= {rep['bound_d1']}")

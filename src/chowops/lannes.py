@@ -89,9 +89,6 @@ class TvStructural:
     def dim(self, k: int) -> int:
         return sum(ring.dim(k) for _, ring in self.components)
 
-    def dims(self, kmax: int) -> dict[int, int]:
-        return {k: self.dim(k) for k in range(kmax + 1)}
-
 
 def _component_map(source: AbelianRingData, cls: gp.HomClass,
                    target, r: int) -> RingMap:
@@ -211,8 +208,7 @@ def _compile_bounded(m: FPModule) -> FiniteModule:
             "bounded factors or a one-dimensional one")
     compiled = compile_presentation(m, m.support_bound)
     return FiniteModule(m.p, compiled.dims, compiled.mats,
-                        truncated_above=None, labels=compiled.labels,
-                        validate=False)
+                        truncated_above=None, validate=False)
 
 
 def _point_profile(m: FPModule):

@@ -279,13 +279,16 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
-    setup = _AbelianSetup(G, p)
+    return _build_lambda(_AbelianSetup(G, p), n, D)
+
+
+def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
     top = max(range(len(setup.objects)),
               key=lambda i: setup.objects[i].rank)
     top_self = [m for m, (i, j, h, _) in enumerate(setup.morphisms)
                 if i == top and j == top][0]
     diagram = EqualizerDiagram(
-        group=G, p=setup.p, level=n, cutoff=D, objects=setup.objects,
+        group=setup.G, p=setup.p, level=n, cutoff=D, objects=setup.objects,
         morphism_count=len(setup.morphisms))
     ring_G = setup.data_G.ring
     n_obj = len(setup.objects)
@@ -312,8 +315,12 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
                 continue
             b = _leg2_block(setup, into_top[i], d, n)
             image = fl.matmul(b, solved[top], setup.p)
-            solved[i] = fl.matmul(_unit_projection(setup, i, d, n), image,
-                                  setup.p)
+            # keep the rows whose middle tensor factor is the unit
+            # monomial: the (0, j) blocks, in the order of the middle blocks
+            offs, _ = _offsets(_right_blocks(setup, i, d, n))
+            solved[i] = np.vstack([
+                image[offs[(0, j)]:offs[(0, j)] + rows]
+                for j, rows in _middle_blocks(setup, i, d, n)])
 
         # one pass over all morphisms: check the legs agree on the image of
         # lambda, and cut the solved family by the remaining conditions
@@ -340,23 +347,6 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
         diagram.injective[d] = rk == ring_G.dim(d)
         diagram.onto_equalizer[d] = agree and rk == eq_dim
     return diagram
-
-
-def _unit_projection(setup, e_index, d, n):
-    """Selection matrix right_phi^d -> middle_E^d picking the rows whose
-    middle tensor factor is the unit monomial (the (j2 = 0) blocks)."""
-    tgt_blocks = _right_blocks(setup, e_index, d, n)
-    tgt_offs, tgt_total = _offsets(tgt_blocks)
-    mid_blocks = _middle_blocks(setup, e_index, d, n)
-    mid_offs, mid_total = _offsets(mid_blocks)
-    proj = fl.zeros(mid_total, tgt_total)
-    for j, rows in mid_blocks:
-        if not rows:
-            continue
-        src = tgt_offs[(0, j)]
-        dst = mid_offs[j]
-        proj[dst:dst + rows, src:src + rows] = fl.identity(rows)
-    return proj
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +471,33 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
 # d0 / d1
 
 
-def _first_level(G, D, p, max_level, holds):
-    """(n - 1, verdict) for the first level n whose diagram `holds`."""
-    cap = max_level if max_level is not None else D + 2
-    for level in range(1, cap + 1):
-        if holds(build_lambda(G, level, D, p)):
-            return level - 1, "verified-through-cutoff"
-    return cap, "unresolved"
+def _first_levels(G, D, p, *predicates):
+    """(n - 1, verdict) per predicate for the first level n whose diagram
+    satisfies it, sweeping levels 1..D+2 on one setup and stopping once
+    every predicate has held; (D + 2, "unresolved") for one that never
+    does."""
+    setup = _AbelianSetup(G, p)
+    first = [None] * len(predicates)
+    for level in range(1, D + 3):
+        diagram = _build_lambda(setup, level, D)
+        first = [f or (level if holds(diagram) else None)
+                 for f, holds in zip(first, predicates)]
+        if None not in first:
+            break
+    return [(f - 1, "verified-through-cutoff") if f else (D + 2, "unresolved")
+            for f in first]
 
 
-def d0_estimate(G: gp.FiniteGroup, D: int, p: int, max_level=None):
+def d0_estimate(G: gp.FiniteGroup, D: int, p: int):
     """Smallest n with lambda_{n+1} injective in every degree <= D.
 
     Injectivity beyond D is unverified, hence the verdict."""
-    return _first_level(G, D, p, max_level, EqualizerDiagram.all_injective)
+    return _first_levels(G, D, p, EqualizerDiagram.all_injective)[0]
 
 
-def d1_estimate(G: gp.FiniteGroup, D: int, p: int, max_level=None):
+def d1_estimate(G: gp.FiniteGroup, D: int, p: int):
     """As d0_estimate, with isomorphism onto the computed equalizer."""
-    return _first_level(G, D, p, max_level, EqualizerDiagram.all_iso)
+    return _first_levels(G, D, p, EqualizerDiagram.all_iso)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +617,8 @@ def bounds_report(G: gp.FiniteGroup, faithful_degree: int, D: int, p: int):
     identity between d0 and the largest level with a nonzero certified
     nilpotent submodule.  Violations are reported, not swallowed."""
     n = faithful_degree
-    d0, v0 = d0_estimate(G, D, p)
-    d1, v1 = d1_estimate(G, D, p)
+    (d0, v0), (d1, v1) = _first_levels(G, D, p, EqualizerDiagram.all_injective,
+                                       EqualizerDiagram.all_iso)
     ring = abelian_ring(G, p).ring
     largest = 0
     for level in range(1, D + 1):

@@ -85,8 +85,7 @@ class FiniteModule:
     there is).
     """
 
-    def __init__(self, p, dims, mats, truncated_above=None, labels=None,
-                 validate=True):
+    def __init__(self, p, dims, mats, truncated_above=None, validate=True):
         self.p = fl.check_prime(p)
         self.dims = {d: int(n) for d, n in dims.items() if n}
         self.mats = {}
@@ -95,7 +94,6 @@ class FiniteModule:
             if m.size and m.any():
                 self.mats[(a, d)] = m
         self.truncated_above = truncated_above
-        self.labels = labels
         if validate:
             self._validate()
 
@@ -381,12 +379,6 @@ class FPModule:
                     del acc[key]
         return tuple(sorted((c, w, g) for (w, g), c in acc.items()))
 
-    def gen_index(self, name: str) -> int:
-        for i, (gname, _) in enumerate(self.generators):
-            if gname == name:
-                return i
-        raise KeyError(name)
-
     @property
     def max_relation_degree(self) -> int:
         out = 0
@@ -595,8 +587,7 @@ def compile_presentation(fp: FPModule, D: int) -> FiniteModule:
             mat = np.stack(cols, axis=1) if cols else fl.zeros(dims[d2], 0)
             if mat.any():
                 mats[(a, d)] = mat
-    return FiniteModule(p, dims, mats, truncated_above=D,
-                        labels={d: bases[d] for d in dims}, validate=False)
+    return FiniteModule(p, dims, mats, truncated_above=D, validate=False)
 
 
 def fp_dim(fp: FPModule, d: int) -> int:

@@ -118,6 +118,16 @@ def test_d0(capsys, data_dir):
     assert "bounds: d0 <= 1, d1 <= 2" in out
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_d0_faithful_degree_must_be_positive(capsys, data_dir, value):
+    # 0 is refused, not replaced by the file's faithful_degree
+    path = str(data_dir / "groups" / "klein.json")
+    code, out, err = run(capsys, "d0", "--group", path, "--cutoff", "4",
+                         "--faithful-degree", value)
+    assert code == 2 and out == ""
+    assert "--faithful-degree" in err
+
+
 def test_strict_escalates_unresolved(capsys, data_dir):
     # the free module's lowering orbits leave any finite window, so the
     # verdict is at-least; --strict turns that into exit code 3

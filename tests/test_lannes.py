@@ -74,14 +74,14 @@ class TestStructural:
     def test_trivial_group(self):
         tv = tv_structural(FiniteGroup.from_abelian([1]), 1, 2)
         assert len(tv.components) == 1
-        assert tv.dims(3) == {0: 1, 1: 0, 2: 0, 3: 0}
+        assert [tv.dim(k) for k in range(4)] == [1, 0, 0, 0]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_iterativity(self, p):
         g = FiniteGroup.from_abelian([p])
-        once = tv_structural(g, 1, p).dims(6)
-        twice = tv_structural(g, 2, p).dims(6)
-        assert all(twice[k] == p * once[k] for k in range(7))
+        once = tv_structural(g, 1, p)
+        twice = tv_structural(g, 2, p)
+        assert all(twice.dim(k) == p * once.dim(k) for k in range(7))
 
     def test_product_formula_consistency(self):
         g = FiniteGroup.from_abelian([2, 2])

@@ -1,9 +1,13 @@
 import pytest
 
+from chowops import groups as gp
+from chowops import localization as loc
 from chowops.chow import elem_abelian_ring, ring_module
+from chowops.cli import main
 from chowops.groups import FiniteGroup
-from chowops.localization import (bounds_report, build_lambda, d0_estimate,
-                                  d1_estimate, f_iso_check, max_nil_submodule)
+from chowops.localization import (EqualizerDiagram, bounds_report,
+                                  build_lambda, d0_estimate, d1_estimate,
+                                  f_iso_check, max_nil_submodule)
 from chowops.modules import point_module
 
 
@@ -30,10 +34,15 @@ class TestBuildLambda:
         assert d.all_injective() and d.all_iso()
 
     def test_equalizer_legs_agree_through_level_three(self):
-        for spec, p in [([2], 2), ([2, 2], 2), ([4], 2), ([3], 3), ([9], 3)]:
+        for spec, p in [([2], 2), ([2, 2], 2), ([4], 2), ([3], 3), ([9], 3),
+                        ([4, 2], 2), ([3, 3], 3)]:
             for n in (1, 2, 3):
                 d = build_lambda(G(spec), n, 5, p)
                 assert all(d.legs_agree.values()), (spec, n)
+                # abelian groups are isomorphic onto the equalizer at every
+                # level; picking the wrong unit-monomial rows breaks this
+                assert d.all_iso(), (spec, n)
+                assert d.eq_dims == d.source_dims, (spec, n)
 
     def test_monotone_injectivity(self):
         for spec, p in [([2, 2], 2), ([4, 2], 2), ([3, 3], 3)]:
@@ -93,6 +102,74 @@ class TestD0D1:
     def test_zero(self, spec, p):
         assert d0_estimate(G(spec), 5, p) == (0, "verified-through-cutoff")
         assert d1_estimate(G(spec), 5, p) == (0, "verified-through-cutoff")
+
+
+@pytest.fixture
+def setup_calls(monkeypatch):
+    """Arguments of every gp.elementary_abelians call, one per setup."""
+    calls = []
+    real = gp.elementary_abelians
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "elementary_abelians", counting)
+    return calls
+
+
+class TestLevelSweep:
+    """The d0/d1 level sweep on stub diagrams whose predicates turn true
+    at chosen levels: every catalog group has d0 = d1 = 0, so real
+    diagrams never reach the later levels."""
+
+    @staticmethod
+    def stub(monkeypatch, injective_from, iso_from):
+        built = []
+
+        def fake(setup, n, D):
+            built.append(n)
+            return EqualizerDiagram(
+                group=setup.G, p=setup.p, level=n, cutoff=D,
+                objects=setup.objects, morphism_count=0,
+                injective={0: n >= injective_from},
+                onto_equalizer={0: n >= iso_from})
+
+        monkeypatch.setattr(loc, "_build_lambda", fake)
+        return built
+
+    def test_d0_below_d1_in_one_pass(self, monkeypatch, setup_calls):
+        built = self.stub(monkeypatch, 2, 4)
+        rep = bounds_report(G([2, 2]), 3, 5, 2)
+        assert (rep["d0"], rep["d0_verdict"]) == (1, "verified-through-cutoff")
+        assert (rep["d1"], rep["d1_verdict"]) == (3, "verified-through-cutoff")
+        assert built == [1, 2, 3, 4]
+        assert len(setup_calls) == 1
+
+    def test_each_estimate_stops_at_its_level(self, monkeypatch):
+        built = self.stub(monkeypatch, 2, 4)
+        assert d0_estimate(G([2]), 5, 2) == (1, "verified-through-cutoff")
+        assert built == [1, 2]
+        built.clear()
+        assert d1_estimate(G([2]), 5, 2) == (3, "verified-through-cutoff")
+        assert built == [1, 2, 3, 4]
+
+    def test_unresolved_at_the_cap(self, monkeypatch, setup_calls):
+        built = self.stub(monkeypatch, 100, 100)
+        rep = bounds_report(G([2]), 1, 3, 2)
+        assert (rep["d0"], rep["d0_verdict"]) == (5, "unresolved")
+        assert (rep["d1"], rep["d1_verdict"]) == (5, "unresolved")
+        assert built == [1, 2, 3, 4, 5]
+        assert len(setup_calls) == 1
+
+    def test_one_setup_per_run(self, setup_calls, capsys, data_dir):
+        bounds_report(G([2, 2]), 2, 4, 2)
+        assert len(setup_calls) == 1
+        setup_calls.clear()
+        path = str(data_dir / "groups" / "klein.json")
+        assert main(["d0", "--group", path, "--cutoff", "4",
+                     "--faithful-degree", "2"]) == 0
+        assert len(setup_calls) == 1
 
 
 class TestMaxNil:
