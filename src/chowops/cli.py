@@ -95,15 +95,19 @@ def parse_poly(s: str, rank: int):
     def peek(kind):
         return pos < len(tokens) and tokens[pos][kind] is not None
 
-    while pos < len(tokens):
-        coeff = 1
-        if peek(0):
+    def take(kind):
+        nonlocal pos
+        found = peek(kind)
+        pos += found
+        return found
+
+    while True:
+        coeff, expo = 1, [0] * rank
+        saw = star = peek(0)
+        if saw:
             coeff = int(tokens[pos][0])
             pos += 1
-            if peek(3):
-                pos += 1
-        expo = [0] * rank
-        saw = False
+            star = take(3)
         while peek(1):
             name = tokens[pos][1]
             pos += 1
@@ -111,25 +115,23 @@ def parse_poly(s: str, rank: int):
             if not 0 <= idx < rank:
                 raise CliError(f"generator {name} out of range for rank {rank}")
             e = 1
-            if peek(2):
-                pos += 1
+            if take(2):
                 if not peek(0):
                     raise CliError("expected an exponent after '^'")
                 e = int(tokens[pos][0])
                 pos += 1
             expo[idx] += e
-            saw = True
-            if peek(3):
-                pos += 1
-        if not saw and coeff == 1:
+            saw, star = True, take(3)
+        if star:
+            raise CliError("expected a generator after '*'")
+        if not saw:
             raise CliError("expected a monomial like y1^2")
         key = tuple(expo)
         terms[key] = terms.get(key, 0) + coeff
-        if pos < len(tokens):
-            if not peek(4):
-                raise CliError("expected '+' between polynomial terms")
-            pos += 1
-    return terms
+        if pos == len(tokens):
+            return terms
+        if not take(4):
+            raise CliError("expected '+' between polynomial terms")
 
 
 def format_poly(f, rank):

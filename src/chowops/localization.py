@@ -104,6 +104,20 @@ class _AbelianSetup:
             self._mat_cache[key] = self.res_to[i].matrix(d)
         return self._mat_cache[key]
 
+    def res_comult(self, i, a, b):
+        """CH_G^{a+b} -> CH_{E_i}^a (x) CH_G^b: comultiply, then restrict
+        the left factor to E_i."""
+        key = ("rescomult", i, a, b)
+        if key not in self._mat_cache:
+            ring_G = self.data_G.ring
+            if self.sub_data[i].ring.dim(a) * ring_G.dim(b):
+                self._mat_cache[key] = fl.matmul(
+                    np.kron(self.res_mat(i, a), fl.identity(ring_G.dim(b))),
+                    self.comult_split(ring_G, a, b), self.p)
+            else:
+                self._mat_cache[key] = fl.zeros(0, ring_G.dim(a + b))
+        return self._mat_cache[key]
+
     def conjres_mat(self, m_index, d):
         key = ("conjres", m_index, d)
         if key not in self._mat_cache:
@@ -166,25 +180,14 @@ def _offsets(blocks):
 def _lambda_block(setup, obj_index, d, n):
     """Matrix CH^d_G -> middle_E^d: comultiply, restrict the left factor,
     truncate the right factor below n."""
-    ring_G = setup.data_G.ring
-    blocks = _middle_blocks(setup, obj_index, d, n)
-    offs, total = _offsets(blocks)
-    mat = fl.zeros(total, ring_G.dim(d))
-    for j, rows in blocks:
-        if not rows:
-            continue
-        piece = fl.matmul(
-            np.kron(setup.res_mat(obj_index, d - j),
-                    fl.identity(ring_G.dim(j))),
-            setup.comult_split(ring_G, d - j, j), setup.p)
-        mat[offs[j]:offs[j] + rows] = piece
-    return mat
+    return np.vstack([setup.res_comult(obj_index, d - j, j)
+                      for j, _ in _middle_blocks(setup, obj_index, d, n)])
 
 
-def _leg1_block(setup, m_index, d, n):
-    """Map middle_{E1}^d -> right_phi^d: comultiply the E1 factor
-    (conjugation on the centralizer side is trivial for abelian groups)."""
-    i1 = setup.morphisms[m_index][0]
+def _leg1_block(setup, i1, d, n):
+    """Map middle_{E1}^d -> right_phi^d for any morphism phi out of object
+    i1: comultiply the E1 factor (conjugation on the centralizer side is
+    trivial for abelian groups, so phi itself does not enter)."""
     ring_E = setup.sub_data[i1].ring
     ring_G = setup.data_G.ring
     src_blocks = _middle_blocks(setup, i1, d, n)
@@ -212,7 +215,6 @@ def _leg2_block(setup, m_index, d, n):
     conjugation map into factor one, expand the centralizer factor into
     factors two and three."""
     i1, i2 = setup.morphisms[m_index][0], setup.morphisms[m_index][1]
-    ring_E1 = setup.sub_data[i1].ring
     ring_E2 = setup.sub_data[i2].ring
     ring_G = setup.data_G.ring
     src_blocks = _middle_blocks(setup, i2, d, n)
@@ -231,10 +233,8 @@ def _leg2_block(setup, m_index, d, n):
         if not src_rows:
             continue
         # centralizer classes comultiply and restrict into factors 2 and 3
-        t_piece = fl.matmul(
-            np.kron(setup.res_mat(i1, j2), fl.identity(ring_G.dim(j3))),
-            setup.comult_split(ring_G, j2, j3), setup.p)
-        piece = np.kron(setup.conjres_mat(m_index, i), t_piece) % setup.p
+        piece = np.kron(setup.conjres_mat(m_index, i),
+                        setup.res_comult(i1, j2, j3)) % setup.p
         r0 = tgt_offs[(j2, j3)]
         c0 = src_offs[j]
         mat[r0:r0 + rows, c0:c0 + src_rows] = piece
@@ -255,7 +255,6 @@ class EqualizerDiagram:
     morphism_count: int
     source_dims: dict = field(default_factory=dict)
     middle_dims: dict = field(default_factory=dict)
-    lambda_mats: dict = field(default_factory=dict)   # degree -> matrix
     eq_dims: dict = field(default_factory=dict)
     legs_agree: dict = field(default_factory=dict)    # degree -> bool
     injective: dict = field(default_factory=dict)
@@ -272,10 +271,13 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     """Materialize lambda_n and the two legs through degree D and compute
     the equalizer dimensions.
 
-    The equalizer is solved by anchoring at the maximal elementary abelian
-    subgroup (abelian groups have a unique one): its self-consistency
-    condition seeds the space, the inclusion conditions determine every
-    other component, and all remaining conditions cut the result down.
+    One ordered pass over the morphisms builds each leg block once per
+    degree, anchored at the maximal elementary abelian subgroup (abelian
+    groups have a unique one): its self-consistency condition comes first
+    and seeds the space, the inclusions into it come next and the first
+    one of each object determines that component, and every condition
+    after the seed cuts the result down.  A cut right-multiplies every
+    component, so the order of the cuts does not change the equalizer.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
@@ -283,67 +285,59 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
 
 
 def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
+    p = setup.p
     top = max(range(len(setup.objects)),
               key=lambda i: setup.objects[i].rank)
     top_self = [m for m, (i, j, h, _) in enumerate(setup.morphisms)
                 if i == top and j == top][0]
+    order = sorted(range(len(setup.morphisms)),
+                   key=lambda m: (m != top_self, setup.morphisms[m][1] != top))
     diagram = EqualizerDiagram(
-        group=setup.G, p=setup.p, level=n, cutoff=D, objects=setup.objects,
+        group=setup.G, p=p, level=n, cutoff=D, objects=setup.objects,
         morphism_count=len(setup.morphisms))
     ring_G = setup.data_G.ring
-    n_obj = len(setup.objects)
-    into_top = {}
-    for m, (s, t, h, _) in enumerate(setup.morphisms):
-        if t == top and s != top and s not in into_top:
-            into_top[s] = m
     for d in range(D + 1):
-        lam = {i: _lambda_block(setup, i, d, n) for i in range(n_obj)}
+        lam = [_lambda_block(setup, i, d, n)
+               for i in range(len(setup.objects))]
         diagram.source_dims[d] = ring_G.dim(d)
-        diagram.middle_dims[d] = sum(m.shape[0] for m in lam.values())
-        full_lambda = np.vstack([lam[i] for i in range(n_obj)]) \
-            if lam else fl.zeros(0, ring_G.dim(d))
-        diagram.lambda_mats[d] = full_lambda
+        diagram.middle_dims[d] = sum(m.shape[0] for m in lam)
+        full_lambda = np.vstack(lam)
 
-        # seed the equalizer at the top object's self-consistency condition,
-        # then express every other component through its inclusion into top
-        a_top = _leg1_block(setup, top_self, d, n)
-        b_top = _leg2_block(setup, top_self, d, n)
-        k_basis = fl.kernel_matrix((a_top - b_top) % setup.p, setup.p)
-        solved = {top: k_basis}
-        for i in range(n_obj):
-            if i == top:
-                continue
-            b = _leg2_block(setup, into_top[i], d, n)
-            image = fl.matmul(b, solved[top], setup.p)
-            # keep the rows whose middle tensor factor is the unit
-            # monomial: the (0, j) blocks, in the order of the middle blocks
-            offs, _ = _offsets(_right_blocks(setup, i, d, n))
-            solved[i] = np.vstack([
-                image[offs[(0, j)]:offs[(0, j)] + rows]
-                for j, rows in _middle_blocks(setup, i, d, n)])
-
-        # one pass over all morphisms: check the legs agree on the image of
-        # lambda, and cut the solved family by the remaining conditions
+        # check the legs agree on the image of lambda, and solve for the
+        # equalizer: seed, extend to every object, cut
+        leg1 = {}     # source object -> (leg-1 block, its product with lambda)
+        solved = {}
         agree = True
-        for mi, (i1, i2, h, _) in enumerate(setup.morphisms):
-            a = _leg1_block(setup, mi, d, n)
+        for mi in order:
+            i1, i2 = setup.morphisms[mi][:2]
+            if i1 not in leg1:
+                a = _leg1_block(setup, i1, d, n)
+                leg1[i1] = a, fl.matmul(a, lam[i1], p)
+            a, a_lam = leg1[i1]
             b = _leg2_block(setup, mi, d, n)
-            delta = (fl.matmul(a, lam[i1], setup.p)
-                     - fl.matmul(b, lam[i2], setup.p)) % setup.p
-            if delta.any():
+            if ((a_lam - fl.matmul(b, lam[i2], p)) % p).any():
                 agree = False
             if mi == top_self:
+                solved[top] = fl.kernel_matrix((a - b) % p, p)
                 continue
-            cond = (fl.matmul(a, solved[i1], setup.p)
-                    - fl.matmul(b, solved[i2], setup.p)) % setup.p
+            b_solved = fl.matmul(b, solved[i2], p)
+            if i1 not in solved:
+                # first inclusion of i1 into top: keep the rows whose middle
+                # tensor factor is the unit monomial, the (0, j) blocks, in
+                # the order of the middle blocks
+                offs, _ = _offsets(_right_blocks(setup, i1, d, n))
+                solved[i1] = np.vstack([
+                    b_solved[offs[(0, j)]:offs[(0, j)] + rows]
+                    for j, rows in _middle_blocks(setup, i1, d, n)])
+            cond = (fl.matmul(a, solved[i1], p) - b_solved) % p
             if cond.any():
-                shrink = fl.kernel_matrix(cond, setup.p)
+                shrink = fl.kernel_matrix(cond, p)
                 for key in solved:
-                    solved[key] = fl.matmul(solved[key], shrink, setup.p)
+                    solved[key] = fl.matmul(solved[key], shrink, p)
         diagram.legs_agree[d] = agree
         eq_dim = solved[top].shape[1]
         diagram.eq_dims[d] = eq_dim
-        rk = fl.rank(full_lambda, setup.p)
+        rk = fl.rank(full_lambda, p)
         diagram.injective[d] = rk == ring_G.dim(d)
         diagram.onto_equalizer[d] = agree and rk == eq_dim
     return diagram

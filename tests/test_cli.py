@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chowops.cli import main, parse_poly, format_poly
 
@@ -50,6 +52,41 @@ def test_poly_roundtrip():
     f = parse_poly("2 y1^3 y2 + y2^2 + 3", 2)
     assert f == {(3, 1): 2, (0, 2): 1, (0, 0): 3}
     assert format_poly({(1, 2): 1, (0, 0): 2}, 2) == "y1 y2^2 + 2"
+
+
+def test_act_unit_feeds_back(capsys):
+    # the unit prints as "1", so "1" must parse
+    code, out, _ = run(capsys, "act", "--prime", "3", "--rank", "1",
+                       "--op", "1", "--poly", "4")
+    assert code == 0 and out.strip() == "1"
+    code, out, _ = run(capsys, "act", "--prime", "3", "--rank", "1",
+                       "--op", "1", "--poly", out.strip())
+    assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("poly", ["", " ", "y1 +", "+ y1", "y1 + + y1",
+                                  "2 *", "y1 *"])
+def test_act_rejects_incomplete_polynomial(capsys, poly):
+    code, out, err = run(capsys, "act", "--prime", "3", "--rank", "1",
+                         "--op", "1", "--poly", poly)
+    assert code == 2 and not out and "error" in err
+
+
+@st.composite
+def polys(draw):
+    k = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5]))
+    monos = st.tuples(*[st.integers(0, 4)] * k)
+    return k, draw(st.dictionaries(monos, st.integers(1, p - 1),
+                                   min_size=1, max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+@example((2, {(0, 0): 1, (1, 2): 1}))
+def test_poly_parse_inverts_format(kf):
+    k, f = kf
+    assert parse_poly(format_poly(f, k), k) == f
 
 
 def test_tv_structural_table(capsys, data_dir):

@@ -35,7 +35,7 @@ class TestBuildLambda:
 
     def test_equalizer_legs_agree_through_level_three(self):
         for spec, p in [([2], 2), ([2, 2], 2), ([4], 2), ([3], 3), ([9], 3),
-                        ([4, 2], 2), ([3, 3], 3)]:
+                        ([4, 2], 2), ([3, 3], 3), ([2, 2, 2], 2)]:
             for n in (1, 2, 3):
                 d = build_lambda(G(spec), n, 5, p)
                 assert all(d.legs_agree.values()), (spec, n)
@@ -43,6 +43,26 @@ class TestBuildLambda:
                 # level; picking the wrong unit-monomial rows breaks this
                 assert d.all_iso(), (spec, n)
                 assert d.eq_dims == d.source_dims, (spec, n)
+
+    def test_each_leg_block_built_once(self, monkeypatch):
+        calls = {"leg1": [], "leg2": []}
+
+        def counting(name, real):
+            def wrapper(setup, index, d, n):
+                calls[name].append((index, d, n))
+                return real(setup, index, d, n)
+            return wrapper
+
+        monkeypatch.setattr(loc, "_leg1_block",
+                            counting("leg1", loc._leg1_block))
+        monkeypatch.setattr(loc, "_leg2_block",
+                            counting("leg2", loc._leg2_block))
+        d = build_lambda(G([2, 2]), 2, 4, 2)
+        assert (len(d.objects), d.morphism_count) == (5, 12)
+        # leg 1 once per (object, degree), leg 2 once per (morphism, degree)
+        assert len(calls["leg1"]) == len(set(calls["leg1"])) == 5 * 5
+        assert len(calls["leg2"]) == len(set(calls["leg2"])) == 12 * 5
+        assert d.all_iso()
 
     def test_monotone_injectivity(self):
         for spec, p in [([2, 2], 2), ([4, 2], 2), ([3, 3], 3)]:
