@@ -187,12 +187,15 @@ class ChowRing:
             return 0
         return len(self.basis(d))
 
-    def coords(self, f: Poly, d: int) -> np.ndarray:
+    def coords(self, polys, d: int) -> np.ndarray:
+        """One column of basis coordinates per degree-d polynomial; a ring
+        with relations reduces all columns with one product."""
         monos, index, nf, _ = self._deg_data(d)
-        v = np.zeros(len(monos), dtype=np.int64)
-        for m, c in f.items():
-            v[index[m]] = c
-        return fl.matmul(nf, v, self.p) if nf.shape[0] else np.zeros(0, np.int64)
+        raw = fl.zeros(len(monos), len(polys))
+        for j, f in enumerate(polys):
+            for m, c in f.items():
+                raw[index[m], j] = c
+        return fl.matmul(nf, raw, self.p) if self.relations else raw
 
     def poly_from_coords(self, vec, d: int) -> Poly:
         basis = self.basis(d)
@@ -204,7 +207,7 @@ class ChowRing:
         if not self.relations:
             return dict(f)
         d = self.poly_degree(f)
-        return self.poly_from_coords(self.coords(f, d), d)
+        return self.poly_from_coords(self.coords([f], d)[:, 0], d)
 
     def mul(self, f: Poly, g: Poly) -> Poly:
         return self.normal_form(poly_mul_raw(f, g, self.p))
@@ -405,37 +408,43 @@ def catalog_ring(exponents, p: int, name=None) -> ChowRing:
 
 @dataclass
 class AbelianRingData:
-    """A catalog ring tied to a concrete abelian group: generator i is the
-    first Chern class of the character dual to basis[i]."""
+    """A catalog ring tied to a subgroup H of an abelian group G (H = G
+    for `abelian_ring`): generator i is the first Chern class of the
+    character of H dual to basis[i].  The basis elements live in G, so a
+    character of one subgroup evaluates directly on another's basis."""
 
     ring: ChowRing
-    group: gp.FiniteGroup
-    basis: list  # (parent element, p-power order)
+    group: gp.FiniteGroup  # G, the ambient group
+    basis: list  # (element of G, p-power order), spanning the p-part of H
 
-    def char_exponent_mod_p(self, i: int, x: int) -> int:
-        """The character of generator i evaluated on a p-torsion element x,
-        written as an exponent of a fixed primitive p-th root."""
-        coords = gp.abelian_coordinates(self.group, self.basis, x)
-        order = self.basis[i][1]
-        c = coords[i]
-        num = c * self.ring.p
-        if num % order:
-            raise ValueError(f"element {x} is not p-torsion")
-        return (num // order) % self.ring.p
+    def char_matrix(self, points) -> np.ndarray:
+        """k x m matrix over F_p of the basis characters on the points
+        (x_j, o_j), x_j of order dividing o_j: entry (i, j) is
+        c_i(x_j) o_j / o_i, so character i restricted to <x_j> is that
+        power of the character dual to x_j."""
+        p = self.ring.p
+        mat = fl.zeros(len(self.basis), len(points))
+        for j, (x, o) in enumerate(points):
+            coords = gp.abelian_coordinates(self.group, self.basis, x)
+            for i, (c, (_, oi)) in enumerate(zip(coords, self.basis)):
+                if c * o % oi:
+                    raise ValueError(
+                        f"element {x} does not have order dividing {o}")
+                mat[i, j] = c * o // oi % p
+        return mat
+
+    def restrict(self, target: AbelianRingData, name=None) -> RingMap:
+        """The map CH -> CH_target sending the class of each character to
+        the class of its restriction to target's subgroup."""
+        return RingMap.linear(self.ring, target.ring,
+                              self.char_matrix(target.basis), name=name)
 
 
 def abelian_ring(G: gp.FiniteGroup, p: int) -> AbelianRingData:
     """Catalog ring of an abelian group at p (its p-part carries the ring)."""
     basis = gp.abelian_p_basis(G, p)
-    orders = [o for _, o in basis]
-    exps = []
-    for o in orders:
-        e = 0
-        while o > 1:
-            o //= p
-            e += 1
-        exps.append(e)
-    ring = catalog_ring(exps, p, name=f"CH({G.name})")
+    ring = catalog_ring([gp.log_p(o, p) for _, o in basis], p,
+                        name=f"CH({G.name})")
     return AbelianRingData(ring=ring, group=G, basis=basis)
 
 
@@ -470,13 +479,19 @@ class RingMap:
             out = poly_add(out, term, self.target.p)
         return self.target.normal_form(out)
 
+    @classmethod
+    def linear(cls, source: ChowRing, target: ChowRing, mat, name=None):
+        """The map sending source generator i to the sum over j of
+        mat[i, j] times target generator j (degree-1 generators)."""
+        k = target.k
+        images = [{tuple(int(b == j) for b in range(k)): int(c)
+                   for j, c in enumerate(row) if c} for row in mat]
+        return cls(source, target, images, name=name)
+
     def matrix(self, d: int) -> np.ndarray:
         """Degree-d matrix in the source/target monomial bases."""
-        cols = [self.target.coords(self.apply({m: 1}), d)
-                for m in self.source.basis(d)]
-        if not cols:
-            return fl.zeros(self.target.dim(d), 0)
-        return np.stack(cols, axis=1)
+        return self.target.coords(
+            [self.apply({m: 1}) for m in self.source.basis(d)], d)
 
     def check_commutes(self, max_degree: int = 6) -> bool:
         """P^a naturality on generators through the stated window."""
@@ -508,41 +523,14 @@ def restriction_map(G: gp.FiniteGroup, subgroup_elements, p: int,
     H, parent = G.as_subgroup(elems)
     if not H.is_abelian:
         raise ValueError("restriction maps require an abelian subgroup")
-    basis_H_local = gp.abelian_p_basis(H, p)
+    basis = [(parent[h], o) for h, o in gp.abelian_p_basis(H, p)]
     data_H = AbelianRingData(
-        ring=catalog_ring([_log_p(o, p) for _, o in basis_H_local], p,
+        ring=catalog_ring([gp.log_p(o, p) for _, o in basis], p,
                           name=f"CH(sub{len(elems)} of {G.name})"),
-        group=H,
-        basis=basis_H_local)
-    images = []
-    for i, (_, order_i) in enumerate(data_G.basis):
-        img: Poly = {}
-        for j, (h_local, order_j) in enumerate(basis_H_local):
-            coords = gp.abelian_coordinates(G, data_G.basis, parent[h_local])
-            num = coords[i] * order_j
-            if num % order_i:
-                raise RuntimeError("character restriction is not integral")
-            t = (num // order_i) % p
-            if t:
-                e = [0] * data_H.ring.k
-                e[j] = 1
-                img = poly_add(img, {tuple(e): t}, p)
-        images.append(img)
-    rm = RingMap(data_G.ring, data_H.ring, images,
-                 name=f"res {G.name} -> H{len(elems)}")
+        group=G, basis=basis)
+    rm = data_G.restrict(data_H, name=f"res {G.name} -> H{len(elems)}")
     rm.subgroup_data = data_H
-    rm.parent_elements = parent
     return rm
-
-
-def _log_p(o, p):
-    e = 0
-    while o > 1:
-        if o % p:
-            raise ValueError(f"{o} is not a p-power")
-        o //= p
-        e += 1
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +547,8 @@ def _action_through(ring: ChowRing, top: int):
             d2 = d + a * (ring.p - 1)
             if d2 > top or d2 not in dims:
                 continue
-            cols = [ring.coords(ring.act(a, {m: 1}), d2) for m in ring.basis(d)]
-            mat = np.stack(cols, axis=1)
+            mat = ring.coords([ring.act_raw(a, {m: 1})
+                               for m in ring.basis(d)], d2)
             if mat.any():
                 mats[(a, d)] = mat
     return dims, mats

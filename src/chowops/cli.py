@@ -171,10 +171,10 @@ def cmd_act(args):
     except OperationSyntaxError as exc:
         raise CliError(f"--op: {exc}")
     ring = elem_abelian_ring(args.rank, p)
-    poly = {m: c % p for m, c in parse_poly(args.poly, args.rank).items()}
     try:
+        poly = {m: c % p for m, c in parse_poly(args.poly, args.rank).items()}
         ring.poly_degree(poly)
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         raise CliError(f"--poly: {exc}")
     out = {}
     from .chow import poly_add, poly_scale

@@ -260,6 +260,17 @@ def _is_p_power(n, p):
     return n == 1
 
 
+def log_p(n, p):
+    """The e with n = p^e; raises when n is not a power of p."""
+    e = 0
+    while n > 1:
+        if n % p:
+            raise ValueError(f"{n} is not a power of {p}")
+        n //= p
+        e += 1
+    return e
+
+
 def abelian_coordinates(G: FiniteGroup, basis, x):
     """Exponents (c_1, ..., c_r) with x = prod b_i^{c_i}; brute force."""
     ranges = [range(o) for _, o in basis]
@@ -351,7 +362,7 @@ def elementary_abelians(G: FiniteGroup, p: int):
         rep = min(orbit)
         orbits.setdefault(rep, set()).update(orbit)
     reps = sorted(orbits, key=lambda t: (len(t), t))
-    objects = [ElemAbelianSubgroup(G, rep, _rank_of(len(rep), p))
+    objects = [ElemAbelianSubgroup(G, rep, log_p(len(rep), p))
                for rep in reps]
     data = QuillenCategoryData(objects=objects)
     for i, Ei in enumerate(reps):
@@ -366,16 +377,6 @@ def elementary_abelians(G: FiniteGroup, p: int):
                 data.morphisms[(i, j)] = sorted(
                     (h, images) for images, h in seen.items())
     return objects, data
-
-
-def _rank_of(size, p):
-    r = 0
-    while size > 1:
-        if size % p:
-            raise ValueError(f"subgroup size {size} is not a p-power")
-        size //= p
-        r += 1
-    return r
 
 
 # ---------------------------------------------------------------------------

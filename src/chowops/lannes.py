@@ -20,7 +20,7 @@ import numpy as np
 from . import fp_linalg as fl
 from . import groups as gp
 from .chow import (AbelianRingData, RingMap, abelian_ring,
-                   elem_abelian_ring, poly_add, ring_module)
+                   elem_abelian_ring, ring_module)
 from .modules import (FPModule, FiniteModule, brown_gitler, compile_presentation,
                       fp_dim, hom_space, suspension_presentation, tensor_finite)
 
@@ -105,21 +105,10 @@ def _component_map(source: AbelianRingData, cls: gp.HomClass,
                                names=[n for n, _ in target.generators]
                                + [f"v{j + 1}" for j in range(r)])
     tensor.name = f"{target.name} (x) CH((Z/{p})^{r})"
-    images = []
-    for i in range(k):
-        e = [0] * (k + r)
-        e[i] = 1
-        img = {tuple(e): 1}
-        lam = {}
-        for j, x in enumerate(cls.representative):
-            t = source.char_exponent_mod_p(i, x)
-            if t:
-                ev = [0] * (k + r)
-                ev[k + j] = 1
-                lam = poly_add(lam, {tuple(ev): t}, p)
-        images.append(poly_add(img, lam, p))
-    return RingMap(source.ring, tensor, images,
-                   name=f"component of class {cls.representative}")
+    rho = source.char_matrix([(x, p) for x in cls.representative])
+    return RingMap.linear(source.ring, tensor,
+                          np.hstack([fl.identity(k), rho]),
+                          name=f"component of class {cls.representative}")
 
 
 def tv_structural(G: gp.FiniteGroup, r: int, p: int,

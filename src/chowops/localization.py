@@ -65,36 +65,14 @@ class _AbelianSetup:
             self.sub_data.append(rm.subgroup_data)
         self._mat_cache = {}
         self._comult_cache = {}
-        # morphism ring maps: (i, j, h) -> RingMap CH_{E_j} -> CH_{E_i}
+        # morphisms (i, j, h, RingMap CH_{E_j} -> CH_{E_i}) induced by
+        # e -> h e h^-1 from E_i into E_j; conjugation is the identity in
+        # an abelian group, so each map is the restriction from E_j to E_i
         self.morphisms = []
         for (i, j), maps in sorted(self.category.morphisms.items()):
             for h, _ in maps:
-                self.morphisms.append((i, j, h, self._conj_res(i, j, h)))
-
-    def _conj_res(self, i, j, h):
-        """Ring map CH_{E_j} -> CH_{E_i} induced by e -> h e h^-1."""
-        from .chow import RingMap, poly_add
-
-        src = self.sub_data[j]
-        tgt = self.sub_data[i]
-        images = []
-        for a in range(src.ring.k):
-            img = {}
-            for b, (local_elem, _) in enumerate(tgt.basis):
-                x = self.G.conj(h, self._to_parent(i, local_elem))
-                t = src.char_exponent_mod_p(a, self._to_local(j, x))
-                if t:
-                    e = [0] * tgt.ring.k
-                    e[b] = 1
-                    img = poly_add(img, {tuple(e): t}, self.p)
-            images.append(img)
-        return RingMap(src.ring, tgt.ring, images, name=f"c_{h}: E{i}->E{j}")
-
-    def _to_parent(self, i, local):
-        return self.res_to[i].parent_elements[local]
-
-    def _to_local(self, j, parent):
-        return self.res_to[j].parent_elements.index(parent)
+                self.morphisms.append((i, j, h, self.sub_data[j].restrict(
+                    self.sub_data[i], name=f"c_{h}: E{i}->E{j}")))
 
     # -- cached degreewise matrices --------------------------------------
 
@@ -446,7 +424,7 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
             deg = d
             while deg <= D:
                 coords = np.concatenate([
-                    setup.sub_data[i].ring.coords(comp_polys[i], deg)
+                    setup.sub_data[i].ring.coords([comp_polys[i]], deg)[:, 0]
                     for i in range(n_obj)])
                 if not fl.matmul(residual(deg), coords, p).any():
                     j_found = j

@@ -576,15 +576,13 @@ def compile_presentation(fp: FPModule, D: int) -> FiniteModule:
             d2 = d + a * (p - 1)
             if d2 > D or d2 not in dims:
                 continue
-            cols = []
-            for gi, w in bases[d]:
-                vec = np.zeros(len(layouts[d2]), dtype=np.int64)
+            raw = fl.zeros(len(layouts[d2]), len(bases[d]))
+            for col, (gi, w) in enumerate(bases[d]):
                 gdeg = fp.generators[gi][1]
                 for w2, c2 in reduce_word((a,) + w, p).items():
                     if excess(w2, p) <= gdeg:
-                        vec[indexes[d2][(gi, w2)]] += c2
-                cols.append(fl.matmul(nfs[d2], vec % p, p))
-            mat = np.stack(cols, axis=1) if cols else fl.zeros(dims[d2], 0)
+                        raw[indexes[d2][(gi, w2)], col] += c2
+            mat = fl.matmul(nfs[d2], raw % p, p)
             if mat.any():
                 mats[(a, d)] = mat
     return FiniteModule(p, dims, mats, truncated_above=D, validate=False)

@@ -1,11 +1,13 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowops.chow import (abelian_ring, catalog_ring,
+from chowops import fp_linalg as fl
+from chowops.chow import (ChowRing, abelian_ring, catalog_ring,
                           elem_abelian_ring, ingest_ring, poly_add,
                           poly_scale, restriction_map, ring_module, truncate)
 from chowops.groups import FiniteGroup
@@ -281,6 +283,28 @@ class TestIngest:
                                   for k in path[1:])
         with pytest.raises(ValueError, match=re.escape(field)):
             ingest_ring(blob)
+
+
+def test_ring_module_with_relations_matches_per_column_reference():
+    # y1^2 + y2^2 = (y1 + y2)^2 at p = 2, so the action descends
+    r = ChowRing(2, [("y1", 1), ("y2", 1)],
+                 relations=[{(2, 0): 1, (0, 2): 1}], validate=True)
+    module = ring_module(r, 8)
+    for d in range(9):
+        assert module.dim(d) == r.dim(d)
+        for a in range(1, d + 1):
+            d2 = d + a
+            if d2 > 8:
+                continue
+            # one normal-form product per basis monomial
+            monos, index, nf, _ = r._deg_data(d2)
+            cols = []
+            for m in r.basis(d):
+                v = np.zeros(len(monos), dtype=np.int64)
+                for mm, c in r.act(a, {m: 1}).items():
+                    v[index[mm]] = c
+                cols.append(fl.matmul(nf, v, 2))
+            assert (module.act(a, d) == np.stack(cols, axis=1)).all(), (a, d)
 
 
 def test_abelian_ring_uses_p_part():

@@ -65,11 +65,11 @@ def test_act_unit_feeds_back(capsys):
 
 
 @pytest.mark.parametrize("poly", ["", " ", "y1 +", "+ y1", "y1 + + y1",
-                                  "2 *", "y1 *"])
+                                  "2 *", "y1 *", "y1^", "y2", "y1 %"])
 def test_act_rejects_incomplete_polynomial(capsys, poly):
     code, out, err = run(capsys, "act", "--prime", "3", "--rank", "1",
                          "--op", "1", "--poly", poly)
-    assert code == 2 and not out and "error" in err
+    assert code == 2 and not out and "error: --poly:" in err
 
 
 @st.composite

@@ -1,0 +1,91 @@
+"""Exact outputs pinned where the benchmark does not reach: SHA-256
+digests of `--format json` stdout for the non-elementary abelian groups,
+whose characters restrict through cyclic factors of order above p, and for
+the module files.  A change that moves any output byte fails here."""
+
+import hashlib
+
+import pytest
+
+from chowops.cli import main
+
+GROUP_RUNS = {
+    ("tv", "z4xz2", 2):
+        "e34c316b4bec82a12993067237cf31e8dc0bd1322cbd74184db901022022594a",
+    ("quillen-check", "z4xz2", 2):
+        "a156961916c1e6bcb8d3457350bba769da47cfb249d0bd63f3face58fb8676e0",
+    ("localize", "z4xz2", 2):
+        "61f770d1264efb5051eaaf0293f401d4a28db3aa87f3ac419279166f6c0d5d96",
+    ("tv", "z4xz2", 3):
+        "16ad51661b519db34f6b137a13243578666b49035e4b1a584b658b38620263cb",
+    ("quillen-check", "z4xz2", 3):
+        "f2dac71d0564fb7d7ea8f1d2f52bc39c71cebc359f164efffe878b50569e171d",
+    ("localize", "z4xz2", 3):
+        "d150c7bbb8a364191521636c4d15c18d54845c5ebc4c16a3b9eebefe8c977ce2",
+    ("tv", "z9xz3", 2):
+        "b552da94c75fee0505fab189e549cf967037a6c49a4f75ae40f95792d76395e0",
+    ("quillen-check", "z9xz3", 2):
+        "06cb529c3df81fcc94632ce8125b1fcc93b65cd16934ca421fcccd1c3aef6798",
+    ("localize", "z9xz3", 2):
+        "b03a6575b51b61efc1c757fa98c965d7616d7e16b2ec89201c4f353aa75c87c7",
+    ("tv", "z9xz3", 3):
+        "669decc76188b981f55cfb488f9a548789e9e6de1809876e3e5ba79b04ee0d9b",
+    ("quillen-check", "z9xz3", 3):
+        "02e2b666927c2e618f55485faeb9d14d918a0c92d7e26835d4be7d6b820d9918",
+    ("localize", "z9xz3", 3):
+        "1cb1f48e6c28805c8bc3a94056dfa40ec929f98ef90dbb761116e7f221660952",
+    ("tv", "z8", 2):
+        "0731d4ab9ddf4fe9744576cb9ed28b4aa42d1c6e472474c561319b19807d0ca0",
+    ("quillen-check", "z8", 2):
+        "2e75c507853e42376d50ba6f170d7bd759693d1180c90a5cd89532069fec1798",
+    ("localize", "z8", 2):
+        "26beed79f952211214e09cfaf439479a3c66c8ce009af7517305a17a23536a5d",
+    ("tv", "z8", 3):
+        "8532c2659c4a5c3800d805727064b8a9836761c83f3b8c8ca1a0c16e04645d4d",
+    ("quillen-check", "z8", 3):
+        "ff75e714b816bb872f398389227a518714153edaf480ed5160bd801be91a27e7",
+    ("localize", "z8", 3):
+        "5f257c96425177c9ae2a537e4c4ffd42e6de9df3ab84329db836f1d40e34d2ae",
+    ("tv", "z12", 2):
+        "39f97ccb0cb73cffbc15e4f30e9dfd37d825c15fd1f8fdc63796c5577d6284ad",
+    ("quillen-check", "z12", 2):
+        "7b3ef42811c2ceeef4658652d947debe8458a6225428074f9d87788014521623",
+    ("localize", "z12", 2):
+        "5d4f6e6ca1f8d94f2f41da1203dda5d526b4762c0c275f3e50af3d100e192fea",
+    ("tv", "z12", 3):
+        "9d19e7dc7f8841b96f36c924bdd0b77e69bfabca39ec8443a3bb7cddbe3890fc",
+    ("quillen-check", "z12", 3):
+        "c6335617519ace2950c66604e6a452c9b70e73d666f5905d962856273adcc7f8",
+    ("localize", "z12", 3):
+        "ed5cdd05c177e82e6cc6fb8af28b70ff65e8017cf9fd6535e5eb86353877f9a0",
+}
+
+MODULE_RUNS = {
+    "free1_p2": "5f13a0219d87489da767ba756ed8b53837b30b141f92d7e1fbe86cdecfad5c75",
+    "point2_p2": "eb7e68baac8ff90e39bb08908613a029e5c590159357990101cc695a9515f4d0",
+    "point2_p3": "eb7e68baac8ff90e39bb08908613a029e5c590159357990101cc695a9515f4d0",
+    "tied_p2": "970d4c82b9227c4e503c997688024854f1cba39be456ef972cb06f32e601ef52",
+}
+
+COMMAND_FLAGS = {"tv": ["--rank", "2"], "quillen-check": [],
+                 "localize": ["--level", "2"]}
+
+
+def digest(capsys, *argv):
+    code = main([str(a) for a in argv] + ["--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, group, p", sorted(GROUP_RUNS))
+def test_group_run_output(capsys, data_dir, command, group, p):
+    argv = [command, "--group", data_dir / "groups" / f"{group}.json",
+            *COMMAND_FLAGS[command], "--prime", p]
+    assert digest(capsys, *argv) == GROUP_RUNS[command, group, p]
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_RUNS))
+def test_module_tv_output(capsys, data_dir, module):
+    argv = ["tv", "--module", data_dir / "modules" / f"{module}.json"]
+    assert digest(capsys, *argv) == MODULE_RUNS[module]

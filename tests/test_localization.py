@@ -1,5 +1,6 @@
 import pytest
 
+from chowops import fp_linalg as fl
 from chowops import groups as gp
 from chowops import localization as loc
 from chowops.chow import elem_abelian_ring, ring_module
@@ -79,6 +80,19 @@ class TestBuildLambda:
             diag = build_lambda(G(spec), 1, 6, p)
             cert = f_iso_check(G(spec), 6, p)
             assert diag.eq_dims == cert.limit_dims, spec
+
+    @pytest.mark.parametrize("spec, p", [([4, 2], 2), ([9, 3], 3),
+                                         ([2, 2, 2], 2), ([3, 3], 3),
+                                         ([8], 2)])
+    def test_morphism_maps_are_functorial(self, spec, p):
+        # the map of E_i -> E_j composed with restriction from G to E_j is
+        # restriction from G to E_i
+        setup = loc._AbelianSetup(G(spec), p)
+        for m, (i, j, _, _) in enumerate(setup.morphisms):
+            for d in range(5):
+                via_j = fl.matmul(setup.conjres_mat(m, d),
+                                  setup.res_mat(j, d), p)
+                assert (via_j == setup.res_mat(i, d)).all(), (m, d)
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):

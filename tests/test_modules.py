@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from chowops.modules import (FPModule, FiniteModule, brown_gitler,
                              point_presentation, suspension_presentation,
                              tensor_finite)
 
-from conftest import fp_test_modules
+from conftest import fp_test_modules, mixed_test_modules
 
 
 class TestFreeBases:
@@ -142,6 +144,18 @@ class TestCompile:
         for p in (2, 3):
             m = compile_presentation(free_presentation(1, p), 10)
             FiniteModule(p, m.dims, m.mats, truncated_above=10)  # validates
+
+    def test_dims_match_fp_dim_on_data_and_fixtures(self, data_dir):
+        modules = [FPModule.from_json(json.loads(f.read_text()), name=f.stem)
+                   for f in sorted((data_dir / "modules").glob("*.json"))]
+        for p in (2, 3):
+            modules += fp_test_modules(p)
+            modules += [m for m, _ in mixed_test_modules(p)]
+        for m in modules:
+            compiled = compile_presentation(m, 8)
+            assert all(compiled.dim(d) == fp_dim(m, d) for d in range(9)), m
+            FiniteModule(m.p, compiled.dims, compiled.mats,
+                         truncated_above=8)  # validates
 
 
 class TestSuspension:
