@@ -493,19 +493,6 @@ class RingMap:
         return self.target.coords(
             [self.apply({m: 1}) for m in self.source.basis(d)], d)
 
-    def check_commutes(self, max_degree: int = 6) -> bool:
-        """P^a naturality on generators through the stated window."""
-        for i in range(self.source.k):
-            g = self.source.gen_poly(i)
-            for a in range(1, self.source.gen_degree(i) + 1):
-                if self.source.gen_degree(i) + a * (self.source.p - 1) > max_degree:
-                    continue
-                lhs = self.apply(self.source.act(a, g))
-                rhs = self.target.act(a, self.apply(g))
-                if lhs != rhs:
-                    return False
-        return True
-
     def __repr__(self):
         return f"<RingMap {self.name!r}: {self.source.name} -> {self.target.name}>"
 

@@ -1,8 +1,11 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are 2-D numpy int64 arrays with entries reduced to 0..p-1; all
-arithmetic is integer-exact (no floating point anywhere).  Every function
-here is pure: inputs are never mutated and results are deterministic, so
+Matrices are 2-D numpy int64 arrays with entries reduced to 0..p-1, and
+every result is exact.  Elimination is integer arithmetic throughout.
+`matmul` multiplies in float64 (so through BLAS) only when every partial
+sum is an integer below 2^53, which float64 represents exactly in any
+summation order; otherwise it multiplies in int64.  Every function here
+is pure: inputs are never mutated and results are deterministic, so
 concurrent read-only use is safe.
 """
 
@@ -26,6 +29,7 @@ __all__ = [
     "residual_map",
     "quotient_data",
     "matmul",
+    "kron",
 ]
 
 
@@ -210,11 +214,37 @@ def quotient_data(rows, ambient: int, p: int):
     return _free_rows(np.array(rows, dtype=np.int64), ambient, p)
 
 
+def _abs_max(m: np.ndarray) -> int:
+    return max(int(m.max()), -int(m.min()))
+
+
 def matmul(a, b, p: int) -> np.ndarray:
-    """Exact product mod p.  Guards against int64 overflow for large p."""
+    """Exact product mod p, reduced to 0..p-1.
+
+    A matrix-matrix product is taken in float64, through BLAS, when
+    inner * max|a| * max|b| < 2^53: every partial sum is then an integer
+    that float64 holds exactly, whatever the summation order, so entries
+    need not be reduced first.  The bound is measured on the entries, not
+    derived from p.  Matrix-vector products, where converting costs as
+    much as multiplying, and products past that bound are taken in int64,
+    which refuses primes large enough to overflow it.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
+    if (b.ndim == 2 and a.size and b.size
+            and inner * _abs_max(a) * _abs_max(b) < 2**53):
+        return (a.astype(np.float64) @ b.astype(np.float64)
+                ).astype(np.int64) % p
     if inner and (p - 1) ** 2 > (2**62) // inner:
         raise ValueError(f"prime {p} too large for exact int64 matmul")
     return (a @ b) % p
+
+
+def kron(a, b, p: int) -> np.ndarray:
+    """Kronecker product mod p: block (i, j) is a[i, j] * b."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return ((a[:, None, :, None] * b[None, :, None, :]) % p).reshape(
+        ra * rb, ca * cb)

@@ -88,12 +88,17 @@ class _AbelianSetup:
         key = ("rescomult", i, a, b)
         if key not in self._mat_cache:
             ring_G = self.data_G.ring
-            if self.sub_data[i].ring.dim(a) * ring_G.dim(b):
+            m, k = ring_G.dim(b), ring_G.dim(a + b)
+            if self.sub_data[i].ring.dim(a) * m:
+                # kron(res, I_m) @ C without the Kronecker product: C's
+                # rows are (s, t) pairs, s a CH_G^a index and t < m
+                res = self.res_mat(i, a)
+                comult = self.comult_split(ring_G, a, b)
                 self._mat_cache[key] = fl.matmul(
-                    np.kron(self.res_mat(i, a), fl.identity(ring_G.dim(b))),
-                    self.comult_split(ring_G, a, b), self.p)
+                    res, comult.reshape(res.shape[1], m * k), self.p
+                ).reshape(res.shape[0] * m, k)
             else:
-                self._mat_cache[key] = fl.zeros(0, ring_G.dim(a + b))
+                self._mat_cache[key] = fl.zeros(0, k)
         return self._mat_cache[key]
 
     def conjres_mat(self, m_index, d):
@@ -180,8 +185,8 @@ def _leg1_block(setup, i1, d, n):
         src_rows = ring_E.dim(i) * ring_G.dim(j3)
         if not src_rows:
             continue
-        piece = np.kron(setup.comult_split(ring_E, i - j2, j2),
-                        fl.identity(ring_G.dim(j3))) % setup.p
+        piece = fl.kron(setup.comult_split(ring_E, i - j2, j2),
+                        fl.identity(ring_G.dim(j3)), setup.p)
         r0 = tgt_offs[(j2, j3)]
         c0 = src_offs[j3]
         mat[r0:r0 + rows, c0:c0 + src_rows] = piece
@@ -211,8 +216,8 @@ def _leg2_block(setup, m_index, d, n):
         if not src_rows:
             continue
         # centralizer classes comultiply and restrict into factors 2 and 3
-        piece = np.kron(setup.conjres_mat(m_index, i),
-                        setup.res_comult(i1, j2, j3)) % setup.p
+        piece = fl.kron(setup.conjres_mat(m_index, i),
+                        setup.res_comult(i1, j2, j3), setup.p)
         r0 = tgt_offs[(j2, j3)]
         c0 = src_offs[j]
         mat[r0:r0 + rows, c0:c0 + src_rows] = piece
@@ -293,7 +298,7 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
                 leg1[i1] = a, fl.matmul(a, lam[i1], p)
             a, a_lam = leg1[i1]
             b = _leg2_block(setup, mi, d, n)
-            if ((a_lam - fl.matmul(b, lam[i2], p)) % p).any():
+            if (a_lam != fl.matmul(b, lam[i2], p)).any():
                 agree = False
             if mi == top_self:
                 solved[top] = fl.kernel_matrix((a - b) % p, p)

@@ -184,39 +184,6 @@ class FiniteModule:
                             f"Adem consistency fails for P^{a} P^{b} "
                             f"from degree {d}")
 
-    # -- constructions -------------------------------------------------
-
-    def suspend(self, k: int) -> "FiniteModule":
-        """Shift all degrees up by k, keeping the same matrices."""
-        dims = {d + k: n for d, n in self.dims.items()}
-        mats = {(a, d + k): m for (a, d), m in self.mats.items()}
-        t = None if self.is_complete else self.truncated_above + k
-        return FiniteModule(self.p, dims, mats, truncated_above=t,
-                            validate=False)
-
-    def direct_sum(self, other: "FiniteModule") -> "FiniteModule":
-        if self.p != other.p:
-            raise ValueError("primes differ")
-        t = None
-        if not (self.is_complete and other.is_complete):
-            t = int(min(self.horizon(), other.horizon()))
-        dims = {}
-        for d in set(self.dims) | set(other.dims):
-            dims[d] = self.dim(d) + other.dim(d)
-        mats = {}
-        keys = set(self.mats) | set(other.mats)
-        for a, d in keys:
-            target = d + a * (self.p - 1)
-            m = fl.zeros(dims.get(target, self.dim(target) + other.dim(target)),
-                         dims.get(d, 0))
-            m1 = self.act(a, d)
-            m2 = other.act(a, d)
-            m[: m1.shape[0], : m1.shape[1]] = m1
-            m[m1.shape[0]:, m1.shape[1]:] = m2
-            mats[(a, d)] = m
-        return FiniteModule(self.p, dims, mats, truncated_above=t,
-                            validate=False)
-
     def __repr__(self):
         tail = "" if self.is_complete else f", truncated above {self.truncated_above}"
         return (f"<FiniteModule p={self.p} dims="
@@ -311,7 +278,7 @@ def tensor_finite(m: FiniteModule, n: FiniteModule) -> FiniteModule:
                     if not (mu.any() and nv.any()):
                         continue
                     tgt_off = offs[d2][(i2, j2)]
-                    block = np.kron(mu, nv) % p
+                    block = fl.kron(mu, nv, p)
                     r, c = block.shape
                     mat[tgt_off:tgt_off + r, src_off:src_off + c] = \
                         (mat[tgt_off:tgt_off + r, src_off:src_off + c] + block) % p
@@ -684,9 +651,9 @@ def _hom_finite(m: FiniteModule, n: FiniteModule) -> HomSpace:
             if n.dim(d) and pn.any():
                 # P^a . f_d, unknowns f_d flattened row-major (N x M)
                 block[:, coords[d]:coords[d] + n.dim(d) * m.dim(d)] = \
-                    np.kron(pn, fl.identity(m.dim(d))) % p
+                    fl.kron(pn, fl.identity(m.dim(d)), p)
             if d2 in coords and m.dim(d2) and pm.any():
-                contrib = np.kron(fl.identity(n.dim(d2)), pm.T) % p
+                contrib = fl.kron(fl.identity(n.dim(d2)), pm.T, p)
                 block[:, coords[d2]:coords[d2] + n.dim(d2) * m.dim(d2)] = \
                     (block[:, coords[d2]:coords[d2] + n.dim(d2) * m.dim(d2)]
                      - contrib) % p

@@ -20,7 +20,8 @@ from chowops.modules import (brown_gitler, free_presentation, fp_dim,
                              point_presentation)
 from chowops.powers import reduce_word
 
-from conftest import DATA, fp_test_modules, mixed_test_modules
+from conftest import (DATA, direct_sum, fp_test_modules,
+                      mixed_test_modules)
 
 
 def report(number, label, ok, elapsed, limit=None):
@@ -194,7 +195,7 @@ def test_criterion_08_largest_nilpotent_submodule_identity():
                 ok = False
         for d in (1, 2, 3, 4):
             v = ring_module(elem_abelian_ring(1, p), p * 8)
-            m = v.direct_sum(point_module(d, p))
+            m = direct_sum(v, point_module(d, p))
             levels = [lv for lv in range(1, 9)
                       if max_nil_submodule(m, lv, 8)]
             if not levels or max(levels) != d:

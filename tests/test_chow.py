@@ -13,6 +13,8 @@ from chowops.chow import (ChowRing, abelian_ring, catalog_ring,
 from chowops.groups import FiniteGroup
 from chowops.powers import reduce_word
 
+from conftest import check_commutes
+
 
 def test_elem_abelian_dims():
     assert [elem_abelian_ring(0, 2).dim(d) for d in range(3)] == [1, 0, 0]
@@ -162,7 +164,7 @@ class TestRestriction:
             for x in range(1, len(G)):
                 sub = G.subgroup_closure([x])
                 rm = restriction_map(G, sub, p)
-                assert rm.check_commutes(max_degree=2 * p + 2)
+                assert check_commutes(rm, max_degree=2 * p + 2)
 
     def test_non_subgroup_rejected(self):
         G = FiniteGroup.from_abelian([4])

@@ -51,9 +51,9 @@ def test_image_contains_spec_examples():
         fl.image_contains(fl.identity(2), [1, 0, 0], 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2, 3, 5]),
-       st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8),
+       st.sampled_from([2, 3, 5, 7, 65521]), st.integers(0, 10**9))
 def test_rank_nullity_and_kernel_exactness(rows, cols, p, seed):
     rng = np.random.default_rng(seed)
     m = rng.integers(0, p, size=(rows, cols))
@@ -182,3 +182,52 @@ def test_free_column_fold_matches_loops(rows, cols, p, all_zero, seed):
     nf_ref, free_ref = _quotient_data_ref(list(m), cols, p)
     _same(nf, nf_ref)
     assert free == free_ref
+
+
+def _matmul_ref(a, b, p):
+    """a @ b mod p in Python integers; b may be a vector."""
+    cols = (b[:, None] if b.ndim == 1 else b).T.tolist()
+    out = np.array([[sum(x * y for x, y in zip(row, col)) % p
+                     for col in cols] for row in a.tolist()],
+                   dtype=np.int64).reshape(a.shape[0], len(cols))
+    return out[:, 0] if b.ndim == 1 else out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
+       st.booleans(), st.sampled_from([2, 3, 5, 7, 65521]),
+       st.integers(0, 10**9))
+def test_matmul_matches_integer_reference(rows, inner, cols, vector, p, seed):
+    # entries in (-p, p): unreduced and negative operands stay exact
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-p + 1, p, size=(rows, inner))
+    b = rng.integers(-p + 1, p, size=inner if vector else (inner, cols))
+    _same(fl.matmul(a, b, p), _matmul_ref(a, b, p))
+
+
+def test_matmul_exact_at_the_float_bound():
+    # inner * (p - 1)^2 < 2^53 holds at `edge` and fails one past it
+    p = fl.check_prime(1048573)
+    edge = (2**53 - 1) // (p - 1) ** 2
+    for inner in (edge, edge + 1):
+        a = np.full((2, inner), p - 1)
+        b = np.full((inner, 3), p - 1)
+        _same(fl.matmul(a, b, p), _matmul_ref(a, b, p))
+    # one past the bound, a sum that float64 cannot hold: exact only
+    # because the int64 product is taken
+    a[1, -1] = b[-1, 2] = p - 2
+    total = edge * (p - 1) ** 2 + (p - 2) ** 2
+    assert float(total) != total
+    got = fl.matmul(a, b, p)
+    _same(got, _matmul_ref(a, b, p))
+    assert got[1, 2] == total % p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.sampled_from([2, 3, 5]), st.integers(0, 10**9))
+def test_kron_matches_numpy(ra, ca, rb, cb, p, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(ra, ca))
+    b = rng.integers(0, p, size=(rb, cb))
+    _same(fl.kron(a, b, p), np.kron(a, b) % p)

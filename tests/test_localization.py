@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chowops import fp_linalg as fl
@@ -10,6 +11,8 @@ from chowops.localization import (EqualizerDiagram, bounds_report,
                                   build_lambda, d0_estimate, d1_estimate,
                                   f_iso_check, max_nil_submodule)
 from chowops.modules import point_module
+
+from conftest import direct_sum
 
 
 def G(spec, name=None):
@@ -93,6 +96,22 @@ class TestBuildLambda:
                 via_j = fl.matmul(setup.conjres_mat(m, d),
                                   setup.res_mat(j, d), p)
                 assert (via_j == setup.res_mat(i, d)).all(), (m, d)
+
+    @pytest.mark.parametrize("spec, p", [([3, 3], 3), ([2, 2, 2], 2),
+                                         ([4, 2], 2)])
+    def test_res_comult_matches_kronecker_reference(self, spec, p):
+        # the reshaped product equals kron(restrict, I) @ comultiply
+        setup = loc._AbelianSetup(G(spec), p)
+        ring_G = setup.data_G.ring
+        for i in range(len(setup.objects)):
+            for a in range(7):
+                for b in range(7 - a):
+                    want = np.kron(setup.res_mat(i, a),
+                                   fl.identity(ring_G.dim(b))) \
+                        @ setup.comult_split(ring_G, a, b) % p
+                    got = setup.res_comult(i, a, b)
+                    assert got.shape == want.shape, (i, a, b)
+                    assert (got == want).all(), (i, a, b)
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -227,7 +246,7 @@ class TestMaxNil:
     def test_synthetic_sum_forced(self, p):
         for d in (1, 2, 3, 4):
             v = ring_module(elem_abelian_ring(1, p), p * 8)
-            m = v.direct_sum(point_module(d, p))
+            m = direct_sum(v, point_module(d, p))
             levels = [lv for lv in range(1, 9) if max_nil_submodule(m, lv, 8)]
             assert levels and max(levels) == d, (p, d, levels)
 

@@ -11,7 +11,7 @@ from chowops.modules import (FPModule, FiniteModule, brown_gitler,
                              point_presentation, suspension_presentation,
                              tensor_finite)
 
-from conftest import fp_test_modules, mixed_test_modules
+from conftest import fp_test_modules, mixed_test_modules, suspend
 
 
 class TestFreeBases:
@@ -166,7 +166,7 @@ class TestSuspension:
                      point_presentation(2, p)]:
             top = 12
             a = compile_presentation(suspension_presentation(base, k), top)
-            b = compile_presentation(base, top - k).suspend(k)
+            b = suspend(compile_presentation(base, top - k), k)
             assert {d: a.dim(d) for d in range(top + 1)} == \
                 {d: b.dim(d) for d in range(top + 1)}
             for (op, d), mat in b.mats.items():
@@ -244,7 +244,7 @@ class TestNilpotence:
             base = brown_gitler(2, 8, p)
             low = min(base.support)
             for d in (1, 2):
-                n, verdict = nilpotence_degree(base.suspend(d), 8)
+                n, verdict = nilpotence_degree(suspend(base, d), 8)
                 assert n == low + d and verdict == "exact"
 
     def test_zero_module_reports_cutoff(self):
