@@ -68,6 +68,7 @@ def suspend(m: FiniteModule, k: int) -> FiniteModule:
 
 
 def direct_sum(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
+    """m1 (+) m2, each operation block-diagonal."""
     if m1.p != m2.p:
         raise ValueError("primes differ")
     t = None
