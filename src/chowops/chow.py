@@ -76,8 +76,7 @@ class ChowRing:
     relations, and reduced-power rules on generators."""
 
     def __init__(self, p, generators, relations=(), steenrod=None,
-                 provenance="catalog", cutoff=None, char_orders=None,
-                 name=None, validate=False):
+                 provenance="catalog", cutoff=None, name=None, validate=False):
         self.p = fl.check_prime(p)
         self.generators = [(str(n), int(d)) for n, d in generators]
         if any(d < 1 for _, d in self.generators):
@@ -86,13 +85,13 @@ class ChowRing:
         self.relations = [dict(r) for r in relations]
         self.provenance = provenance
         self.cutoff = cutoff
-        self.char_orders = char_orders  # p-power order per generator (abelian)
         self.name = name or "ring"
         self.steenrod = {}
         for (gi, a), val in (steenrod or {}).items():
             self.steenrod[(int(gi), int(a))] = dict(val)
         self._fill_top_powers()
         self._deg_cache = {}
+        self._shift_cache = {}
         self._tp_cache = {}
         if validate:
             self.validate()
@@ -186,6 +185,19 @@ class ChowRing:
         if d < 0:
             return 0
         return len(self.basis(d))
+
+    def shifts(self, d: int):
+        """(up, down) in degree d >= 1 of a ring on degree-1 generators
+        with no relations: basis(d-1)[t] * y_j is basis(d)[up[t, j]], and
+        divmod(down[c], k) is the first such (t, j) giving basis(d)[c]."""
+        if d not in self._shift_cache:
+            index = {m: c for c, m in enumerate(self.basis(d))}
+            up = np.array([[index[m[:j] + (m[j] + 1,) + m[j + 1:]]
+                            for j in range(self.k)]
+                           for m in self.basis(d - 1)], dtype=np.intp)
+            up = up.reshape(self.dim(d - 1), self.k)
+            self._shift_cache[d] = up, np.unique(up, return_index=True)[1]
+        return self._shift_cache[d]
 
     def coords(self, polys, d: int) -> np.ndarray:
         """One column of basis coordinates per degree-d polynomial; a ring
@@ -386,10 +398,7 @@ def elem_abelian_ring(k: int, p: int, names=None) -> ChowRing:
     if k < 0:
         raise ValueError("rank must be >= 0")
     names = names or [f"y{i + 1}" for i in range(k)]
-    gens = [(nm, 1) for nm in names]
-    ring = ChowRing(p, gens, provenance="catalog",
-                    char_orders=[p] * k, name=f"CH((Z/{p})^{k})")
-    return ring
+    return ChowRing(p, [(nm, 1) for nm in names], name=f"CH((Z/{p})^{k})")
 
 
 def catalog_ring(exponents, p: int, name=None) -> ChowRing:
@@ -400,7 +409,6 @@ def catalog_ring(exponents, p: int, name=None) -> ChowRing:
         raise ValueError(f"not a p-group descriptor: {exponents}")
     k = len(exponents)
     ring = elem_abelian_ring(k, p)
-    ring.char_orders = [p ** e for e in exponents]
     ring.name = name or ("CH(" + " x ".join(f"Z/{p}^{e}" for e in exponents) + ")"
                          if k else "CH(1)")
     return ring
@@ -436,8 +444,8 @@ class AbelianRingData:
     def restrict(self, target: AbelianRingData, name=None) -> RingMap:
         """The map CH -> CH_target sending the class of each character to
         the class of its restriction to target's subgroup."""
-        return RingMap.linear(self.ring, target.ring,
-                              self.char_matrix(target.basis), name=name)
+        return RingMap(self.ring, target.ring,
+                       self.char_matrix(target.basis), name=name)
 
 
 def abelian_ring(G: gp.FiniteGroup, p: int) -> AbelianRingData:
@@ -453,45 +461,44 @@ def abelian_ring(G: gp.FiniteGroup, p: int) -> AbelianRingData:
 
 
 class RingMap:
-    """Multiplicative degree-preserving map given by generator images."""
+    """The ring map of a linear substitution between polynomial rings on
+    degree-1 generators: source generator i goes to the sum over j of
+    mat[i, j] times target generator j."""
 
-    def __init__(self, source: ChowRing, target: ChowRing, images, name=None):
+    def __init__(self, source: ChowRing, target: ChowRing, mat, name=None):
         if source.p != target.p:
             raise ValueError("primes differ")
-        self.source = source
-        self.target = target
-        self.images = [dict(f) for f in images]
+        if (source.p - 1) ** 2 >= 2**63:
+            raise ValueError(f"prime {source.p} too large for int64 powers")
+        if any(r.relations or {d for _, d in r.generators} - {1}
+               for r in (source, target)):
+            raise ValueError("not a polynomial ring on degree-1 generators")
+        self.source, self.target = source, target
+        self.mat = np.asarray(mat, dtype=np.int64) % source.p
+        if self.mat.shape != (source.k, target.k):
+            raise ValueError(f"need a {source.k} x {target.k} matrix")
         self.name = name or "ring map"
-        if len(self.images) != source.k:
-            raise ValueError("need one image per source generator")
-        for i, f in enumerate(self.images):
-            if f and target.poly_degree(f) != source.gen_degree(i):
-                raise ValueError(
-                    f"image of {source.generators[i][0]} has the wrong degree")
-
-    def apply(self, f: Poly) -> Poly:
-        out: Poly = {}
-        for m, c in f.items():
-            term: Poly = {tuple([0] * self.target.k): c % self.target.p}
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = poly_mul_raw(term, self.images[i], self.target.p)
-            out = poly_add(out, term, self.target.p)
-        return self.target.normal_form(out)
-
-    @classmethod
-    def linear(cls, source: ChowRing, target: ChowRing, mat, name=None):
-        """The map sending source generator i to the sum over j of
-        mat[i, j] times target generator j (degree-1 generators)."""
-        k = target.k
-        images = [{tuple(int(b == j) for b in range(k)): int(c)
-                   for j, c in enumerate(row) if c} for row in mat]
-        return cls(source, target, images, name=name)
+        # generator images as polynomials, as the benchmark tracer reads them
+        self.images = [{tuple(int(b == j) for b in range(target.k)): int(c)
+                        for j, c in enumerate(row) if c} for row in self.mat]
+        self._powers = [fl.identity(1)]
 
     def matrix(self, d: int) -> np.ndarray:
-        """Degree-d matrix in the source/target monomial bases."""
-        return self.target.coords(
-            [self.apply({m: 1}) for m in self.source.basis(d)], d)
+        """Degree-d matrix in the source/target monomial bases: the d-th
+        symmetric power of `mat`, built one degree at a time and kept.  A
+        monomial y_i m of degree e goes to the image of m times row i of
+        `mat`, spread over basis(e) by the target's `shifts`."""
+        powers, p = self._powers, self.target.p
+        while len(powers) <= d:
+            e = len(powers)
+            up = self.target.shifts(e)[0]
+            prev, first = np.divmod(self.source.shifts(e)[1], self.source.k)
+            # terms[t, j, c]: coefficient of basis(e-1)[t] * z_j
+            terms = powers[-1][:, prev][:, None, :] * self.mat[first].T % p
+            out = fl.zeros(self.target.dim(e), len(prev))
+            np.add.at(out, up.ravel(), terms.reshape(up.size, len(prev)))
+            powers.append(out % p)
+        return powers[d] if d >= 0 else fl.zeros(0, 0)
 
     def __repr__(self):
         return f"<RingMap {self.name!r}: {self.source.name} -> {self.target.name}>"

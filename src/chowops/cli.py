@@ -155,6 +155,16 @@ def format_poly(f, rank):
 # -- subcommands -------------------------------------------------------------
 
 
+def _rank(args, cap=None):
+    """--rank, refused before any work when negative or above `cap`."""
+    if args.rank < 0:
+        raise CliError(f"--rank: must be >= 0, got {args.rank}")
+    if cap is not None and args.rank > cap:
+        raise CliError(f"--rank: capped at {cap} (brute-force enumeration), "
+                       f"got {args.rank}")
+    return args.rank
+
+
 def cmd_adem(args):
     try:
         expr = parse_operation(args.expr, _prime(args))
@@ -170,7 +180,7 @@ def cmd_act(args):
         op = parse_operation(args.op, p)
     except OperationSyntaxError as exc:
         raise CliError(f"--op: {exc}")
-    ring = elem_abelian_ring(args.rank, p)
+    ring = elem_abelian_ring(_rank(args), p)
     try:
         poly = {m: c % p for m, c in parse_poly(args.poly, args.rank).items()}
         ring.poly_degree(poly)
@@ -187,6 +197,7 @@ def cmd_act(args):
 def cmd_tv(args):
     if bool(args.group) == bool(args.module):
         raise CliError("pass exactly one of --group or --module")
+    _rank(args, gp.MAX_REP_RANK if args.group else None)
     rows = []
     meta = {}
     if args.group:
@@ -225,6 +236,7 @@ def cmd_nil(args):
 
 
 def cmd_reps(args):
+    _rank(args, gp.MAX_REP_RANK)
     G = _load_group(args.group)
     classes = gp.rep_classes(args.rank, G, _prime(args))
     rows = [(i, c.orbit_size, " ".join(map(str, c.representative)))
@@ -266,6 +278,8 @@ def cmd_quillen(args):
 
 
 def cmd_localize(args):
+    if args.level < 1:
+        raise CliError(f"--level: must be >= 1, got {args.level}")
     G = _load_group(args.group)
     try:
         diag = build_lambda(G, args.level, args.cutoff, _prime(args))

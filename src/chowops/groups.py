@@ -17,6 +17,7 @@ from . import fp_linalg as fl
 
 MAX_ORDER = 10_000
 ASSOC_CHECK_CAP = 512  # full associativity test is O(n^3)
+MAX_REP_RANK = 3  # rep_classes enumerates every r-tuple of p-torsion
 
 
 class FiniteGroup:
@@ -141,6 +142,10 @@ class FiniteGroup:
     def conj(self, g, x):
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
+
+    def conjugates(self, xs):
+        """Row g is [g x g^-1 for x in xs], for every element g."""
+        return self.table[self.table[:, list(xs)], self._inv[:, None]].tolist()
 
     def power(self, x, k):
         out, base = 0, x
@@ -358,7 +363,7 @@ def elementary_abelians(G: FiniteGroup, p: int):
     subgroups = all_elementary_abelians(G, p)
     orbits = {}
     for E in subgroups:
-        orbit = {tuple(sorted(G.conj(g, e) for e in E)) for g in G.elements()}
+        orbit = {tuple(sorted(row)) for row in G.conjugates(E)}
         rep = min(orbit)
         orbits.setdefault(rep, set()).update(orbit)
     reps = sorted(orbits, key=lambda t: (len(t), t))
@@ -366,12 +371,12 @@ def elementary_abelians(G: FiniteGroup, p: int):
                for rep in reps]
     data = QuillenCategoryData(objects=objects)
     for i, Ei in enumerate(reps):
+        conjugates = list(map(tuple, G.conjugates(Ei)))
         for j, Ej in enumerate(reps):
             ejset = set(Ej)
             seen = {}
-            for h in G.elements():
-                images = tuple(G.conj(h, e) for e in Ei)
-                if set(images) <= ejset:
+            for h, images in enumerate(conjugates):
+                if ejset.issuperset(images):
                     seen.setdefault(images, h)
             if seen:
                 data.morphisms[(i, j)] = sorted(
@@ -389,8 +394,9 @@ def rep_classes(r: int, G: FiniteGroup, p: int):
     modulo simultaneous conjugation."""
     if r < 0:
         raise ValueError("rank must be >= 0")
-    if r > 3:
-        raise ValueError("rank capped at 3 (brute-force enumeration)")
+    if r > MAX_REP_RANK:
+        raise ValueError(
+            f"rank capped at {MAX_REP_RANK} (brute-force enumeration)")
     torsion = G.p_torsion(p)
     tuples = []
     for t in itertools.product(torsion, repeat=r):
@@ -409,7 +415,7 @@ def rep_classes(r: int, G: FiniteGroup, p: int):
     for t in sorted(remaining):
         if t not in remaining:
             continue
-        orbit = {tuple(G.conj(g, x) for x in t) for g in G.elements()}
+        orbit = set(map(tuple, G.conjugates(t)))
         remaining -= orbit
         classes.append(HomClass(rank=r, representative=min(orbit),
                                 orbit_size=len(orbit)))

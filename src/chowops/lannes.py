@@ -106,9 +106,8 @@ def _component_map(source: AbelianRingData, cls: gp.HomClass,
                                + [f"v{j + 1}" for j in range(r)])
     tensor.name = f"{target.name} (x) CH((Z/{p})^{r})"
     rho = source.char_matrix([(x, p) for x in cls.representative])
-    return RingMap.linear(source.ring, tensor,
-                          np.hstack([fl.identity(k), rho]),
-                          name=f"component of class {cls.representative}")
+    return RingMap(source.ring, tensor, np.hstack([fl.identity(k), rho]),
+                   name=f"component of class {cls.representative}")
 
 
 def tv_structural(G: gp.FiniteGroup, r: int, p: int,

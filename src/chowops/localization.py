@@ -77,10 +77,7 @@ class _AbelianSetup:
     # -- cached degreewise matrices --------------------------------------
 
     def res_mat(self, i, d):
-        key = ("res", i, d)
-        if key not in self._mat_cache:
-            self._mat_cache[key] = self.res_to[i].matrix(d)
-        return self._mat_cache[key]
+        return self.res_to[i].matrix(d)
 
     def res_comult(self, i, a, b):
         """CH_G^{a+b} -> CH_{E_i}^a (x) CH_G^b: comultiply, then restrict
@@ -102,10 +99,7 @@ class _AbelianSetup:
         return self._mat_cache[key]
 
     def conjres_mat(self, m_index, d):
-        key = ("conjres", m_index, d)
-        if key not in self._mat_cache:
-            self._mat_cache[key] = self.morphisms[m_index][3].matrix(d)
-        return self._mat_cache[key]
+        return self.morphisms[m_index][3].matrix(d)
 
     def comult_split(self, ring: ChowRing, i, j):
         """Matrix of the coproduct piece CH^{i+j} -> CH^i (x) CH^j for a

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from chowops import fp_linalg as fl
-from chowops.chow import elem_abelian_ring, truncate
+from chowops.chow import elem_abelian_ring, poly_add, poly_mul_raw, truncate
 from chowops.modules import (FiniteModule, brown_gitler,
                              finite_to_presentation, point_module,
                              point_presentation, suspension_presentation)
@@ -45,6 +45,20 @@ def mixed_test_modules(p):
     return [(m1, 1), (m2, 2), (m3, 3)]
 
 
+def apply(rm, f):
+    """The image of the polynomial f under the ring map rm, expanded term
+    by term from the generator images: the reference for rm.matrix."""
+    target, p = rm.target, rm.target.p
+    out = {}
+    for m, c in f.items():
+        term = {tuple([0] * target.k): c % p}
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = poly_mul_raw(term, rm.images[i], p)
+        out = poly_add(out, term, p)
+    return target.normal_form(out)
+
+
 def check_commutes(rm, max_degree: int = 6) -> bool:
     """P^a naturality of the ring map `rm` on generators through the
     stated window."""
@@ -54,7 +68,7 @@ def check_commutes(rm, max_degree: int = 6) -> bool:
         for a in range(1, source.gen_degree(i) + 1):
             if source.gen_degree(i) + a * (source.p - 1) > max_degree:
                 continue
-            if rm.apply(source.act(a, g)) != target.act(a, rm.apply(g)):
+            if apply(rm, source.act(a, g)) != target.act(a, apply(rm, g)):
                 return False
     return True
 

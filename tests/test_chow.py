@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowops import fp_linalg as fl
-from chowops.chow import (ChowRing, abelian_ring, catalog_ring,
+from chowops.chow import (ChowRing, RingMap, abelian_ring, catalog_ring,
                           elem_abelian_ring, ingest_ring, poly_add,
                           poly_scale, restriction_map, ring_module, truncate)
 from chowops.groups import FiniteGroup
 from chowops.powers import reduce_word
 
-from conftest import check_commutes
+from conftest import apply, check_commutes
 
 
 def test_elem_abelian_dims():
@@ -172,6 +172,56 @@ class TestRestriction:
             restriction_map(G, [0, 1], 2)  # not closed
 
 
+class TestRingMap:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(0, 3), st.integers(0, 3),
+           st.lists(st.integers(-2, 6), min_size=1, max_size=4),
+           st.integers(0, 10**6))
+    def test_symmetric_power_matches_substitution(self, p, k, m, degrees,
+                                                  seed):
+        # the matrix path agrees with expanding each monomial's image, in
+        # any order of degrees, and a negative degree is the empty matrix
+        # rather than some power already built
+        rng = np.random.default_rng(seed)
+        source, target = elem_abelian_ring(k, p), elem_abelian_ring(m, p)
+        rm = RingMap(source, target, rng.integers(0, p, size=(k, m)))
+        for d in degrees:
+            want = target.coords([apply(rm, {mono: 1})
+                                  for mono in source.basis(d)], d)
+            got = rm.matrix(d)
+            assert got.shape == want.shape == (target.dim(d), source.dim(d))
+            assert (got == want).all(), d
+
+    def test_each_power_built_once(self, monkeypatch):
+        G = FiniteGroup.from_abelian([3, 3])
+        rm = restriction_map(G, G.subgroup_closure([1]), 3)
+        top = rm.matrix(5)
+
+        def refuse(ring, d):
+            raise AssertionError(f"degree {d} rebuilt")
+
+        monkeypatch.setattr(ChowRing, "shifts", refuse)
+        assert rm.matrix(5) is top
+        assert rm.matrix(2).shape == (1, 3)
+
+    def test_only_polynomial_rings_on_degree_one_classes(self):
+        line = elem_abelian_ring(1, 2)
+        quotient = ChowRing(2, [("x", 1)], relations=[{(2,): 1}])
+        graded = ChowRing(2, [("x", 2)])
+        for source, target in [(quotient, line), (line, quotient),
+                               (graded, line), (line, graded)]:
+            with pytest.raises(ValueError, match="degree-1 generators"):
+                RingMap(source, target, [[1]])
+        with pytest.raises(ValueError, match="need a 1 x 1 matrix"):
+            RingMap(line, line, [[1, 0]])
+        with pytest.raises(ValueError, match="primes differ"):
+            RingMap(line, elem_abelian_ring(1, 3), [[1]])
+        # the least prime whose (p - 1)^2 overflows int64
+        big = elem_abelian_ring(1, 3037000507)
+        with pytest.raises(ValueError, match="too large"):
+            RingMap(big, big, [[1]])
+
+
 class TestTruncate:
     def test_spec_examples(self):
         r = elem_abelian_ring(1, 2)
@@ -313,8 +363,8 @@ def test_abelian_ring_uses_p_part():
     G = FiniteGroup.from_abelian([6], name="Z6")
     data2 = abelian_ring(G, 2)
     data3 = abelian_ring(G, 3)
-    assert data2.ring.k == 1 and data2.ring.char_orders == [2]
-    assert data3.ring.k == 1 and data3.ring.char_orders == [3]
+    assert data2.ring.k == 1 and [o for _, o in data2.basis] == [2]
+    assert data3.ring.k == 1 and [o for _, o in data3.basis] == [3]
 
 
 def test_inhomogeneous_action_rejected():

@@ -221,6 +221,22 @@ def test_flags_without_effect_are_refused(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["act", "--rank", "-1", "--op", "P^1", "--poly", "1"], "--rank"),
+    (["tv", "--group", "{data}/groups/z3.json", "--rank", "4"], "--rank"),
+    (["tv", "--module", "{data}/modules/point2_p2.json", "--rank", "-1"],
+     "--rank"),
+    (["reps", "--group", "{data}/groups/s3.json", "--rank", "4"], "--rank"),
+    (["reps", "--group", "{data}/groups/s3.json", "--rank", "-1"], "--rank"),
+    (["localize", "--group", "{data}/groups/z2.json", "--level", "0"],
+     "--level"),
+])
+def test_flag_value_errors_name_the_flag(capsys, data_dir, argv, flag):
+    code, out, err = run(capsys, *(a.format(data=data_dir) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: ")
+
+
 def test_bad_prime(capsys):
     code, _, err = run(capsys, "adem", "--prime", "4", "--expr", "P^1")
     assert code == 2

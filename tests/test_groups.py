@@ -102,6 +102,12 @@ class TestSubgroups:
         g = FiniteGroup.from_abelian([4, 2])
         assert len(centralizer(g, [1, 5])) == 8
 
+    @pytest.mark.parametrize("xs", [(), (0,), (1, 2), (5, 3, 5)])
+    def test_conjugates_match_conj(self, xs):
+        for g in (s3(), FiniteGroup.from_abelian([4, 2])):
+            assert g.conjugates(xs) == [[g.conj(h, x) for x in xs]
+                                        for h in g.elements()]
+
     def test_centralizer_conjugation_equivariant(self):
         g = s3()
         for cls in rep_classes(1, g, 2):

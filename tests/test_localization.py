@@ -3,6 +3,7 @@ import pytest
 
 from chowops import fp_linalg as fl
 from chowops import groups as gp
+from chowops import chow
 from chowops import localization as loc
 from chowops.chow import elem_abelian_ring, ring_module
 from chowops.cli import main
@@ -112,6 +113,23 @@ class TestBuildLambda:
                     got = setup.res_comult(i, a, b)
                     assert got.shape == want.shape, (i, a, b)
                     assert (got == want).all(), (i, a, b)
+
+    def test_maps_need_no_polynomial_products(self, monkeypatch):
+        # every restriction and conjugation matrix is a symmetric power of
+        # its substitution matrix, with no dict polynomial multiplied out
+        def refuse(*args):
+            raise AssertionError("poly_mul_raw called")
+
+        monkeypatch.setattr(chow, "poly_mul_raw", refuse)
+        setup = loc._AbelianSetup(G([3, 3, 3]), 3)
+        for d in range(7):
+            for i, data in enumerate(setup.sub_data):
+                assert setup.res_mat(i, d).shape == (
+                    data.ring.dim(d), setup.data_G.ring.dim(d))
+            for m, (i, j, _, _) in enumerate(setup.morphisms):
+                assert setup.conjres_mat(m, d).shape == (
+                    setup.sub_data[i].ring.dim(d),
+                    setup.sub_data[j].ring.dim(d))
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):

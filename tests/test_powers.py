@@ -131,6 +131,28 @@ def test_parse_coefficients_and_roundtrip():
     assert parse_operation(printed, 5) == e
 
 
+@st.composite
+def homogeneous_expressions(draw):
+    """Expressions of one degree: every word a composition of the same
+    total, the empty word (the unit) when that total is 0."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    total = draw(st.integers(0, 6))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        cuts = sorted(draw(st.sets(st.integers(1, total - 1))) if total > 1
+                      else set())
+        bounds = [0, *cuts, total]
+        word = tuple(b - a for a, b in zip(bounds, bounds[1:]) if b > a)
+        terms[word] = draw(st.integers(0, p - 1))
+    return OperationExpression(p, terms)
+
+
+@settings(max_examples=200)
+@given(homogeneous_expressions())
+def test_printed_expressions_parse_back(e):
+    assert parse_operation(str(e), e.p) == e
+
+
 def test_canonical_printing_order():
     e = OperationExpression(2, {(4,): 1, (3, 1): 1})
     assert str(e) == "P^3 P^1 + P^4"

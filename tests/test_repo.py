@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import chowops
+from chowops.chow import restriction_map
+from chowops.groups import FiniteGroup
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +37,12 @@ def test_benchmark_trace_targets_exist():
     for mod_name, cls_name, attr, _ in layers.METHODS:
         cls = getattr(importlib.import_module(mod_name), cls_name)
         assert callable(getattr(cls, attr))
+    # the map counter reads the ring map's generator images and the
+    # rings' generators and relations
+    G = FiniteGroup.from_abelian([2, 2])
+    tracer = layers.Tracer()
+    tracer._count_matrix((restriction_map(G, [0, 1], 2), 2), None)
+    assert tracer.counts["chow.matrix_calls"] == 1
     # benchmark records carry the backend name; compare.py refuses to
     # compare records whose names differ
     assert chowops.kernel_backend == "fallback"
