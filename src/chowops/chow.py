@@ -92,7 +92,8 @@ class ChowRing:
         self._fill_top_powers()
         self._deg_cache = {}
         self._shift_cache = {}
-        self._tp_cache = {}
+        self._tp_cache = {}     # monomial -> P_t(monomial)
+        self._gen_tp_cache = {}  # generator i -> [P_t(g_i^e) for e = 0, 1, ...]
         if validate:
             self.validate()
 
@@ -232,49 +233,31 @@ class ChowRing:
 
     # -- reduced-power action --------------------------------------------
 
-    def _total_power_gen(self, i: int):
-        """P_t(g_i) as a dict a -> raw polynomial, a = 0..deg(g_i)."""
-        d = self.gen_degree(i)
-        out = {0: self.gen_poly(i)}
-        for a in range(1, d + 1):
-            rule = self.steenrod.get((i, a))
-            if rule:
-                out[a] = dict(rule)
-        return out
+    def _total_power_gen(self, i: int, e: int):
+        """P_t(g_i^e) as a dict a -> raw polynomial, each power built once
+        as P_t(g_i^{e-1}) * P_t(g_i)."""
+        unit = {tuple([0] * self.k): 1}
+        powers = self._gen_tp_cache.setdefault(i, [{0: unit}])
+        if len(powers) <= e:
+            single = {0: self.gen_poly(i)}
+            for a in range(1, self.gen_degree(i) + 1):
+                rule = self.steenrod.get((i, a))
+                if rule:
+                    single[a] = rule
+            while len(powers) <= e:
+                powers.append(self._tmul(powers[-1], single))
+        return powers[e]
 
     def total_power_monomial(self, m: tuple) -> dict:
         """P_t(m) as a dict a -> raw polynomial; keys stop at deg(m)."""
         m = tuple(m)
-        if m in self._tp_cache:
-            return self._tp_cache[m]
-        p = self.p
-        acc = {0: {tuple([0] * self.k): 1}}
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            if self.gen_degree(i) == 1 and set(
-                    self.steenrod.get((i, 1), {})) == {self._pth_exp(i)}:
-                # degree-1 generator with P^1 g = g^p: binomial closed form
-                factor = {}
-                for j in range(e + 1):
-                    c = fl.binom_mod_p(e, j, p)
-                    if c:
-                        exp = [0] * self.k
-                        exp[i] = e + j * (p - 1)
-                        factor[j] = {tuple(exp): c}
-            else:
-                single = self._total_power_gen(i)
-                factor = {0: {tuple([0] * self.k): 1}}
-                for _ in range(e):
-                    factor = self._tmul(factor, single)
-            acc = self._tmul(acc, factor)
-        self._tp_cache[m] = acc
-        return acc
-
-    def _pth_exp(self, i):
-        e = [0] * self.k
-        e[i] = self.p
-        return tuple(e)
+        if m not in self._tp_cache:
+            acc = {0: {tuple([0] * self.k): 1}}
+            for i, e in enumerate(m):
+                if e:
+                    acc = self._tmul(acc, self._total_power_gen(i, e))
+            self._tp_cache[m] = acc
+        return self._tp_cache[m]
 
     def _tmul(self, f1, f2):
         out = {}
@@ -310,10 +293,10 @@ class ChowRing:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, adem_degree_cap=6):
+    def validate(self):
         """Internal consistency through the declared cutoff: homogeneous
         relations, descent of the action to the quotient, and Adem
-        consistency on sampled monomials."""
+        consistency on the basis monomials of degree <= 6."""
         cutoff = self.cutoff if self.cutoff is not None else 8
         for r, rel in enumerate(self.relations):
             try:
@@ -338,7 +321,7 @@ class ChowRing:
                         f"action does not respect relations[{r}]: "
                         f"P^{a} of it is nonzero in the quotient")
                 a += 1
-        self._validate_adem(min(cutoff, adem_degree_cap))
+        self._validate_adem(min(cutoff, 6))
 
     def _validate_adem(self, cap):
         p = self.p
@@ -548,14 +531,10 @@ def _action_through(ring: ChowRing, top: int):
     return dims, mats
 
 
-def truncate(ring: ChowRing, n: int, D=None) -> FiniteModule:
+def truncate(ring: ChowRing, n: int) -> FiniteModule:
     """The graded quotient of the ring in degrees < n, as a module over the
     reduced powers (operations landing in degrees >= n become zero)."""
-    top = n - 1 if D is None else min(n - 1, D)
-    complete = D is None or D >= n - 1
-    return FiniteModule(ring.p, *_action_through(ring, top),
-                        truncated_above=None if complete else top,
-                        validate=False)
+    return FiniteModule(ring.p, *_action_through(ring, n - 1), validate=False)
 
 
 def ring_module(ring: ChowRing, D: int) -> FiniteModule:

@@ -242,9 +242,13 @@ def matmul(a, b, p: int) -> np.ndarray:
 
 
 def kron(a, b, p: int) -> np.ndarray:
-    """Kronecker product mod p: block (i, j) is a[i, j] * b."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    """Kronecker product mod p: block (i, j) is a[i, j] * b.  The inputs
+    are reduced first, so each entry is one int64 product of residues,
+    which refuses primes with (p - 1)^2 >= 2^63."""
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"prime {p} too large for exact int64 kron")
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
     (ra, ca), (rb, cb) = a.shape, b.shape
     return ((a[:, None, :, None] * b[None, :, None, :]) % p).reshape(
         ra * rb, ca * cb)

@@ -122,7 +122,6 @@ class FiniteGroup:
         g = cls(table, name=name or f"perm{n}", _trusted=True)
         if n <= ASSOC_CHECK_CAP:
             g._validate()
-        g.permutations = order
         return g
 
     # -- basic operations -------------------------------------------------

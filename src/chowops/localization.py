@@ -248,13 +248,20 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     """Materialize lambda_n and the two legs through degree D and compute
     the equalizer dimensions.
 
-    One ordered pass over the morphisms builds each leg block once per
-    degree, anchored at the maximal elementary abelian subgroup (abelian
-    groups have a unique one): its self-consistency condition comes first
-    and seeds the space, the inclusions into it come next and the first
-    one of each object determines that component, and every condition
-    after the seed cuts the result down.  A cut right-multiplies every
-    component, so the order of the cuts does not change the equalizer.
+    For an abelian group the category has a terminal object T, the
+    subgroup of elements of order dividing p, so the equalizer in each
+    degree is the kernel of T's own condition (leg 1 minus leg 2 on its
+    self pair).  The other conditions add nothing:
+
+    - every E lies in T;
+    - for a morphism E1 <= E2, both legs composed with restriction from T
+      equal (res_{T->E1} (x) res_{T->E1} (x) id) applied to T's own two
+      legs;
+    - this holds because restriction is a degree-preserving bialgebra map
+      and res_{E2->E1} o res_{T->E2} = res_{T->E1}.
+
+    The legs are still compared on the image of lambda over every
+    morphism, which builds each leg block once per degree.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
@@ -267,8 +274,9 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
               key=lambda i: setup.objects[i].rank)
     top_self = [m for m, (i, j, h, _) in enumerate(setup.morphisms)
                 if i == top and j == top][0]
-    order = sorted(range(len(setup.morphisms)),
-                   key=lambda m: (m != top_self, setup.morphisms[m][1] != top))
+    # T's self pair first: its kernel is taken before other blocks are held
+    order = [top_self] + [m for m in range(len(setup.morphisms))
+                          if m != top_self]
     diagram = EqualizerDiagram(
         group=setup.G, p=p, level=n, cutoff=D, objects=setup.objects,
         morphism_count=len(setup.morphisms))
@@ -280,10 +288,7 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
         diagram.middle_dims[d] = sum(m.shape[0] for m in lam)
         full_lambda = np.vstack(lam)
 
-        # check the legs agree on the image of lambda, and solve for the
-        # equalizer: seed, extend to every object, cut
         leg1 = {}     # source object -> (leg-1 block, its product with lambda)
-        solved = {}
         agree = True
         for mi in order:
             i1, i2 = setup.morphisms[mi][:2]
@@ -295,24 +300,8 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
             if (a_lam != fl.matmul(b, lam[i2], p)).any():
                 agree = False
             if mi == top_self:
-                solved[top] = fl.kernel_matrix((a - b) % p, p)
-                continue
-            b_solved = fl.matmul(b, solved[i2], p)
-            if i1 not in solved:
-                # first inclusion of i1 into top: keep the rows whose middle
-                # tensor factor is the unit monomial, the (0, j) blocks, in
-                # the order of the middle blocks
-                offs, _ = _offsets(_right_blocks(setup, i1, d, n))
-                solved[i1] = np.vstack([
-                    b_solved[offs[(0, j)]:offs[(0, j)] + rows]
-                    for j, rows in _middle_blocks(setup, i1, d, n)])
-            cond = (fl.matmul(a, solved[i1], p) - b_solved) % p
-            if cond.any():
-                shrink = fl.kernel_matrix(cond, p)
-                for key in solved:
-                    solved[key] = fl.matmul(solved[key], shrink, p)
+                eq_dim = fl.kernel_matrix((a - b) % p, p).shape[1]
         diagram.legs_agree[d] = agree
-        eq_dim = solved[top].shape[1]
         diagram.eq_dims[d] = eq_dim
         rk = fl.rank(full_lambda, p)
         diagram.injective[d] = rk == ring_G.dim(d)
@@ -475,7 +464,7 @@ def d1_estimate(G: gp.FiniteGroup, D: int, p: int):
 # largest submodule certified n-nilpotent in the window
 
 
-def max_nil_submodule(source, d: int, D: int, p=None):
+def max_nil_submodule(source, d: int, D: int):
     """Degreewise basis of the largest subspace, closed under the powers
     inside degrees <= D, on which the lowering operators at levels below d
     certifiably iterate to zero within the materialized window.
@@ -484,8 +473,6 @@ def max_nil_submodule(source, d: int, D: int, p=None):
     degree -> basis matrix (possibly with zero columns removed).
     """
     if isinstance(source, ChowRing):
-        if p is not None and p != source.p:
-            raise ValueError("prime mismatch")
         module = ring_module(source, source.p * max(D, 1))
     elif isinstance(source, FiniteModule):
         module = source
@@ -496,43 +483,13 @@ def max_nil_submodule(source, d: int, D: int, p=None):
         return {e: fl.identity(module.dim(e))
                 for e in range(D + 1) if module.dim(e)}
 
-    horizon = module.horizon()
-    _memo = {}
-
-    def dies(j, e):
-        key = (j, e)
-        if key in _memo:
-            return _memo[key]
-        if module.dim(e) == 0:
-            out = fl.zeros(0, 0)
-        elif e == j:
-            out = fl.zeros(module.dim(e), 0)
-        elif e < j:
-            out = fl.identity(module.dim(e))
-        else:
-            s = e + (e - j) * (p - 1)
-            if s > horizon:
-                # cannot evaluate the next step: nothing is certified
-                out = fl.zeros(module.dim(e), 0)
-            else:
-                mat = module.act(e - j, e)
-                if not mat.any():
-                    out = fl.identity(module.dim(e))
-                else:
-                    target_ok = dies(j, s)
-                    resid = fl.residual_map(target_ok, module.dim(s), p)
-                    out = fl.kernel_matrix(fl.matmul(resid, mat, p), p)
-        _memo[key] = out
-        return out
-
     spaces = {}
     for e in range(D + 1):
         if module.dim(e) == 0:
             continue
         basis = fl.identity(module.dim(e))
         for j in range(d):
-            ok = dies(j, e)
-            basis = _intersect(basis, ok, module.dim(e), p)
+            basis = _intersect(basis, module.dies(j, e), module.dim(e), p)
             if basis.shape[1] == 0:
                 break
         spaces[e] = basis
@@ -590,10 +547,11 @@ def bounds_report(G: gp.FiniteGroup, faithful_degree: int, D: int, p: int):
     n = faithful_degree
     (d0, v0), (d1, v1) = _first_levels(G, D, p, EqualizerDiagram.all_injective,
                                        EqualizerDiagram.all_iso)
-    ring = abelian_ring(G, p).ring
+    # one module for every level, so the levels share its lowering memo
+    module = ring_module(abelian_ring(G, p).ring, p * max(D, 1))
     largest = 0
     for level in range(1, D + 1):
-        if max_nil_submodule(ring, level, D):
+        if max_nil_submodule(module, level, D):
             largest = level
         else:
             break

@@ -94,6 +94,7 @@ class FiniteModule:
             if m.size and m.any():
                 self.mats[(a, d)] = m
         self.truncated_above = truncated_above
+        self._dies = {}
         if validate:
             self._validate()
 
@@ -149,6 +150,37 @@ class FiniteModule:
             m = fl.matmul(self.act(a, deg), m, self.p)
             deg += a * (self.p - 1)
         return m
+
+    def dies(self, j: int, e: int) -> np.ndarray:
+        """Basis of the degree-e vectors that the lowering operators
+        x -> P^{deg x - j} x certifiably send to zero inside the window:
+        all of degree e when e < j, none when e == j.  Kept per (j, e); a
+        module does not change after construction."""
+        key = (j, e)
+        if key not in self._dies:
+            n = self.dim(e)
+            if n == 0:
+                out = fl.zeros(0, 0)
+            elif e == j:
+                out = fl.zeros(n, 0)
+            elif e < j:
+                out = fl.identity(n)
+            else:
+                s = e + (e - j) * (self.p - 1)
+                if s > self.horizon():
+                    # cannot evaluate the next step: nothing is certified
+                    out = fl.zeros(n, 0)
+                else:
+                    mat = self.act(e - j, e)
+                    if not mat.any():
+                        out = fl.identity(n)
+                    else:
+                        resid = fl.residual_map(self.dies(j, s),
+                                                self.dim(s), self.p)
+                        out = fl.kernel_matrix(
+                            fl.matmul(resid, mat, self.p), self.p)
+            self._dies[key] = out
+        return self._dies[key]
 
     # -- validation ----------------------------------------------------
 
@@ -678,31 +710,11 @@ def nilpotence_degree(m, D: int):
     """
     if isinstance(m, FPModule):
         m = compile_presentation(m, m.p * max(D, 1))
-    p = m.p
-
-    def orbit_dies(j, e):
-        """True / False(unknown) : every degree-e vector iterates to zero."""
-        if m.dim(e) == 0:
-            return True
-        if m.is_complete:
-            return True  # degree climbs strictly, support is finite
-        deg = e
-        space = fl.identity(m.dim(e))
-        while space.shape[1]:
-            nxt = deg + (deg - j) * (p - 1)
-            if nxt > m.horizon():
-                return False
-            space = fl.matmul(m.act(deg - j, deg), space, p)
-            # drop columns already dead
-            live = [c for c in range(space.shape[1]) if space[:, c].any()]
-            space = space[:, live]
-            deg = nxt
-        return True
-
     for j in range(D + 1):
         if m.dim(j):
             return j, "exact"
-        resolved = all(orbit_dies(j, e) for e in m.support if j < e <= D)
+        resolved = all(m.dies(j, e).shape[1] == m.dim(e)
+                       for e in m.support if j < e <= D)
         if not resolved:
             return j, "at-least"
     return D, "at-least"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from chowops import fp_linalg as fl
 from chowops.chow import (ChowRing, RingMap, abelian_ring, catalog_ring,
                           elem_abelian_ring, ingest_ring, poly_add,
-                          poly_scale, restriction_map, ring_module, truncate)
+                          poly_mul_raw, poly_scale, restriction_map, ring_module, truncate)
 from chowops.groups import FiniteGroup
 from chowops.powers import reduce_word
 
@@ -371,3 +373,63 @@ def test_inhomogeneous_action_rejected():
     r = elem_abelian_ring(1, 2)
     with pytest.raises(ValueError):
         r.act(1, {(1,): 1, (2,): 1})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_powers_of_a_degree_one_class(p):
+    # P^a(y^e) = C(e, a) y^{e + a(p - 1)}, zero for a > e
+    r = elem_abelian_ring(1, p)
+    for e in range(13):
+        for a in range(e + 2):
+            c = math.comb(e, a) % p
+            assert r.act(a, {(e,): 1}) == ({(e + a * (p - 1),): c}
+                                           if c else {}), (e, a)
+
+
+def chern_ring(p):
+    """F_p[c1, c2] with |c1| = 1 and |c2| = 2, the Chow ring of BGL_2:
+    P^1 c2 = x1^p x2 + x1 x2^p on the Chern roots, which is c1 c2 at
+    p = 2 and c1^2 c2 + c2^2 at p = 3."""
+    rule = {2: {(1, 1): 1}, 3: {(2, 1): 1, (0, 2): 1}}[p]
+    return ChowRing(p, [("c1", 1), ("c2", 2)], steenrod={(1, 1): rule},
+                    cutoff=8, validate=True)
+
+
+def total_power_reference(ring, m):
+    """P_t(m) multiplied out one generator factor at a time."""
+    p = ring.p
+    out = {0: {tuple([0] * ring.k): 1}}
+    for i, e in enumerate(m):
+        single = {0: ring.gen_poly(i)}
+        for a in range(1, ring.gen_degree(i) + 1):
+            single[a] = ring.steenrod[(i, a)]
+        for _ in range(e):
+            step = {}
+            for a1, f in out.items():
+                for a2, g in single.items():
+                    step[a1 + a2] = poly_add(step.get(a1 + a2, {}),
+                                             poly_mul_raw(f, g, p), p)
+            out = {a: f for a, f in step.items() if f}
+    return out
+
+
+# sha256 of repr(sorted P^a(m) items) over p in (2, 3), every basis
+# monomial m of degree <= 8 and every a <= deg m: 310 actions, recorded
+# when generators of degree >= 2 were expanded one factor at a time
+CHERN_ACTIONS = \
+    "ccdd25a0e865abdbcee651effdb7cc96802c41644364ffc584e39b78902631b8"
+
+
+def test_chern_ring_actions():
+    actions = {}
+    for p in (2, 3):
+        r = chern_ring(p)
+        actions[p] = []
+        for d in range(9):
+            for m in r.basis(d):
+                assert r.total_power_monomial(m) == \
+                    total_power_reference(r, m), (p, m)
+                actions[p] += [(d, m, a, sorted(r.act(a, {m: 1}).items()))
+                               for a in range(d + 1)]
+    assert sum(map(len, actions.values())) == 310
+    assert hashlib.sha256(repr(actions).encode()).hexdigest() == CHERN_ACTIONS

@@ -231,3 +231,11 @@ def test_kron_matches_numpy(ra, ca, rb, cb, p, seed):
     a = rng.integers(0, p, size=(ra, ca))
     b = rng.integers(0, p, size=(rb, cb))
     _same(fl.kron(a, b, p), np.kron(a, b) % p)
+
+
+def test_kron_reduces_inputs_and_refuses_overflowing_primes():
+    p = 3037000493  # the largest prime with (p - 1)^2 < 2^63
+    assert fl.kron([[-1, p + 2]], [[p - 1], [2 * p]], p).tolist() == \
+        [[1, p - 2], [0, 0]]
+    with pytest.raises(ValueError, match="prime 3037000507"):
+        fl.kron([[3037000506]], [[3037000506]], 3037000507)

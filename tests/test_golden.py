@@ -1,7 +1,9 @@
 """Exact outputs pinned where the benchmark does not reach: SHA-256
 digests of `--format json` stdout for the non-elementary abelian groups,
-whose characters restrict through cyclic factors of order above p, and for
-the module files.  A change that moves any output byte fails here."""
+whose characters restrict through cyclic factors of order above p (at
+levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
+the `d0` bound report, which has no JSON form, as plain text.  A change
+that moves any output byte fails here."""
 
 import hashlib
 
@@ -67,6 +69,59 @@ MODULE_RUNS = {
     "tied_p2": "970d4c82b9227c4e503c997688024854f1cba39be456ef972cb06f32e601ef52",
 }
 
+LOCALIZE_LEVEL_RUNS = {
+    ("z4xz2", 2, 1):
+        "7b2a2614d3b633abb18f977a1a1ce45cfa26dfab0960f3d3321704f0a9a05225",
+    ("z4xz2", 3, 1):
+        "fd30e9e0c0313ae97f4e37be098812a8d2d239270a08fd11a8d69527d7a3bf97",
+    ("z9xz3", 2, 1):
+        "d0bd62fdc50d33e6110f9936a38a69d8bb1859019da69e3e12de8b6a8813d288",
+    ("z9xz3", 3, 1):
+        "8e8015d21d7cf1da89f8b87e8db74a1b8193704ca068cc091563099440e4774a",
+    ("z8", 2, 1):
+        "8ac8d842a61b48aa45743ac00fd4744ac04b53ff6b83d55608ce5671243cfd39",
+    ("z8", 3, 1):
+        "bbf1c5f417705f76e6e743c27a702820814693a2e74c4a2ad799a47dccb6e261",
+    ("z12", 2, 1):
+        "e64047aa867a348cc8de1487725fc2baeb93557cb36aacd5924659254bae2b4c",
+    ("z12", 3, 1):
+        "1f5b5d52f784f3ee0410828d907582d741460eaf4a394bcc54e152c55dba8546",
+    ("z4xz2", 2, 3):
+        "d5a3dc3e75aadae7519b151bb59c2ddb6d7087d97513e9add24df8ff81efff72",
+    ("z4xz2", 3, 3):
+        "7f9d1762b093760d55ccfd87e5ec714de87b7632bebb9bef7247f1542fdd3237",
+    ("z9xz3", 2, 3):
+        "888127281c1fd9d1a7a2d2df9e7ee6edc578e06e591b726917ca2e8c568816f7",
+    ("z9xz3", 3, 3):
+        "f724c5b947bb87558ab071e8a649291505ceed13d7fb00bc5764e4dc2473096c",
+    ("z8", 2, 3):
+        "f1fb38dfd99a3a81f465371cb93513d6f0485446fe65acc80bd3276d298b0975",
+    ("z8", 3, 3):
+        "2ccc9a580937cd2bddcb56b835eecff9da58d62c64eb0703233910d8557ec07a",
+    ("z12", 2, 3):
+        "1f744d4ee8007d31739b44e301dcad66916c598aa78c90d7284017f380529a84",
+    ("z12", 3, 3):
+        "babfb7b4b1def47a1d27a85fcd2e701a2d7fdca947a1ecee5f89897cb7ddddd1",
+}
+
+NIL_RUNS = {
+    "free1_p2":
+        "611ef986e7bb188d867171dff49e36fcd704bcb463da6053719ab6d767a67179",
+    "point2_p2":
+        "c9a27bc876729a1aa47957b1bbdba9b1d721f1c77ed9083167f1da2ed0e66c86",
+    "point2_p3":
+        "c9a27bc876729a1aa47957b1bbdba9b1d721f1c77ed9083167f1da2ed0e66c86",
+    "tied_p2":
+        "b419f4c45501cb2d911b34eedfa4a2b67c21166a3c68dfffacab6570c96c90b3",
+}
+
+D0_TEXT = """\
+d0 = 0 (verified-through-cutoff)
+d1 = 0 (verified-through-cutoff)
+largest certified nilpotent level = 0
+bounds: d0 <= 1, d1 <= 2
+"""
+
 COMMAND_FLAGS = {"tv": ["--rank", "2"], "quillen-check": [],
                  "localize": ["--level", "2"]}
 
@@ -89,3 +144,24 @@ def test_group_run_output(capsys, data_dir, command, group, p):
 def test_module_tv_output(capsys, data_dir, module):
     argv = ["tv", "--module", data_dir / "modules" / f"{module}.json"]
     assert digest(capsys, *argv) == MODULE_RUNS[module]
+
+
+@pytest.mark.parametrize("group, p, level", sorted(LOCALIZE_LEVEL_RUNS))
+def test_localize_level_output(capsys, data_dir, group, p, level):
+    argv = ["localize", "--group", data_dir / "groups" / f"{group}.json",
+            "--level", level, "--prime", p]
+    assert digest(capsys, *argv) == LOCALIZE_LEVEL_RUNS[group, p, level]
+
+
+@pytest.mark.parametrize("module", sorted(NIL_RUNS))
+def test_module_nil_output(capsys, data_dir, module):
+    argv = ["nil", "--module", data_dir / "modules" / f"{module}.json"]
+    assert digest(capsys, *argv) == NIL_RUNS[module]
+
+
+@pytest.mark.parametrize("group", ["klein", "z4xz2"])
+def test_d0_bounds_text(capsys, data_dir, group):
+    code = main(["d0", "--group", str(data_dir / "groups" / f"{group}.json"),
+                 "--faithful-degree", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0, D0_TEXT, "")

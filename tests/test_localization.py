@@ -20,6 +20,47 @@ def G(spec, name=None):
     return FiniteGroup.from_abelian(spec, name=name)
 
 
+def seed_and_cut(setup, n, D):
+    """The general equalizer solve over the whole category, the reference
+    for build_lambda: seed with the kernel of the top object's self pair,
+    take each other object's component from its first inclusion into the
+    top (the rows whose middle factor is the unit monomial), then cut by
+    every morphism's condition.  Returns (eq_dims, cuts tested, cuts that
+    changed the space)."""
+    p = setup.p
+    top = max(range(len(setup.objects)),
+              key=lambda i: setup.objects[i].rank)
+    top_self = [m for m, (i, j, h, _) in enumerate(setup.morphisms)
+                if i == top and j == top][0]
+    order = sorted(range(len(setup.morphisms)),
+                   key=lambda m: (m != top_self, setup.morphisms[m][1] != top))
+    eq_dims, tested, changed = {}, 0, 0
+    for d in range(D + 1):
+        solved = {}
+        for mi in order:
+            i1, i2 = setup.morphisms[mi][:2]
+            a = loc._leg1_block(setup, i1, d, n)
+            b = loc._leg2_block(setup, mi, d, n)
+            if mi == top_self:
+                solved[top] = fl.kernel_matrix((a - b) % p, p)
+                continue
+            b_solved = fl.matmul(b, solved[i2], p)
+            if i1 not in solved:
+                offs, _ = loc._offsets(loc._right_blocks(setup, i1, d, n))
+                solved[i1] = np.vstack([
+                    b_solved[offs[(0, j)]:offs[(0, j)] + rows]
+                    for j, rows in loc._middle_blocks(setup, i1, d, n)])
+            cond = (fl.matmul(a, solved[i1], p) - b_solved) % p
+            tested += 1
+            if cond.any():
+                changed += 1
+                shrink = fl.kernel_matrix(cond, p)
+                for key in solved:
+                    solved[key] = fl.matmul(solved[key], shrink, p)
+        eq_dims[d] = solved[top].shape[1]
+    return eq_dims, tested, changed
+
+
 class TestBuildLambda:
     def test_trivial_group(self):
         d = build_lambda(G([1]), 1, 4, 2)
@@ -68,6 +109,29 @@ class TestBuildLambda:
         assert len(calls["leg1"]) == len(set(calls["leg1"])) == 5 * 5
         assert len(calls["leg2"]) == len(set(calls["leg2"])) == 12 * 5
         assert d.all_iso()
+
+    @pytest.mark.parametrize("spec, p", [([2, 2], 2), ([4, 2], 2),
+                                         ([3, 3], 3), ([2, 2, 2], 2),
+                                         ([9, 3], 3)])
+    def test_top_self_kernel_is_the_equalizer(self, spec, p):
+        # no condition past the top object's self pair cuts the space
+        setup = loc._AbelianSetup(G(spec), p)
+        for n in (1, 2, 3):
+            eq_dims, tested, changed = seed_and_cut(setup, n, 6)
+            assert tested and not changed, (n, changed)
+            assert eq_dims == build_lambda(G(spec), n, 6, p).eq_dims, n
+
+    def test_one_kernel_per_degree(self, monkeypatch):
+        kernels = []
+        real = fl.kernel_matrix
+
+        def counting(m, p):
+            kernels.append(np.shape(m))
+            return real(m, p)
+
+        monkeypatch.setattr(fl, "kernel_matrix", counting)
+        d = build_lambda(G([2, 2, 2]), 2, 5, 2)
+        assert len(kernels) == 6 and d.all_iso()
 
     def test_monotone_injectivity(self):
         for spec, p in [([2, 2], 2), ([4, 2], 2), ([3, 3], 3)]:
@@ -244,6 +308,18 @@ class TestLevelSweep:
 
 
 class TestMaxNil:
+    def test_bounds_report_builds_one_ring_module(self, monkeypatch):
+        built = []
+        real = loc.ring_module
+
+        def counting(ring, D):
+            built.append(D)
+            return real(ring, D)
+
+        monkeypatch.setattr(loc, "ring_module", counting)
+        rep = bounds_report(G([2, 2]), 2, 5, 2)
+        assert built == [10] and not rep["violations"]
+
     def test_polynomial_line_has_no_nilpotents(self):
         r = elem_abelian_ring(1, 2)
         assert max_nil_submodule(r, 1, 8) == {}

@@ -225,7 +225,39 @@ class TestFiniteModuleValidation:
             FiniteModule(2, {1: 1, 2: 2}, {(1, 1): np.array([[1]])})
 
 
+def orbit_dies(m, j, e):
+    """Whether all of degree e iterates to zero under x -> P^{deg x - j} x
+    before a step leaves the window, pushing the whole space up."""
+    deg, space = e, fl.identity(m.dim(e))
+    while space.any():
+        nxt = deg + (deg - j) * (m.p - 1)
+        if nxt > m.horizon():
+            return False
+        space = fl.matmul(m.act(deg - j, deg), space, m.p)
+        deg = nxt
+    return True
+
+
 class TestNilpotence:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_lowering_memo_matches_orbit_reference(self, p):
+        from chowops.chow import elem_abelian_ring, ring_module
+        mods = [compile_presentation(fp, D) for fp in fp_test_modules(p)
+                for D in (4, 9)]
+        mods += [ring_module(elem_abelian_ring(2, p), 10),
+                 brown_gitler(3, 10, p)]
+        for m in mods:
+            for j in range(6):
+                for e in [e for e in m.support if e > j]:
+                    ok = m.dies(j, e)
+                    assert (ok.shape[1] == m.dim(e)) == orbit_dies(m, j, e)
+                    # every certified vector does die inside the window
+                    deg, space = e, ok
+                    while space.any():
+                        space = fl.matmul(m.act(deg - j, deg), space, p)
+                        deg += (deg - j) * (p - 1)
+                    assert deg <= m.horizon()
+
     def test_points(self):
         for p in (2, 3):
             for d in range(6):
