@@ -2,8 +2,10 @@
 centralizers, elementary abelian p-subgroups with their conjugation
 category, and commuting p-torsion tuples up to simultaneous conjugation.
 
-Everything is brute force with orbit deduplication, which is the right
-tool at desk scale (orders into the hundreds; hard cap 10^4).
+Everything is brute force over a dense int32 multiplication table with
+orbit deduplication, which is the right tool at desk scale: S7 (order
+5040, a 100 MB table) loads in well under a second.  The hard cap is
+order 10^4, where the table alone takes 400 MB.
 """
 
 from __future__ import annotations
@@ -75,13 +77,17 @@ class FiniteGroup:
             n *= e
         if n > MAX_ORDER:
             raise ValueError(f"order {n} exceeds the cap {MAX_ORDER}")
-        radix = list(itertools.product(*[range(e) for e in orders])) or [()]
-        index = {t: i for i, t in enumerate(radix)}
+        # mixed-radix index of the coordinatewise sum, the last factor
+        # least significant as in itertools.product
+        coords = np.indices(orders, dtype=np.int32).reshape(len(orders), n)
         table = np.zeros((n, n), dtype=np.int32)
-        for i, u in enumerate(radix):
-            for j, v in enumerate(radix):
-                table[i, j] = index[tuple((a + b) % e
-                                          for a, b, e in zip(u, v, orders))]
+        stride = n
+        for c, e in zip(coords, orders):
+            stride //= e
+            term = np.add.outer(c, c)
+            term %= e
+            term *= stride
+            table += term
         nm = name or ("Z" + "x".join(f"/{e}" for e in orders) if orders else "1")
         g = cls(table, name=nm, _trusted=True)
         g._validate()
@@ -100,11 +106,14 @@ class FiniteGroup:
         ident = tuple(range(degree))
         seen = {ident: 0}
         order = [ident]
-        frontier = [ident]
+        # order[b] = order[parent[b]] o gens[via[b]]
+        parent, via = [0], [0]
+        frontier = [0]
         while frontier:
             nxt = []
-            for a in frontier:
-                for g in gens:
+            for ia in frontier:
+                a = order[ia]
+                for k, g in enumerate(gens):
                     b = tuple(a[g[i]] for i in range(degree))
                     if b not in seen:
                         if len(order) >= MAX_ORDER:
@@ -112,13 +121,19 @@ class FiniteGroup:
                                 f"permutation closure exceeds the cap {MAX_ORDER}")
                         seen[b] = len(order)
                         order.append(b)
-                        nxt.append(b)
+                        parent.append(ia)
+                        via.append(k)
+                        nxt.append(len(order) - 1)
             frontier = nxt
         n = len(order)
-        table = np.zeros((n, n), dtype=np.int32)
-        for i, a in enumerate(order):
-            for j, b in enumerate(order):
-                table[i, j] = seen[tuple(a[b[k]] for k in range(degree))]
+        # left[k][x] is the index of gens[k] o order[x], so row b of the
+        # table is row parent[b] read through left[via[b]]
+        left = np.array([[seen[tuple(g[x[i]] for i in range(degree))]
+                          for x in order] for g in gens], dtype=np.int32)
+        table = np.empty((n, n), dtype=np.int32)
+        table[0] = np.arange(n)
+        for b in range(1, n):
+            table[b] = table[parent[b]][left[via[b]]]
         g = cls(table, name=name or f"perm{n}", _trusted=True)
         if n <= ASSOC_CHECK_CAP:
             g._validate()
@@ -359,13 +374,15 @@ def all_elementary_abelians(G: FiniteGroup, p: int):
 def elementary_abelians(G: FiniteGroup, p: int):
     """Conjugacy classes of elementary abelian p-subgroups plus the full
     category data (morphisms = conjugations composed with inclusions)."""
-    subgroups = all_elementary_abelians(G, p)
-    orbits = {}
-    for E in subgroups:
+    reps = []
+    covered = set()
+    for E in all_elementary_abelians(G, p):
+        if E in covered:
+            continue
         orbit = {tuple(sorted(row)) for row in G.conjugates(E)}
-        rep = min(orbit)
-        orbits.setdefault(rep, set()).update(orbit)
-    reps = sorted(orbits, key=lambda t: (len(t), t))
+        covered |= orbit
+        reps.append(min(orbit))
+    reps.sort(key=lambda t: (len(t), t))
     objects = [ElemAbelianSubgroup(G, rep, log_p(len(rep), p))
                for rep in reps]
     data = QuillenCategoryData(objects=objects)
@@ -396,29 +413,30 @@ def rep_classes(r: int, G: FiniteGroup, p: int):
     if r > MAX_REP_RANK:
         raise ValueError(
             f"rank capped at {MAX_REP_RANK} (brute-force enumeration)")
-    torsion = G.p_torsion(p)
-    tuples = []
-    for t in itertools.product(torsion, repeat=r):
-        ok = True
-        for i in range(r):
-            for j in range(i + 1, r):
-                if G.mul(t[i], t[j]) != G.mul(t[j], t[i]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            tuples.append(t)
-    remaining = set(tuples)
+    torsion = np.array(G.p_torsion(p))
+    sub = G.table[np.ix_(torsion, torsion)]
+    commute = sub == sub.T
+    # extend commuting tuples of torsion indices one coordinate at a time;
+    # torsion is ascending, so the rows stay in lexicographic order
+    idx = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(r):
+        rows, cols = np.nonzero(commute[idx].all(axis=1))
+        idx = np.column_stack([idx[rows], cols])
+    tuples = torsion[idx]
+    # a tuple's code is its value in base n, so codes ascend with the rows
+    weights = G.n ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    codes = tuples @ weights
+    alive = np.ones(len(codes), dtype=bool)
     classes = []
-    for t in sorted(remaining):
-        if t not in remaining:
+    for i in range(len(codes)):
+        if not alive[i]:
             continue
-        orbit = set(map(tuple, G.conjugates(t)))
-        remaining -= orbit
-        classes.append(HomClass(rank=r, representative=min(orbit),
+        # every member of this orbit is still alive, so row i is its least
+        t = tuples[i]
+        orbit = np.unique(G.table[G.table[:, t], G._inv[:, None]] @ weights)
+        alive[np.searchsorted(codes, orbit)] = False
+        classes.append(HomClass(rank=r, representative=tuple(t.tolist()),
                                 orbit_size=len(orbit)))
-    classes.sort(key=lambda c: c.representative)
     return classes
 
 

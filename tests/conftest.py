@@ -1,9 +1,14 @@
+import itertools
 import pathlib
 
+import numpy as np
 import pytest
 
 from chowops import fp_linalg as fl
 from chowops.chow import elem_abelian_ring, poly_add, poly_mul_raw, truncate
+from chowops.groups import (ElemAbelianSubgroup, HomClass,
+                            QuillenCategoryData, all_elementary_abelians,
+                            log_p)
 from chowops.modules import (FiniteModule, brown_gitler,
                              finite_to_presentation, point_module,
                              point_presentation, suspension_presentation)
@@ -99,3 +104,94 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
         mat[a1.shape[0]:, a1.shape[1]:] = a2
         mats[(a, d)] = mat
     return FiniteModule(m1.p, dims, mats, truncated_above=t, validate=False)
+
+
+# -- group engine references: one Python product per pair -----------------
+
+
+def permutation_table(generators, degree):
+    """Multiplication table of the closure of `generators`, numbered in
+    breadth-first order, by one tuple composition per element pair: the
+    reference for FiniteGroup.from_permutations."""
+    gens = [tuple(int(x) for x in g) for g in generators]
+    ident = tuple(range(degree))
+    seen = {ident: 0}
+    order = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = tuple(a[g[i]] for i in range(degree))
+                if b not in seen:
+                    seen[b] = len(order)
+                    order.append(b)
+                    nxt.append(b)
+        frontier = nxt
+    n = len(order)
+    table = np.zeros((n, n), dtype=np.int32)
+    for i, a in enumerate(order):
+        for j, b in enumerate(order):
+            table[i, j] = seen[tuple(a[b[k]] for k in range(degree))]
+    return table
+
+
+def abelian_table(orders):
+    """Table of Z/e_1 x ... x Z/e_k on itertools.product numbering, entry
+    by entry: the reference for FiniteGroup.from_abelian."""
+    radix = list(itertools.product(*[range(e) for e in orders])) or [()]
+    index = {t: i for i, t in enumerate(radix)}
+    n = len(radix)
+    table = np.zeros((n, n), dtype=np.int32)
+    for i, u in enumerate(radix):
+        for j, v in enumerate(radix):
+            table[i, j] = index[tuple((a + b) % e
+                                      for a, b, e in zip(u, v, orders))]
+    return table
+
+
+def rep_classes_reference(r, G, p):
+    """Commuting p-torsion r-tuples tested pair by pair with G.mul, then
+    deduplicated by orbit: the reference for groups.rep_classes."""
+    torsion = G.p_torsion(p)
+    tuples = []
+    for t in itertools.product(torsion, repeat=r):
+        if all(G.mul(t[i], t[j]) == G.mul(t[j], t[i])
+               for i in range(r) for j in range(i + 1, r)):
+            tuples.append(t)
+    remaining = set(tuples)
+    classes = []
+    for t in sorted(remaining):
+        if t not in remaining:
+            continue
+        orbit = set(map(tuple, G.conjugates(t)))
+        remaining -= orbit
+        classes.append(HomClass(rank=r, representative=min(orbit),
+                                orbit_size=len(orbit)))
+    classes.sort(key=lambda c: c.representative)
+    return classes
+
+
+def elementary_abelians_reference(G, p):
+    """The conjugation orbit of every elementary abelian subgroup, covered
+    or not: the reference for groups.elementary_abelians."""
+    orbits = {}
+    for E in all_elementary_abelians(G, p):
+        orbit = {tuple(sorted(row)) for row in G.conjugates(E)}
+        orbits.setdefault(min(orbit), set()).update(orbit)
+    reps = sorted(orbits, key=lambda t: (len(t), t))
+    objects = [ElemAbelianSubgroup(G, rep, log_p(len(rep), p))
+               for rep in reps]
+    data = QuillenCategoryData(objects=objects)
+    for i, Ei in enumerate(reps):
+        conjugates = list(map(tuple, G.conjugates(Ei)))
+        for j, Ej in enumerate(reps):
+            ejset = set(Ej)
+            seen = {}
+            for h, images in enumerate(conjugates):
+                if ejset.issuperset(images):
+                    seen.setdefault(images, h)
+            if seen:
+                data.morphisms[(i, j)] = sorted(
+                    (h, images) for images, h in seen.items())
+    return objects, data

@@ -1,10 +1,17 @@
 import itertools
+import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from chowops.cli import main
 from chowops.groups import (FiniteGroup, abelian_coordinates, abelian_p_basis,
                             all_elementary_abelians, centralizer,
                             elementary_abelians, load_group, rep_classes)
+from conftest import (abelian_table, elementary_abelians_reference,
+                      permutation_table, rep_classes_reference)
 
 
 def s3():
@@ -219,3 +226,54 @@ class TestAbelianStructure:
     def test_nonabelian_rejected(self):
         with pytest.raises(ValueError):
             abelian_p_basis(s3(), 2)
+
+
+@st.composite
+def permutation_groups(draw):
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1,
+                         max_size=3))
+    return gens, degree
+
+
+class TestArrayEngine:
+    """The array constructions against their one-product-per-pair
+    references in conftest."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(permutation_groups(), st.sampled_from([2, 3, 5]))
+    @example(([[0]], 1), 2)  # the trivial group
+    @example(([[1, 0, 2], [1, 2, 0]], 3), 5)  # S3 has no 5-torsion
+    def test_permutation_groups_match_references(self, group, p):
+        gens, degree = group
+        G = FiniteGroup.from_permutations(gens, degree)
+        assert np.array_equal(G.table, permutation_table(gens, degree))
+        for r in range(4):
+            assert rep_classes(r, G, p) == rep_classes_reference(r, G, p)
+        objs, data = elementary_abelians(G, p)
+        ref_objs, ref_data = elementary_abelians_reference(G, p)
+        assert [o.elements for o in objs] == [o.elements for o in ref_objs]
+        assert data.morphisms == ref_data.morphisms
+
+    @pytest.mark.parametrize("orders", [
+        [], [2], [3, 3, 3], [9, 3], [4, 2], [2] * 8, [4, 4, 2]])
+    def test_abelian_table_matches_reference(self, orders):
+        G = FiniteGroup.from_abelian(orders)
+        assert np.array_equal(G.table, abelian_table(orders))
+
+    def test_s7(self):
+        G = FiniteGroup.from_permutations(
+            [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)], 7)
+        assert len(G) == 5040
+        classes = rep_classes(1, G, 2)
+        assert sorted(c.orbit_size for c in classes) == [1, 21, 105, 105]
+
+    def test_closure_cap(self, tmp_path, capsys):
+        s8 = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]
+        with pytest.raises(ValueError,
+                           match="permutation closure exceeds the cap 10000"):
+            FiniteGroup.from_permutations(s8, 8)
+        path = tmp_path / "s8.json"
+        path.write_text(json.dumps({"degree": 8, "generators": s8}))
+        assert main(["reps", "--group", str(path), "--rank", "1"]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
