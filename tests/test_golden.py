@@ -2,10 +2,13 @@
 digests of `--format json` stdout for the non-elementary abelian groups,
 whose characters restrict through cyclic factors of order above p (at
 levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
+`quillen-check` past the default cutoff, on a rank-4 group and where the
+p-torsion subgroup is trivial;
 the `d0` bound report, which has no JSON form, as plain text.  A change
 that moves any output byte fails here."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -115,6 +118,17 @@ NIL_RUNS = {
         "b419f4c45501cb2d911b34eedfa4a2b67c21166a3c68dfffacab6570c96c90b3",
 }
 
+# quillen-check past the default cutoff, and where T is trivial
+QUILLEN_CUTOFF_RUNS = {
+    ("z3cube", 3, 8):
+        "38a315049ce0df0cd6547511eea6296a83c5b0be15f680376e20cfb1dbbbff84",
+    ("z3", 2, 8):
+        "17356468c18a9405dd8f4d8ba78ac77b61770c7d948ff0ec7a3ba82e51ea56a2",
+}
+
+QUILLEN_RANK_FOUR = (
+    "4d6dd37dc08410258f6273f56ebc682d5c61a4edf9f765d109d4537f37f6e6ce")
+
 D0_TEXT = """\
 d0 = 0 (verified-through-cutoff)
 d1 = 0 (verified-through-cutoff)
@@ -157,6 +171,20 @@ def test_localize_level_output(capsys, data_dir, group, p, level):
 def test_module_nil_output(capsys, data_dir, module):
     argv = ["nil", "--module", data_dir / "modules" / f"{module}.json"]
     assert digest(capsys, *argv) == NIL_RUNS[module]
+
+
+@pytest.mark.parametrize("group, p, cutoff", sorted(QUILLEN_CUTOFF_RUNS))
+def test_quillen_cutoff_output(capsys, data_dir, group, p, cutoff):
+    argv = ["quillen-check", "--group", data_dir / "groups" / f"{group}.json",
+            "--prime", p, "--cutoff", cutoff]
+    assert digest(capsys, *argv) == QUILLEN_CUTOFF_RUNS[group, p, cutoff]
+
+
+def test_quillen_rank_four_output(capsys, tmp_path):
+    path = tmp_path / "z2_4.json"
+    path.write_text(json.dumps({"abelian": [2, 2, 2, 2], "name": "(Z/2)^4"}))
+    argv = ["quillen-check", "--group", path, "--prime", 2, "--cutoff", 6]
+    assert digest(capsys, *argv) == QUILLEN_RANK_FOUR
 
 
 @pytest.mark.parametrize("group", ["klein", "z4xz2"])
