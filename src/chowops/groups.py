@@ -39,12 +39,11 @@ class FiniteGroup:
         self.faithful_degree = faithful_degree
         if not _trusted:
             self._validate()
-        self._inv = np.empty(self.n, dtype=np.int32)
-        for a in range(self.n):
-            row = np.nonzero(table[a] == 0)[0]
-            if row.size != 1:
-                raise ValueError(f"element {a} has no unique inverse")
-            self._inv[a] = row[0]
+        is_identity = table == 0
+        bad = np.flatnonzero(is_identity.sum(axis=1) != 1)
+        if bad.size:
+            raise ValueError(f"element {bad[0]} has no unique inverse")
+        self._inv = is_identity.argmax(axis=1).astype(np.int32)
 
     def _validate(self):
         t = self.table
@@ -53,9 +52,17 @@ class FiniteGroup:
             raise ValueError("table entries out of range")
         if (t[0] != np.arange(n)).any() or (t[:, 0] != np.arange(n)).any():
             raise ValueError("element 0 is not a two-sided identity")
-        for a in range(n):
-            if len(set(t[a])) != n or len(set(t[:, a])) != n:
-                raise ValueError(f"row/column {a} is not a permutation")
+        # row (then column) a is a permutation when every value occurs in
+        # it: one boolean occurrence matrix over the whole table
+        index = np.arange(n)
+        bad = np.zeros(n, dtype=bool)
+        for rows in (index[:, None], index[None, :]):
+            seen = np.zeros((n, n), dtype=bool)
+            seen[rows, t] = True
+            bad |= ~seen.all(axis=1)
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            raise ValueError(f"row/column {bad[0]} is not a permutation")
         if n <= ASSOC_CHECK_CAP:
             for a in range(n):
                 ta = t[a]

@@ -44,7 +44,17 @@ __all__ = [
 
 class _AbelianSetup:
     """Rings, restriction maps, and the subgroup category of an abelian
-    group, with caches for degreewise matrices."""
+    group, with caches for degreewise matrices.
+
+    The category has a terminal object T, the subgroup of elements of
+    order dividing p: every E lies in T, and conjugation is the identity,
+    so there is exactly one morphism E <= T.  T is the largest object, so
+    `elementary_abelians` sorts it last.  `top` is its index and
+    `into_top[i]` the index of the morphism E_i <= T, whose map is
+    res_{T->E_i}; res_{T->T} is the identity.  Restriction is functorial,
+    res_{E2->E1} o res_{T->E2} = res_{T->E1}, so T's component determines
+    every other: `build_lambda` and `f_iso_check` both work on T alone.
+    """
 
     def __init__(self, G: gp.FiniteGroup, p: int):
         if not G.is_abelian:
@@ -73,6 +83,9 @@ class _AbelianSetup:
             for h, _ in maps:
                 self.morphisms.append((i, j, h, self.sub_data[j].restrict(
                     self.sub_data[i], name=f"c_{h}: E{i}->E{j}")))
+        self.top = len(self.objects) - 1
+        self.into_top = [m for m, (_, j, _, _) in enumerate(self.morphisms)
+                         if j == self.top]
 
     # -- cached degreewise matrices --------------------------------------
 
@@ -248,17 +261,13 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     """Materialize lambda_n and the two legs through degree D and compute
     the equalizer dimensions.
 
-    For an abelian group the category has a terminal object T, the
-    subgroup of elements of order dividing p, so the equalizer in each
-    degree is the kernel of T's own condition (leg 1 minus leg 2 on its
-    self pair).  The other conditions add nothing:
-
-    - every E lies in T;
-    - for a morphism E1 <= E2, both legs composed with restriction from T
-      equal (res_{T->E1} (x) res_{T->E1} (x) id) applied to T's own two
-      legs;
-    - this holds because restriction is a degree-preserving bialgebra map
-      and res_{E2->E1} o res_{T->E2} = res_{T->E1}.
+    The equalizer in each degree is the kernel of the terminal object T's
+    own condition (leg 1 minus leg 2 on its self pair; see
+    `_AbelianSetup`).  The other conditions add nothing: for a morphism
+    E1 <= E2, both legs composed with restriction from T equal
+    (res_{T->E1} (x) res_{T->E1} (x) id) applied to T's own two legs,
+    because restriction is a degree-preserving bialgebra map and is
+    functorial.
 
     The legs are still compared on the image of lambda over every
     morphism, which builds each leg block once per degree.
@@ -270,10 +279,7 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
 
 def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
     p = setup.p
-    top = max(range(len(setup.objects)),
-              key=lambda i: setup.objects[i].rank)
-    top_self = [m for m, (i, j, h, _) in enumerate(setup.morphisms)
-                if i == top and j == top][0]
+    top_self = setup.into_top[setup.top]
     # T's self pair first: its kernel is taken before other blocks are held
     order = [top_self] + [m for m in range(len(setup.morphisms))
                           if m != top_self]
@@ -356,72 +362,47 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
     """Compute the limit of the elementary abelian rings over conjugations
     and inclusions (independently of the equalizer machinery), then
     certify nilpotency of the kernel and p-power membership of the image
-    by explicit multiplication, bounded by the cutoff."""
+    by explicit multiplication, bounded by the cutoff.
+
+    A compatible family is fixed by its component x_T on the terminal
+    object T, and every x_T gives one (see `_AbelianSetup`), so the limit
+    is the column span of the stacked res_{T->E}: column t is the family
+    of the t-th basis monomial of CH_T.  This is Quillen's limit (Quillen,
+    "The spectrum of an equivariant cohomology ring", Ann. Math. 1971)
+    where the category has a terminal object.  Every res_{G->E} factors
+    through T, so the kernel of CH_G -> lim is the kernel of res_{G->T};
+    restriction is a ring map, so a power of a family lies in the image
+    exactly when that power of its T component lies in the image of
+    res_{G->T}."""
     setup = _AbelianSetup(G, p)
     ring_G = setup.data_G.ring
-    n_obj = len(setup.objects)
-
-    def limit_basis(d):
-        dims = [setup.sub_data[i].ring.dim(d) for i in range(n_obj)]
-        offs = np.cumsum([0] + dims)
-        total = offs[-1]
-        rows = []
-        for mi, (i1, i2, h, _) in enumerate(setup.morphisms):
-            block = fl.zeros(dims[i1], total)
-            block[:, offs[i1]:offs[i1] + dims[i1]] = fl.identity(dims[i1])
-            cr = setup.conjres_mat(mi, d)
-            block[:, offs[i2]:offs[i2] + dims[i2]] = \
-                (block[:, offs[i2]:offs[i2] + dims[i2]] - cr) % p
-            if block.any():
-                rows.append(block)
-        stacked = np.vstack(rows) if rows else fl.zeros(0, total)
-        return fl.kernel_matrix(stacked, p), offs
-
-    @cache
-    def res_stack(d):
-        return np.vstack([setup.res_mat(i, d) for i in range(n_obj)]) \
-            if ring_G.dim(d) else fl.zeros(0, 0)
+    ring_T = setup.sub_data[setup.top].ring
 
     @cache
     def residual(d):
-        # ker Q is the column span of res_stack(d), so a vector lies in the
-        # image of CH_G^d exactly when Q sends it to zero; one elimination
-        # per degree serves every element tested in that degree
-        stacked = res_stack(d)
-        return fl.residual_map(stacked, stacked.shape[0], p)
+        # a vector of CH_T^d lies in the image of CH_G^d exactly when Q
+        # sends it to zero; one elimination per degree serves every test
+        return fl.residual_map(setup.res_mat(setup.top, d), ring_T.dim(d), p)
 
     limit_dims = {}
     kernel_report = []
     image_report = []
     for d in range(D + 1):
-        basis, offs = limit_basis(d)
+        basis = np.vstack([setup.conjres_mat(m, d) for m in setup.into_top])
         limit_dims[d] = basis.shape[1]
-        stacked = res_stack(d)
         # kernel elements of CH_G -> lim, certified nilpotent by powering:
         # test x^{p^m} = 0 while p^m * deg x stays inside the window
-        for vec in fl.kernel_basis(stacked, p):
+        for vec in fl.kernel_basis(setup.res_mat(setup.top, d), p):
             poly = ring_G.poly_from_coords(vec, d)
             kernel_report.append((d, vec, certify_nilpotent(ring_G, poly, d, D)))
         # limit elements: find the least p-power landing in the image
-        for c in range(basis.shape[1]):
-            z = basis[:, c]
-            j_found = None
-            comp_polys = [setup.sub_data[i].ring.poly_from_coords(
-                z[offs[i]:offs[i + 1]], d) for i in range(n_obj)]
-            j = 0
-            deg = d
-            while deg <= D:
-                coords = np.concatenate([
-                    setup.sub_data[i].ring.coords([comp_polys[i]], deg)[:, 0]
-                    for i in range(n_obj)])
-                if not fl.matmul(residual(deg), coords, p).any():
-                    j_found = j
-                    break
-                comp_polys = [setup.sub_data[i].ring.power(f, p)
-                              for i, f in enumerate(comp_polys)]
-                j += 1
-                deg *= p
-            image_report.append((d, z, j_found))
+        for t, mono in enumerate(ring_T.basis(d)):
+            power, j, deg = {mono: 1}, 0, d
+            while deg <= D and fl.matmul(
+                    residual(deg), ring_T.coords([power], deg)[:, 0], p).any():
+                power = ring_T.power(power, p)
+                j, deg = j + 1, deg * p
+            image_report.append((d, basis[:, t], j if deg <= D else None))
     return FIsoCertificate(group=G, p=p, cutoff=D, limit_dims=limit_dims,
                            kernel_report=kernel_report,
                            image_report=image_report)

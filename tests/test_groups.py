@@ -37,12 +37,40 @@ class TestConstruction:
              [2, 4, 0, 1, 3],
              [3, 2, 4, 0, 1],
              [4, 3, 1, 2, 0]]
-        with pytest.raises(ValueError, match="assoc|inverse"):
+        with pytest.raises(ValueError,
+                           match=r"^associativity fails at \(1, 1, \.\.\.\)$"):
             FiniteGroup(t)
 
     def test_identity_must_be_zero(self):
         with pytest.raises(ValueError, match="identity"):
             FiniteGroup([[1, 0], [0, 1]])
+
+    @staticmethod
+    def z5(*edits):
+        """The table of Z/5 with (row, column, value) entries replaced."""
+        t = (np.arange(5)[:, None] + np.arange(5)) % 5
+        for a, b, v in edits:
+            t[a, b] = v
+        return t
+
+    @pytest.mark.parametrize("edit, message", [
+        ((1, 1, 5), "table entries out of range"),
+        ((0, 1, 2), "element 0 is not a two-sided identity"),
+        # row 2 repeats 2, and so does column 4: row 2 fails first
+        ((2, 4, 2), "row/column 2 is not a permutation"),
+        # column 2 repeats 2, and so does row 4: column 2 fails first
+        ((4, 2, 2), "row/column 2 is not a permutation"),
+    ])
+    def test_validate_names_first_failure(self, edit, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteGroup(self.z5(edit))
+
+    @pytest.mark.parametrize("edits", [[(3, 2, 1)], [(3, 4, 0)]])
+    def test_inverse_must_be_unique(self, edits):
+        # a trusted table skips _validate; row 3 has no 0, then two
+        with pytest.raises(ValueError,
+                           match="^element 3 has no unique inverse$"):
+            FiniteGroup(self.z5(*edits), _trusted=True)
 
     def test_load_group_schemas(self, data_dir):
         import json

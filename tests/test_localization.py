@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from chowops.localization import (EqualizerDiagram, bounds_report,
                                   f_iso_check, max_nil_submodule)
 from chowops.modules import point_module
 
-from conftest import direct_sum
+from conftest import DATA, direct_sum
 
 
 def G(spec, name=None):
@@ -59,6 +61,67 @@ def seed_and_cut(setup, n, D):
                     solved[key] = fl.matmul(solved[key], shrink, p)
         eq_dims[d] = solved[top].shape[1]
     return eq_dims, tested, changed
+
+
+def f_iso_reference(group, D, p):
+    """The limit as the kernel of one block per morphism (identity minus
+    the morphism's map) over the product of every object's ring, with
+    kernel and image tested against the stacked restrictions from G to
+    every object: the reference for f_iso_check."""
+    setup = loc._AbelianSetup(group, p)
+    ring_G = setup.data_G.ring
+    n_obj = len(setup.objects)
+    rings = [data.ring for data in setup.sub_data]
+
+    def res_stack(d):
+        return np.vstack([setup.res_mat(i, d) for i in range(n_obj)]) \
+            if ring_G.dim(d) else fl.zeros(0, 0)
+
+    limit_dims, kernel_report, image_report = {}, [], []
+    for d in range(D + 1):
+        dims = [ring.dim(d) for ring in rings]
+        offs = np.cumsum([0] + dims)
+        rows = []
+        for mi, (i1, i2, _, _) in enumerate(setup.morphisms):
+            block = fl.zeros(dims[i1], offs[-1])
+            block[:, offs[i1]:offs[i1 + 1]] = fl.identity(dims[i1])
+            block[:, offs[i2]:offs[i2 + 1]] = \
+                (block[:, offs[i2]:offs[i2 + 1]] - setup.conjres_mat(mi, d)) % p
+            if block.any():
+                rows.append(block)
+        basis = fl.kernel_matrix(
+            np.vstack(rows) if rows else fl.zeros(0, offs[-1]), p)
+        limit_dims[d] = basis.shape[1]
+        for vec in fl.kernel_basis(res_stack(d), p):
+            poly = ring_G.poly_from_coords(vec, d)
+            kernel_report.append(
+                (d, vec, loc.certify_nilpotent(ring_G, poly, d, D)))
+        for c in range(basis.shape[1]):
+            z = basis[:, c]
+            comps = [ring.poly_from_coords(z[offs[i]:offs[i + 1]], d)
+                     for i, ring in enumerate(rings)]
+            j, deg, j_found = 0, d, None
+            while deg <= D:
+                stacked = res_stack(deg)
+                coords = np.concatenate([ring.coords([f], deg)[:, 0]
+                                         for ring, f in zip(rings, comps)])
+                resid = fl.residual_map(stacked, stacked.shape[0], p)
+                if not fl.matmul(resid, coords, p).any():
+                    j_found = j
+                    break
+                comps = [ring.power(f, p) for ring, f in zip(rings, comps)]
+                j, deg = j + 1, deg * p
+            image_report.append((d, z, j_found))
+    return limit_dims, kernel_report, image_report
+
+
+def same_reports(got, want):
+    """Equal (degree, vector, verdict) tuples, vectors equal in value and
+    dtype."""
+    return len(got) == len(want) and all(
+        d1 == d2 and v1 == v2 and x1.dtype == x2.dtype
+        and np.array_equal(x1, x2)
+        for (d1, x1, v1), (d2, x2, v2) in zip(got, want))
 
 
 class TestBuildLambda:
@@ -205,7 +268,44 @@ class TestBuildLambda:
             build_lambda(s3, 1, 3, 2)
 
 
+ABELIAN_CATALOG = sorted(
+    path.stem for path in (DATA / "groups").glob("*.json")
+    if "abelian" in json.loads(path.read_text()))
+
+
 class TestFIso:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", ABELIAN_CATALOG)
+    def test_catalog_matches_reference(self, name, p):
+        group = gp.load_group(
+            json.loads((DATA / "groups" / f"{name}.json").read_text()))
+        self.check_reference(group, 8, p)
+
+    def test_rank_four_matches_reference(self):
+        self.check_reference(G([2, 2, 2, 2]), 6, 2)
+
+    @staticmethod
+    def check_reference(group, D, p):
+        cert = f_iso_check(group, D, p)
+        limit_dims, kernel_report, image_report = f_iso_reference(group, D, p)
+        assert cert.limit_dims == limit_dims
+        assert same_reports(cert.kernel_report, kernel_report)
+        assert same_reports(cert.image_report, image_report)
+
+    @pytest.mark.parametrize("spec, p", [([2, 2, 2], 2), ([9, 3], 3),
+                                         ([4, 2], 2), ([3], 2), ([1], 2)])
+    def test_top_is_terminal(self, spec, p):
+        # T contains every object, and its own morphism is the identity
+        setup = loc._AbelianSetup(G(spec), p)
+        top = set(setup.objects[setup.top].elements)
+        assert all(top.issuperset(obj.elements) for obj in setup.objects)
+        assert len(setup.into_top) == len(setup.objects)
+        for i, m in enumerate(setup.into_top):
+            assert setup.morphisms[m][:2] == (i, setup.top)
+        for d in range(7):
+            mat = setup.conjres_mat(setup.into_top[setup.top], d)
+            assert (mat == fl.identity(mat.shape[0])).all(), d
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_elementary_abelian(self, p):
         for k in (1, 2):
