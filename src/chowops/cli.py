@@ -255,10 +255,10 @@ def cmd_quillen(args):
         raise CliError(str(exc))
     rows = []
     for d, vec, m in cert.kernel_report:
-        rows.append(("kernel", d, " ".join(map(str, vec)),
+        rows.append(("kernel", d, " ".join(map(str, vec.tolist())),
                      "unresolved" if m is None else f"nilpotent:p^{m}"))
     for d, vec, j in cert.image_report:
-        rows.append(("image", d, " ".join(map(str, vec)),
+        rows.append(("image", d, " ".join(map(str, vec.tolist())),
                      "unresolved" if j is None else f"power:p^{j}"))
     meta = {
         "group": G.name,

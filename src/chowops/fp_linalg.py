@@ -80,12 +80,13 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
 
 def as_fp_matrix(entries, p: int) -> np.ndarray:
     """Coerce to a canonical int64 matrix with entries in 0..p-1."""
-    m = np.array(entries, dtype=np.int64)
+    m = np.array(entries, dtype=np.int64, order="C")
     if m.ndim == 1:
         m = m.reshape(1, -1) if m.size else m.reshape(0, 0)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    return np.ascontiguousarray(m % p)
+    m %= p
+    return m
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fp_linalg as fl
 from . import groups as gp
-from .chow import ChowRing, abelian_ring, restriction_map, ring_module
+from .chow import ChowRing, RingMap, abelian_ring, restriction_map, ring_module
 from .modules import FiniteModule
 
 __all__ = [
@@ -75,16 +75,14 @@ class _AbelianSetup:
             self.sub_data.append(rm.subgroup_data)
         self._mat_cache = {}
         self._comult_cache = {}
-        # morphisms (i, j, h, RingMap CH_{E_j} -> CH_{E_i}) induced by
-        # e -> h e h^-1 from E_i into E_j; conjugation is the identity in
-        # an abelian group, so each map is the restriction from E_j to E_i
-        self.morphisms = []
-        for (i, j), maps in sorted(self.category.morphisms.items()):
-            for h, _ in maps:
-                self.morphisms.append((i, j, h, self.sub_data[j].restrict(
-                    self.sub_data[i], name=f"c_{h}: E{i}->E{j}")))
+        # morphisms (i, j, h) induced by e -> h e h^-1 from E_i into E_j;
+        # `conj_map` builds their ring maps on first use
+        self.morphisms = [(i, j, h) for (i, j), maps
+                          in sorted(self.category.morphisms.items())
+                          for h, _ in maps]
+        self._conj_maps = {}
         self.top = len(self.objects) - 1
-        self.into_top = [m for m, (_, j, _, _) in enumerate(self.morphisms)
+        self.into_top = [m for m, (_, j, _) in enumerate(self.morphisms)
                          if j == self.top]
 
     # -- cached degreewise matrices --------------------------------------
@@ -111,8 +109,18 @@ class _AbelianSetup:
                 self._mat_cache[key] = fl.zeros(0, k)
         return self._mat_cache[key]
 
+    def conj_map(self, m_index) -> RingMap:
+        """The RingMap CH_{E_j} -> CH_{E_i} of morphism m_index: conjugation
+        is the identity in an abelian group, so it is the restriction from
+        E_j to E_i."""
+        if m_index not in self._conj_maps:
+            i, j, h = self.morphisms[m_index]
+            self._conj_maps[m_index] = self.sub_data[j].restrict(
+                self.sub_data[i], name=f"c_{h}: E{i}->E{j}")
+        return self._conj_maps[m_index]
+
     def conjres_mat(self, m_index, d):
-        return self.morphisms[m_index][3].matrix(d)
+        return self.conj_map(m_index).matrix(d)
 
     def comult_split(self, ring: ChowRing, i, j):
         """Matrix of the coproduct piece CH^{i+j} -> CH^i (x) CH^j for a

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from chowops import fp_linalg as fl
-from chowops.chow import elem_abelian_ring, poly_add, poly_mul_raw, truncate
+from chowops.chow import (elem_abelian_ring, poly_add, poly_mul_raw,
+                          poly_scale, truncate)
 from chowops.groups import (ElemAbelianSubgroup, HomClass,
                             QuillenCategoryData, all_elementary_abelians,
                             log_p)
@@ -62,6 +63,40 @@ def apply(rm, f):
                 term = poly_mul_raw(term, rm.images[i], p)
         out = poly_add(out, term, p)
     return target.normal_form(out)
+
+
+def tmul(f1, f2, p):
+    """Product of two total powers, dicts a -> raw polynomial."""
+    out = {}
+    for a1, g1 in f1.items():
+        for a2, g2 in f2.items():
+            out[a1 + a2] = poly_add(out.get(a1 + a2, {}),
+                                    poly_mul_raw(g1, g2, p), p)
+    return {a: g for a, g in out.items() if g}
+
+
+def total_power_monomial(ring, m):
+    """P_t(m) = prod_i P_t(g_i)^{e_i} as a dict a -> raw polynomial,
+    multiplied out one generator factor at a time."""
+    out = {0: {tuple([0] * ring.k): 1}}
+    for i, e in enumerate(m):
+        single = {0: ring.gen_poly(i)}
+        for a in range(1, ring.gen_degree(i) + 1):
+            if ring.steenrod.get((i, a)):
+                single[a] = ring.steenrod[(i, a)]
+        for _ in range(e):
+            out = tmul(out, single, ring.p)
+    return out
+
+
+def act_reference(ring, a, f):
+    """P^a(f) from the dict total powers of its monomials, reduced by the
+    relations: the reference for ChowRing.act and ring_module."""
+    out = {}
+    for m, c in f.items():
+        part = total_power_monomial(ring, m).get(a, {})
+        out = poly_add(out, poly_scale(part, c, ring.p), ring.p)
+    return ring.normal_form(out)
 
 
 def check_commutes(rm, max_degree: int = 6) -> bool:

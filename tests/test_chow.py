@@ -1,21 +1,23 @@
 import hashlib
 import json
 import math
+import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chowops import chow
 from chowops import fp_linalg as fl
 from chowops.chow import (ChowRing, RingMap, abelian_ring, catalog_ring,
                           elem_abelian_ring, ingest_ring, poly_add,
-                          poly_mul_raw, poly_scale, restriction_map, ring_module, truncate)
+                          poly_scale, restriction_map, ring_module, truncate)
 from chowops.groups import FiniteGroup
 from chowops.powers import reduce_word
 
-from conftest import apply, check_commutes
+from conftest import act_reference, apply, check_commutes
 
 
 def test_elem_abelian_dims():
@@ -389,28 +391,12 @@ def test_powers_of_a_degree_one_class(p):
 def chern_ring(p):
     """F_p[c1, c2] with |c1| = 1 and |c2| = 2, the Chow ring of BGL_2:
     P^1 c2 = x1^p x2 + x1 x2^p on the Chern roots, which is c1 c2 at
-    p = 2 and c1^2 c2 + c2^2 at p = 3."""
-    rule = {2: {(1, 1): 1}, 3: {(2, 1): 1, (0, 2): 1}}[p]
+    p = 2, c1^2 c2 + c2^2 at p = 3 and c1^4 c2 + c1^2 c2^2 + 2 c2^3 at
+    p = 5."""
+    rule = {2: {(1, 1): 1}, 3: {(2, 1): 1, (0, 2): 1},
+            5: {(4, 1): 1, (2, 2): 1, (0, 3): 2}}[p]
     return ChowRing(p, [("c1", 1), ("c2", 2)], steenrod={(1, 1): rule},
                     cutoff=8, validate=True)
-
-
-def total_power_reference(ring, m):
-    """P_t(m) multiplied out one generator factor at a time."""
-    p = ring.p
-    out = {0: {tuple([0] * ring.k): 1}}
-    for i, e in enumerate(m):
-        single = {0: ring.gen_poly(i)}
-        for a in range(1, ring.gen_degree(i) + 1):
-            single[a] = ring.steenrod[(i, a)]
-        for _ in range(e):
-            step = {}
-            for a1, f in out.items():
-                for a2, g in single.items():
-                    step[a1 + a2] = poly_add(step.get(a1 + a2, {}),
-                                             poly_mul_raw(f, g, p), p)
-            out = {a: f for a, f in step.items() if f}
-    return out
 
 
 # sha256 of repr(sorted P^a(m) items) over p in (2, 3), every basis
@@ -421,15 +407,97 @@ CHERN_ACTIONS = \
 
 
 def test_chern_ring_actions():
+    # p = 5 is checked against the reference only: its P^1 c2 has a
+    # coefficient 2, which the digest (recorded at p = 2, 3) does not see
     actions = {}
-    for p in (2, 3):
+    for p in (2, 3, 5):
         r = chern_ring(p)
         actions[p] = []
         for d in range(9):
             for m in r.basis(d):
-                assert r.total_power_monomial(m) == \
-                    total_power_reference(r, m), (p, m)
-                actions[p] += [(d, m, a, sorted(r.act(a, {m: 1}).items()))
-                               for a in range(d + 1)]
+                for a in range(d + 1):
+                    got = r.act(a, {m: 1})
+                    assert got == act_reference(r, a, {m: 1}), (p, m, a)
+                    actions[p].append((d, m, a, sorted(got.items())))
+    del actions[5]
     assert sum(map(len, actions.values())) == 310
     assert hashlib.sha256(repr(actions).encode()).hexdigest() == CHERN_ACTIONS
+
+
+# rings for the cross-checks against the dict reference: catalog rings,
+# a degree-2 generator with a multi-term P^1, and two rings with relations
+CROSS_RINGS = {
+    **{f"rank{k}-p{p}": (lambda k=k, p=p: elem_abelian_ring(k, p))
+       for k in range(1, 5) for p in (2, 3, 5)},
+    **{f"chern-p{p}": (lambda p=p: chern_ring(p)) for p in (2, 3, 5)},
+    "x2+y2-p2": lambda: ChowRing(2, [("x", 1), ("y", 1)],
+                                 relations=[{(2, 0): 1, (0, 2): 1}],
+                                 validate=True),
+    "y3-p3": lambda: ChowRing(3, [("y", 1)], relations=[{(3,): 1}],
+                              validate=True),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(CROSS_RINGS)), st.integers(0, 10),
+       st.integers(0, 6), st.integers(0, 2**32))
+def test_act_matches_dict_reference(name, d, a, seed):
+    r = CROSS_RINGS[name]()
+    monos = r.raw_monomials(d)
+    assume(monos)
+    rng = random.Random(seed)
+    f = {m: rng.randrange(1, r.p)
+         for m in rng.sample(monos, min(3, len(monos)))}
+    assert r.act(a, f) == act_reference(r, a, f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CROSS_RINGS)), st.integers(1, 9),
+       st.integers(0, 2**32))
+def test_ring_module_matches_dict_reference(name, top, seed):
+    # every action matrix in the window, on up to three random basis
+    # monomials of its source degree
+    r = CROSS_RINGS[name]()
+    module = ring_module(r, top)
+    rng = random.Random(seed)
+    for d in range(top + 1):
+        basis = r.basis(d)
+        for a in range(1, (top - d) // (r.p - 1) + 1):
+            d2 = d + a * (r.p - 1)
+            mat = module.act(a, d)
+            assert mat.shape == (r.dim(d2), len(basis)), (a, d)
+            for j in rng.sample(range(len(basis)), min(3, len(basis))):
+                want = r.coords([act_reference(r, a, {basis[j]: 1})], d2)
+                assert (mat[:, j] == want[:, 0]).all(), (a, d, basis[j])
+
+
+@pytest.mark.parametrize("high", [5, 2**40])
+def test_distinct_rows_in_lexicographic_order(high):
+    # small entries sort by one integer key, large ones column by column
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, high, size=(200, 4))
+    rows = np.concatenate([rows, rows[::3]])
+    distinct, inverse = chow._distinct(rows)
+    assert list(map(tuple, distinct.tolist())) == \
+        sorted(set(map(tuple, rows.tolist())))
+    assert (distinct[inverse] == rows).all()
+
+
+def test_act_on_a_wide_ring_matches_dict_reference():
+    # rank 20 in degree 20: the exponent rows are too wide for one key
+    r = elem_abelian_ring(20, 3)
+    f = {(20,) + (0,) * 19: 1, (0,) * 19 + (20,): 2, (5,) * 4 + (0,) * 16: 1}
+    for a in (1, 2, 7):
+        assert r.act(a, f) == act_reference(r, a, f), a
+
+
+def test_action_at_a_prime_past_int64_products():
+    # catalog rules have coefficient 1, so no two residues are multiplied;
+    # a coefficient 2 would multiply them past int64, and is refused
+    p = 4294967311
+    assert elem_abelian_ring(2, p).act(1, {(1, 1): 1}) == \
+        {(p, 1): 1, (1, p): 1}
+    r = ChowRing(p, [("c1", 1), ("c2", 2)],
+                 steenrod={(1, 1): {(p + 1, 0): 2}})
+    with pytest.raises(ValueError, match="too large for int64"):
+        r.act(1, {(0, 1): 1})

@@ -4,7 +4,8 @@ whose characters restrict through cyclic factors of order above p (at
 levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
 `quillen-check` past the default cutoff, on a rank-4 group and where the
 p-torsion subgroup is trivial;
-the `d0` bound report, which has no JSON form, as plain text.  A change
+the `d0` bound report and two `act` runs in high degree, which have no
+JSON form, as plain text.  A change
 that moves any output byte fails here."""
 
 import hashlib
@@ -136,6 +137,15 @@ largest certified nilpotent level = 0
 bounds: d0 <= 1, d1 <= 2
 """
 
+# `act` in degrees 189 (p = 2) and 80 (p = 3), where one whole degree of
+# the action would not fit in memory; both outputs are nonzero
+ACT_RUNS = {
+    (2, 3, "y1^63 y2^63 y3^63"):
+        "032f81a96a654ea7f82868436fd3c0eba52c0a371196fab81efe0926ea05c2b0",
+    (3, 4, "y1^22 y2^20 y3^19 y4^19"):
+        "b7dd7489ff4a61c34af9d34daec18196234a29c78a247b7d07ac5455dc217b56",
+}
+
 COMMAND_FLAGS = {"tv": ["--rank", "2"], "quillen-check": [],
                  "localize": ["--level", "2"]}
 
@@ -193,3 +203,12 @@ def test_d0_bounds_text(capsys, data_dir, group):
                  "--faithful-degree", "2"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (0, D0_TEXT, "")
+
+
+@pytest.mark.parametrize("p, rank, poly", sorted(ACT_RUNS))
+def test_act_high_degree_output(capsys, p, rank, poly):
+    code = main(["act", "--prime", str(p), "--rank", str(rank),
+                 "--op", "P^3", "--poly", poly])
+    out, _ = capsys.readouterr()
+    assert code == 0 and out.strip() != "0"
+    assert hashlib.sha256(out.encode()).hexdigest() == ACT_RUNS[p, rank, poly]

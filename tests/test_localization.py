@@ -32,7 +32,7 @@ def seed_and_cut(setup, n, D):
     p = setup.p
     top = max(range(len(setup.objects)),
               key=lambda i: setup.objects[i].rank)
-    top_self = [m for m, (i, j, h, _) in enumerate(setup.morphisms)
+    top_self = [m for m, (i, j, h) in enumerate(setup.morphisms)
                 if i == top and j == top][0]
     order = sorted(range(len(setup.morphisms)),
                    key=lambda m: (m != top_self, setup.morphisms[m][1] != top))
@@ -82,7 +82,7 @@ def f_iso_reference(group, D, p):
         dims = [ring.dim(d) for ring in rings]
         offs = np.cumsum([0] + dims)
         rows = []
-        for mi, (i1, i2, _, _) in enumerate(setup.morphisms):
+        for mi, (i1, i2, _) in enumerate(setup.morphisms):
             block = fl.zeros(dims[i1], offs[-1])
             block[:, offs[i1]:offs[i1 + 1]] = fl.identity(dims[i1])
             block[:, offs[i2]:offs[i2 + 1]] = \
@@ -219,7 +219,7 @@ class TestBuildLambda:
         # the map of E_i -> E_j composed with restriction from G to E_j is
         # restriction from G to E_i
         setup = loc._AbelianSetup(G(spec), p)
-        for m, (i, j, _, _) in enumerate(setup.morphisms):
+        for m, (i, j, _) in enumerate(setup.morphisms):
             for d in range(5):
                 via_j = fl.matmul(setup.conjres_mat(m, d),
                                   setup.res_mat(j, d), p)
@@ -253,7 +253,7 @@ class TestBuildLambda:
             for i, data in enumerate(setup.sub_data):
                 assert setup.res_mat(i, d).shape == (
                     data.ring.dim(d), setup.data_G.ring.dim(d))
-            for m, (i, j, _, _) in enumerate(setup.morphisms):
+            for m, (i, j, _) in enumerate(setup.morphisms):
                 assert setup.conjres_mat(m, d).shape == (
                     setup.sub_data[i].ring.dim(d),
                     setup.sub_data[j].ring.dim(d))
@@ -305,6 +305,15 @@ class TestFIso:
         for d in range(7):
             mat = setup.conjres_mat(setup.into_top[setup.top], d)
             assert (mat == fl.identity(mat.shape[0])).all(), d
+
+    def test_morphism_maps_built_on_first_use(self, monkeypatch):
+        # f_iso_check reads only the maps into T, so only those are built
+        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
+        assert not setup._conj_maps
+        monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
+        f_iso_check(G([2, 2, 2]), 6, 2)
+        assert set(setup._conj_maps) == set(setup.into_top)
+        assert len(setup.into_top) < len(setup.morphisms)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_elementary_abelian(self, p):
