@@ -322,9 +322,9 @@ class ChowRing:
         `levels` (from `_prefix_levels`), into degrees <= top, as
         {d: (rows, vals)}: vals[r, j] is the coefficient of the monomial
         rows[r] in P^a of the j-th monomial of the level, with a read off
-        the degree of rows[r].  Only nonzero rows are kept, sorted.  With
-        `keep`, seeds are read from `_columns` and every computed column
-        is kept there.
+        the degree of rows[r].  Only nonzero rows are kept, sorted.  Seeds
+        are read from `_columns`; with `keep`, every computed column is
+        kept there too.
 
         A monomial g_i m' has P^a(g_i m') = sum_b P^b(g_i) P^{a-b}(m') (the
         Cartan formula, which holds in Chow theory: Brosnan, "Steenrod
