@@ -5,8 +5,8 @@ levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
 `quillen-check` past the default cutoff, on a rank-4 group and where the
 p-torsion subgroup is trivial;
 the `d0` bound report and two `act` runs in high degree, which have no
-JSON form, as plain text.  A change
-that moves any output byte fails here."""
+JSON form, as plain text.  A change that moves any output byte fails
+here."""
 
 import hashlib
 import json
