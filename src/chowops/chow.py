@@ -8,7 +8,7 @@ ring file and is checked for internal consistency only.
 
 Polynomials are dicts mapping exponent tuples to scalars in 1..p-1.  The
 reduced-power action works on numpy exponent rows (degree, e_1, ..., e_k)
-instead, by the Cartan formula, one generator at a time.
+instead, by the Cartan formula, one generator at a time (`cartan`).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from operator import add
 
 import numpy as np
 
+from . import cartan
 from . import fp_linalg as fl
 from . import groups as gp
 from .modules import FiniteModule
@@ -93,21 +94,9 @@ class ChowRing:
         for (gi, a), val in (steenrod or {}).items():
             self.steenrod[(int(gi), int(a))] = dict(val)
         self._fill_top_powers()
-        # the terms c mu of P^b(g_i), b = 0..|g_i|, per generator g_i, as
-        # exponent rows and coefficients: what the Cartan recursion adds
-        self._terms = []
-        for i in range(self.k):
-            rules = [self.gen_poly(i)] + [
-                self.steenrod.get((i, b), {})
-                for b in range(1, self.gen_degree(i) + 1)]
-            self._terms.append([(row, c) for rule in rules for row, c in
-                                zip(self._rows(rule), rule.values())])
         self._deg_cache = {}
         self._shift_cache = {}
-        # monomial -> (amax, rows, vals, bounds): its column of P^a for every
-        # a <= amax, P^a in rows bounds[a]:bounds[a + 1]
-        self._columns = {}
-        self._reach = 0     # the largest a asked of act_raw
+        self._action = cartan.Action(self)
         if validate:
             self.validate()
 
@@ -196,16 +185,6 @@ class ChowRing:
             return 0
         return len(self.basis(d))
 
-    def _rows(self, monos) -> np.ndarray:
-        """Exponent rows (degree, e_1, ..., e_k) of the given monomials.
-        Multiplying by a monomial adds its row, and lexicographic order of
-        the rows is degree first, then the order of `raw_monomials`."""
-        monos = [tuple(m) for m in monos]
-        exps = np.array(monos, dtype=np.int64).reshape(len(monos), self.k)
-        degrees = exps @ np.array([d for _, d in self.generators],
-                                  dtype=np.int64).reshape(self.k)
-        return np.column_stack([degrees, exps])
-
     def scatter(self, mus, d: int) -> np.ndarray:
         """Multiplication by the monomials `mus` as maps of raw-monomial
         indices: raw_monomials(d)[t] * mus[j] is
@@ -266,138 +245,14 @@ class ChowRing:
 
     # -- reduced-power action --------------------------------------------
 
-    def _prefix_levels(self, rows, amax=None) -> dict:
-        """The monomials the Cartan recursion visits from the exponent rows
-        `rows`, as {d: (level, links, n)}.  A monomial g_i m' whose first
-        generator is g_i needs m', so for each i `links` holds
-        (i, sel, pos): level[sel] is g_i times levels[d - |g_i|][0][pos].
-        The first n rows of a level, sorted, are the monomials to compute;
-        those whose first generator is g_i are consecutive, so sel is a
-        slice.  Given `amax`, a monomial whose column `_columns` keeps for
-        every a <= amax is not descended into: it comes after the first n,
-        as a seed."""
-        rows = _distinct(rows)[0]
-        # degree -> [(sorted distinct rows, (d, i, sel) of their multiples)]
-        pending = {d: [(rows[rows[:, 0] == d], None)]
-                   for d in set(rows[:, 0].tolist())}
-        levels = {}
-        while pending:
-            d = max(pending)
-            chunks = pending.pop(d)
-            level, inverse = _union([c for c, _ in chunks])
-            n = len(level)
-            if amax is not None:
-                seed = [self._columns.get(m, (-1,))[0] >= amax
-                        for m in map(tuple, level[:, 1:].tolist())]
-                if all(seed):
-                    n = 0
-                elif any(seed):
-                    seed = np.array(seed)
-                    order = np.concatenate([(~seed).nonzero()[0],
-                                            seed.nonzero()[0]])
-                    where = np.empty(len(order), dtype=np.intp)
-                    where[order] = np.arange(len(order))
-                    level, inverse = level[order], where[inverse]
-                    n -= int(seed.sum())
-            levels[d] = level, [], n
-            start = 0
-            for c, owner in chunks:
-                if owner:
-                    above, i, sel = owner
-                    levels[above][1].append(
-                        (i, sel, inverse[start:start + len(c)]))
-                start += len(c)
-            if d == 0 or not n:
-                continue
-            first = (level[:n, 1:] > 0).argmax(axis=1)
-            for i in set(first.tolist()):
-                at = (first == i).nonzero()[0]
-                sel = slice(at[0], at[-1] + 1)
-                pending.setdefault(d - self.gen_degree(i), []).append(
-                    (level[sel] - self._terms[i][0][0], (d, i, sel)))
-        return levels
-
-    def _cartan(self, levels, amax: int, top: int, keep=False) -> dict:
-        """The reduced powers P^a, a <= amax, of every monomial in
-        `levels` (from `_prefix_levels`), into degrees <= top, as
-        {d: (rows, vals)}: vals[r, j] is the coefficient of the monomial
-        rows[r] in P^a of the j-th monomial of the level, with a read off
-        the degree of rows[r].  Only nonzero rows are kept, sorted.  Seeds
-        are read from `_columns`; with `keep`, every computed column is
-        kept there too.
-
-        A monomial g_i m' has P^a(g_i m') = sum_b P^b(g_i) P^{a-b}(m') (the
-        Cartan formula, which holds in Chow theory: Brosnan, "Steenrod
-        operations in Chow theory", Trans. AMS 2003).  So its column is
-        built from the column of m' one level down: multiplying by a term
-        c mu of P^b(g_i) adds mu's row to every row, and the products are
-        scattered into the union of their rows."""
-        p = self.p
-        # an entry sums one residue per term of P(g_i), and a term with a
-        # coefficient other than 1 multiplies two residues
-        widest = max(map(len, self._terms), default=0)
-        scaled = any(c != 1 for t in self._terms for _, c in t)
-        if widest * (p - 1) >= 2**63 or scaled and (p - 1) ** 2 >= 2**63:
-            raise ValueError(f"prime {p} too large for int64 products")
-        out = {}
-        for d in sorted(levels):
-            cols, links, n = levels[d]
-            ceiling = min(top, d + amax * (p - 1))
-            parts = []  # (sorted distinct rows, vals, columns they add to)
-            if d == 0 and n:  # P^0(1) = 1
-                parts.append((cols[:1], np.ones((1, 1), dtype=np.int64),
-                              slice(0, 1)))
-            for i, sel, pos in links:
-                src_rows, src_vals = out[d - self.gen_degree(i)]
-                src_vals = src_vals[:, pos]
-                for row, c in self._terms[i]:
-                    m = src_rows[:, 0].searchsorted(ceiling - row[0], "right")
-                    vals = src_vals[:m] if c == 1 else src_vals[:m] * c % p
-                    parts.append((src_rows[:m] + row, vals, sel))
-            for j in range(n, len(cols)):
-                _, rows, vals, _ = self._columns[tuple(cols[j, 1:].tolist())]
-                parts.append((rows, vals[:, None], slice(j, j + 1)))
-            if len(parts) == 1 and len(cols) == 1:  # one seed, or P^0(1)
-                rows, acc = parts[0][:2]
-            else:
-                rows, acc = _scatter(parts, len(cols), p)
-            out[d] = rows, acc
-            if keep:
-                # bounds[a]: the first row of P^a, a <= amax + 1
-                bounds = rows[:, 0].searchsorted(
-                    d + np.arange(amax + 2) * (p - 1)).tolist()
-                for j, m in enumerate(cols[:n, 1:].tolist()):
-                    nz = acc[:, j].nonzero()[0]
-                    self._columns[tuple(m)] = (
-                        amax, rows[nz], acc[nz, j],
-                        np.searchsorted(nz, bounds).tolist())
-        return out
-
     def act_raw(self, a: int, f: Poly) -> Poly:
-        """P^a(f) before reduction by relations.  The Cartan recursion runs
-        on the monomials of f whose columns are not kept yet, for every
-        a' up to the largest a this ring has been asked for, and keeps the
-        columns it computes; a later action on the same monomials, or on
-        monomials a generator above them, starts from there."""
+        """P^a(f) before reduction by relations."""
         if a < 0:
             raise ValueError("operation index must be >= 0")
         d = self.poly_degree(f)
-        if not f:
+        if not f or a > d:  # P^a vanishes above the degree
             return {}
-        p = self.p
-        todo = [m for m in f if self._columns.get(m, (-1,))[0] < a]
-        if todo:
-            self._reach = amax = max(self._reach, a)
-            self._cartan(self._prefix_levels(self._rows(todo), amax), amax,
-                         d + amax * (p - 1), keep=True)
-        out = {}
-        for m, c in f.items():
-            _, rows, vals, bounds = self._columns[m]
-            lo, hi = bounds[a], bounds[a + 1]
-            for r, v in zip(map(tuple, rows[lo:hi, 1:].tolist()),
-                            vals[lo:hi].tolist()):
-                out[r] = (out.get(r, 0) + c * v) % p
-        return {m: c for m, c in out.items() if c}
+        return self._action.act(a, f, d)
 
     def act(self, a: int, f: Poly) -> Poly:
         """The reduced-power action P^a on a homogeneous polynomial."""
@@ -639,77 +494,27 @@ def _action_through(ring: ChowRing, top: int):
     dims = {d: ring.dim(d) for d in range(max(top + 1, 0)) if ring.dim(d)}
     if not dims:
         return dims, {}
-    raw = {d: ring._rows(ring._deg_data(d)[0]) for d in dims}
-    basis = {d: ring._rows(ring.basis(d)) for d in dims} \
+    action = ring._action
+    raw = {d: action.rows(ring._deg_data(d)[0]) for d in dims}
+    basis = {d: action.rows(ring.basis(d)) for d in dims} \
         if ring.relations else raw
-    levels = ring._prefix_levels(np.concatenate(list(basis.values())))
-    blocks = ring._cartan(levels, top, top)
+    levels = action.prefix_levels(np.concatenate(list(basis.values())))
+    blocks = action.powers(levels, top, top)
     mats = {}
     for d in sorted(dims):
         rows, vals = blocks.pop(d)
-        cols = _find(basis[d], levels[d][0])
+        cols = cartan.find(basis[d], levels[d][0])
         for a in range(1, d + 1):
             d2 = d + a * (ring.p - 1)
             if d2 > top or d2 not in dims:
                 continue
             lo, hi = np.searchsorted(rows[:, 0], [d2, d2 + 1])
             mat = fl.zeros(len(raw[d2]), len(cols))
-            mat[_find(rows[lo:hi], raw[d2])] = vals[lo:hi][:, cols]
+            mat[cartan.find(rows[lo:hi], raw[d2])] = vals[lo:hi][:, cols]
             mat = ring._reduce(mat, d2)
             if mat.any():
                 mats[(a, d)] = mat
     return dims, mats
-
-
-def _distinct(rows: np.ndarray):
-    """(the distinct rows of a nonnegative integer matrix in lexicographic
-    order, the index of each row among them).  Rows sort by one integer
-    key when the entries are small enough to be its digits."""
-    base = int(rows.max(initial=0)) + 1
-    if base ** rows.shape[1] < 2**63:
-        order = (rows @ base ** np.arange(rows.shape[1])[::-1]).argsort()
-    else:
-        order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    new = np.empty(len(srt), dtype=bool)
-    new[:1] = True
-    np.logical_or.reduce(srt[1:] != srt[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = new.cumsum() - 1
-    return srt[new], inverse
-
-
-def _scatter(parts, ncols: int, p: int):
-    """Sum the products (rows, vals, columns) into the union of their rows:
-    (rows, acc) with acc reduced mod p and its zero rows dropped."""
-    rows, inverse = _union([r for r, _, _ in parts])
-    acc = np.zeros((len(rows), ncols), dtype=np.int64)
-    start, filled = 0, set()
-    for r, vals, sel in parts:
-        at = inverse[start:start + len(r)]
-        start += len(r)
-        if sel.start in filled:
-            acc[at, sel] += vals
-        else:  # the first product into these columns
-            acc[at, sel] = vals
-            filled.add(sel.start)
-    acc %= p
-    live = acc.any(axis=1)
-    return (rows, acc) if live.all() else (rows[live], acc[live])
-
-
-def _union(chunks):
-    """`_distinct` of the stacked row blocks `chunks`, each already sorted
-    and distinct."""
-    if len(chunks) == 1:
-        return chunks[0], np.arange(len(chunks[0]))
-    return _distinct(np.concatenate(chunks))
-
-
-def _find(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The index in `table` (distinct rows, lexicographically sorted) of
-    each of `rows`, all of which occur in it."""
-    return _distinct(np.concatenate([table, rows]))[1][len(table):]
 
 
 def truncate(ring: ChowRing, n: int) -> FiniteModule:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chowops import chow
+from chowops import cartan
 from chowops import fp_linalg as fl
 from chowops.chow import (ChowRing, RingMap, abelian_ring, catalog_ring,
                           elem_abelian_ring, ingest_ring, poly_add,
@@ -473,18 +473,17 @@ def test_ring_module_matches_dict_reference(name, top, seed):
 
 @pytest.mark.parametrize("high", [5, 2**40])
 def test_distinct_rows_in_lexicographic_order(high):
-    # small entries sort by one integer key, large ones column by column
     rng = np.random.default_rng(0)
     rows = rng.integers(0, high, size=(200, 4))
     rows = np.concatenate([rows, rows[::3]])
-    distinct, inverse = chow._distinct(rows)
+    distinct, inverse = cartan.distinct(rows)
     assert list(map(tuple, distinct.tolist())) == \
         sorted(set(map(tuple, rows.tolist())))
     assert (distinct[inverse] == rows).all()
 
 
 def test_act_on_a_wide_ring_matches_dict_reference():
-    # rank 20 in degree 20: the exponent rows are too wide for one key
+    # rank 20 in degree 20
     r = elem_abelian_ring(20, 3)
     f = {(20,) + (0,) * 19: 1, (0,) * 19 + (20,): 2, (5,) * 4 + (0,) * 16: 1}
     for a in (1, 2, 7):

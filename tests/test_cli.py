@@ -42,6 +42,14 @@ def test_act_examples(capsys):
     assert out.strip() == "0"
 
 
+@pytest.mark.parametrize("op", ["P^10000000000", "P^10000000000 P^1"])
+def test_act_above_the_degree_is_zero(capsys, op):
+    # P^a vanishes in degree < a: nothing is expanded up to a
+    code, out, err = run(capsys, "act", "--prime", "2", "--rank", "1",
+                         "--op", op, "--poly", "y1")
+    assert (code, out.strip(), err) == (0, "0", "")
+
+
 def test_act_rejects_inhomogeneous(capsys):
     code, _, err = run(capsys, "act", "--prime", "2", "--rank", "1",
                        "--op", "P^1", "--poly", "y1 + y1^2")
