@@ -3,7 +3,8 @@ digests of `--format json` stdout for the non-elementary abelian groups,
 whose characters restrict through cyclic factors of order above p (at
 levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
 `quillen-check` past the default cutoff, on a rank-4 group and where the
-p-torsion subgroup is trivial;
+p-torsion subgroup is trivial; `localize` at rank 3 and 4 past the
+default cutoff, where most objects lie below the top subgroup;
 the `d0` bound report and two `act` runs in high degree, which have no
 JSON form, as plain text.  A change that moves any output byte fails
 here."""
@@ -130,11 +131,30 @@ QUILLEN_CUTOFF_RUNS = {
 QUILLEN_RANK_FOUR = (
     "4d6dd37dc08410258f6273f56ebc682d5c61a4edf9f765d109d4537f37f6e6ce")
 
+# localize on the elementary abelian groups of rank 3, past the default
+# cutoff and level
+LOCALIZE_CUTOFF_RUNS = {
+    ("z3cube", 3, 3, 8):
+        "e005af5c7170a38c8a763d6983d8d36e9dcf2764e39e4f68cd14926cbc72d055",
+    ("z2cube", 2, 3, 10):
+        "30400577cf37933f957373ef4d24d62d5a7dd80933b1c22d04470a06dcbe7b59",
+}
+
+LOCALIZE_RANK_FOUR = (
+    "5835f539fd35dcd26982ba373a8379f3621c6e8dd5ba649e770b1bc571e4f0c4")
+
 D0_TEXT = """\
 d0 = 0 (verified-through-cutoff)
 d1 = 0 (verified-through-cutoff)
 largest certified nilpotent level = 0
 bounds: d0 <= 1, d1 <= 2
+"""
+
+D0_Z2CUBE_TEXT = """\
+d0 = 0 (verified-through-cutoff)
+d1 = 0 (verified-through-cutoff)
+largest certified nilpotent level = 0
+bounds: d0 <= 3, d1 <= 6
 """
 
 # `act` in degrees 189 (p = 2) and 80 (p = 3), where one whole degree of
@@ -197,12 +217,36 @@ def test_quillen_rank_four_output(capsys, tmp_path):
     assert digest(capsys, *argv) == QUILLEN_RANK_FOUR
 
 
+@pytest.mark.parametrize("group, p, level, cutoff",
+                         sorted(LOCALIZE_CUTOFF_RUNS))
+def test_localize_cutoff_output(capsys, data_dir, group, p, level, cutoff):
+    argv = ["localize", "--group", data_dir / "groups" / f"{group}.json",
+            "--prime", p, "--level", level, "--cutoff", cutoff]
+    assert digest(capsys, *argv) == LOCALIZE_CUTOFF_RUNS[group, p, level,
+                                                         cutoff]
+
+
+def test_localize_rank_four_output(capsys, tmp_path):
+    path = tmp_path / "z2_4.json"
+    path.write_text(json.dumps({"abelian": [2, 2, 2, 2], "name": "(Z/2)^4"}))
+    argv = ["localize", "--group", path, "--prime", 2, "--level", 2,
+            "--cutoff", 6]
+    assert digest(capsys, *argv) == LOCALIZE_RANK_FOUR
+
+
 @pytest.mark.parametrize("group", ["klein", "z4xz2"])
 def test_d0_bounds_text(capsys, data_dir, group):
     code = main(["d0", "--group", str(data_dir / "groups" / f"{group}.json"),
                  "--faithful-degree", "2"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (0, D0_TEXT, "")
+
+
+def test_d0_bounds_text_rank_three(capsys, data_dir):
+    code = main(["d0", "--group", str(data_dir / "groups" / "z2cube.json"),
+                 "--cutoff", "8", "--faithful-degree", "3"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0, D0_Z2CUBE_TEXT, "")
 
 
 @pytest.mark.parametrize("p, rank, poly", sorted(ACT_RUNS))
