@@ -187,27 +187,22 @@ def ell_check(G: gp.FiniteGroup, r: int, D: int, p: int):
     return report
 
 
-def _compile_bounded(m: FPModule) -> FiniteModule:
+def _compile_bounded(m: FPModule):
     """Complete finite model of a presentation with a declared support
-    bound (see FPModule.support_bound)."""
+    bound (see FPModule.support_bound), or None without one."""
     if m.support_bound is None:
-        raise ValueError(
-            f"{m!r} carries no support bound; the tensor route needs "
-            "bounded factors or a one-dimensional one")
+        return None
     compiled = compile_presentation(m, m.support_bound)
     return FiniteModule(m.p, compiled.dims, compiled.mats,
                         truncated_above=None, validate=False)
 
 
-def _point_profile(m: FPModule):
-    """(degree, ) if the module is one-dimensional concentrated in a single
+def _point_degree(finite: FiniteModule | None):
+    """The degree of a one-dimensional module concentrated in a single
     degree, else None."""
-    if m.support_bound is None:
-        return None
-    compiled = compile_presentation(m, m.support_bound)
-    support = compiled.support
-    if len(support) == 1 and compiled.dim(support[0]) == 1:
-        return support[0]
+    if finite is not None and len(finite.support) == 1 \
+            and finite.dim(finite.support[0]) == 1:
+        return finite.support[0]
     return None
 
 
@@ -219,25 +214,22 @@ def tensor_convolution_check(m: FPModule, n: FPModule, r: int, D: int,
     The left side is computed without ever invoking the product rule:
     bounded factors tensor into one complete finite module whose T
     dimensions come from the Hom route; a one-dimensional factor is a
-    degree shift handled by an explicit suspension presentation.
+    degree shift handled by an explicit suspension presentation.  Each
+    bounded factor is compiled once.
     """
     if m.p != n.p:
         raise ValueError("primes differ")
-    lhs = {}
-    shift_n = _point_profile(n)
-    shift_m = _point_profile(m)
-    if m.support_bound is not None and n.support_bound is not None:
-        prod = tensor_finite(_compile_bounded(m), _compile_bounded(n))
-        for k in range(D + 1):
-            lhs[k] = tv_dim(prod, r, k)
+    finite_m, finite_n = _compile_bounded(m), _compile_bounded(n)
+    shift_n, shift_m = _point_degree(finite_n), _point_degree(finite_m)
+    if finite_m is not None and finite_n is not None:
+        prod = tensor_finite(finite_m, finite_n)
+        lhs = {k: tv_dim(prod, r, k) for k in range(D + 1)}
     elif shift_n is not None:
         s = suspension_presentation(m, shift_n)
-        for k in range(D + 1):
-            lhs[k] = tv_dim(s, r, k)
+        lhs = {k: tv_dim(s, r, k) for k in range(D + 1)}
     elif shift_m is not None:
         s = suspension_presentation(n, shift_m)
-        for k in range(D + 1):
-            lhs[k] = tv_dim(s, r, k)
+        lhs = {k: tv_dim(s, r, k) for k in range(D + 1)}
     else:
         raise ValueError(
             "tensor route needs bounded factors or a one-dimensional one")

@@ -16,7 +16,7 @@ rejected with a pointed message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -122,6 +122,15 @@ class _AbelianSetup:
     def conjres_mat(self, m_index, d):
         return self.conj_map(m_index).matrix(d)
 
+    @cached_property
+    def functorial(self):
+        """Whether every morphism E_i -> E_j composes with restriction from
+        G: c o res_{G->E_j} = res_{G->E_i}, on substitution matrices."""
+        return all(
+            (fl.matmul(self.res_to[j].mat, self.conj_map(m).mat, self.p)
+             == self.res_to[i].mat).all()
+            for m, (i, j, _) in enumerate(self.morphisms))
+
     def comult_split(self, ring: ChowRing, i, j):
         """Matrix of the coproduct piece CH^{i+j} -> CH^i (x) CH^j for a
         polynomial ring on degree-1 classes: product of binomials."""
@@ -143,100 +152,39 @@ class _AbelianSetup:
         return self._comult_cache[key]
 
 
-def _middle_blocks(setup, obj_index, d, n):
-    """Ordered (j, rows) blocks of CH_E (x) CH_G^{<n} in degree d."""
-    ring_E = setup.sub_data[obj_index].ring
-    ring_G = setup.data_G.ring
-    out = []
-    for j in range(min(n - 1, d) + 1):
-        rows = ring_E.dim(d - j) * ring_G.dim(j)
-        out.append((j, rows))
-    return out
+def _lambda_block(setup, d, n):
+    """lambda_T in degree d, CH^d_G -> (CH_T (x) CH_G^{<n})^d: comultiply,
+    restrict the left factor to T, truncate the right factor below n.  Its
+    row blocks are the centralizer degrees j < n, in increasing order."""
+    return np.vstack([setup.res_comult(setup.top, d - j, j)
+                      for j in range(min(n - 1, d) + 1)])
 
 
-def _right_blocks(setup, e1_index, d, n):
-    """Ordered ((j2, j3), rows) blocks of CH_{E1} (x) (CH_{E1} (x)
-    CH_G)^{<n} in degree d."""
-    ring_E = setup.sub_data[e1_index].ring
-    ring_G = setup.data_G.ring
-    out = []
+def _top_condition(setup, d, n):
+    """Leg 1 minus leg 2 of T's own pair in degree d, from
+    (CH_T (x) CH_G^{<n})^d to (CH_T (x) (CH_T (x) CH_G)^{<n})^d.  Leg 1
+    comultiplies the CH_T factor.  Leg 2 maps the CH_T factor by T's own
+    map, the identity, and expands the centralizer factor into factors two
+    and three.  The row blocks are the (j2, j3) degrees of those factors."""
+    p, ring_G = setup.p, setup.data_G.ring
+    ring_T = setup.sub_data[setup.top].ring
+    offs = np.cumsum([0] + [ring_T.dim(d - j) * ring_G.dim(j)
+                            for j in range(min(n - 1, d) + 1)])
+    blocks = []
     for j2 in range(min(n - 1, d) + 1):
         for j3 in range(min(n - 1 - j2, d - j2) + 1):
-            rows = (ring_E.dim(d - j2 - j3) * ring_E.dim(j2) * ring_G.dim(j3))
-            out.append(((j2, j3), rows))
-    return out
-
-
-def _offsets(blocks):
-    offs, pos = {}, 0
-    for key, rows in blocks:
-        offs[key] = pos
-        pos += rows
-    return offs, pos
-
-
-def _lambda_block(setup, obj_index, d, n):
-    """Matrix CH^d_G -> middle_E^d: comultiply, restrict the left factor,
-    truncate the right factor below n."""
-    return np.vstack([setup.res_comult(obj_index, d - j, j)
-                      for j, _ in _middle_blocks(setup, obj_index, d, n)])
-
-
-def _leg1_block(setup, i1, d, n):
-    """Map middle_{E1}^d -> right_phi^d for any morphism phi out of object
-    i1: comultiply the E1 factor (conjugation on the centralizer side is
-    trivial for abelian groups, so phi itself does not enter)."""
-    ring_E = setup.sub_data[i1].ring
-    ring_G = setup.data_G.ring
-    src_blocks = _middle_blocks(setup, i1, d, n)
-    src_offs, src_total = _offsets(src_blocks)
-    tgt_blocks = _right_blocks(setup, i1, d, n)
-    tgt_offs, tgt_total = _offsets(tgt_blocks)
-    mat = fl.zeros(tgt_total, src_total)
-    for (j2, j3), rows in tgt_blocks:
-        if not rows:
-            continue
-        i = d - j3  # source E1-degree feeding this target block
-        src_rows = ring_E.dim(i) * ring_G.dim(j3)
-        if not src_rows:
-            continue
-        piece = fl.kron(setup.comult_split(ring_E, i - j2, j2),
-                        fl.identity(ring_G.dim(j3)), setup.p)
-        r0 = tgt_offs[(j2, j3)]
-        c0 = src_offs[j3]
-        mat[r0:r0 + rows, c0:c0 + src_rows] = piece
-    return mat
-
-
-def _leg2_block(setup, m_index, d, n):
-    """Map middle_{E2}^d -> right_phi^d: restrict the E2 factor along the
-    conjugation map into factor one, expand the centralizer factor into
-    factors two and three."""
-    i1, i2 = setup.morphisms[m_index][0], setup.morphisms[m_index][1]
-    ring_E2 = setup.sub_data[i2].ring
-    ring_G = setup.data_G.ring
-    src_blocks = _middle_blocks(setup, i2, d, n)
-    src_offs, src_total = _offsets(src_blocks)
-    tgt_blocks = _right_blocks(setup, i1, d, n)
-    tgt_offs, tgt_total = _offsets(tgt_blocks)
-    mat = fl.zeros(tgt_total, src_total)
-    for (j2, j3), rows in tgt_blocks:
-        if not rows:
-            continue
-        j = j2 + j3
-        i = d - j
-        if j > min(n - 1, d) or ring_E2.dim(i) == 0:
-            continue
-        src_rows = ring_E2.dim(i) * ring_G.dim(j)
-        if not src_rows:
-            continue
-        # centralizer classes comultiply and restrict into factors 2 and 3
-        piece = fl.kron(setup.conjres_mat(m_index, i),
-                        setup.res_comult(i1, j2, j3), setup.p)
-        r0 = tgt_offs[(j2, j3)]
-        c0 = src_offs[j]
-        mat[r0:r0 + rows, c0:c0 + src_rows] = piece
-    return mat
+            i, j = d - j2 - j3, j2 + j3
+            block = fl.zeros(ring_T.dim(i) * ring_T.dim(j2) * ring_G.dim(j3),
+                             offs[-1])
+            if block.shape[0]:
+                block[:, offs[j3]:offs[j3 + 1]] = fl.kron(
+                    setup.comult_split(ring_T, i, j2),
+                    fl.identity(ring_G.dim(j3)), p)
+                block[:, offs[j]:offs[j + 1]] -= fl.kron(
+                    fl.identity(ring_T.dim(i)),
+                    setup.res_comult(setup.top, j2, j3), p)
+            blocks.append(block % p)
+    return np.vstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +217,31 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     """Materialize lambda_n and the two legs through degree D and compute
     the equalizer dimensions.
 
-    The equalizer in each degree is the kernel of the terminal object T's
-    own condition (leg 1 minus leg 2 on its self pair; see
-    `_AbelianSetup`).  The other conditions add nothing: for a morphism
-    E1 <= E2, both legs composed with restriction from T equal
-    (res_{T->E1} (x) res_{T->E1} (x) id) applied to T's own two legs,
-    because restriction is a degree-preserving bialgebra map and is
-    functorial.
+    The subgroup category has a terminal object T (see `_AbelianSetup`),
+    and every output is read off T's component lambda_T and T's own pair
+    of legs, where T's own map is the identity:
 
-    The legs are still compared on the image of lambda over every
-    morphism, which builds each leg block once per degree.
+    * equalizer.  In degree d it is the kernel of leg 1 minus leg 2 of
+      that pair;
+    * rank.  res_{G->E} = res_{T->E} o res_{G->T}, so
+      lambda_E = (res_{T->E} (x) id) lambda_T.  The lambda stacked over
+      every object therefore has the rank of lambda_T, which decides
+      `injective` and `onto_equalizer`;
+    * morphisms.  For phi: E1 -> E2, leg 2 of phi on lambda_{E2} equals
+      leg 2 of E1's own pair on lambda_{E1} whenever
+      c_phi o res_{G->E2} = res_{G->E1}: the mixed-product rule of the
+      Kronecker product, block by block.  Leg 1 depends on E1 alone;
+    * objects below T.  E1's own pair is T's pair pushed forward by
+      res_{T->E1} (x) res_{T->E1} (x) id.  This uses functoriality
+      G -> T -> E1 and that restriction is a coalgebra map;
+    * `middle_dims` is the sum of the block dimensions over the objects.
+
+    So `legs_agree[d]` is: T's legs agree on lambda_T in degree d, and
+    every morphism composes with restriction from G.  The second part is
+    checked once per setup on the degree-1 substitution matrices; it
+    covers every degree because `RingMap.matrix(d)` is the d-th symmetric
+    power of the substitution matrix.  Together they imply that the legs
+    agree on the image of lambda over every morphism.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
@@ -287,37 +250,21 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
 
 def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
     p = setup.p
-    top_self = setup.into_top[setup.top]
-    # T's self pair first: its kernel is taken before other blocks are held
-    order = [top_self] + [m for m in range(len(setup.morphisms))
-                          if m != top_self]
     diagram = EqualizerDiagram(
         group=setup.G, p=p, level=n, cutoff=D, objects=setup.objects,
         morphism_count=len(setup.morphisms))
     ring_G = setup.data_G.ring
     for d in range(D + 1):
-        lam = [_lambda_block(setup, i, d, n)
-               for i in range(len(setup.objects))]
+        lam = _lambda_block(setup, d, n)
+        cond = _top_condition(setup, d, n)
         diagram.source_dims[d] = ring_G.dim(d)
-        diagram.middle_dims[d] = sum(m.shape[0] for m in lam)
-        full_lambda = np.vstack(lam)
-
-        leg1 = {}     # source object -> (leg-1 block, its product with lambda)
-        agree = True
-        for mi in order:
-            i1, i2 = setup.morphisms[mi][:2]
-            if i1 not in leg1:
-                a = _leg1_block(setup, i1, d, n)
-                leg1[i1] = a, fl.matmul(a, lam[i1], p)
-            a, a_lam = leg1[i1]
-            b = _leg2_block(setup, mi, d, n)
-            if (a_lam != fl.matmul(b, lam[i2], p)).any():
-                agree = False
-            if mi == top_self:
-                eq_dim = fl.kernel_matrix((a - b) % p, p).shape[1]
+        diagram.middle_dims[d] = sum(
+            data.ring.dim(d - j) * ring_G.dim(j)
+            for data in setup.sub_data for j in range(min(n - 1, d) + 1))
+        agree = setup.functorial and not fl.matmul(cond, lam, p).any()
         diagram.legs_agree[d] = agree
-        diagram.eq_dims[d] = eq_dim
-        rk = fl.rank(full_lambda, p)
+        diagram.eq_dims[d] = eq_dim = fl.kernel_matrix(cond, p).shape[1]
+        rk = fl.rank(lam, p)
         diagram.injective[d] = rk == ring_G.dim(d)
         diagram.onto_equalizer[d] = agree and rk == eq_dim
     return diagram

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from chowops import lannes
 from chowops.chow import elem_abelian_ring, truncate
 from chowops.groups import FiniteGroup
 from chowops.lannes import (ell_check, tensor_convolution_check, tv_dim,
@@ -166,6 +167,20 @@ class TestTensorTheorem:
         a = point_presentation(1, p)
         ok, detail = tensor_convolution_check(f, a, 1, 4, verbose=True)
         assert ok, detail
+
+    def test_each_bounded_factor_compiled_once(self, monkeypatch):
+        compiled = []
+        real = lannes.compile_presentation
+
+        def counting(m, D):
+            compiled.append(m)
+            return real(m, D)
+
+        monkeypatch.setattr(lannes, "compile_presentation", counting)
+        a = point_presentation(1, 2)
+        b = finite_to_presentation(brown_gitler(2, 6, 2))
+        assert tensor_convolution_check(a, b, 1, 4)
+        assert compiled == [a, b]
 
     def test_unbounded_pair_rejected(self):
         f = free_presentation(1, 2)

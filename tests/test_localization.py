@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chowops import fp_linalg as fl
 from chowops import groups as gp
@@ -20,6 +22,116 @@ from conftest import DATA, direct_sum
 
 def G(spec, name=None):
     return FiniteGroup.from_abelian(spec, name=name)
+
+
+# The general leg builders for any object and morphism, and the
+# per-morphism equalizer diagram built from them: the reference for
+# build_lambda, which reads everything off the terminal object T.
+
+
+def middle_blocks(setup, obj_index, d, n):
+    """Ordered (j, rows) blocks of CH_E (x) CH_G^{<n} in degree d."""
+    ring_E = setup.sub_data[obj_index].ring
+    ring_G = setup.data_G.ring
+    return [(j, ring_E.dim(d - j) * ring_G.dim(j))
+            for j in range(min(n - 1, d) + 1)]
+
+
+def right_blocks(setup, e1_index, d, n):
+    """Ordered ((j2, j3), rows) blocks of CH_{E1} (x) (CH_{E1} (x)
+    CH_G)^{<n} in degree d."""
+    ring_E = setup.sub_data[e1_index].ring
+    ring_G = setup.data_G.ring
+    return [((j2, j3),
+             ring_E.dim(d - j2 - j3) * ring_E.dim(j2) * ring_G.dim(j3))
+            for j2 in range(min(n - 1, d) + 1)
+            for j3 in range(min(n - 1 - j2, d - j2) + 1)]
+
+
+def offsets(blocks):
+    offs, pos = {}, 0
+    for key, rows in blocks:
+        offs[key] = pos
+        pos += rows
+    return offs, pos
+
+
+def lambda_block(setup, obj_index, d, n):
+    """lambda_E in degree d for any object E."""
+    return np.vstack([setup.res_comult(obj_index, d - j, j)
+                      for j, _ in middle_blocks(setup, obj_index, d, n)])
+
+
+def leg1_block(setup, i1, d, n):
+    """Leg 1 of any morphism out of object i1: comultiply the E1 factor."""
+    ring_E = setup.sub_data[i1].ring
+    ring_G = setup.data_G.ring
+    src_offs, src_total = offsets(middle_blocks(setup, i1, d, n))
+    tgt_blocks = right_blocks(setup, i1, d, n)
+    tgt_offs, tgt_total = offsets(tgt_blocks)
+    mat = fl.zeros(tgt_total, src_total)
+    for (j2, j3), rows in tgt_blocks:
+        i = d - j3
+        src_rows = ring_E.dim(i) * ring_G.dim(j3)
+        if rows and src_rows:
+            mat[tgt_offs[(j2, j3)]:tgt_offs[(j2, j3)] + rows,
+                src_offs[j3]:src_offs[j3] + src_rows] = fl.kron(
+                    setup.comult_split(ring_E, i - j2, j2),
+                    fl.identity(ring_G.dim(j3)), setup.p)
+    return mat
+
+
+def leg2_block(setup, m_index, d, n):
+    """Leg 2 of morphism m_index: restrict the E2 factor along the
+    morphism's map into factor one, expand the centralizer factor into
+    factors two and three."""
+    i1, i2 = setup.morphisms[m_index][:2]
+    ring_E2 = setup.sub_data[i2].ring
+    ring_G = setup.data_G.ring
+    src_offs, src_total = offsets(middle_blocks(setup, i2, d, n))
+    tgt_blocks = right_blocks(setup, i1, d, n)
+    tgt_offs, tgt_total = offsets(tgt_blocks)
+    mat = fl.zeros(tgt_total, src_total)
+    for (j2, j3), rows in tgt_blocks:
+        j = j2 + j3
+        src_rows = ring_E2.dim(d - j) * ring_G.dim(j)
+        if rows and src_rows:
+            mat[tgt_offs[(j2, j3)]:tgt_offs[(j2, j3)] + rows,
+                src_offs[j]:src_offs[j] + src_rows] = fl.kron(
+                    setup.conjres_mat(m_index, d - j),
+                    setup.res_comult(i1, j2, j3), setup.p)
+    return mat
+
+
+def per_morphism_lambda(setup, n, D):
+    """The equalizer diagram with lambda built for every object and the
+    legs compared on it over every morphism; the rank is that of the
+    lambda stacked over every object."""
+    p = setup.p
+    top_self = setup.into_top[setup.top]
+    ring_G = setup.data_G.ring
+    diagram = EqualizerDiagram(
+        group=setup.G, p=p, level=n, cutoff=D, objects=setup.objects,
+        morphism_count=len(setup.morphisms))
+    for d in range(D + 1):
+        lam = [lambda_block(setup, i, d, n)
+               for i in range(len(setup.objects))]
+        diagram.source_dims[d] = ring_G.dim(d)
+        diagram.middle_dims[d] = sum(m.shape[0] for m in lam)
+        agree = True
+        for mi, (i1, i2, _) in enumerate(setup.morphisms):
+            a = leg1_block(setup, i1, d, n)
+            b = leg2_block(setup, mi, d, n)
+            if (fl.matmul(a, lam[i1], p) != fl.matmul(b, lam[i2], p)).any():
+                agree = False
+            if mi == top_self:
+                eq_dim = fl.kernel_matrix((a - b) % p, p).shape[1]
+        diagram.legs_agree[d] = agree
+        diagram.eq_dims[d] = eq_dim
+        rk = fl.rank(np.vstack(lam), p)
+        diagram.injective[d] = rk == ring_G.dim(d)
+        diagram.onto_equalizer[d] = agree and rk == eq_dim
+    return diagram
 
 
 def seed_and_cut(setup, n, D):
@@ -41,17 +153,17 @@ def seed_and_cut(setup, n, D):
         solved = {}
         for mi in order:
             i1, i2 = setup.morphisms[mi][:2]
-            a = loc._leg1_block(setup, i1, d, n)
-            b = loc._leg2_block(setup, mi, d, n)
+            a = leg1_block(setup, i1, d, n)
+            b = leg2_block(setup, mi, d, n)
             if mi == top_self:
                 solved[top] = fl.kernel_matrix((a - b) % p, p)
                 continue
             b_solved = fl.matmul(b, solved[i2], p)
             if i1 not in solved:
-                offs, _ = loc._offsets(loc._right_blocks(setup, i1, d, n))
+                offs, _ = offsets(right_blocks(setup, i1, d, n))
                 solved[i1] = np.vstack([
                     b_solved[offs[(0, j)]:offs[(0, j)] + rows]
-                    for j, rows in loc._middle_blocks(setup, i1, d, n)])
+                    for j, rows in middle_blocks(setup, i1, d, n)])
             cond = (fl.matmul(a, solved[i1], p) - b_solved) % p
             tested += 1
             if cond.any():
@@ -124,6 +236,35 @@ def same_reports(got, want):
         for (d1, x1, v1), (d2, x2, v2) in zip(got, want))
 
 
+ABELIAN_CATALOG = sorted(
+    path.stem for path in (DATA / "groups").glob("*.json")
+    if "abelian" in json.loads(path.read_text()))
+
+
+def catalog_group(name):
+    return gp.load_group(
+        json.loads((DATA / "groups" / f"{name}.json").read_text()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]),
+       k=st.integers(0, 3), m=st.integers(0, 3),
+       a=st.integers(0, 6), b=st.integers(0, 6))
+def test_substitution_is_a_coalgebra_map(data, p, k, m, a, b):
+    # restriction commutes with the coproduct, the fact that pushes T's
+    # pair of legs forward to every object below T
+    assume(a + b <= 6)
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=k * m,
+                                 max_size=k * m))
+    source, target = elem_abelian_ring(k, p), elem_abelian_ring(m, p)
+    rmap = chow.RingMap(source, target, np.array(entries).reshape(k, m))
+    setup = loc._AbelianSetup(G([1]), p)
+    left = setup.comult_split(target, a, b) @ rmap.matrix(a + b) % p
+    right = fl.kron(rmap.matrix(a), rmap.matrix(b), p) \
+        @ setup.comult_split(source, a, b) % p
+    assert left.shape == right.shape and (left == right).all()
+
+
 class TestBuildLambda:
     def test_trivial_group(self):
         d = build_lambda(G([1]), 1, 4, 2)
@@ -153,25 +294,22 @@ class TestBuildLambda:
                 assert d.all_iso(), (spec, n)
                 assert d.eq_dims == d.source_dims, (spec, n)
 
-    def test_each_leg_block_built_once(self, monkeypatch):
-        calls = {"leg1": [], "leg2": []}
+    def test_builds_powers_of_restriction_to_top_alone(self, monkeypatch):
+        # every degreewise map matrix build_lambda asks for is a power of
+        # res_{G->T}: no other object's lambda, no morphism's leg 2
+        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
+        monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
+        maps = []
+        real = chow.RingMap.matrix
 
-        def counting(name, real):
-            def wrapper(setup, index, d, n):
-                calls[name].append((index, d, n))
-                return real(setup, index, d, n)
-            return wrapper
+        def recording(rmap, d):
+            maps.append(rmap)
+            return real(rmap, d)
 
-        monkeypatch.setattr(loc, "_leg1_block",
-                            counting("leg1", loc._leg1_block))
-        monkeypatch.setattr(loc, "_leg2_block",
-                            counting("leg2", loc._leg2_block))
-        d = build_lambda(G([2, 2]), 2, 4, 2)
-        assert (len(d.objects), d.morphism_count) == (5, 12)
-        # leg 1 once per (object, degree), leg 2 once per (morphism, degree)
-        assert len(calls["leg1"]) == len(set(calls["leg1"])) == 5 * 5
-        assert len(calls["leg2"]) == len(set(calls["leg2"])) == 12 * 5
-        assert d.all_iso()
+        monkeypatch.setattr(chow.RingMap, "matrix", recording)
+        d = build_lambda(G([2, 2, 2]), 3, 6, 2)
+        assert maps and all(m is setup.res_to[setup.top] for m in maps)
+        assert d.all_iso() and all(d.legs_agree.values())
 
     @pytest.mark.parametrize("spec, p", [([2, 2], 2), ([4, 2], 2),
                                          ([3, 3], 3), ([2, 2, 2], 2),
@@ -183,6 +321,48 @@ class TestBuildLambda:
             eq_dims, tested, changed = seed_and_cut(setup, n, 6)
             assert tested and not changed, (n, changed)
             assert eq_dims == build_lambda(G(spec), n, 6, p).eq_dims, n
+
+    def test_wrong_morphism_map_breaks_the_legs(self):
+        # a morphism whose map does not compose with restriction from G
+        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
+        m = setup.morphisms.index(
+            next(mor for mor in setup.morphisms if mor[:2] == (1, 8)))
+        good = setup.conj_map(m)
+        mat = good.mat.copy()
+        mat[0, 0] ^= 1
+        setup._conj_maps[m] = chow.RingMap(good.source, good.target, mat)
+        for n in (1, 2, 3):
+            for diagram in (loc._build_lambda(setup, n, 5),
+                            per_morphism_lambda(setup, n, 5)):
+                assert not any(diagram.legs_agree[d] for d in range(1, 6))
+
+    def test_wrong_top_leg_two_breaks_the_legs(self):
+        # one wrong entry in T's res_comult, the centralizer side of leg 2,
+        # in its (j2, j3) = (0, 1) block; level 1 has no such block
+        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
+        block = setup.res_comult(setup.top, 0, 1)
+        block[0, 0] ^= 1
+        for n in (2, 3):
+            for diagram in (loc._build_lambda(setup, n, 5),
+                            per_morphism_lambda(setup, n, 5)):
+                assert not any(diagram.legs_agree[d] for d in range(1, 6))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ABELIAN_CATALOG)
+    def test_catalog_matches_per_morphism_reference(self, name, p):
+        self.check_reference(catalog_group(name), p, (1, 2, 3), 6)
+
+    def test_rank_four_matches_per_morphism_reference(self):
+        self.check_reference(G([2, 2, 2, 2]), 2, (1, 2), 5)
+
+    @staticmethod
+    def check_reference(group, p, levels, D):
+        # every field equal, down to the type of each value
+        setup = loc._AbelianSetup(group, p)
+        for n in levels:
+            got = loc._build_lambda(setup, n, D)
+            want = per_morphism_lambda(setup, n, D)
+            assert got == want and repr(got) == repr(want), n
 
     def test_one_kernel_per_degree(self, monkeypatch):
         kernels = []
@@ -268,18 +448,11 @@ class TestBuildLambda:
             build_lambda(s3, 1, 3, 2)
 
 
-ABELIAN_CATALOG = sorted(
-    path.stem for path in (DATA / "groups").glob("*.json")
-    if "abelian" in json.loads(path.read_text()))
-
-
 class TestFIso:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("name", ABELIAN_CATALOG)
     def test_catalog_matches_reference(self, name, p):
-        group = gp.load_group(
-            json.loads((DATA / "groups" / f"{name}.json").read_text()))
-        self.check_reference(group, 8, p)
+        self.check_reference(catalog_group(name), 8, p)
 
     def test_rank_four_matches_reference(self):
         self.check_reference(G([2, 2, 2, 2]), 6, 2)
