@@ -325,8 +325,8 @@ class TestBuildLambda:
     def test_wrong_morphism_map_breaks_the_legs(self):
         # a morphism whose map does not compose with restriction from G
         setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        m = setup.morphisms.index(
-            next(mor for mor in setup.morphisms if mor[:2] == (1, 8)))
+        m = next(m for m, (i, j, _) in enumerate(setup.morphisms)
+                 if (i, j) == (1, 8))
         good = setup.conj_map(m)
         mat = good.mat.copy()
         mat[0, 0] ^= 1
