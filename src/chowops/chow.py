@@ -14,6 +14,7 @@ instead, by the Cartan formula, one generator at a time (`cartan`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import add
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "poly_mul_raw",
     "ChowRing",
     "elem_abelian_ring",
-    "catalog_ring",
     "abelian_ring",
     "AbelianRingData",
     "RingMap",
@@ -156,7 +156,8 @@ class ChowRing:
         return [t + (rem // dg,) for t, rem in partial if rem % dg == 0]
 
     def _deg_data(self, d: int):
-        """(monomials, index, nf, basis): quotient data in degree d."""
+        """(monomials, index, nf, basis): quotient data in degree d, with
+        nf None where no relation reaches degree d."""
         if d in self._deg_cache:
             return self._deg_cache[d]
         monos = self.raw_monomials(d)
@@ -172,7 +173,8 @@ class ChowRing:
                 for mm, c in prod.items():
                     row[index[mm]] = c
                 rows.append(row)
-        nf, free = fl.quotient_data(rows, len(monos), self.p)
+        nf, free = (fl.quotient_data(rows, len(monos), self.p) if rows
+                    else (None, range(len(monos))))
         data = (monos, index, nf, [monos[c] for c in free])
         self._deg_cache[d] = data
         return data
@@ -208,14 +210,14 @@ class ChowRing:
 
     def _reduce(self, raw, d: int) -> np.ndarray:
         """Basis coordinates of the columns of `raw`, given on
-        raw_monomials(d): one normal-form product if there are relations."""
-        return fl.matmul(self._deg_data(d)[2], raw, self.p) \
-            if self.relations else raw
+        raw_monomials(d): one normal-form product where d has relations."""
+        nf = self._deg_data(d)[2]
+        return raw if nf is None else fl.matmul(nf, raw, self.p)
 
     def coords(self, polys, d: int) -> np.ndarray:
-        """One column of basis coordinates per degree-d polynomial; a ring
-        with relations reduces all columns with one product."""
-        monos, index, nf, _ = self._deg_data(d)
+        """One column of basis coordinates per degree-d polynomial; a
+        degree with relations reduces all columns with one product."""
+        monos, index = self._deg_data(d)[:2]
         raw = fl.zeros(len(monos), len(polys))
         for j, f in enumerate(polys):
             for m, c in f.items():
@@ -348,25 +350,16 @@ class ChowRing:
 # catalog
 
 
-def elem_abelian_ring(k: int, p: int, names=None) -> ChowRing:
-    """F_p[y_1, ..., y_k], |y_i| = 1, P^1(y_i) = y_i^p."""
+@cache
+def elem_abelian_ring(k: int, p: int) -> ChowRing:
+    """F_p[y_1, ..., y_k], |y_i| = 1, P^1(y_i) = y_i^p: the catalog ring of
+    every abelian p-group with k cyclic factors.  One ring per (k, p) is
+    built and shared, with its degree tables; callers treat it as
+    read-only."""
     if k < 0:
         raise ValueError("rank must be >= 0")
-    names = names or [f"y{i + 1}" for i in range(k)]
-    return ChowRing(p, [(nm, 1) for nm in names], name=f"CH((Z/{p})^{k})")
-
-
-def catalog_ring(exponents, p: int, name=None) -> ChowRing:
-    """Ring of the abelian p-group with cyclic factors Z/p^{e_i}: one
-    degree-1 class per factor, the elementary abelian rules."""
-    exponents = [int(e) for e in exponents]
-    if any(e < 1 for e in exponents):
-        raise ValueError(f"not a p-group descriptor: {exponents}")
-    k = len(exponents)
-    ring = elem_abelian_ring(k, p)
-    ring.name = name or ("CH(" + " x ".join(f"Z/{p}^{e}" for e in exponents) + ")"
-                         if k else "CH(1)")
-    return ring
+    return ChowRing(p, [(f"y{i + 1}", 1) for i in range(k)],
+                    name=f"CH((Z/{p})^{k})")
 
 
 @dataclass
@@ -406,9 +399,8 @@ class AbelianRingData:
 def abelian_ring(G: gp.FiniteGroup, p: int) -> AbelianRingData:
     """Catalog ring of an abelian group at p (its p-part carries the ring)."""
     basis = gp.abelian_p_basis(G, p)
-    ring = catalog_ring([gp.log_p(o, p) for _, o in basis], p,
-                        name=f"CH({G.name})")
-    return AbelianRingData(ring=ring, group=G, basis=basis)
+    return AbelianRingData(ring=elem_abelian_ring(len(basis), p), group=G,
+                           basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +465,8 @@ def restriction_map(G: gp.FiniteGroup, subgroup_elements, p: int,
     if not H.is_abelian:
         raise ValueError("restriction maps require an abelian subgroup")
     basis = [(parent[h], o) for h, o in gp.abelian_p_basis(H, p)]
-    data_H = AbelianRingData(
-        ring=catalog_ring([gp.log_p(o, p) for _, o in basis], p,
-                          name=f"CH(sub{len(elems)} of {G.name})"),
-        group=G, basis=basis)
+    data_H = AbelianRingData(ring=elem_abelian_ring(len(basis), p), group=G,
+                             basis=basis)
     rm = data_G.restrict(data_H, name=f"res {G.name} -> H{len(elems)}")
     rm.subgroup_data = data_H
     return rm

@@ -77,21 +77,19 @@ def tv_table(m, r: int, kmax: int) -> dict[int, int]:
 @dataclass
 class TvStructural:
     """T of a group's ring as the product over classes of homomorphisms
-    from (Z/p)^r: one centralizer ring per class, with the comparison-map
-    components attached when the source ring is itself catalog."""
+    from (Z/p)^r: one centralizer ring per class."""
 
     group: gp.FiniteGroup
     rank: int
     p: int
     components: list  # (HomClass, ChowRing of the centralizer)
-    comp_maps: list | None  # RingMap per component, or None
 
     def dim(self, k: int) -> int:
         return sum(ring.dim(k) for _, ring in self.components)
 
 
 def _component_map(source: AbelianRingData, cls: gp.HomClass,
-                   target, r: int) -> RingMap:
+                   r: int) -> RingMap:
     """The map CH_G -> CH_C (x) CH_V induced by (v, h) -> rho(v) h, for
     abelian G (so C = G and restriction along C -> G is the identity).
 
@@ -101,12 +99,9 @@ def _component_map(source: AbelianRingData, cls: gp.HomClass,
     """
     p = source.ring.p
     k = source.ring.k
-    tensor = elem_abelian_ring(k + r, p,
-                               names=[n for n, _ in target.generators]
-                               + [f"v{j + 1}" for j in range(r)])
-    tensor.name = f"{target.name} (x) CH((Z/{p})^{r})"
     rho = source.char_matrix([(x, p) for x in cls.representative])
-    return RingMap(source.ring, tensor, np.hstack([fl.identity(k), rho]),
+    return RingMap(source.ring, elem_abelian_ring(k + r, p),
+                   np.hstack([fl.identity(k), rho]),
                    name=f"component of class {cls.representative}")
 
 
@@ -140,13 +135,7 @@ def tv_structural(G: gp.FiniteGroup, r: int, p: int,
                 f"{cls.representative} (order {len(cent)}, nonabelian); "
                 "supply one via centralizer_rings")
         components.append((cls, abelian_ring(cent, p).ring))
-    comp_maps = None
-    if G.is_abelian and not provided:
-        source = abelian_ring(G, p)
-        comp_maps = [_component_map(source, cls, ring, r)
-                     for cls, ring in components]
-    return TvStructural(group=G, rank=r, p=p, components=components,
-                        comp_maps=comp_maps)
+    return TvStructural(group=G, rank=r, p=p, components=components)
 
 
 def ell_check(G: gp.FiniteGroup, r: int, D: int, p: int):
@@ -163,11 +152,13 @@ def ell_check(G: gp.FiniteGroup, r: int, D: int, p: int):
     if not G.is_abelian:
         raise ValueError("the comparison-map check needs an abelian group")
     tv = tv_structural(G, r, p)
-    source = abelian_ring(G, p).ring
+    data = abelian_ring(G, p)
+    source = data.ring
+    comp_maps = [_component_map(data, cls, r) for cls, _ in tv.components]
     hom_count = len(G.p_torsion(p)) ** r
     report = []
     for d in range(D + 1):
-        blocks = [m.matrix(d) for m in tv.comp_maps]
+        blocks = [m.matrix(d) for m in comp_maps]
         stacked = np.vstack([b for b in blocks if b.shape[1]]) \
             if source.dim(d) else fl.zeros(0, 0)
         rk = fl.rank(stacked, p) if stacked.size else 0

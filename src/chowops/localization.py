@@ -165,13 +165,14 @@ def _top_condition(setup, d, n):
     (CH_T (x) CH_G^{<n})^d to (CH_T (x) (CH_T (x) CH_G)^{<n})^d.  Leg 1
     comultiplies the CH_T factor.  Leg 2 maps the CH_T factor by T's own
     map, the identity, and expands the centralizer factor into factors two
-    and three.  The row blocks are the (j2, j3) degrees of those factors."""
+    and three.  The row blocks are the (j2, j3) degrees of those factors,
+    j2 >= 1; `_counit_holds` checks the (0, j3) blocks instead."""
     p, ring_G = setup.p, setup.data_G.ring
     ring_T = setup.sub_data[setup.top].ring
     offs = np.cumsum([0] + [ring_T.dim(d - j) * ring_G.dim(j)
                             for j in range(min(n - 1, d) + 1)])
-    blocks = []
-    for j2 in range(min(n - 1, d) + 1):
+    blocks = [fl.zeros(0, offs[-1])]
+    for j2 in range(1, min(n - 1, d) + 1):
         for j3 in range(min(n - 1 - j2, d - j2) + 1):
             i, j = d - j2 - j3, j2 + j3
             block = fl.zeros(ring_T.dim(i) * ring_T.dim(j2) * ring_G.dim(j3),
@@ -185,6 +186,18 @@ def _top_condition(setup, d, n):
                     setup.res_comult(setup.top, j2, j3), p)
             blocks.append(block % p)
     return np.vstack(blocks)
+
+
+def _counit_holds(setup, d, n):
+    """Whether both pieces of every (0, j3) block of T's pair in degree d,
+    CH_T^i -> CH_T^i (x) CH_T^0 in leg 1 and CH_G^{j3} -> CH_T^0 (x)
+    CH_G^{j3} in leg 2, are identities, as the counit law says."""
+    ring_T = setup.sub_data[setup.top].ring
+    return all(
+        np.array_equal(piece, fl.identity(len(piece)))
+        for j in range(min(n - 1, d) + 1)
+        for piece in (setup.comult_split(ring_T, d - j, 0),
+                      setup.res_comult(setup.top, 0, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +255,10 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     covers every degree because `RingMap.matrix(d)` is the d-th symmetric
     power of the substitution matrix.  Together they imply that the legs
     agree on the image of lambda over every morphism.
+
+    By the counit law, the blocks of T's pair whose second factor has
+    degree 0 are identity minus identity.  The condition leaves them out;
+    the first part checks that their pieces are identities.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
@@ -261,7 +278,8 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
         diagram.middle_dims[d] = sum(
             data.ring.dim(d - j) * ring_G.dim(j)
             for data in setup.sub_data for j in range(min(n - 1, d) + 1))
-        agree = setup.functorial and not fl.matmul(cond, lam, p).any()
+        agree = (setup.functorial and _counit_holds(setup, d, n)
+                 and not fl.matmul(cond, lam, p).any())
         diagram.legs_agree[d] = agree
         diagram.eq_dims[d] = eq_dim = fl.kernel_matrix(cond, p).shape[1]
         rk = fl.rank(lam, p)
@@ -425,7 +443,14 @@ def max_nil_submodule(source, d: int, D: int):
             continue
         basis = fl.identity(module.dim(e))
         for j in range(d):
-            basis = _intersect(basis, module.dies(j, e), module.dim(e), p)
+            dies = module.dies(j, e)
+            if dies.shape[1] == 0:
+                basis = dies
+            else:  # the closure loop's shrink step, against dies' span
+                resid = fl.residual_map(dies, module.dim(e), p)
+                cond = fl.matmul(resid, basis, p)
+                if cond.any():
+                    basis = fl.matmul(basis, fl.kernel_matrix(cond, p), p)
             if basis.shape[1] == 0:
                 break
         spaces[e] = basis
@@ -456,20 +481,6 @@ def max_nil_submodule(source, d: int, D: int):
                     if basis.shape[1] == 0:
                         break
     return {e: b for e, b in spaces.items() if b.shape[1]}
-
-
-def _intersect(a, b, ambient, p):
-    """Intersection of two column spans in F_p^ambient."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return fl.zeros(ambient, 0)
-    stacked = np.hstack([a, (-b) % p])
-    ker = fl.kernel_matrix(stacked, p)
-    if ker.shape[1] == 0:
-        return fl.zeros(ambient, 0)
-    combo = fl.matmul(a, ker[: a.shape[1], :], p)
-    # echelonize and drop dependent columns
-    r, piv = fl.rref(combo.T, p)
-    return r[: len(piv)].T.copy() if piv else fl.zeros(ambient, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,11 @@ class FiniteModule:
         self.dims = {d: int(n) for d, n in dims.items() if n}
         self.mats = {}
         for (a, d), m in mats.items():
-            m = fl.as_fp_matrix(m, p)
+            # a canonical matrix is kept as given, not copied
+            if not (isinstance(m, np.ndarray) and m.dtype == np.int64
+                    and m.ndim == 2
+                    and (not m.size or 0 <= m.min() and m.max() < p)):
+                m = fl.as_fp_matrix(m, p)
             if m.size and m.any():
                 self.mats[(a, d)] = m
         self.truncated_above = truncated_above

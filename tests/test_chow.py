@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from chowops import cartan
 from chowops import fp_linalg as fl
-from chowops.chow import (ChowRing, RingMap, abelian_ring, catalog_ring,
+from chowops.chow import (ChowRing, RingMap, abelian_ring,
                           elem_abelian_ring, ingest_ring, poly_add,
                           poly_scale, restriction_map, ring_module, truncate)
 from chowops.groups import FiniteGroup
@@ -34,12 +34,38 @@ def test_action_spec_examples():
     assert r.act(2, {(2,): 1}) == {(4,): 1}
 
 
-def test_catalog_ring_shapes():
-    assert catalog_ring([1], 3).k == 1          # Z/p
-    assert catalog_ring([2], 3).k == 1          # Z/p^2
-    assert catalog_ring([2, 1], 3).k == 2       # Z/p^2 x Z/p
-    with pytest.raises(ValueError):
-        catalog_ring([0], 3)
+def test_abelian_ring_ranks():
+    # one degree-1 class per cyclic factor, whatever its order: Z/p,
+    # Z/p^2 and Z/p^2 x Z/p
+    for spec, k in [([3], 1), ([9], 1), ([9, 3], 2)]:
+        ring = abelian_ring(FiniteGroup.from_abelian(spec), 3).ring
+        assert ring.k == k and ring is elem_abelian_ring(k, 3), spec
+
+
+def test_catalog_rings_shared_per_rank_and_prime():
+    assert elem_abelian_ring(2, 3) is elem_abelian_ring(2, 3)
+    assert elem_abelian_ring(2, 3) is not elem_abelian_ring(2, 5)
+    with pytest.raises(ValueError, match="rank"):
+        elem_abelian_ring(-1, 3)
+
+
+def test_normal_form_matrix_only_where_relations_have_rows():
+    # a catalog ring stores none, nor does a ring whose only relation is
+    # zero (as ingested from terms that sum to zero mod p); a ring with
+    # relations stores one from the degree of its first relation on, and
+    # reduces there
+    assert all(elem_abelian_ring(2, 3)._deg_data(d)[2] is None
+               for d in range(6))
+    zero = ChowRing(3, [("x", 1)], relations=[{}])
+    assert all(zero._deg_data(d)[2] is None for d in range(4))
+    assert zero.coords([{(2,): 2}], 2).tolist() == [[2]]
+    r = ChowRing(2, [("x", 1), ("y", 1)], relations=[{(2, 0): 1, (0, 2): 1}])
+    assert [r._deg_data(d)[2] is None for d in range(4)] == \
+        [True, True, False, False]
+    assert r.basis(1) == r.raw_monomials(1)
+    assert r.basis(2) == [(1, 1), (2, 0)]
+    assert r.normal_form({(0, 2): 1}) == {(2, 0): 1}
+    assert r.coords([{(0, 2): 1, (1, 1): 1}], 2).tolist() == [[1], [1]]
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -99,7 +99,6 @@ class TestStructural:
         tv = tv_structural(s3, 1, 2,
                            centralizer_rings={(0,): stand_in})
         assert len(tv.components) == 2
-        assert tv.comp_maps is None
         # the transposition class centralizer is the catalog Z/2 ring
         assert tv.dim(3) == stand_in.dim(3) + 1
 

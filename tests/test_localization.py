@@ -347,6 +347,26 @@ class TestBuildLambda:
                             per_morphism_lambda(setup, n, 5)):
                 assert not any(diagram.legs_agree[d] for d in range(1, 6))
 
+    def test_wrong_top_leg_one_counit_breaks_the_legs(self):
+        # one wrong entry in T's coproduct piece CH_T^1 -> CH_T^1 (x) CH_T^0,
+        # the leg-1 side of the (0, d - 1) block that the condition leaves
+        # out; it enters degrees 1..n at level n
+        for n in (1, 2, 3):
+            setup = loc._AbelianSetup(G([2, 2, 2]), 2)
+            ring_T = setup.sub_data[setup.top].ring
+            setup.comult_split(ring_T, 1, 0)[0, 0] ^= 1
+            diagram = loc._build_lambda(setup, n, 5)
+            assert not any(diagram.legs_agree[d] for d in range(1, n + 1))
+
+    def test_objects_share_one_ring_per_rank(self):
+        setup = loc._AbelianSetup(gp.load_group({"abelian": [3, 3, 3]}), 3)
+        maps = setup.res_to + [setup.conj_map(m)
+                               for m in range(len(setup.morphisms))]
+        rings = [setup.data_G.ring] + [data.ring for data in setup.sub_data] \
+            + [r for rmap in maps for r in (rmap.source, rmap.target)]
+        assert {r.k for r in rings} == {0, 1, 2, 3}
+        assert all(r is elem_abelian_ring(r.k, 3) for r in rings)
+
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", ABELIAN_CATALOG)
     def test_catalog_matches_per_morphism_reference(self, name, p):

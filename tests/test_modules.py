@@ -224,6 +224,20 @@ class TestFiniteModuleValidation:
         with pytest.raises(ValueError):
             FiniteModule(2, {1: 1, 2: 2}, {(1, 1): np.array([[1]])})
 
+    def test_canonical_matrix_kept_others_reduced(self):
+        # a 2-D int64 matrix with entries in 0..p-1 is stored as given; a
+        # list, another dtype or an entry out of range is coerced and reduced
+        canonical = np.array([[1, 2]], dtype=np.int64)
+        assert FiniteModule(3, {1: 2, 3: 1},
+                            {(1, 1): canonical}).act(1, 1) is canonical
+        for given in ([[1, 2]], np.array([[4, -1]]),
+                      np.array([[1, 2]], dtype=np.int32)):
+            kept = FiniteModule(3, {1: 2, 3: 1}, {(1, 1): given}).act(1, 1)
+            assert kept is not given and kept.dtype == np.int64
+            assert kept.tolist() == [[1, 2]]
+        with pytest.raises(ValueError, match="2-D"):
+            FiniteModule(3, {1: 2, 3: 1}, {(1, 1): np.ones((1, 1, 2))})
+
 
 def orbit_dies(m, j, e):
     """Whether all of degree e iterates to zero under x -> P^{deg x - j} x
