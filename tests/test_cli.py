@@ -107,6 +107,17 @@ def test_tv_structural_table(capsys, data_dir):
     assert all(int(ln.split("\t")[2]) == 3 for ln in rows)
 
 
+@pytest.mark.parametrize("group, order", [("s3", 6), ("a4", 12), ("d4", 8),
+                                          ("q8", 8)])
+def test_tv_nonabelian_group_names_the_missing_ring(capsys, data_dir, group,
+                                                    order):
+    # the trivial class's centralizer is the whole nonabelian group
+    path = str(data_dir / "groups" / f"{group}.json")
+    assert run(capsys, "tv", "--group", path) == (
+        2, "", f"error: no ring available for the centralizer of class (0,) "
+        f"(order {order}, nonabelian); supply one via centralizer_rings\n")
+
+
 def test_tv_module_table(capsys, data_dir):
     path = str(data_dir / "modules" / "point2_p3.json")
     code, out, _ = run(capsys, "tv", "--module", path, "--rank", "2",

@@ -2,8 +2,10 @@
 digests of `--format json` stdout for the non-elementary abelian groups,
 whose characters restrict through cyclic factors of order above p (at
 levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
-`quillen-check` past the default cutoff, on a rank-4 group and where the
-p-torsion subgroup is trivial; `localize` at rank 3 and 4 past the
+`tv --rank 2` on the elementary abelian groups of rank 3, whose
+729 and 64 classes each take a centralizer ring; `quillen-check` past the
+default cutoff, on a rank-4 group and where the p-torsion subgroup is
+trivial; `localize` at rank 3 and 4 past the
 default cutoff, where most objects lie below the top subgroup;
 the `d0` bound report and two `act` runs in high degree, which have no
 JSON form, as plain text.  A change that moves any output byte fails
@@ -65,6 +67,14 @@ GROUP_RUNS = {
         "c6335617519ace2950c66604e6a452c9b70e73d666f5905d962856273adcc7f8",
     ("localize", "z12", 3):
         "ed5cdd05c177e82e6cc6fb8af28b70ff65e8017cf9fd6535e5eb86353877f9a0",
+}
+
+# tv --rank 2 on the elementary abelian groups of rank 3
+TV_RANK_TWO_RUNS = {
+    ("z2cube", 2):
+        "ef9a29dfcc7ef259fbb144e6c002608d97801c6e4be8567d43738649faf80478",
+    ("z3cube", 3):
+        "9154fd41ff91e3199f57f23c3f047d6787215a4bc6c1567bd2e01e9fc1915507",
 }
 
 MODULE_RUNS = {
@@ -182,6 +192,13 @@ def test_group_run_output(capsys, data_dir, command, group, p):
     argv = [command, "--group", data_dir / "groups" / f"{group}.json",
             *COMMAND_FLAGS[command], "--prime", p]
     assert digest(capsys, *argv) == GROUP_RUNS[command, group, p]
+
+
+@pytest.mark.parametrize("group, p", sorted(TV_RANK_TWO_RUNS))
+def test_tv_rank_two_output(capsys, data_dir, group, p):
+    argv = ["tv", "--group", data_dir / "groups" / f"{group}.json",
+            "--rank", 2, "--prime", p]
+    assert digest(capsys, *argv) == TV_RANK_TWO_RUNS[group, p]
 
 
 @pytest.mark.parametrize("module", sorted(MODULE_RUNS))
