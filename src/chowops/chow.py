@@ -14,7 +14,7 @@ instead, by the Cartan formula, one generator at a time (`cartan`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from operator import add
 
 import numpy as np
@@ -23,7 +23,6 @@ from . import cartan
 from . import fp_linalg as fl
 from . import groups as gp
 from .modules import FiniteModule
-from .powers import reduce_word
 
 __all__ = [
     "Poly",
@@ -269,8 +268,9 @@ class ChowRing:
 
     def validate(self):
         """Internal consistency through the declared cutoff: homogeneous
-        relations, descent of the action to the quotient, and Adem
-        consistency on the basis monomials of degree <= 6."""
+        relations, descent of the action to the quotient, and the ring's
+        module through the cutoff passing FiniteModule validation (shapes,
+        instability, Adem consistency)."""
         cutoff = self.cutoff if self.cutoff is not None else 8
         for r, rel in enumerate(self.relations):
             try:
@@ -295,26 +295,8 @@ class ChowRing:
                         f"action does not respect relations[{r}]: "
                         f"P^{a} of it is nonzero in the quotient")
                 a += 1
-        self._validate_adem(min(cutoff, 6))
-
-    def _validate_adem(self, cap):
-        p = self.p
-        for d in range(1, cap + 1):
-            for m in self.basis(d):
-                for b in range(1, d + 1):
-                    for a in range(1, p * b):
-                        if d + (a + b) * (p - 1) > (self.cutoff or 10**9):
-                            continue
-                        lhs = self.act(a, self.act(b, {m: 1}))
-                        rhs: Poly = {}
-                        for w, c in reduce_word((a, b), p).items():
-                            rhs = poly_add(
-                                rhs, poly_scale(self.act_word(w, {m: 1}), c, p),
-                                p)
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"Adem consistency fails on P^{a} P^{b} "
-                                f"applied to {m}")
+        FiniteModule(self.p, *_action_through(self, cutoff),
+                     truncated_above=cutoff)
 
     # -- serialization ----------------------------------------------------
 
@@ -364,14 +346,20 @@ def elem_abelian_ring(k: int, p: int) -> ChowRing:
 
 @dataclass
 class AbelianRingData:
-    """A catalog ring tied to a subgroup H of an abelian group G (H = G
-    for `abelian_ring`): generator i is the first Chern class of the
-    character of H dual to basis[i].  The basis elements live in G, so a
-    character of one subgroup evaluates directly on another's basis."""
+    """A catalog ring tied to an abelian subgroup H of a group G (H = G
+    when G is abelian and no elements are given to `abelian_ring`):
+    generator i is the first Chern class of the character of H dual to
+    basis[i].  The basis elements live in G, so a character of one
+    subgroup evaluates directly on another's basis."""
 
     ring: ChowRing
     group: gp.FiniteGroup  # G, the ambient group
     basis: list  # (element of G, p-power order), spanning the p-part of H
+
+    @cached_property
+    def coordinates(self) -> dict:
+        """Element of the span of the basis -> its exponents."""
+        return gp.abelian_coordinates(self.group, self.basis)
 
     def char_matrix(self, points) -> np.ndarray:
         """k x m matrix over F_p of the basis characters on the points
@@ -381,7 +369,10 @@ class AbelianRingData:
         p = self.ring.p
         mat = fl.zeros(len(self.basis), len(points))
         for j, (x, o) in enumerate(points):
-            coords = gp.abelian_coordinates(self.group, self.basis, x)
+            coords = self.coordinates.get(x)
+            if coords is None:
+                raise ValueError(
+                    f"element {x} is not in the span of the basis")
             for i, (c, (_, oi)) in enumerate(zip(coords, self.basis)):
                 if c * o % oi:
                     raise ValueError(
@@ -396,9 +387,11 @@ class AbelianRingData:
                        self.char_matrix(target.basis), name=name)
 
 
-def abelian_ring(G: gp.FiniteGroup, p: int) -> AbelianRingData:
-    """Catalog ring of an abelian group at p (its p-part carries the ring)."""
-    basis = gp.abelian_p_basis(G, p)
+def abelian_ring(G: gp.FiniteGroup, p: int, elements=None) -> AbelianRingData:
+    """Catalog ring at p of an abelian group, or of the abelian subgroup of
+    G on the sorted element tuple `elements` (its p-part carries the
+    ring)."""
+    basis = gp.abelian_p_basis(G, p, elements)
     return AbelianRingData(ring=elem_abelian_ring(len(basis), p), group=G,
                            basis=basis)
 
@@ -458,15 +451,9 @@ def restriction_map(G: gp.FiniteGroup, subgroup_elements, p: int,
     its restriction."""
     data_G = ring_G or abelian_ring(G, p)
     elems = sorted(set(int(x) for x in subgroup_elements))
-    closed = G.subgroup_closure(elems)
-    if set(closed) != set(elems):
+    if G.subgroup_closure(elems) != tuple(elems):
         raise ValueError("the given elements do not form a subgroup")
-    H, parent = G.as_subgroup(elems)
-    if not H.is_abelian:
-        raise ValueError("restriction maps require an abelian subgroup")
-    basis = [(parent[h], o) for h, o in gp.abelian_p_basis(H, p)]
-    data_H = AbelianRingData(ring=elem_abelian_ring(len(basis), p), group=G,
-                             basis=basis)
+    data_H = abelian_ring(G, p, elems)
     rm = data_G.restrict(data_H, name=f"res {G.name} -> H{len(elems)}")
     rm.subgroup_data = data_H
     return rm
@@ -552,7 +539,8 @@ def _load_poly(data, k, p, where):
 def ingest_ring(data) -> ChowRing:
     """Load and validate a ring file; the checks certify internal
     consistency (homogeneity, instability, top powers, descent of the
-    action, Adem samples), never literature correctness."""
+    action, Adem consistency through the cutoff), never literature
+    correctness."""
     unknown = set(data) - _RING_FIELDS
     if unknown:
         raise ValueError(f"unknown ring file fields: {sorted(unknown)}")

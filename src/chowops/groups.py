@@ -5,7 +5,9 @@ category, and commuting p-torsion tuples up to simultaneous conjugation.
 Everything is brute force over a dense int32 multiplication table with
 orbit deduplication, which is the right tool at desk scale: S7 (order
 5040, a 100 MB table) loads in well under a second.  The hard cap is
-order 10^4, where the table alone takes 400 MB.
+order 10^4, where the table alone takes 400 MB.  A subgroup is a sorted
+tuple of G's elements, read off G's table; it never gets a table of its
+own.
 """
 
 from __future__ import annotations
@@ -209,53 +211,38 @@ class FiniteGroup:
         return tuple(sorted(elems))
 
     def centralizer_elements(self, subset):
-        subset = list(subset)
-        return tuple(g for g in self.elements()
-                     if all(self.mul(g, s) == self.mul(s, g) for s in subset))
+        """C_G(S) as a sorted element tuple: g with gs = sg for all s in S,
+        one comparison over the table's columns and rows at S."""
+        s = np.asarray(list(subset), dtype=np.intp)
+        commutes = (self.table[:, s] == self.table[s].T).all(axis=1)
+        return tuple(np.flatnonzero(commutes).tolist())
 
-    def as_subgroup(self, elements, name=None):
-        """Subgroup on the given closed element set, relabelled 0..k-1 with
-        inherited multiplication.  Returns (group, parent_elements)."""
-        elems = sorted(set(elements))
-        if elems[0] != 0:
-            raise ValueError("a subgroup must contain the identity")
-        index = {e: i for i, e in enumerate(elems)}
-        k = len(elems)
-        table = np.zeros((k, k), dtype=np.int32)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                c = self.mul(a, b)
-                if c not in index:
-                    raise ValueError("element set is not closed under products")
-                table[i, j] = index[c]
-        sub = FiniteGroup(table, name=name or f"{self.name}-sub{k}",
-                          _trusted=True)
-        return sub, elems
+    def is_abelian_on(self, elements):
+        """Whether the elements commute pairwise, read off their block of
+        the table."""
+        block = self.table[np.ix_(elements, elements)]
+        return bool((block == block.T).all())
 
     def __repr__(self):
         return f"<FiniteGroup {self.name!r} of order {self.n}>"
-
-
-def centralizer(G: FiniteGroup, subset) -> FiniteGroup:
-    """C_G(S) with inherited multiplication; accepts element iterables and
-    HomClass representatives."""
-    if isinstance(subset, HomClass):
-        subset = subset.representative
-    sub, _ = G.as_subgroup(G.centralizer_elements(subset))
-    return sub
 
 
 # ---------------------------------------------------------------------------
 # abelian structure
 
 
-def abelian_p_basis(G: FiniteGroup, p: int):
+def abelian_p_basis(G: FiniteGroup, p: int, elements=None):
     """Independent generators of the Sylow p-subgroup of an abelian group,
-    as (element, order) pairs with orders descending."""
-    if not G.is_abelian:
-        raise ValueError(f"{G.name} is not abelian")
-    sylow = [x for x in G.elements()
-             if _is_p_power(G.element_order(x), p)]
+    or of the abelian subgroup of G on the sorted element tuple
+    `elements`, as (element of G, order) pairs with orders descending."""
+    if elements is None:
+        elements = G.elements()
+        if not G.is_abelian:
+            raise ValueError(f"{G.name} is not abelian")
+    elif not G.is_abelian_on(elements):
+        raise ValueError(f"the subgroup of {G.name} on {len(elements)} "
+                         "elements is not abelian")
+    sylow = [x for x in elements if _is_p_power(G.element_order(x), p)]
     span = {0}
     basis = []
     remaining = [x for x in sylow if x not in span]
@@ -297,16 +284,22 @@ def log_p(n, p):
     return e
 
 
-def abelian_coordinates(G: FiniteGroup, basis, x):
-    """Exponents (c_1, ..., c_r) with x = prod b_i^{c_i}; brute force."""
-    ranges = [range(o) for _, o in basis]
-    for combo in itertools.product(*ranges):
-        y = 0
-        for (b, _), c in zip(basis, combo):
-            y = G.mul(y, G.power(b, c))
-        if y == x:
-            return combo
-    raise ValueError(f"element {x} is not in the span of the basis")
+def abelian_coordinates(G: FiniteGroup, basis):
+    """Each element of the span of the (element, order) pairs `basis`,
+    mapped to the first exponents (c_1, ..., c_r) in itertools.product
+    order with x = prod b_i^{c_i}: the whole span, one table gather per
+    basis element."""
+    span = np.zeros(1, dtype=np.intp)
+    for b, o in basis:
+        powers = [0]
+        for _ in range(o - 1):
+            powers.append(G.mul(powers[-1], b))
+        span = G.table[span[:, None], powers].ravel()
+    table = {}
+    exponents = itertools.product(*(range(o) for _, o in basis))
+    for x, c in zip(span.tolist(), exponents):
+        table.setdefault(x, c)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +387,16 @@ def elementary_abelians(G: FiniteGroup, p: int):
                for rep in reps]
     data = QuillenCategoryData(objects=objects)
     for i, Ei in enumerate(reps):
-        conjugates = list(map(tuple, G.conjugates(Ei)))
+        # each distinct conjugate of E_i with the first h giving it
+        first = {}
+        for h, images in enumerate(map(tuple, G.conjugates(Ei))):
+            first.setdefault(images, h)
         for j, Ej in enumerate(reps):
             ejset = set(Ej)
-            seen = {}
-            for h, images in enumerate(conjugates):
-                if ejset.issuperset(images):
-                    seen.setdefault(images, h)
-            if seen:
-                data.morphisms[(i, j)] = sorted(
-                    (h, images) for images, h in seen.items())
+            maps = sorted((h, images) for images, h in first.items()
+                          if ejset.issuperset(images))
+            if maps:
+                data.morphisms[(i, j)] = maps
     return objects, data
 
 

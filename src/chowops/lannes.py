@@ -119,6 +119,7 @@ def tv_structural(G: gp.FiniteGroup, r: int, p: int,
     classes = gp.rep_classes(r, G, p)
     provided = centralizer_rings or {}
     components = []
+    catalog = {}  # centralizer elements -> its catalog ring
     for cls in classes:
         if cls.representative in provided:
             ring = provided[cls.representative]
@@ -128,13 +129,15 @@ def tv_structural(G: gp.FiniteGroup, r: int, p: int,
                     f"prime {ring.p}, expected {p}")
             components.append((cls, ring))
             continue
-        cent = gp.centralizer(G, cls)
-        if not cent.is_abelian:
-            raise ValueError(
-                f"no ring available for the centralizer of class "
-                f"{cls.representative} (order {len(cent)}, nonabelian); "
-                "supply one via centralizer_rings")
-        components.append((cls, abelian_ring(cent, p).ring))
+        cent = G.centralizer_elements(cls.representative)
+        if cent not in catalog:
+            if not G.is_abelian_on(cent):
+                raise ValueError(
+                    f"no ring available for the centralizer of class "
+                    f"{cls.representative} (order {len(cent)}, nonabelian); "
+                    "supply one via centralizer_rings")
+            catalog[cent] = abelian_ring(G, p, cent).ring
+        components.append((cls, catalog[cent]))
     return TvStructural(group=G, rank=r, p=p, components=components)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 
 import numpy as np
@@ -7,14 +8,23 @@ import pytest
 from chowops import fp_linalg as fl
 from chowops.chow import (elem_abelian_ring, poly_add, poly_mul_raw,
                           poly_scale, truncate)
-from chowops.groups import (ElemAbelianSubgroup, HomClass,
-                            QuillenCategoryData, all_elementary_abelians,
-                            log_p)
+from chowops.groups import (ElemAbelianSubgroup, FiniteGroup, HomClass,
+                            QuillenCategoryData, abelian_p_basis,
+                            all_elementary_abelians, load_group, log_p)
 from chowops.modules import (FiniteModule, brown_gitler,
                              finite_to_presentation, point_module,
                              point_presentation, suspension_presentation)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+CATALOG = sorted(path.stem for path in (DATA / "groups").glob("*.json"))
+ABELIAN_CATALOG = [name for name in CATALOG
+                   if "abelian" in json.loads(
+                       (DATA / "groups" / f"{name}.json").read_text())]
+
+
+def catalog_group(name):
+    return load_group(
+        json.loads((DATA / "groups" / f"{name}.json").read_text()))
 
 
 @pytest.fixture(scope="session")
@@ -230,3 +240,38 @@ def elementary_abelians_reference(G, p):
                 data.morphisms[(i, j)] = sorted(
                     (h, images) for images, h in seen.items())
     return objects, data
+
+
+# -- subgroup references: a subgroup as its own relabelled group ----------
+
+
+def relabelled_p_basis(G, p, elements):
+    """The p-basis of the subgroup on the sorted `elements`, computed on a
+    relabelled copy (its block of G's table, renumbered 0..k-1 in the same
+    order) and read back in G: the reference for
+    abelian_p_basis(G, p, elements)."""
+    elements = sorted(elements)
+    block = G.table[np.ix_(elements, elements)]
+    sub = FiniteGroup(np.searchsorted(elements, block), _trusted=True)
+    return [(elements[h], o) for h, o in abelian_p_basis(sub, p)]
+
+
+def coordinates_reference(G, basis, x):
+    """The first exponents, in itertools.product order, with
+    x = prod b_i^{c_i}, by trying them all: the reference for
+    groups.abelian_coordinates."""
+    for combo in itertools.product(*[range(o) for _, o in basis]):
+        y = 0
+        for (b, _), c in zip(basis, combo):
+            y = G.mul(y, G.power(b, c))
+        if y == x:
+            return combo
+    raise ValueError(f"element {x} is not in the span of the basis")
+
+
+def centralizer_reference(G, subset):
+    """C_G(S) by two products per pair: the reference for
+    FiniteGroup.centralizer_elements."""
+    subset = list(subset)
+    return tuple(g for g in G.elements()
+                 if all(G.mul(g, s) == G.mul(s, g) for s in subset))

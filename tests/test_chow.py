@@ -311,6 +311,18 @@ class TestIngest:
         with pytest.raises(ValueError, match="respect|top-power"):
             ingest_ring(blob)
 
+    def test_adem_violation_refused(self):
+        # P^1 P^1 = 0 at p = 2, but P^1 x = y^3 gives P^1 P^1 x = y^4
+        blob = {
+            "prime": 2, "cutoff": 8, "provenance": "ingested",
+            "generators": [{"name": "y", "degree": 1},
+                           {"name": "x", "degree": 2}],
+            "steenrod": [{"a": 1, "gen": "x",
+                          "value": [{"coeff": 1, "monomial": [3, 0]}]}],
+        }
+        with pytest.raises(ValueError, match="Adem"):
+            ingest_ring(blob)
+
     def test_quotient_ring_dims(self):
         blob = {
             "prime": 3, "cutoff": 8, "provenance": "ingested",

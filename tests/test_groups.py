@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 from chowops.cli import main
 from chowops.groups import (FiniteGroup, abelian_coordinates, abelian_p_basis,
-                            all_elementary_abelians, centralizer,
-                            elementary_abelians, load_group, rep_classes)
-from conftest import (abelian_table, elementary_abelians_reference,
-                      permutation_table, rep_classes_reference)
+                            all_elementary_abelians, elementary_abelians,
+                            load_group, rep_classes)
+from conftest import (ABELIAN_CATALOG, CATALOG, abelian_table,
+                      catalog_group, centralizer_reference,
+                      coordinates_reference, elementary_abelians_reference,
+                      permutation_table, relabelled_p_basis,
+                      rep_classes_reference)
 
 
 def s3():
     return FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)], 3, name="S3")
+
+
 
 
 class TestConstruction:
@@ -126,22 +131,36 @@ class TestConstruction:
 class TestSubgroups:
     def test_centralizer_of_identity(self):
         g = s3()
-        assert len(centralizer(g, [0])) == 6
+        assert len(g.centralizer_elements([0])) == 6
 
     def test_centralizer_of_transposition(self):
         g = s3()
         t = next(x for x in g.elements() if g.element_order(x) == 2)
-        assert len(centralizer(g, [t])) == 2
+        assert len(g.centralizer_elements([t])) == 2
 
     def test_centralizer_abelian_group(self):
         g = FiniteGroup.from_abelian([4, 2])
-        assert len(centralizer(g, [1, 5])) == 8
+        assert len(g.centralizer_elements([1, 5])) == 8
 
     @pytest.mark.parametrize("xs", [(), (0,), (1, 2), (5, 3, 5)])
     def test_conjugates_match_conj(self, xs):
         for g in (s3(), FiniteGroup.from_abelian([4, 2])):
             assert g.conjugates(xs) == [[g.conj(h, x) for x in xs]
                                         for h in g.elements()]
+
+    @pytest.mark.parametrize("name", ["s3", "d4", "q8", "a4", "S6"])
+    def test_centralizer_matches_reference(self, name):
+        g = catalog_group(name) if name != "S6" else \
+            FiniteGroup.from_permutations(
+                [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], 6)
+        subsets = [(), tuple(g.elements())]
+        subsets += [(x,) for x in g.elements()] if len(g) <= 24 else []
+        for p in (2, 3):
+            for r in (1, 2):
+                subsets += [c.representative for c in rep_classes(r, g, p)]
+        for subset in subsets:
+            assert g.centralizer_elements(subset) == \
+                centralizer_reference(g, subset), subset
 
     def test_centralizer_conjugation_equivariant(self):
         g = s3()
@@ -244,12 +263,54 @@ class TestAbelianStructure:
     def test_coordinates(self):
         g = FiniteGroup.from_abelian([4, 2])
         basis = abelian_p_basis(g, 2)
-        for x in g.elements():
-            coords = abelian_coordinates(g, basis, x)
+        table = abelian_coordinates(g, basis)
+        assert sorted(table) == list(g.elements())
+        for x, coords in table.items():
             y = 0
             for (b, _), c in zip(basis, coords):
                 y = g.mul(y, g.power(b, c))
             assert y == x
+
+    @pytest.mark.parametrize("name", ABELIAN_CATALOG)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_subgroup_basis_matches_relabelled_copy(self, name, p):
+        # every cyclic and two-generator subgroup, basis read in G
+        g = catalog_group(name)
+        subgroups = {g.subgroup_closure(pair)
+                     for pair in itertools.combinations_with_replacement(
+                         g.elements(), 2)}
+        for elems in sorted(subgroups):
+            assert abelian_p_basis(g, p, elems) == \
+                relabelled_p_basis(g, p, elems), elems
+        assert abelian_p_basis(g, p, tuple(g.elements())) == \
+            abelian_p_basis(g, p)
+
+    @pytest.mark.parametrize("name", ABELIAN_CATALOG)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_coordinates_match_search(self, name, p):
+        # the whole group's basis and each cyclic subgroup's, with
+        # redundant spanning lists, whose exponents are not unique
+        g = catalog_group(name)
+        bases = [abelian_p_basis(g, p)]
+        bases += [abelian_p_basis(g, p, g.subgroup_closure([x]))
+                  for x in g.elements()]
+        bases += [[(x, g.element_order(x)), (x, g.element_order(x))]
+                  for x in g.p_torsion(p)]
+        for basis in bases:
+            table = abelian_coordinates(g, basis)
+            for x in g.elements():
+                if x in table:
+                    assert table[x] == coordinates_reference(g, basis, x)
+                else:
+                    with pytest.raises(ValueError, match="span"):
+                        coordinates_reference(g, basis, x)
+
+    def test_subgroups_of_a_nonabelian_group(self):
+        g = s3()
+        c3 = next(x for x in g.elements() if g.element_order(x) == 3)
+        assert abelian_p_basis(g, 3, g.subgroup_closure([c3])) == [(c3, 3)]
+        with pytest.raises(ValueError, match="not abelian"):
+            abelian_p_basis(g, 2, tuple(g.elements()))
 
     def test_nonabelian_rejected(self):
         with pytest.raises(ValueError):
@@ -282,6 +343,16 @@ class TestArrayEngine:
         ref_objs, ref_data = elementary_abelians_reference(G, p)
         assert [o.elements for o in objs] == [o.elements for o in ref_objs]
         assert data.morphisms == ref_data.morphisms
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_catalog_elementary_abelians_match_reference(self, name, p):
+        G = catalog_group(name)
+        objs, data = elementary_abelians(G, p)
+        ref_objs, ref_data = elementary_abelians_reference(G, p)
+        assert [o.elements for o in objs] == [o.elements for o in ref_objs]
+        assert list(data.morphisms.items()) == \
+            list(ref_data.morphisms.items())
 
     @pytest.mark.parametrize("orders", [
         [], [2], [3, 3, 3], [9, 3], [4, 2], [2] * 8, [4, 4, 2]])

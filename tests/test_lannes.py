@@ -84,6 +84,17 @@ class TestStructural:
         twice = tv_structural(g, 2, p)
         assert all(twice.dim(k) == p * once.dim(k) for k in range(7))
 
+    def test_one_catalog_ring_per_centralizer(self, monkeypatch):
+        # every class of an abelian group has G as centralizer
+        calls = []
+        real = lannes.abelian_ring
+        monkeypatch.setattr(lannes, "abelian_ring",
+                            lambda *a: calls.append(a) or real(*a))
+        G = FiniteGroup.from_abelian([3, 3])
+        tv = tv_structural(G, 2, 3)
+        assert len(tv.components) == 81
+        assert [a[2] for a in calls] == [tuple(G.elements())]
+
     def test_product_formula_consistency(self):
         g = FiniteGroup.from_abelian([2, 2])
         tv = tv_structural(g, 1, 2)
@@ -120,7 +131,8 @@ class TestStructural:
         s3 = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)], 3)
         for cls in gp.rep_classes(1, s3, 2):
             if cls.representative != (0,):
-                assert gp.centralizer(s3, cls).is_abelian
+                assert s3.is_abelian_on(
+                    s3.centralizer_elements(cls.representative))
 
 
 class TestEllCheck:

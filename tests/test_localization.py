@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +15,7 @@ from chowops.localization import (EqualizerDiagram, bounds_report,
                                   f_iso_check, max_nil_submodule)
 from chowops.modules import point_module
 
-from conftest import DATA, direct_sum
+from conftest import ABELIAN_CATALOG, catalog_group, direct_sum
 
 
 def G(spec, name=None):
@@ -234,16 +232,6 @@ def same_reports(got, want):
         d1 == d2 and v1 == v2 and x1.dtype == x2.dtype
         and np.array_equal(x1, x2)
         for (d1, x1, v1), (d2, x2, v2) in zip(got, want))
-
-
-ABELIAN_CATALOG = sorted(
-    path.stem for path in (DATA / "groups").glob("*.json")
-    if "abelian" in json.loads(path.read_text()))
-
-
-def catalog_group(name):
-    return gp.load_group(
-        json.loads((DATA / "groups" / f"{name}.json").read_text()))
 
 
 @settings(max_examples=60, deadline=None)
