@@ -65,7 +65,7 @@ class Action:
                 out[r] = (out.get(r, 0) + c * v) % p
         return {m: c for m, c in out.items() if c}
 
-    def prefix_levels(self, rows, amax=None) -> dict:
+    def prefix_levels(self, rows, amax=None, known=None) -> dict:
         """The monomials the recursion visits from the exponent rows
         `rows`, as {d: (level, links, n)}.  A monomial g_i m' whose first
         generator is g_i needs m', so for each i `links` holds
@@ -74,7 +74,10 @@ class Action:
         those whose first generator is g_i are consecutive, so sel is a
         slice.  Given `amax`, a monomial whose column `columns` keeps for
         every a <= amax is not descended into: it comes after the first n,
-        as a seed."""
+        as a seed.  Given `known`, the levels of earlier calls whose powers
+        are kept, a degree in it is not descended into either: the rows
+        that reach it are looked up in its known level, and it gets no
+        level here."""
         rows = distinct(rows)[0]
         # degree -> [(sorted distinct rows, (d, i, sel) of their multiples)]
         pending = {d: [(rows[rows[:, 0] == d], None)]
@@ -83,22 +86,26 @@ class Action:
         while pending:
             d = max(pending)
             chunks = pending.pop(d)
-            level, inverse = _union([c for c, _ in chunks])
-            n = len(level)
-            if amax is not None:
-                seed = [self.columns.get(m, (-1,))[0] >= amax
-                        for m in map(tuple, level[:, 1:].tolist())]
-                if all(seed):
-                    n = 0
-                elif any(seed):
-                    seed = np.array(seed)
-                    order = np.concatenate([(~seed).nonzero()[0],
-                                            seed.nonzero()[0]])
-                    where = np.empty(len(order), dtype=np.intp)
-                    where[order] = np.arange(len(order))
-                    level, inverse = level[order], where[inverse]
-                    n -= int(seed.sum())
-            out[d] = level, [], n
+            if known and d in known:
+                level, n = known[d][0], 0
+                inverse = find(np.concatenate([c for c, _ in chunks]), level)
+            else:
+                level, inverse = _union([c for c, _ in chunks])
+                n = len(level)
+                if amax is not None:
+                    seed = [self.columns.get(m, (-1,))[0] >= amax
+                            for m in map(tuple, level[:, 1:].tolist())]
+                    if all(seed):
+                        n = 0
+                    elif any(seed):
+                        seed = np.array(seed)
+                        order = np.concatenate([(~seed).nonzero()[0],
+                                                seed.nonzero()[0]])
+                        where = np.empty(len(order), dtype=np.intp)
+                        where[order] = np.arange(len(order))
+                        level, inverse = level[order], where[inverse]
+                        n -= int(seed.sum())
+                out[d] = level, [], n
             start = 0
             for c, owner in chunks:
                 if owner:
@@ -116,13 +123,17 @@ class Action:
                     (level[sel] - self.terms[i][0][0], (d, i, sel)))
         return out
 
-    def powers(self, levels, amax: int, top: int, keep=False) -> dict:
+    def powers(self, levels, amax: int, top: int, keep=False,
+               out=None) -> dict:
         """The reduced powers P^a, a <= amax, of every monomial in `levels`
         (from `prefix_levels`), into degrees <= top, as {d: (rows, vals)}:
         vals[r, j] is the coefficient of the monomial rows[r] in P^a of the
         j-th monomial of the level, with a read off the degree of rows[r].
         Only nonzero rows are kept, sorted.  Seeds are read from
-        `columns`; with `keep`, every computed column is kept there too."""
+        `columns`; with `keep`, every computed column is kept there too.
+        Given `out`, the blocks of the `known` levels of `prefix_levels`
+        (same amax and top), the recursion continues from them and adds
+        the new blocks to it."""
         p, terms = self.p, self.terms
         # an entry sums one residue per term of P(g_i), and a term with a
         # coefficient other than 1 multiplies two residues
@@ -130,7 +141,7 @@ class Action:
         scaled = any(c != 1 for t in terms for _, c in t)
         if widest * (p - 1) >= 2**63 or scaled and (p - 1) ** 2 >= 2**63:
             raise ValueError(f"prime {p} too large for int64 products")
-        out = {}
+        out = {} if out is None else out
         for d in sorted(levels):
             cols, links, n = levels[d]
             ceiling = min(top, d + amax * (p - 1))

@@ -295,8 +295,7 @@ class ChowRing:
                         f"action does not respect relations[{r}]: "
                         f"P^{a} of it is nonzero in the quotient")
                 a += 1
-        FiniteModule(self.p, *_action_through(self, cutoff),
-                     truncated_above=cutoff)
+        _filled_module(self, cutoff, truncated_above=cutoff)
 
     # -- serialization ----------------------------------------------------
 
@@ -463,47 +462,60 @@ def restriction_map(G: gp.FiniteGroup, subgroup_elements, p: int,
 # modules from rings
 
 
-def _action_through(ring: ChowRing, top: int):
-    """(dims, mats) of the ring in degrees <= top, with the reduced powers
-    that stay inside that window as FiniteModule action matrices: one
-    Cartan recursion over the basis monomials, then per (a, d) the raw
-    columns placed on raw_monomials and reduced by the relations."""
-    dims = {d: ring.dim(d) for d in range(max(top + 1, 0)) if ring.dim(d)}
-    if not dims:
-        return dims, {}
-    action = ring._action
-    raw = {d: action.rows(ring._deg_data(d)[0]) for d in dims}
-    basis = {d: action.rows(ring.basis(d)) for d in dims} \
-        if ring.relations else raw
-    levels = action.prefix_levels(np.concatenate(list(basis.values())))
-    blocks = action.powers(levels, top, top)
-    mats = {}
-    for d in sorted(dims):
-        rows, vals = blocks.pop(d)
-        cols = cartan.find(basis[d], levels[d][0])
-        for a in range(1, d + 1):
-            d2 = d + a * (ring.p - 1)
-            if d2 > top or d2 not in dims:
-                continue
-            lo, hi = np.searchsorted(rows[:, 0], [d2, d2 + 1])
-            mat = fl.zeros(len(raw[d2]), len(cols))
-            mat[cartan.find(rows[lo:hi], raw[d2])] = vals[lo:hi][:, cols]
-            mat = ring._reduce(mat, d2)
-            if mat.any():
-                mats[(a, d)] = mat
-    return dims, mats
+class _ActionFill:
+    """P^a from degree d on the ring's basis, into degrees <= top, as
+    FiniteModule action matrices built when first read.  Reading from
+    degree d runs the Cartan recursion on the raw monomials up to degree
+    d, continuing from the blocks of earlier reads; then the block's rows
+    of degree d + a(p-1) are placed on raw_monomials and reduced by the
+    relations."""
+
+    def __init__(self, ring: ChowRing, top: int):
+        self.ring, self.top = ring, top
+        self.levels, self.blocks = {}, {}
+        self.filled = -1  # every degree <= filled has its block
+
+    def __call__(self, a: int, d: int) -> np.ndarray:
+        ring, action = self.ring, self.ring._action
+        if d > self.filled:
+            seeds = np.concatenate(
+                [action.rows(ring._deg_data(e)[0])
+                 for e in range(self.filled + 1, d + 1)])
+            levels = action.prefix_levels(seeds, known=self.levels)
+            action.powers(levels, self.top, self.top, out=self.blocks)
+            self.levels.update(levels)
+            self.filled = d
+        _, index, nf, basis = ring._deg_data(d)
+        rows, vals = self.blocks[d]
+        if nf is not None:
+            vals = vals[:, [index[m] for m in basis]]
+        d2 = d + a * (ring.p - 1)
+        lo, hi = rows[:, 0].searchsorted([d2, d2 + 1])
+        raw = action.rows(ring._deg_data(d2)[0])
+        mat = fl.zeros(len(raw), vals.shape[1])
+        mat[cartan.find(rows[lo:hi], raw)] = vals[lo:hi]
+        return ring._reduce(mat, d2)
+
+
+def _filled_module(ring: ChowRing, top: int, **kwargs) -> FiniteModule:
+    """The ring in degrees <= top, its action matrices filled on first
+    read (`_ActionFill`)."""
+    dims = {d: ring.dim(d) for d in range(top + 1) if ring.dim(d)}
+    return FiniteModule(ring.p, dims, {}, fill=_ActionFill(ring, top),
+                        **kwargs)
 
 
 def truncate(ring: ChowRing, n: int) -> FiniteModule:
     """The graded quotient of the ring in degrees < n, as a module over the
-    reduced powers (operations landing in degrees >= n become zero)."""
-    return FiniteModule(ring.p, *_action_through(ring, n - 1), validate=False)
+    reduced powers (operations landing in degrees >= n become zero); its
+    action matrices are filled on first read."""
+    return _filled_module(ring, n - 1, validate=False)
 
 
 def ring_module(ring: ChowRing, D: int) -> FiniteModule:
-    """The ring itself through degree D, marked truncated above D."""
-    return FiniteModule(ring.p, *_action_through(ring, D),
-                        truncated_above=D, validate=False)
+    """The ring itself through degree D, marked truncated above D; its
+    action matrices are filled on first read."""
+    return _filled_module(ring, D, truncated_above=D, validate=False)
 
 
 # ---------------------------------------------------------------------------

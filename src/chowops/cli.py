@@ -202,6 +202,13 @@ def cmd_tv(args):
     meta = {}
     if args.group:
         G = _load_group(args.group)
+        if not G.is_abelian:
+            # the trivial class's centralizer is G, and only the library
+            # call takes a ring for it
+            raise CliError(
+                f"tv --group needs an abelian group; {G.name} (order {G.n}) "
+                "is not, and a ring for its centralizers can only be passed "
+                "to the library call tv_structural(centralizer_rings=...)")
         try:
             tv = tv_structural(G, args.rank, _prime(args))
         except ValueError as exc:

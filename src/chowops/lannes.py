@@ -14,6 +14,7 @@ Two computation routes, deliberately independent of each other:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -35,9 +36,11 @@ __all__ = [
 ]
 
 
+@cache
 def tv_target(r: int, k: int, p: int, max_degree: int) -> FiniteModule:
     """CH of (Z/p)^r tensored with the degree-k Brown-Gitler dual,
-    materialized through max_degree."""
+    materialized through max_degree.  One module is built per key and
+    shared; callers treat it as read-only."""
     ch = ring_module(elem_abelian_ring(r, p), max_degree)
     bg = brown_gitler(k, max_degree, p)
     return tensor_finite(ch, bg)

@@ -14,7 +14,7 @@ Two representations, one-way compiled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -82,25 +82,51 @@ class FiniteModule:
     ``mats[(a, d)]`` sends degree d to degree d + a(p-1); shape is
     (dim target, dim source).  Missing keys are zero maps.  Degrees above
     ``truncated_above`` are unknown (None means the support shown is all
-    there is).
+    there is).  Given ``fill``, a function (a, d) -> matrix, the matrices
+    between degrees of the support within the horizon are built by it
+    when first read: one by `act`, and all that are left when ``mats`` is
+    read.
     """
 
-    def __init__(self, p, dims, mats, truncated_above=None, validate=True):
+    def __init__(self, p, dims, mats, truncated_above=None, validate=True,
+                 fill=None):
         self.p = fl.check_prime(p)
         self.dims = {d: int(n) for d, n in dims.items() if n}
-        self.mats = {}
-        for (a, d), m in mats.items():
-            # a canonical matrix is kept as given, not copied
-            if not (isinstance(m, np.ndarray) and m.dtype == np.int64
-                    and m.ndim == 2
-                    and (not m.size or 0 <= m.min() and m.max() < p)):
-                m = fl.as_fp_matrix(m, p)
-            if m.size and m.any():
-                self.mats[(a, d)] = m
         self.truncated_above = truncated_above
+        self._mats = {}
+        for key, m in mats.items():
+            self._keep(key, m)
+        self._fill = fill
+        self._unread = set() if fill is None else {
+            (a, d) for d in self.dims for a in range(1, d + 1)
+            if d + a * (self.p - 1) in self.dims
+            and d + a * (self.p - 1) <= self.horizon()}
         self._dies = {}
         if validate:
             self._validate()
+
+    def _keep(self, key, m):
+        """Store a nonzero matrix; a canonical one as given, not copied."""
+        if not (isinstance(m, np.ndarray) and m.dtype == np.int64
+                and m.ndim == 2
+                and (not m.size or 0 <= m.min() and m.max() < self.p)):
+            m = fl.as_fp_matrix(m, self.p)
+        if m.size and m.any():
+            self._mats[key] = m
+
+    def _read(self, key):
+        if key in self._unread:
+            self._unread.remove(key)
+            self._keep(key, self._fill(*key))
+        return self._mats.get(key)
+
+    @property
+    def mats(self) -> dict:
+        """Every nonzero action matrix, filling those not read yet (the
+        highest source degree first, so one fill reaches them all)."""
+        for key in sorted(self._unread, key=lambda ad: (-ad[1], ad[0])):
+            self._read(key)
+        return self._mats
 
     # -- basic queries -------------------------------------------------
 
@@ -133,7 +159,7 @@ class FiniteModule:
             raise ValueError(
                 f"P^{a} from degree {d} lands at {target}, beyond the "
                 f"truncation degree {self.truncated_above}")
-        m = self.mats.get((a, d))
+        m = self._read((a, d))
         if m is None:
             return fl.zeros(self.dim(target), self.dim(d))
         return m
@@ -231,6 +257,7 @@ def point_module(d: int, p: int) -> FiniteModule:
     return FiniteModule(p, {d: 1}, {})
 
 
+@cache
 def brown_gitler(k: int, D: int, p: int) -> FiniteModule:
     """The degree-k Brown-Gitler dual through degree D.
 
@@ -238,7 +265,8 @@ def brown_gitler(k: int, D: int, p: int) -> FiniteModule:
     and the P^a matrices are transposes of right multiplication by P^a on
     those free-module bases, so Hom into this module computes the dual of
     the degree-k part.  Support lies in 0..k, so the result is complete
-    whenever D >= k.
+    whenever D >= k.  One module is built and validated per key and
+    shared; callers treat it as read-only.
     """
     top = min(k, D)
     bases = {i: free_module_basis(i, k, p) for i in range(top + 1)}

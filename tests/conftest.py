@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from chowops import cartan
 from chowops import fp_linalg as fl
 from chowops.chow import (elem_abelian_ring, poly_add, poly_mul_raw,
                           poly_scale, truncate)
@@ -107,6 +108,38 @@ def act_reference(ring, a, f):
         part = total_power_monomial(ring, m).get(a, {})
         out = poly_add(out, poly_scale(part, c, ring.p), ring.p)
     return ring.normal_form(out)
+
+
+def action_through_reference(ring, top: int):
+    """(dims, mats) of the ring in degrees <= top, with the reduced powers
+    that stay inside that window, all built at once: one Cartan recursion
+    over the basis monomials, then per (a, d) the raw columns placed on
+    raw_monomials and reduced by the relations.  The reference for the
+    modules that `ring_module` and `truncate` fill on first read."""
+    dims = {d: ring.dim(d) for d in range(max(top + 1, 0)) if ring.dim(d)}
+    if not dims:
+        return dims, {}
+    action = ring._action
+    raw = {d: action.rows(ring._deg_data(d)[0]) for d in dims}
+    basis = {d: action.rows(ring.basis(d)) for d in dims} \
+        if ring.relations else raw
+    levels = action.prefix_levels(np.concatenate(list(basis.values())))
+    blocks = action.powers(levels, top, top)
+    mats = {}
+    for d in sorted(dims):
+        rows, vals = blocks.pop(d)
+        cols = cartan.find(basis[d], levels[d][0])
+        for a in range(1, d + 1):
+            d2 = d + a * (ring.p - 1)
+            if d2 > top or d2 not in dims:
+                continue
+            lo, hi = np.searchsorted(rows[:, 0], [d2, d2 + 1])
+            mat = fl.zeros(len(raw[d2]), len(cols))
+            mat[cartan.find(rows[lo:hi], raw[d2])] = vals[lo:hi][:, cols]
+            mat = ring._reduce(mat, d2)
+            if mat.any():
+                mats[(a, d)] = mat
+    return dims, mats
 
 
 def check_commutes(rm, max_degree: int = 6) -> bool:

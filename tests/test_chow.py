@@ -17,7 +17,8 @@ from chowops.chow import (ChowRing, RingMap, abelian_ring,
 from chowops.groups import FiniteGroup
 from chowops.powers import reduce_word
 
-from conftest import act_reference, apply, check_commutes
+from conftest import (act_reference, action_through_reference, apply,
+                      check_commutes)
 
 
 def test_elem_abelian_dims():
@@ -507,6 +508,38 @@ def test_ring_module_matches_dict_reference(name, top, seed):
             for j in rng.sample(range(len(basis)), min(3, len(basis))):
                 want = r.coords([act_reference(r, a, {basis[j]: 1})], d2)
                 assert (mat[:, j] == want[:, 0]).all(), (a, d, basis[j])
+
+
+def lazy_reads(module, dims, top, p, order):
+    """Every (a, d) of the window, read from `module` in `order`
+    ("descending" source degrees, or a seeded "random" one), as
+    {(a, d): matrix}."""
+    keys = [(a, d) for d in sorted(dims) for a in range(1, d + 1)
+            if d + a * (p - 1) <= top]
+    if order == "descending":
+        keys.sort(key=lambda ad: (-ad[1], ad[0]))
+    else:
+        random.Random(top).shuffle(keys)
+    return {key: module.act(*key) for key in keys}
+
+
+@pytest.mark.parametrize("order", ["descending", "random"])
+@pytest.mark.parametrize("name", sorted(CROSS_RINGS))
+def test_filled_on_read_matches_eager_build(name, order):
+    # ring_module through 10 and truncate below 8, against the matrices
+    # built all at once: all of `.mats` read first, and every (a, d) read
+    # one by one, high degrees first or in a random order
+    r = CROSS_RINGS[name]()
+    for build, top in ((lambda: ring_module(r, 10), 10),
+                       (lambda: truncate(r, 8), 7)):
+        dims, mats = action_through_reference(r, top)
+        module = build()
+        assert module.dims == dims and module.mats.keys() == mats.keys()
+        assert all((module.mats[key] == mats[key]).all() for key in mats)
+        for (a, d), got in lazy_reads(build(), dims, top, r.p, order).items():
+            d2 = d + a * (r.p - 1)
+            want = mats.get((a, d), fl.zeros(dims.get(d2, 0), dims[d]))
+            assert got.shape == want.shape and (got == want).all(), (a, d)
 
 
 @pytest.mark.parametrize("high", [5, 2**40])

@@ -111,11 +111,14 @@ def test_tv_structural_table(capsys, data_dir):
                                           ("q8", 8)])
 def test_tv_nonabelian_group_names_the_missing_ring(capsys, data_dir, group,
                                                     order):
-    # the trivial class's centralizer is the whole nonabelian group
+    # the trivial class's centralizer is the whole nonabelian group, and
+    # the CLI has no way to pass a ring for it
     path = str(data_dir / "groups" / f"{group}.json")
     assert run(capsys, "tv", "--group", path) == (
-        2, "", f"error: no ring available for the centralizer of class (0,) "
-        f"(order {order}, nonabelian); supply one via centralizer_rings\n")
+        2, "", f"error: tv --group needs an abelian group; {group.upper()} "
+        f"(order {order}) is not, and a ring for its centralizers can only "
+        "be passed to the library call tv_structural(centralizer_rings=...)"
+        "\n")
 
 
 def test_tv_module_table(capsys, data_dir):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chowops import cartan
 from chowops import fp_linalg as fl
 from chowops import groups as gp
 from chowops import chow
@@ -609,6 +610,21 @@ class TestMaxNil:
         monkeypatch.setattr(loc, "ring_module", counting)
         rep = bounds_report(G([2, 2]), 2, 5, 2)
         assert built == [10] and not rep["violations"]
+
+    def test_bounds_report_fills_only_what_it_reads(self, monkeypatch):
+        # d0 through 12 on (Z/2)^3 reads P^e from degree e for e <= 12 of
+        # a module through 24: the recursion fills source degrees 0..12,
+        # each once, and none above
+        filled = []
+        real = cartan.Action.powers
+
+        def recording(self, levels, *args, **kwargs):
+            filled.extend(levels)
+            return real(self, levels, *args, **kwargs)
+
+        monkeypatch.setattr(cartan.Action, "powers", recording)
+        assert not bounds_report(G([2, 2, 2]), 3, 12, 2)["violations"]
+        assert sorted(filled) == list(range(13))
 
     def test_polynomial_line_has_no_nilpotents(self):
         r = elem_abelian_ring(1, 2)
