@@ -6,7 +6,9 @@ levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
 729 and 64 classes each take a centralizer ring; `quillen-check` past the
 default cutoff, on a rank-4 group and where the p-torsion subgroup is
 trivial; `localize` at rank 3 and 4 past the
-default cutoff, where most objects lie below the top subgroup;
+default cutoff, where most objects lie below the top subgroup; the rank-5
+and rank-4 subspace lattices of (Z/2)^5 under `localize` and of (Z/3)^4
+under `quillen-check`;
 the `d0` bound report and two `act` runs in high degree, which have no
 JSON form, as plain text.  A change that moves any output byte fails
 here."""
@@ -153,6 +155,17 @@ LOCALIZE_CUTOFF_RUNS = {
 LOCALIZE_RANK_FOUR = (
     "5835f539fd35dcd26982ba373a8379f3621c6e8dd5ba649e770b1bc571e4f0c4")
 
+# the largest subspace lattices pinned: 374 objects and 5,769 inclusions
+# on (Z/2)^5, 212 objects on (Z/3)^4
+LATTICE_RUNS = {
+    "localize":
+        ([2, 2, 2, 2, 2], ["--prime", 2, "--level", 2, "--cutoff", 4],
+         "d8a8910cd78ea4cd08dfda33a8b7320edd73f72130056af144f05da0a7ac200d"),
+    "quillen-check":
+        ([3, 3, 3, 3], ["--prime", 3, "--cutoff", 4],
+         "cb5916b0aa25c7b2e9fb836443d669eb7e2e40b2c5f4be6ec2b8718d524debd8"),
+}
+
 D0_TEXT = """\
 d0 = 0 (verified-through-cutoff)
 d1 = 0 (verified-through-cutoff)
@@ -249,6 +262,15 @@ def test_localize_rank_four_output(capsys, tmp_path):
     argv = ["localize", "--group", path, "--prime", 2, "--level", 2,
             "--cutoff", 6]
     assert digest(capsys, *argv) == LOCALIZE_RANK_FOUR
+
+
+@pytest.mark.parametrize("command", sorted(LATTICE_RUNS))
+def test_lattice_output(capsys, tmp_path, command):
+    orders, flags, expected = LATTICE_RUNS[command]
+    name = f"(Z/{orders[0]})^{len(orders)}"
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"abelian": orders, "name": name}))
+    assert digest(capsys, command, "--group", path, *flags) == expected
 
 
 @pytest.mark.parametrize("group", ["klein", "z4xz2"])
