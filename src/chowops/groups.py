@@ -1,6 +1,7 @@
 """Finite group engine: multiplication-table groups, subgroups,
-centralizers, elementary abelian p-subgroups with their conjugation
-category, and commuting p-torsion tuples up to simultaneous conjugation.
+centralizers, the elementary abelian p-subgroups of an abelian group with
+their inclusions, and commuting p-torsion tuples up to simultaneous
+conjugation.
 
 Everything is brute force over a dense int32 multiplication table with
 orbit deduplication, which is the right tool at desk scale: S7 (order
@@ -13,7 +14,7 @@ own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,14 +163,6 @@ class FiniteGroup:
     def inv(self, a):
         return int(self._inv[a])
 
-    def conj(self, g, x):
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
-    def conjugates(self, xs):
-        """Row g is [g x g^-1 for x in xs], for every element g."""
-        return self.table[self.table[:, list(xs)], self._inv[:, None]].tolist()
-
     def power(self, x, k):
         out, base = 0, x
         k = int(k)
@@ -273,47 +266,86 @@ def _is_p_power(n, p):
     return n == 1
 
 
-def log_p(n, p):
-    """The e with n = p^e; raises when n is not a power of p."""
-    e = 0
-    while n > 1:
-        if n % p:
-            raise ValueError(f"{n} is not a power of {p}")
-        n //= p
-        e += 1
-    return e
-
-
 def abelian_coordinates(G: FiniteGroup, basis):
     """Each element of the span of the (element, order) pairs `basis`,
     mapped to the first exponents (c_1, ..., c_r) in itertools.product
     order with x = prod b_i^{c_i}: the whole span, one table gather per
     basis element."""
+    table = {}
+    exponents = itertools.product(*(range(o) for _, o in basis))
+    for x, c in zip(_span(G, basis).tolist(), exponents):
+        table.setdefault(x, c)
+    return table
+
+
+def _span(G: FiniteGroup, basis):
+    """prod b_i^{c_i} for every exponent tuple c in itertools.product
+    order, one table gather per basis element."""
     span = np.zeros(1, dtype=np.intp)
     for b, o in basis:
         powers = [0]
         for _ in range(o - 1):
             powers.append(G.mul(powers[-1], b))
         span = G.table[span[:, None], powers].ravel()
-    table = {}
-    exponents = itertools.product(*(range(o) for _, o in basis))
-    for x, c in zip(span.tolist(), exponents):
-        table.setdefault(x, c)
-    return table
+    return span
 
 
 # ---------------------------------------------------------------------------
-# elementary abelian subgroups and the conjugation/inclusion category
+# elementary abelian subgroups of an abelian group: the subspaces of T
 
 
-@dataclass(frozen=True)
-class ElemAbelianSubgroup:
-    parent: FiniteGroup
-    elements: tuple  # sorted, identity first
-    rank: int
+def elementary_abelians(G: FiniteGroup, p: int):
+    """The elementary abelian p-subgroups of an abelian group G and their
+    inclusions, as (objects, inclusions).
 
-    def __repr__(self):
-        return f"<E rank {self.rank}: {list(self.elements)}>"
+    They are the subspaces of T ~ F_p^r, the subgroup of elements of
+    order dividing p.  Conjugation is the identity, so the category's
+    morphisms are the inclusions.  `objects` are sorted element tuples,
+    ordered by (size, elements), so T is last; `inclusions` are the
+    ascending pairs (i, j) with E_i <= E_j.  Each subspace is enumerated
+    once, by its reduced echelon basis, one batch per pivot set."""
+    gens = [(G.power(b, o // p), p) for b, o in abelian_p_basis(G, p)]
+    r = len(gens)
+    # ids[c] is the element of T with exponents v in `gens`, where the
+    # code c is the base-p value of v
+    ids = _span(G, gens)
+    weights = p ** np.arange(r - 1, -1, -1)
+    objects = []
+    for k in range(r + 1):
+        # the span of a k x r basis B is every v B, v in F_p^k
+        span = _vectors(p, k)
+        for pivots in itertools.combinations(range(r), k):
+            # the free entries of a reduced echelon form with these pivots
+            free = [(a, c) for a, pc in enumerate(pivots)
+                    for c in range(pc + 1, r) if c not in pivots]
+            bases = np.zeros((p ** len(free), k, r), dtype=np.intp)
+            bases[:, range(k), pivots] = 1
+            if free:
+                a, c = zip(*free)
+                bases[:, a, c] = _vectors(p, len(free))
+            objects += ids[span @ bases % p @ weights].tolist()
+    objects = sorted((tuple(sorted(E)) for E in objects),
+                     key=lambda E: (len(E), E))
+    # E_i <= E_j exactly when E_i meets E_j in |E_i| elements; row i of
+    # `member` marks the codes of E_i's elements (float32 counts are exact
+    # below 2^24, far above the order cap)
+    code = np.zeros(G.n, dtype=np.intp)
+    code[ids] = np.arange(len(ids))
+    member = np.zeros((len(objects), len(ids)), dtype=np.float32)
+    for i, E in enumerate(objects):
+        member[i, code[list(E)]] = 1
+    meets = member @ member.T
+    rows, cols = np.nonzero(meets == meets.diagonal()[:, None])
+    return objects, list(zip(rows.tolist(), cols.tolist()))
+
+
+def _vectors(p, k):
+    """Every vector of F_p^k, one per row."""
+    return np.indices((p,) * k, dtype=np.intp).reshape(k, p ** k).T
+
+
+# ---------------------------------------------------------------------------
+# Rep(V, G): commuting p-torsion tuples up to simultaneous conjugation
 
 
 @dataclass(frozen=True)
@@ -324,84 +356,6 @@ class HomClass:
     rank: int
     representative: tuple
     orbit_size: int
-
-
-@dataclass
-class QuillenCategoryData:
-    """Conjugacy-class representatives of elementary abelian subgroups and,
-    for each ordered pair, the conjugation-inclusion maps between them
-    deduplicated by induced map."""
-
-    objects: list
-    # (i, j) -> list of (h, images) with h E_i h^-1 inside E_j; `images`
-    # records h e h^-1 for e in objects[i].elements
-    morphisms: dict = field(default_factory=dict)
-
-
-def all_elementary_abelians(G: FiniteGroup, p: int):
-    """Every elementary abelian p-subgroup (as sorted element tuples),
-    including the trivial one."""
-    torsion = [x for x in G.p_torsion(p) if x != 0]
-    found = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        nxt = []
-        for E in frontier:
-            eset = set(E)
-            for x in torsion:
-                if x in eset:
-                    continue
-                if any(G.mul(x, e) != G.mul(e, x) for e in E):
-                    continue
-                bigger = set()
-                xs = [0]
-                while True:
-                    last = G.mul(xs[-1], x)
-                    if last == 0:
-                        break
-                    xs.append(last)
-                for e in E:
-                    for xk in xs:
-                        bigger.add(G.mul(e, xk))
-                key = tuple(sorted(bigger))
-                if key not in found:
-                    found.add(key)
-                    nxt.append(key)
-        frontier = nxt
-    return sorted(found, key=lambda t: (len(t), t))
-
-
-def elementary_abelians(G: FiniteGroup, p: int):
-    """Conjugacy classes of elementary abelian p-subgroups plus the full
-    category data (morphisms = conjugations composed with inclusions)."""
-    reps = []
-    covered = set()
-    for E in all_elementary_abelians(G, p):
-        if E in covered:
-            continue
-        orbit = {tuple(sorted(row)) for row in G.conjugates(E)}
-        covered |= orbit
-        reps.append(min(orbit))
-    reps.sort(key=lambda t: (len(t), t))
-    objects = [ElemAbelianSubgroup(G, rep, log_p(len(rep), p))
-               for rep in reps]
-    data = QuillenCategoryData(objects=objects)
-    for i, Ei in enumerate(reps):
-        # each distinct conjugate of E_i with the first h giving it
-        first = {}
-        for h, images in enumerate(map(tuple, G.conjugates(Ei))):
-            first.setdefault(images, h)
-        for j, Ej in enumerate(reps):
-            ejset = set(Ej)
-            maps = sorted((h, images) for images, h in first.items()
-                          if ejset.issuperset(images))
-            if maps:
-                data.morphisms[(i, j)] = maps
-    return objects, data
-
-
-# ---------------------------------------------------------------------------
-# Rep(V, G): commuting p-torsion tuples up to simultaneous conjugation
 
 
 def rep_classes(r: int, G: FiniteGroup, p: int):

@@ -4,8 +4,9 @@ degreewise matrices.
 For a group G with catalog ring data the map lambda_n goes from CH_G into
 the product over elementary abelian classes E of CH_E (x) (CH_{C(E)}
 truncated below n); the equalizer of the two leg maps over the
-conjugation-inclusion category receives it.  Everything here certifies
-statements "through degree D" only and says so.
+category of elementary abelian subgroups and their inclusions receives
+it.  Everything here certifies statements "through degree D" only and
+says so.
 
 Implemented scope: abelian groups (all centralizers are then the group
 itself and every map is canonical character algebra).  Nonabelian input
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import fp_linalg as fl
 from . import groups as gp
-from .chow import ChowRing, RingMap, abelian_ring, restriction_map, ring_module
+from .chow import ChowRing, abelian_ring, restriction_map, ring_module
 from .modules import FiniteModule
 
 __all__ = [
@@ -46,12 +47,12 @@ class _AbelianSetup:
     """Rings, restriction maps, and the subgroup category of an abelian
     group, with caches for degreewise matrices.
 
-    The category has a terminal object T, the subgroup of elements of
-    order dividing p: every E lies in T, and conjugation is the identity,
-    so there is exactly one morphism E <= T.  T is the largest object, so
-    `elementary_abelians` sorts it last.  `top` is its index and
-    `into_top[i]` the index of the morphism E_i <= T, whose map is
-    res_{T->E_i}; res_{T->T} is the identity.  Restriction is functorial,
+    The category is the subspace lattice of T, the subgroup of elements
+    of order dividing p: conjugation is the identity, so the morphisms
+    are the inclusion pairs (i, j), E_i <= E_j, of `morphisms`, and the
+    map of (i, j) is res_{E_j->E_i}.  T is terminal: every E lies in T.
+    It is the largest object, so `elementary_abelians` sorts it last, and
+    `top` is its index.  Restriction is functorial,
     res_{E2->E1} o res_{T->E2} = res_{T->E1}, so T's component determines
     every other: `build_lambda` and `f_iso_check` both work on T alone.
     """
@@ -66,24 +67,16 @@ class _AbelianSetup:
         self.G = G
         self.p = fl.check_prime(p)
         self.data_G = abelian_ring(G, p)
-        self.objects, self.category = gp.elementary_abelians(G, p)
+        self.objects, self.morphisms = gp.elementary_abelians(G, p)
         self.res_to = []      # RingMap CH_G -> CH_E per object
         self.sub_data = []    # AbelianRingData per object
         for obj in self.objects:
-            rm = restriction_map(G, obj.elements, p, ring_G=self.data_G)
+            rm = restriction_map(G, obj, p, ring_G=self.data_G)
             self.res_to.append(rm)
             self.sub_data.append(rm.subgroup_data)
         self._mat_cache = {}
         self._comult_cache = {}
-        # morphisms (i, j, h) induced by e -> h e h^-1 from E_i into E_j;
-        # `conj_map` builds their ring maps on first use
-        self.morphisms = [(i, j, h) for (i, j), maps
-                          in sorted(self.category.morphisms.items())
-                          for h, _ in maps]
-        self._conj_maps = {}
         self.top = len(self.objects) - 1
-        self.into_top = [m for m, (_, j, _) in enumerate(self.morphisms)
-                         if j == self.top]
 
     # -- cached degreewise matrices --------------------------------------
 
@@ -109,27 +102,16 @@ class _AbelianSetup:
                 self._mat_cache[key] = fl.zeros(0, k)
         return self._mat_cache[key]
 
-    def conj_map(self, m_index) -> RingMap:
-        """The RingMap CH_{E_j} -> CH_{E_i} of morphism m_index: conjugation
-        is the identity in an abelian group, so it is the restriction from
-        E_j to E_i."""
-        if m_index not in self._conj_maps:
-            i, j, h = self.morphisms[m_index]
-            self._conj_maps[m_index] = self.sub_data[j].restrict(
-                self.sub_data[i], name=f"c_{h}: E{i}->E{j}")
-        return self._conj_maps[m_index]
-
-    def conjres_mat(self, m_index, d):
-        return self.conj_map(m_index).matrix(d)
-
     @cached_property
     def functorial(self):
-        """Whether every morphism E_i -> E_j composes with restriction from
-        G: c o res_{G->E_j} = res_{G->E_i}, on substitution matrices."""
+        """Whether every inclusion E_i <= E_j composes with restriction
+        from G: res_{E_j->E_i} o res_{G->E_j} = res_{G->E_i}, on
+        substitution matrices."""
         return all(
-            (fl.matmul(self.res_to[j].mat, self.conj_map(m).mat, self.p)
-             == self.res_to[i].mat).all()
-            for m, (i, j, _) in enumerate(self.morphisms))
+            (fl.matmul(self.res_to[j].mat,
+                       self.sub_data[j].char_matrix(self.sub_data[i].basis),
+                       self.p) == self.res_to[i].mat).all()
+            for i, j in self.morphisms)
 
     def comult_split(self, ring: ChowRing, i, j):
         """Matrix of the coproduct piece CH^{i+j} -> CH^i (x) CH^j for a
@@ -240,10 +222,10 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
       lambda_E = (res_{T->E} (x) id) lambda_T.  The lambda stacked over
       every object therefore has the rank of lambda_T, which decides
       `injective` and `onto_equalizer`;
-    * morphisms.  For phi: E1 -> E2, leg 2 of phi on lambda_{E2} equals
-      leg 2 of E1's own pair on lambda_{E1} whenever
-      c_phi o res_{G->E2} = res_{G->E1}: the mixed-product rule of the
-      Kronecker product, block by block.  Leg 1 depends on E1 alone;
+    * morphisms.  For the inclusion E1 <= E2, leg 2 on lambda_{E2}
+      equals leg 2 of E1's own pair on lambda_{E1} whenever
+      res_{E2->E1} o res_{G->E2} = res_{G->E1}: the mixed-product rule of
+      the Kronecker product, block by block.  Leg 1 depends on E1 alone;
     * objects below T.  E1's own pair is T's pair pushed forward by
       res_{T->E1} (x) res_{T->E1} (x) id.  This uses functoriality
       G -> T -> E1 and that restriction is a coalgebra map;
@@ -332,8 +314,8 @@ def certify_nilpotent(ring: ChowRing, poly, degree: int, D: int):
 
 
 def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
-    """Compute the limit of the elementary abelian rings over conjugations
-    and inclusions (independently of the equalizer machinery), then
+    """Compute the limit of the elementary abelian rings over the
+    inclusions (independently of the equalizer machinery), then
     certify nilpotency of the kernel and p-power membership of the image
     by explicit multiplication, bounded by the cutoff.
 
@@ -349,7 +331,9 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
     res_{G->T}."""
     setup = _AbelianSetup(G, p)
     ring_G = setup.data_G.ring
-    ring_T = setup.sub_data[setup.top].ring
+    data_T = setup.sub_data[setup.top]
+    ring_T = data_T.ring
+    res_from_top = [data_T.restrict(data) for data in setup.sub_data]
 
     @cache
     def residual(d):
@@ -361,7 +345,7 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
     kernel_report = []
     image_report = []
     for d in range(D + 1):
-        basis = np.vstack([setup.conjres_mat(m, d) for m in setup.into_top])
+        basis = np.vstack([rm.matrix(d) for rm in res_from_top])
         limit_dims[d] = basis.shape[1]
         # kernel elements of CH_G -> lim, certified nilpotent by powering:
         # test x^{p^m} = 0 while p^m * deg x stays inside the window

@@ -257,7 +257,6 @@ def point_module(d: int, p: int) -> FiniteModule:
     return FiniteModule(p, {d: 1}, {})
 
 
-@cache
 def brown_gitler(k: int, D: int, p: int) -> FiniteModule:
     """The degree-k Brown-Gitler dual through degree D.
 
@@ -265,10 +264,15 @@ def brown_gitler(k: int, D: int, p: int) -> FiniteModule:
     and the P^a matrices are transposes of right multiplication by P^a on
     those free-module bases, so Hom into this module computes the dual of
     the degree-k part.  Support lies in 0..k, so the result is complete
-    whenever D >= k.  One module is built and validated per key and
-    shared; callers treat it as read-only.
+    whenever D >= k, and it depends on D only through min(k, D).  One
+    module is built and validated per (k, min(k, D), p) and shared;
+    callers treat it as read-only.
     """
-    top = min(k, D)
+    return _brown_gitler(k, min(k, D), p)
+
+
+@cache
+def _brown_gitler(k: int, top: int, p: int) -> FiniteModule:
     bases = {i: free_module_basis(i, k, p) for i in range(top + 1)}
     dims = {i: len(b) for i, b in bases.items() if b}
     mats = {}
@@ -292,9 +296,8 @@ def brown_gitler(k: int, D: int, p: int) -> FiniteModule:
             # source word each lands on; that is already the dual matrix
             if m.any():
                 mats[(a, i)] = m % p
-    complete = D >= k
     return FiniteModule(p, dims, mats,
-                        truncated_above=None if complete else D)
+                        truncated_above=None if top == k else top)
 
 
 def tensor_finite(m: FiniteModule, n: FiniteModule) -> FiniteModule:

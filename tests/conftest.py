@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from chowops import cartan
 from chowops import fp_linalg as fl
 from chowops.chow import (elem_abelian_ring, poly_add, poly_mul_raw,
                           poly_scale, truncate)
-from chowops.groups import (ElemAbelianSubgroup, FiniteGroup, HomClass,
-                            QuillenCategoryData, abelian_p_basis,
-                            all_elementary_abelians, load_group, log_p)
+from chowops.groups import FiniteGroup, HomClass, abelian_p_basis, load_group
 from chowops.modules import (FiniteModule, brown_gitler,
                              finite_to_presentation, point_module,
                              point_presentation, suspension_presentation)
@@ -187,6 +186,16 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
 # -- group engine references: one Python product per pair -----------------
 
 
+def conj(G, g, x):
+    """g x g^-1."""
+    return G.mul(G.mul(g, x), G.inv(g))
+
+
+def conjugates(G, xs):
+    """Row g is [g x g^-1 for x in xs], for every element g."""
+    return G.table[G.table[:, list(xs)], G._inv[:, None]].tolist()
+
+
 def permutation_table(generators, degree):
     """Multiplication table of the closure of `generators`, numbered in
     breadth-first order, by one tuple composition per element pair: the
@@ -242,7 +251,7 @@ def rep_classes_reference(r, G, p):
     for t in sorted(remaining):
         if t not in remaining:
             continue
-        orbit = set(map(tuple, G.conjugates(t)))
+        orbit = set(map(tuple, conjugates(G, t)))
         remaining -= orbit
         classes.append(HomClass(rank=r, representative=min(orbit),
                                 orbit_size=len(orbit)))
@@ -250,23 +259,124 @@ def rep_classes_reference(r, G, p):
     return classes
 
 
+# -- the subgroup category of any finite group: conjugations and inclusions
+
+
+def log_p(n, p):
+    """The e with n = p^e; raises when n is not a power of p."""
+    e = 0
+    while n > 1:
+        if n % p:
+            raise ValueError(f"{n} is not a power of {p}")
+        n //= p
+        e += 1
+    return e
+
+
+@dataclass(frozen=True)
+class ElemAbelianSubgroup:
+    parent: FiniteGroup
+    elements: tuple  # sorted, identity first
+    rank: int
+
+    def __repr__(self):
+        return f"<E rank {self.rank}: {list(self.elements)}>"
+
+
+@dataclass
+class QuillenCategoryData:
+    """Conjugacy-class representatives of elementary abelian subgroups and,
+    for each ordered pair, the conjugation-inclusion maps between them
+    deduplicated by induced map."""
+
+    objects: list
+    # (i, j) -> list of (h, images) with h E_i h^-1 inside E_j; `images`
+    # records h e h^-1 for e in objects[i].elements
+    morphisms: dict = field(default_factory=dict)
+
+
+def all_elementary_abelians(G: FiniteGroup, p: int):
+    """Every elementary abelian p-subgroup (as sorted element tuples),
+    including the trivial one."""
+    torsion = [x for x in G.p_torsion(p) if x != 0]
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for E in frontier:
+            eset = set(E)
+            for x in torsion:
+                if x in eset:
+                    continue
+                if any(G.mul(x, e) != G.mul(e, x) for e in E):
+                    continue
+                bigger = set()
+                xs = [0]
+                while True:
+                    last = G.mul(xs[-1], x)
+                    if last == 0:
+                        break
+                    xs.append(last)
+                for e in E:
+                    for xk in xs:
+                        bigger.add(G.mul(e, xk))
+                key = tuple(sorted(bigger))
+                if key not in found:
+                    found.add(key)
+                    nxt.append(key)
+        frontier = nxt
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def conjugation_category(G: FiniteGroup, p: int):
+    """Conjugacy classes of elementary abelian p-subgroups plus the full
+    category data (morphisms = conjugations composed with inclusions), for
+    any finite G; each distinct conjugate of each E_i is tested once."""
+    reps = []
+    covered = set()
+    for E in all_elementary_abelians(G, p):
+        if E in covered:
+            continue
+        orbit = {tuple(sorted(row)) for row in conjugates(G, E)}
+        covered |= orbit
+        reps.append(min(orbit))
+    reps.sort(key=lambda t: (len(t), t))
+    objects = [ElemAbelianSubgroup(G, rep, log_p(len(rep), p))
+               for rep in reps]
+    data = QuillenCategoryData(objects=objects)
+    for i, Ei in enumerate(reps):
+        # each distinct conjugate of E_i with the first h giving it
+        first = {}
+        for h, images in enumerate(map(tuple, conjugates(G, Ei))):
+            first.setdefault(images, h)
+        for j, Ej in enumerate(reps):
+            ejset = set(Ej)
+            maps = sorted((h, images) for images, h in first.items()
+                          if ejset.issuperset(images))
+            if maps:
+                data.morphisms[(i, j)] = maps
+    return objects, data
+
+
 def elementary_abelians_reference(G, p):
     """The conjugation orbit of every elementary abelian subgroup, covered
-    or not: the reference for groups.elementary_abelians."""
+    or not, and every conjugating element tested against every pair: the
+    reference for `conjugation_category` and, on abelian G, for
+    groups.elementary_abelians."""
     orbits = {}
     for E in all_elementary_abelians(G, p):
-        orbit = {tuple(sorted(row)) for row in G.conjugates(E)}
+        orbit = {tuple(sorted(row)) for row in conjugates(G, E)}
         orbits.setdefault(min(orbit), set()).update(orbit)
     reps = sorted(orbits, key=lambda t: (len(t), t))
     objects = [ElemAbelianSubgroup(G, rep, log_p(len(rep), p))
                for rep in reps]
     data = QuillenCategoryData(objects=objects)
     for i, Ei in enumerate(reps):
-        conjugates = list(map(tuple, G.conjugates(Ei)))
+        images_by_h = list(map(tuple, conjugates(G, Ei)))
         for j, Ej in enumerate(reps):
             ejset = set(Ej)
             seen = {}
-            for h, images in enumerate(conjugates):
+            for h, images in enumerate(images_by_h):
                 if ejset.issuperset(images):
                     seen.setdefault(images, h)
             if seen:
@@ -308,3 +418,12 @@ def centralizer_reference(G, subset):
     subset = list(subset)
     return tuple(g for g in G.elements()
                  if all(G.mul(g, s) == G.mul(s, g) for s in subset))
+
+
+# -- the subgroup category of an abelian group, map by map ------------------
+
+
+def inclusion_map(setup, i, j):
+    """The RingMap CH_{E_j} -> CH_{E_i} of the inclusion E_i <= E_j of a
+    localization setup: the restriction res_{E_j->E_i}."""
+    return setup.sub_data[j].restrict(setup.sub_data[i])

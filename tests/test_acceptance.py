@@ -20,7 +20,7 @@ from chowops.modules import (brown_gitler, free_presentation, fp_dim,
                              point_presentation)
 from chowops.powers import reduce_word
 
-from conftest import (DATA, direct_sum, fp_test_modules,
+from conftest import (DATA, conj, direct_sum, fp_test_modules,
                       mixed_test_modules)
 
 
@@ -233,7 +233,7 @@ def test_criterion_09_rep_class_counts():
                 for g in G.elements():
                     fixed_total += sum(
                         1 for t in commuting
-                        if tuple(G.conj(g, x) for x in t) == t)
+                        if tuple(conj(G, g, x) for x in t) == t)
                 if len(classes) * len(G) != fixed_total:
                     ok = False
                 if sum(c.orbit_size for c in classes) != len(commuting):

@@ -8,17 +8,34 @@ from hypothesis import strategies as st
 
 from chowops.cli import main
 from chowops.groups import (FiniteGroup, abelian_coordinates, abelian_p_basis,
-                            all_elementary_abelians, elementary_abelians,
-                            load_group, rep_classes)
+                            elementary_abelians, load_group, rep_classes)
 from conftest import (ABELIAN_CATALOG, CATALOG, abelian_table,
-                      catalog_group, centralizer_reference,
-                      coordinates_reference, elementary_abelians_reference,
-                      permutation_table, relabelled_p_basis,
-                      rep_classes_reference)
+                      all_elementary_abelians, catalog_group,
+                      centralizer_reference, conj, conjugates,
+                      conjugation_category, coordinates_reference,
+                      elementary_abelians_reference, permutation_table,
+                      relabelled_p_basis, rep_classes_reference)
 
 
 def s3():
     return FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)], 3, name="S3")
+
+
+def lattice_reference(G, p):
+    """(objects, inclusion pairs) read off the conjugation reference, whose
+    every morphism of an abelian group must be the one conjugation h = 0."""
+    objects, data = elementary_abelians_reference(G, p)
+    assert all([h for h, _ in maps] == [0] for maps in data.morphisms.values())
+    return [o.elements for o in objects], sorted(data.morphisms)
+
+
+def gaussian_binomial(r, k, p):
+    """The number of k-dimensional subspaces of F_p^r."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (r - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
 
 
@@ -145,8 +162,8 @@ class TestSubgroups:
     @pytest.mark.parametrize("xs", [(), (0,), (1, 2), (5, 3, 5)])
     def test_conjugates_match_conj(self, xs):
         for g in (s3(), FiniteGroup.from_abelian([4, 2])):
-            assert g.conjugates(xs) == [[g.conj(h, x) for x in xs]
-                                        for h in g.elements()]
+            assert conjugates(g, xs) == [[conj(g, h, x) for x in xs]
+                                         for h in g.elements()]
 
     @pytest.mark.parametrize("name", ["s3", "d4", "q8", "a4", "S6"])
     def test_centralizer_matches_reference(self, name):
@@ -167,45 +184,71 @@ class TestSubgroups:
         for cls in rep_classes(1, g, 2):
             base = set(g.centralizer_elements(cls.representative))
             for h in g.elements():
-                conj_tuple = tuple(g.conj(h, x) for x in cls.representative)
+                conj_tuple = tuple(conj(g, h, x) for x in cls.representative)
                 conj_cent = set(g.centralizer_elements(conj_tuple))
-                assert conj_cent == {g.conj(h, c) for c in base}
+                assert conj_cent == {conj(g, h, c) for c in base}
 
 
 class TestElementaryAbelians:
     def test_klein_counts(self):
-        objs, cat = elementary_abelians(FiniteGroup.from_abelian([2, 2]), 2)
-        assert [o.rank for o in objs] == [0, 1, 1, 1, 2]
+        objs, inclusions = elementary_abelians(
+            FiniteGroup.from_abelian([2, 2]), 2)
+        assert [len(o) for o in objs] == [1, 2, 2, 2, 4]
+        assert len(inclusions) == 12
         assert len(all_elementary_abelians(
             FiniteGroup.from_abelian([2, 2]), 2)) == 5
 
     def test_s3_classes(self):
-        objs, _ = elementary_abelians(s3(), 2)
+        objs, _ = elementary_abelians_reference(s3(), 2)
         assert [o.rank for o in objs] == [0, 1]
-        objs5, _ = elementary_abelians(s3(), 5)
+        objs5, _ = elementary_abelians_reference(s3(), 5)
         assert [o.rank for o in objs5] == [0]
 
     def test_morphisms_compose(self):
-        g = FiniteGroup.from_abelian([2, 2])
-        objs, cat = elementary_abelians(g, 2)
-        for (i, j), ms1 in cat.morphisms.items():
-            for (j2, k), ms2 in cat.morphisms.items():
-                if j2 != j:
-                    continue
-                recorded = {images for _, images in cat.morphisms.get((i, k), [])}
-                for h1, _ in ms1:
-                    for h2, _ in ms2:
-                        # the induced map of c_{h2} o c_{h1}: E_i -> E_k
-                        h = g.mul(h2, h1)
-                        assert tuple(g.conj(h, e)
-                                     for e in objs[i].elements) in recorded
+        # inclusions are closed under composition, and every object has
+        # its identity
+        objs, inclusions = elementary_abelians(
+            FiniteGroup.from_abelian([2, 2]), 2)
+        pairs = set(inclusions)
+        assert all((i, i) in pairs for i in range(len(objs)))
+        for i, j in inclusions:
+            for j2, k in inclusions:
+                if j2 == j:
+                    assert (i, k) in pairs
+                    assert set(objs[i]) <= set(objs[k])
 
     def test_nonabelian_morphisms_dedup(self):
-        objs, cat = elementary_abelians(s3(), 2)
+        objs, cat = elementary_abelians_reference(s3(), 2)
         # three conjugate injections of the order-2 class into itself would
         # appear without dedup; the identity map survives once
         self_maps = cat.morphisms[(1, 1)]
         assert len(self_maps) == len({im for _, im in self_maps})
+
+    def test_refuses_nonabelian(self):
+        with pytest.raises(ValueError, match="S3 is not abelian"):
+            elementary_abelians(s3(), 2)
+
+    @pytest.mark.parametrize("orders, p", [([2] * 5, 2), ([3] * 4, 3)])
+    def test_large_lattices_match_reference(self, orders, p):
+        G = FiniteGroup.from_abelian(orders)
+        objs, inclusions = elementary_abelians(G, p)
+        assert (objs, inclusions) == lattice_reference(G, p)
+
+    @pytest.mark.parametrize("orders, p, counts", [
+        ([2] * 6, 2, (2825, 95706)), ([3] * 5, 3, (2664, 69699))])
+    def test_lattice_counts_are_gaussian_binomial_sums(self, orders, p,
+                                                       counts):
+        # [r, k]_p subspaces of dimension k, each inside [r - k, l - k]_p
+        # subspaces of dimension l
+        r = len(orders)
+        objects = sum(gaussian_binomial(r, k, p) for k in range(r + 1))
+        inclusions = sum(gaussian_binomial(r, k, p)
+                         * gaussian_binomial(r - k, l - k, p)
+                         for k in range(r + 1) for l in range(k, r + 1))
+        assert (objects, inclusions) == counts
+        objs, incs = elementary_abelians(FiniteGroup.from_abelian(orders), p)
+        assert (len(objs), len(incs)) == counts
+        assert len(set(objs)) == len(objs) and objs[-1] == tuple(range(p ** r))
 
 
 class TestRepClasses:
@@ -243,7 +286,7 @@ class TestRepClasses:
     def test_representative_is_minimal(self):
         for cls in rep_classes(2, s3(), 2):
             g = s3()
-            orbit = {tuple(g.conj(h, x) for x in cls.representative)
+            orbit = {tuple(conj(g, h, x) for x in cls.representative)
                      for h in g.elements()}
             assert cls.representative == min(orbit)
 
@@ -339,20 +382,32 @@ class TestArrayEngine:
         assert np.array_equal(G.table, permutation_table(gens, degree))
         for r in range(4):
             assert rep_classes(r, G, p) == rep_classes_reference(r, G, p)
-        objs, data = elementary_abelians(G, p)
+        objs, data = conjugation_category(G, p)
         ref_objs, ref_data = elementary_abelians_reference(G, p)
         assert [o.elements for o in objs] == [o.elements for o in ref_objs]
         assert data.morphisms == ref_data.morphisms
+        if G.is_abelian:
+            assert elementary_abelians(G, p) == lattice_reference(G, p)
+        else:
+            with pytest.raises(ValueError, match="not abelian"):
+                elementary_abelians(G, p)
 
     @pytest.mark.parametrize("name", CATALOG)
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_catalog_elementary_abelians_match_reference(self, name, p):
+        # the lattice on the abelian files, a refusal on the others; the
+        # conjugation search against its reference on every file
         G = catalog_group(name)
-        objs, data = elementary_abelians(G, p)
+        objs, data = conjugation_category(G, p)
         ref_objs, ref_data = elementary_abelians_reference(G, p)
         assert [o.elements for o in objs] == [o.elements for o in ref_objs]
         assert list(data.morphisms.items()) == \
             list(ref_data.morphisms.items())
+        if name in ABELIAN_CATALOG:
+            assert elementary_abelians(G, p) == lattice_reference(G, p)
+        else:
+            with pytest.raises(ValueError, match="not abelian"):
+                elementary_abelians(G, p)
 
     @pytest.mark.parametrize("orders", [
         [], [2], [3, 3, 3], [9, 3], [4, 2], [2] * 8, [4, 4, 2]])

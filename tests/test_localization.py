@@ -16,7 +16,7 @@ from chowops.localization import (EqualizerDiagram, bounds_report,
                                   f_iso_check, max_nil_submodule)
 from chowops.modules import point_module
 
-from conftest import ABELIAN_CATALOG, catalog_group, direct_sum
+from conftest import ABELIAN_CATALOG, catalog_group, direct_sum, inclusion_map
 
 
 def G(spec, name=None):
@@ -80,11 +80,15 @@ def leg1_block(setup, i1, d, n):
     return mat
 
 
-def leg2_block(setup, m_index, d, n):
-    """Leg 2 of morphism m_index: restrict the E2 factor along the
-    morphism's map into factor one, expand the centralizer factor into
-    factors two and three."""
-    i1, i2 = setup.morphisms[m_index][:2]
+def inclusion_maps(setup):
+    """The RingMap of every inclusion pair of the setup, by pair."""
+    return {(i, j): inclusion_map(setup, i, j) for i, j in setup.morphisms}
+
+
+def leg2_block(setup, i1, i2, rmap, d, n):
+    """Leg 2 of the inclusion E_i1 <= E_i2 with map `rmap`: restrict the
+    E2 factor along the map into factor one, expand the centralizer factor
+    into factors two and three."""
     ring_E2 = setup.sub_data[i2].ring
     ring_G = setup.data_G.ring
     src_offs, src_total = offsets(middle_blocks(setup, i2, d, n))
@@ -97,17 +101,17 @@ def leg2_block(setup, m_index, d, n):
         if rows and src_rows:
             mat[tgt_offs[(j2, j3)]:tgt_offs[(j2, j3)] + rows,
                 src_offs[j]:src_offs[j] + src_rows] = fl.kron(
-                    setup.conjres_mat(m_index, d - j),
+                    rmap.matrix(d - j),
                     setup.res_comult(i1, j2, j3), setup.p)
     return mat
 
 
 def per_morphism_lambda(setup, n, D):
     """The equalizer diagram with lambda built for every object and the
-    legs compared on it over every morphism; the rank is that of the
+    legs compared on it over every inclusion; the rank is that of the
     lambda stacked over every object."""
     p = setup.p
-    top_self = setup.into_top[setup.top]
+    maps = inclusion_maps(setup)
     ring_G = setup.data_G.ring
     diagram = EqualizerDiagram(
         group=setup.G, p=p, level=n, cutoff=D, objects=setup.objects,
@@ -118,12 +122,12 @@ def per_morphism_lambda(setup, n, D):
         diagram.source_dims[d] = ring_G.dim(d)
         diagram.middle_dims[d] = sum(m.shape[0] for m in lam)
         agree = True
-        for mi, (i1, i2, _) in enumerate(setup.morphisms):
+        for i1, i2 in setup.morphisms:
             a = leg1_block(setup, i1, d, n)
-            b = leg2_block(setup, mi, d, n)
+            b = leg2_block(setup, i1, i2, maps[i1, i2], d, n)
             if (fl.matmul(a, lam[i1], p) != fl.matmul(b, lam[i2], p)).any():
                 agree = False
-            if mi == top_self:
+            if i1 == i2 == setup.top:
                 eq_dim = fl.kernel_matrix((a - b) % p, p).shape[1]
         diagram.legs_agree[d] = agree
         diagram.eq_dims[d] = eq_dim
@@ -141,20 +145,17 @@ def seed_and_cut(setup, n, D):
     every morphism's condition.  Returns (eq_dims, cuts tested, cuts that
     changed the space)."""
     p = setup.p
-    top = max(range(len(setup.objects)),
-              key=lambda i: setup.objects[i].rank)
-    top_self = [m for m, (i, j, h) in enumerate(setup.morphisms)
-                if i == top and j == top][0]
-    order = sorted(range(len(setup.morphisms)),
-                   key=lambda m: (m != top_self, setup.morphisms[m][1] != top))
+    maps = inclusion_maps(setup)
+    top = max(range(len(setup.objects)), key=lambda i: len(setup.objects[i]))
+    order = sorted(setup.morphisms,
+                   key=lambda m: (m != (top, top), m[1] != top))
     eq_dims, tested, changed = {}, 0, 0
     for d in range(D + 1):
         solved = {}
-        for mi in order:
-            i1, i2 = setup.morphisms[mi][:2]
+        for i1, i2 in order:
             a = leg1_block(setup, i1, d, n)
-            b = leg2_block(setup, mi, d, n)
-            if mi == top_self:
+            b = leg2_block(setup, i1, i2, maps[i1, i2], d, n)
+            if (i1, i2) == (top, top):
                 solved[top] = fl.kernel_matrix((a - b) % p, p)
                 continue
             b_solved = fl.matmul(b, solved[i2], p)
@@ -180,6 +181,7 @@ def f_iso_reference(group, D, p):
     kernel and image tested against the stacked restrictions from G to
     every object: the reference for f_iso_check."""
     setup = loc._AbelianSetup(group, p)
+    maps = inclusion_maps(setup)
     ring_G = setup.data_G.ring
     n_obj = len(setup.objects)
     rings = [data.ring for data in setup.sub_data]
@@ -193,11 +195,12 @@ def f_iso_reference(group, D, p):
         dims = [ring.dim(d) for ring in rings]
         offs = np.cumsum([0] + dims)
         rows = []
-        for mi, (i1, i2, _) in enumerate(setup.morphisms):
+        for i1, i2 in setup.morphisms:
             block = fl.zeros(dims[i1], offs[-1])
             block[:, offs[i1]:offs[i1 + 1]] = fl.identity(dims[i1])
             block[:, offs[i2]:offs[i2 + 1]] = \
-                (block[:, offs[i2]:offs[i2 + 1]] - setup.conjres_mat(mi, d)) % p
+                (block[:, offs[i2]:offs[i2 + 1]]
+                 - maps[i1, i2].matrix(d)) % p
             if block.any():
                 rows.append(block)
         basis = fl.kernel_matrix(
@@ -311,15 +314,22 @@ class TestBuildLambda:
             assert tested and not changed, (n, changed)
             assert eq_dims == build_lambda(G(spec), n, 6, p).eq_dims, n
 
-    def test_wrong_morphism_map_breaks_the_legs(self):
-        # a morphism whose map does not compose with restriction from G
+    def test_wrong_morphism_map_breaks_the_legs(self, monkeypatch):
+        # a morphism whose map does not compose with restriction from G:
+        # one wrong entry in the characters of E_8 on E_1's basis, which
+        # both `functorial` and `inclusion_map` read
         setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        m = next(m for m, (i, j, _) in enumerate(setup.morphisms)
-                 if (i, j) == (1, 8))
-        good = setup.conj_map(m)
-        mat = good.mat.copy()
-        mat[0, 0] ^= 1
-        setup._conj_maps[m] = chow.RingMap(good.source, good.target, mat)
+        assert (1, 8) in setup.morphisms
+        source, target = setup.sub_data[8], setup.sub_data[1]
+        real = chow.AbelianRingData.char_matrix
+
+        def wrong(data, points):
+            mat = real(data, points)
+            if data is source and points == target.basis:
+                mat[0, 0] ^= 1
+            return mat
+
+        monkeypatch.setattr(chow.AbelianRingData, "char_matrix", wrong)
         for n in (1, 2, 3):
             for diagram in (loc._build_lambda(setup, n, 5),
                             per_morphism_lambda(setup, n, 5)):
@@ -349,8 +359,7 @@ class TestBuildLambda:
 
     def test_objects_share_one_ring_per_rank(self):
         setup = loc._AbelianSetup(gp.load_group({"abelian": [3, 3, 3]}), 3)
-        maps = setup.res_to + [setup.conj_map(m)
-                               for m in range(len(setup.morphisms))]
+        maps = setup.res_to + list(inclusion_maps(setup).values())
         rings = [setup.data_G.ring] + [data.ring for data in setup.sub_data] \
             + [r for rmap in maps for r in (rmap.source, rmap.target)]
         assert {r.k for r in rings} == {0, 1, 2, 3}
@@ -408,11 +417,10 @@ class TestBuildLambda:
         # the map of E_i -> E_j composed with restriction from G to E_j is
         # restriction from G to E_i
         setup = loc._AbelianSetup(G(spec), p)
-        for m, (i, j, _) in enumerate(setup.morphisms):
+        for (i, j), rmap in inclusion_maps(setup).items():
             for d in range(5):
-                via_j = fl.matmul(setup.conjres_mat(m, d),
-                                  setup.res_mat(j, d), p)
-                assert (via_j == setup.res_mat(i, d)).all(), (m, d)
+                via_j = fl.matmul(rmap.matrix(d), setup.res_mat(j, d), p)
+                assert (via_j == setup.res_mat(i, d)).all(), (i, j, d)
 
     @pytest.mark.parametrize("spec, p", [([3, 3], 3), ([2, 2, 2], 2),
                                          ([4, 2], 2)])
@@ -431,19 +439,21 @@ class TestBuildLambda:
                     assert (got == want).all(), (i, a, b)
 
     def test_maps_need_no_polynomial_products(self, monkeypatch):
-        # every restriction and conjugation matrix is a symmetric power of
-        # its substitution matrix, with no dict polynomial multiplied out
+        # every restriction matrix, from G and along each inclusion, is a
+        # symmetric power of its substitution matrix, with no dict
+        # polynomial multiplied out
         def refuse(*args):
             raise AssertionError("poly_mul_raw called")
 
         monkeypatch.setattr(chow, "poly_mul_raw", refuse)
         setup = loc._AbelianSetup(G([3, 3, 3]), 3)
+        maps = inclusion_maps(setup)
         for d in range(7):
             for i, data in enumerate(setup.sub_data):
                 assert setup.res_mat(i, d).shape == (
                     data.ring.dim(d), setup.data_G.ring.dim(d))
-            for m, (i, j, _) in enumerate(setup.morphisms):
-                assert setup.conjres_mat(m, d).shape == (
+            for (i, j), rmap in maps.items():
+                assert rmap.matrix(d).shape == (
                     setup.sub_data[i].ring.dim(d),
                     setup.sub_data[j].ring.dim(d))
 
@@ -477,25 +487,37 @@ class TestFIso:
     @pytest.mark.parametrize("spec, p", [([2, 2, 2], 2), ([9, 3], 3),
                                          ([4, 2], 2), ([3], 2), ([1], 2)])
     def test_top_is_terminal(self, spec, p):
-        # T contains every object, and its own morphism is the identity
+        # T contains every object, every object has exactly one morphism
+        # into T, and T's own map is the identity
         setup = loc._AbelianSetup(G(spec), p)
-        top = set(setup.objects[setup.top].elements)
-        assert all(top.issuperset(obj.elements) for obj in setup.objects)
-        assert len(setup.into_top) == len(setup.objects)
-        for i, m in enumerate(setup.into_top):
-            assert setup.morphisms[m][:2] == (i, setup.top)
+        top = set(setup.objects[setup.top])
+        assert all(top.issuperset(obj) for obj in setup.objects)
+        into_top = [i for i, j in setup.morphisms if j == setup.top]
+        assert into_top == list(range(len(setup.objects)))
+        own = inclusion_map(setup, setup.top, setup.top)
         for d in range(7):
-            mat = setup.conjres_mat(setup.into_top[setup.top], d)
+            mat = own.matrix(d)
             assert (mat == fl.identity(mat.shape[0])).all(), d
 
     def test_morphism_maps_built_on_first_use(self, monkeypatch):
-        # f_iso_check reads only the maps into T, so only those are built
+        # f_iso_check builds one map per object, res_{T->E}, and checks
+        # no other morphism
         setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        assert not setup._conj_maps
         monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
+        built = []
+        real = chow.RingMap.__init__
+
+        def recording(rmap, source, target, mat, name=None):
+            built.append(source)
+            real(rmap, source, target, mat, name)
+
+        monkeypatch.setattr(chow.RingMap, "__init__", recording)
         f_iso_check(G([2, 2, 2]), 6, 2)
-        assert set(setup._conj_maps) == set(setup.into_top)
-        assert len(setup.into_top) < len(setup.morphisms)
+        ring_T = setup.sub_data[setup.top].ring
+        assert len(built) == len(setup.objects)
+        assert all(source is ring_T for source in built)
+        assert "functorial" not in vars(setup)
+        assert len(setup.objects) < len(setup.morphisms)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_elementary_abelian(self, p):

@@ -58,6 +58,15 @@ class TestBrownGitler:
         for p in (2, 3):
             brown_gitler(6, 12, p)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_shared_per_top_degree(self, p):
+        # the module depends on D only through min(k, D)
+        assert brown_gitler(3, 10, p) is brown_gitler(3, 3, p)
+        assert brown_gitler(3, 3, p).is_complete
+        short = brown_gitler(3, 2, p)
+        assert short is not brown_gitler(3, 3, p)
+        assert short.truncated_above == 2 and max(short.support) <= 2
+
 
 class TestRepresentability:
     @pytest.mark.parametrize("p", [2, 3])
