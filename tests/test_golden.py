@@ -150,6 +150,11 @@ LOCALIZE_CUTOFF_RUNS = {
         "e005af5c7170a38c8a763d6983d8d36e9dcf2764e39e4f68cd14926cbc72d055",
     ("z2cube", 2, 3, 10):
         "30400577cf37933f957373ef4d24d62d5a7dd80933b1c22d04470a06dcbe7b59",
+    # level 4: condition blocks with j2 >= 2 and j3 >= 1 at both primes
+    ("z2cube", 2, 4, 8):
+        "a54fe6bd8e3fea7bc08587529975048a25938af15dc472fc6b63e2c4f99e13ee",
+    ("z3cube", 3, 4, 8):
+        "bfb80f03ce89a3150c83744255262424c1fb335dd0af471fbbf832fa15781420",
 }
 
 LOCALIZE_RANK_FOUR = (
