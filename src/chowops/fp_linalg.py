@@ -1,15 +1,20 @@
 """Exact linear algebra over the prime field F_p.
 
 Matrices are 2-D numpy int64 arrays with entries reduced to 0..p-1, and
-every result is exact.  Elimination is integer arithmetic throughout.
-`matmul` multiplies in float64 (so through BLAS) only when every partial
-sum is an integer below 2^53, which float64 represents exactly in any
-summation order; otherwise it multiplies in int64.  Every function here
-is pure: inputs are never mutated and results are deterministic, so
-concurrent read-only use is safe.
+every result is exact.  `rank` is sparse elimination on dict rows in
+Python integers, exact at any prime; it also takes a matrix as COO
+triplets.  `rref`, and the basis constructions built on it, eliminate
+densely in int64 and refuse primes with (p - 1)^2 >= 2^63.  `matmul`
+multiplies in float64 (so through BLAS) only when every partial sum is
+an integer below 2^53, which float64 represents exactly in any summation
+order; otherwise it multiplies in int64.  Every function here is pure:
+inputs are never mutated and results are deterministic, so concurrent
+read-only use is safe.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -29,6 +34,7 @@ __all__ = [
     "residual_map",
     "quotient_data",
     "matmul",
+    "coo_matmul",
     "kron",
 ]
 
@@ -101,7 +107,10 @@ def rref(m, p: int):
     """Reduced row echelon form.  Returns (R, pivot_columns); m is not mutated.
 
     One pivot column at a time; each step clears the whole column with one
-    vectorised row update."""
+    vectorised row update.  Entries stay in int64, whose products of two
+    residues overflow when (p - 1)^2 >= 2^63, so such primes are refused."""
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"prime {p} too large for exact int64 rref")
     a = as_fp_matrix(m, p)
     rows, cols = a.shape
     r = 0
@@ -128,8 +137,65 @@ def rref(m, p: int):
     return a, pivots
 
 
-def rank(m, p: int) -> int:
-    return len(rref(m, p)[1])
+def rank(m, p: int, shape=None) -> int:
+    """Rank over F_p by sparse elimination, exact at any prime.
+
+    `m` is a dense matrix or, when `shape` is given, the COO triplets
+    (rows, cols, vals) of a matrix of that shape; repeated entries add.
+    Rows are dicts column -> residue in Python integers.  Each step takes
+    the shortest remaining row, pivots on its column that the fewest rows
+    share, clears that column from those rows and drops the pivot row,
+    which keeps the fill low on the almost empty matrices this serves
+    (structured Gaussian elimination, LaMacchia and Odlyzko, CRYPTO 1990).
+    The rank does not depend on the pivot order."""
+    if shape is None:
+        a = as_fp_matrix(m, p)
+        rows, cols = np.nonzero(a)
+        vals = a[rows, cols]
+    else:
+        rows, cols, vals = (np.asarray(x) for x in m)
+    table = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        row = table.setdefault(r, {})
+        row[c] = (row.get(c, 0) + v) % p
+    live, where = {}, {}   # row -> {col: value}; col -> rows using it
+    for r, row in table.items():
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            live[r] = row
+            for c in row:
+                where.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in live.items()]
+    heapq.heapify(heap)
+    found = 0
+    while heap:
+        size, r = heapq.heappop(heap)
+        row = live.get(r)
+        if row is None or len(row) != size:
+            continue
+        del live[r]
+        pivot = min(row, key=lambda c: len(where[c]))
+        for c in row:
+            where[c].discard(r)
+        found += 1
+        inv = pow(row.pop(pivot), -1, p)
+        for r2 in where.pop(pivot):
+            row2 = live[r2]
+            f = row2.pop(pivot) * inv % p
+            for c, v in row.items():
+                x = (row2.get(c, 0) - f * v) % p
+                if x:
+                    if c not in row2:
+                        where[c].add(r2)
+                    row2[c] = x
+                elif c in row2:
+                    del row2[c]
+                    where[c].discard(r2)
+            if row2:
+                heapq.heappush(heap, (len(row2), r2))
+            else:
+                del live[r2]
+    return found
 
 
 def _free_rows(rows, ambient: int, p: int):
@@ -240,6 +306,25 @@ def matmul(a, b, p: int) -> np.ndarray:
     if inner and (p - 1) ** 2 > (2**62) // inner:
         raise ValueError(f"prime {p} too large for exact int64 matmul")
     return (a @ b) % p
+
+
+def coo_matmul(m, shape, b, p: int) -> np.ndarray:
+    """Exact product mod p of the COO triplets m = (rows, cols, vals) of a
+    matrix of `shape` with the dense matrix b, reduced to 0..p-1.  The
+    products accumulate in int64, so, as in `matmul`, primes large enough
+    to overflow it are refused."""
+    rows, cols, vals = (np.asarray(x, dtype=np.int64) for x in m)
+    b = np.asarray(b, dtype=np.int64)
+    inner = shape[1]
+    if inner and (p - 1) ** 2 > (2**62) // inner:
+        raise ValueError(f"prime {p} too large for exact int64 matmul")
+    out = np.zeros((shape[0], b.shape[1]), dtype=np.int64)
+    # about 2^18 products at a time, so the temporaries stay small
+    step = max(1, 2**18 // max(1, b.shape[1]))
+    for s in range(0, len(rows), step):
+        np.add.at(out, rows[s:s + step],
+                  vals[s:s + step, None] * b[cols[s:s + step]])
+    return np.remainder(out, p, out=out)
 
 
 def kron(a, b, p: int) -> np.ndarray:

@@ -164,10 +164,7 @@ def ell_check(G: gp.FiniteGroup, r: int, D: int, p: int):
     hom_count = len(G.p_torsion(p)) ** r
     report = []
     for d in range(D + 1):
-        blocks = [m.matrix(d) for m in comp_maps]
-        stacked = np.vstack([b for b in blocks if b.shape[1]]) \
-            if source.dim(d) else fl.zeros(0, 0)
-        rk = fl.rank(stacked, p) if stacked.size else 0
+        rk = fl.rank(np.vstack([m.matrix(d) for m in comp_maps]), p)
         dim_source = source.dim(d)
         tv_dim_structural = tv.dim(d)
         expected = hom_count * dim_source

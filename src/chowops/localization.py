@@ -115,21 +115,33 @@ class _AbelianSetup:
 
     def comult_split(self, ring: ChowRing, i, j):
         """Matrix of the coproduct piece CH^{i+j} -> CH^i (x) CH^j for a
-        polynomial ring on degree-1 classes: product of binomials."""
+        polynomial ring on degree-1 classes: row (a, b) has the product
+        of binomials C(alpha, beta) at the column of alpha = beta + gamma,
+        for beta and gamma the a-th and b-th basis monomials."""
         key = (id(ring), i, j)
         if key not in self._comult_cache:
-            src = ring.basis(i + j)
-            bi, bj = ring.basis(i), ring.basis(j)
-            idx = {m: c for c, m in enumerate(src)}
-            mat = fl.zeros(len(bi) * len(bj), len(src))
-            for a, beta in enumerate(bi):
-                for b, gamma in enumerate(bj):
-                    alpha = tuple(x + y for x, y in zip(beta, gamma))
-                    c = 1
-                    for x, y in zip(beta, alpha):
-                        c = c * fl.binom_mod_p(y, x, self.p) % self.p
-                    if c:
-                        mat[a * len(bj) + b, idx[alpha]] = c
+            p, k = self.p, ring.k
+            bi, bj, src = (
+                np.array(ring.basis(e), dtype=np.int64).reshape(ring.dim(e), k)
+                for e in (i, j, i + j))
+            beta = np.repeat(bi, len(bj), axis=0)
+            alpha = beta + np.tile(bj, (len(bi), 1))
+            # Pascal's triangle mod p through row i + j
+            pascal = np.zeros((i + j + 1, i + j + 1), dtype=np.int64)
+            pascal[:, 0] = 1
+            for t in range(1, i + j + 1):
+                pascal[t, 1:] = (pascal[t - 1, 1:] + pascal[t - 1, :-1]) % p
+            coef = np.ones(len(alpha), dtype=np.int64)
+            for x in range(k):
+                coef = coef * pascal[alpha[:, x], beta[:, x]] % p
+            # column of alpha: its place among the sorted radix keys of
+            # the source basis
+            radix = (i + j + 1) ** np.arange(k, dtype=np.int64)
+            keys = src @ radix
+            order = np.argsort(keys)
+            col = order[np.searchsorted(keys, alpha @ radix, sorter=order)]
+            mat = fl.zeros(len(alpha), len(src))
+            mat[np.arange(len(alpha)), col] = coef
             self._comult_cache[key] = mat
         return self._comult_cache[key]
 
@@ -144,30 +156,46 @@ def _lambda_block(setup, d, n):
 
 def _top_condition(setup, d, n):
     """Leg 1 minus leg 2 of T's own pair in degree d, from
-    (CH_T (x) CH_G^{<n})^d to (CH_T (x) (CH_T (x) CH_G)^{<n})^d.  Leg 1
-    comultiplies the CH_T factor.  Leg 2 maps the CH_T factor by T's own
-    map, the identity, and expands the centralizer factor into factors two
-    and three.  The row blocks are the (j2, j3) degrees of those factors,
-    j2 >= 1; `_counit_holds` checks the (0, j3) blocks instead."""
+    (CH_T (x) CH_G^{<n})^d to (CH_T (x) (CH_T (x) CH_G)^{<n})^d, as COO
+    triplets (rows, cols, vals) with entries in 0..p-1, and its shape.
+    Leg 1 comultiplies the CH_T factor.  Leg 2 maps the CH_T factor by T's
+    own map, the identity, and expands the centralizer factor into factors
+    two and three.  The row blocks are the (j2, j3) degrees of those
+    factors, j2 >= 1; `_counit_holds` checks the (0, j3) blocks instead.
+    Each block is kron(comult_split, I) at the columns of middle degree j3
+    minus kron(I, res_comult) at those of middle degree j2 + j3; the
+    triplets come from the nonzeros of those two cached pieces."""
     p, ring_G = setup.p, setup.data_G.ring
     ring_T = setup.sub_data[setup.top].ring
     offs = np.cumsum([0] + [ring_T.dim(d - j) * ring_G.dim(j)
                             for j in range(min(n - 1, d) + 1)])
-    blocks = [fl.zeros(0, offs[-1])]
+    rows, cols, vals = [], [], []
+    start = 0
     for j2 in range(1, min(n - 1, d) + 1):
         for j3 in range(min(n - 1 - j2, d - j2) + 1):
             i, j = d - j2 - j3, j2 + j3
-            block = fl.zeros(ring_T.dim(i) * ring_T.dim(j2) * ring_G.dim(j3),
-                             offs[-1])
-            if block.shape[0]:
-                block[:, offs[j3]:offs[j3 + 1]] = fl.kron(
-                    setup.comult_split(ring_T, i, j2),
-                    fl.identity(ring_G.dim(j3)), p)
-                block[:, offs[j]:offs[j + 1]] -= fl.kron(
-                    fl.identity(ring_T.dim(i)),
-                    setup.res_comult(setup.top, j2, j3), p)
-            blocks.append(block % p)
-    return np.vstack(blocks)
+            size = ring_T.dim(i) * ring_T.dim(j2) * ring_G.dim(j3)
+            if size:
+                # kron(A, I_m) holds A[a, c] at (a m + t, c m + t), t < m
+                piece = setup.comult_split(ring_T, i, j2)
+                a, c = np.nonzero(piece)
+                m = ring_G.dim(j3)
+                t = np.arange(m)
+                rows.append((start + a[:, None] * m + t).ravel())
+                cols.append((offs[j3] + c[:, None] * m + t).ravel())
+                vals.append(np.repeat(piece[a, c], m))
+                # kron(I_s, B) holds B[a, c] at (t rb + a, t cb + c), t < s
+                piece = setup.res_comult(setup.top, j2, j3)
+                a, c = np.nonzero(piece)
+                rb, cb = piece.shape
+                t = np.arange(ring_T.dim(i))[:, None]
+                rows.append((start + t * rb + a).ravel())
+                cols.append((offs[j] + t * cb + c).ravel())
+                vals.append(np.tile(-piece[a, c] % p, len(t)))
+            start += size
+    coo = tuple(np.concatenate([np.zeros(0, dtype=np.int64)] + part)
+                for part in (rows, cols, vals))
+    return coo, (start, int(offs[-1]))
 
 
 def _counit_holds(setup, d, n):
@@ -217,7 +245,9 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     of legs, where T's own map is the identity:
 
     * equalizer.  In degree d it is the kernel of leg 1 minus leg 2 of
-      that pair;
+      that pair, so eq_dim = cols - rank of that condition, which is
+      built as COO triplets and ranked by sparse elimination.  No kernel
+      basis is formed;
     * rank.  res_{G->E} = res_{T->E} o res_{G->T}, so
       lambda_E = (res_{T->E} (x) id) lambda_T.  The lambda stacked over
       every object therefore has the rank of lambda_T, which decides
@@ -255,15 +285,15 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
     ring_G = setup.data_G.ring
     for d in range(D + 1):
         lam = _lambda_block(setup, d, n)
-        cond = _top_condition(setup, d, n)
+        cond, shape = _top_condition(setup, d, n)
         diagram.source_dims[d] = ring_G.dim(d)
         diagram.middle_dims[d] = sum(
             data.ring.dim(d - j) * ring_G.dim(j)
             for data in setup.sub_data for j in range(min(n - 1, d) + 1))
         agree = (setup.functorial and _counit_holds(setup, d, n)
-                 and not fl.matmul(cond, lam, p).any())
+                 and not fl.coo_matmul(cond, shape, lam, p).any())
         diagram.legs_agree[d] = agree
-        diagram.eq_dims[d] = eq_dim = fl.kernel_matrix(cond, p).shape[1]
+        diagram.eq_dims[d] = eq_dim = shape[1] - fl.rank(cond, p, shape)
         rk = fl.rank(lam, p)
         diagram.injective[d] = rk == ring_G.dim(d)
         diagram.onto_equalizer[d] = agree and rk == eq_dim

@@ -628,8 +628,6 @@ def fp_dim(fp: FPModule, d: int) -> int:
     layout = _free_layout(fp, d)
     index = {lab: i for i, lab in enumerate(layout)}
     rows = _relation_rows(fp, d, layout, index)
-    if not rows:
-        return len(layout)
     return len(layout) - fl.rank(np.array(rows, dtype=np.int64), fp.p)
 
 

@@ -427,3 +427,46 @@ def inclusion_map(setup, i, j):
     """The RingMap CH_{E_j} -> CH_{E_i} of the inclusion E_i <= E_j of a
     localization setup: the restriction res_{E_j->E_i}."""
     return setup.sub_data[j].restrict(setup.sub_data[i])
+
+
+def top_condition_reference(setup, d, n):
+    """Leg 1 minus leg 2 of T's own pair in degree d as one dense matrix,
+    block by block from Kronecker products: the reference for the COO
+    triplets of `localization._top_condition`."""
+    p, ring_G = setup.p, setup.data_G.ring
+    ring_T = setup.sub_data[setup.top].ring
+    offs = np.cumsum([0] + [ring_T.dim(d - j) * ring_G.dim(j)
+                            for j in range(min(n - 1, d) + 1)])
+    blocks = [fl.zeros(0, offs[-1])]
+    for j2 in range(1, min(n - 1, d) + 1):
+        for j3 in range(min(n - 1 - j2, d - j2) + 1):
+            i, j = d - j2 - j3, j2 + j3
+            block = fl.zeros(ring_T.dim(i) * ring_T.dim(j2) * ring_G.dim(j3),
+                             offs[-1])
+            if block.shape[0]:
+                block[:, offs[j3]:offs[j3 + 1]] = fl.kron(
+                    setup.comult_split(ring_T, i, j2),
+                    fl.identity(ring_G.dim(j3)), p)
+                block[:, offs[j]:offs[j + 1]] -= fl.kron(
+                    fl.identity(ring_T.dim(i)),
+                    setup.res_comult(setup.top, j2, j3), p)
+            blocks.append(block % p)
+    return np.vstack(blocks)
+
+
+def comult_split_reference(ring, i, j):
+    """The coproduct piece CH^{i+j} -> CH^i (x) CH^j of a polynomial ring
+    on degree-1 classes, one product of binomials per entry."""
+    p = ring.p
+    src = ring.basis(i + j)
+    bi, bj = ring.basis(i), ring.basis(j)
+    idx = {m: c for c, m in enumerate(src)}
+    mat = fl.zeros(len(bi) * len(bj), len(src))
+    for a, beta in enumerate(bi):
+        for b, gamma in enumerate(bj):
+            alpha = tuple(x + y for x, y in zip(beta, gamma))
+            c = 1
+            for x, y in zip(beta, alpha):
+                c = c * fl.binom_mod_p(y, x, p) % p
+            mat[a * len(bj) + b, idx[alpha]] = c
+    return mat

@@ -239,3 +239,114 @@ def test_kron_reduces_inputs_and_refuses_overflowing_primes():
         [[1, p - 2], [0, 0]]
     with pytest.raises(ValueError, match="prime 3037000507"):
         fl.kron([[3037000506]], [[3037000506]], 3037000507)
+
+
+# Sparse rank against the dense echelon form, COO input, and primes past
+# int64 products
+
+def _draw_matrix(rows, cols, kind, p, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, p, size=(rows, cols))
+    if kind == "sparse":    # at most 1% nonzero
+        m[rng.random((rows, cols)) >= 0.01] = 0
+    elif kind == "zero":
+        m[:] = 0
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 60),
+       st.sampled_from(["dense", "sparse", "zero"]),
+       st.sampled_from([2, 3, 5, 7]), st.integers(0, 10**9))
+def test_rank_matches_rref(rows, cols, kind, p, seed):
+    m = _draw_matrix(rows, cols, kind, p, seed)
+    assert fl.rank(m, p) == len(fl.rref(m, p)[1])
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_rank_of_empty_matrices(shape):
+    none = np.zeros(0, dtype=np.int64)
+    assert fl.rank(np.zeros(shape, dtype=np.int64), 3) == 0
+    assert fl.rank((none, none, none), 3, shape) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 30),
+       st.sampled_from(["dense", "sparse", "zero"]),
+       st.sampled_from([2, 3, 5, 7]), st.integers(0, 10**9))
+def test_rank_of_triplets_matches_dense(rows, cols, kind, p, seed):
+    # the triplets come shuffled, every entry split into two summands that
+    # add up mod p (one of them unreduced or negative), plus a cancelling
+    # pair at an entry that is zero
+    m = _draw_matrix(rows, cols, kind, p, seed)
+    rng = np.random.default_rng(seed + 1)
+    r, c = np.nonzero(m)
+    part = rng.integers(-p, 2 * p, size=len(r))
+    rr, cc = np.concatenate([r, r]), np.concatenate([c, c])
+    vv = np.concatenate([part, m[r, c] - part])
+    zero = np.argwhere(m == 0)
+    if len(zero):
+        (zr, zc), v = zero[0], int(rng.integers(1, p))
+        rr, cc = np.append(rr, [zr, zr]), np.append(cc, [zc, zc])
+        vv = np.append(vv, [v, p - v])
+    order = rng.permutation(len(rr))
+    coo = (rr[order], cc[order], vv[order])
+    assert fl.rank(coo, p, m.shape) == fl.rank(m, p)
+
+
+def _rank_reference(rows, p):
+    """Rank of a list of integer rows mod p, by Gaussian elimination in
+    Python integers."""
+    rows = [[x % p for x in row] for row in rows]
+    found = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(found, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[found], rows[piv] = rows[piv], rows[found]
+        inv = pow(rows[found][c], -1, p)
+        for i in range(len(rows)):
+            if i != found and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[found])]
+        found += 1
+    return found
+
+
+@pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+def test_rref_refuses_primes_past_int64_products(p):
+    with pytest.raises(ValueError, match=f"prime {p}"):
+        fl.rref([[1, 2], [3, 4]], p)
+
+
+def test_rank_exact_where_int64_products_overflow():
+    # rank-2 3x3 matrices, products of a 3x2 and a 2x3 factor, at
+    # p = 2^61 - 1, where residues multiply past 2^63
+    p = 2**61 - 1
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        left = [[int(x) for x in row] for row in rng.integers(1, p, (3, 2))]
+        right = [[int(x) for x in row] for row in rng.integers(1, p, (2, 3))]
+        m = [[sum(a * b for a, b in zip(row, col)) % p
+              for col in zip(*right)] for row in left]
+        want = _rank_reference(m, p)
+        assert want == 2
+        assert fl.rank(np.array(m, dtype=np.int64), p) == want
+    assert fl.rank([[p - 1, p - 1], [1, 1]], p) == 1
+    assert fl.rank([[p - 1, p - 2], [1, 1]], p) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 4),
+       st.sampled_from([2, 3, 5, 7]), st.integers(0, 10**9))
+def test_coo_matmul_matches_dense(rows, inner, cols, p, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(rows, inner))
+    b = rng.integers(0, p, size=(inner, cols))
+    r, c = np.nonzero(a)
+    _same(fl.coo_matmul((r, c, a[r, c]), a.shape, b, p), _matmul_ref(a, b, p))
+
+
+def test_coo_matmul_refuses_overflowing_primes():
+    with pytest.raises(ValueError, match="prime 4294967311"):
+        fl.coo_matmul(([0], [0], [1]), (1, 1), [[1]], 4294967311)

@@ -16,7 +16,8 @@ from chowops.localization import (EqualizerDiagram, bounds_report,
                                   f_iso_check, max_nil_submodule)
 from chowops.modules import point_module
 
-from conftest import ABELIAN_CATALOG, catalog_group, direct_sum, inclusion_map
+from conftest import (ABELIAN_CATALOG, catalog_group, comult_split_reference,
+                      direct_sum, inclusion_map, top_condition_reference)
 
 
 def G(spec, name=None):
@@ -382,17 +383,49 @@ class TestBuildLambda:
             want = per_morphism_lambda(setup, n, D)
             assert got == want and repr(got) == repr(want), n
 
-    def test_one_kernel_per_degree(self, monkeypatch):
-        kernels = []
-        real = fl.kernel_matrix
+    @pytest.mark.parametrize("group, p", [(G([2, 2, 2]), 2), (G([3, 3]), 3),
+                                          (catalog_group("z4xz2"), 2)])
+    def test_condition_triplets_match_dense_reference(self, group, p):
+        setup = loc._AbelianSetup(group, p)
+        for n in (1, 2, 3, 4):
+            for d in range(7):
+                (rows, cols, vals), shape = loc._top_condition(setup, d, n)
+                want = top_condition_reference(setup, d, n)
+                assert shape == want.shape, (n, d)
+                # one triplet per nonzero entry, reduced
+                assert len(set(zip(rows, cols))) == len(rows), (n, d)
+                assert ((vals > 0) & (vals < p)).all(), (n, d)
+                got = fl.zeros(*shape)
+                got[rows, cols] = vals
+                assert (got == want).all(), (n, d)
 
-        def counting(m, p):
-            kernels.append(np.shape(m))
-            return real(m, p)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_comult_split_matches_binomial_reference(self, p):
+        setup = loc._AbelianSetup(G([1]), p)
+        for k in range(4):
+            ring = elem_abelian_ring(k, p)
+            for i in range(6):
+                for j in range(6 - i):
+                    got = setup.comult_split(ring, i, j)
+                    want = comult_split_reference(ring, i, j)
+                    assert got.dtype == want.dtype, (k, i, j)
+                    assert got.shape == want.shape, (k, i, j)
+                    assert (got == want).all(), (k, i, j)
 
-        monkeypatch.setattr(fl, "kernel_matrix", counting)
+    def test_one_condition_rank_per_degree(self, monkeypatch):
+        # T's condition is the one rank taken on COO triplets; lambda_T's
+        # rank is taken on its dense matrix
+        conditions = []
+        real = fl.rank
+
+        def counting(m, p, shape=None):
+            if shape is not None:
+                conditions.append(shape)
+            return real(m, p, shape)
+
+        monkeypatch.setattr(fl, "rank", counting)
         d = build_lambda(G([2, 2, 2]), 2, 5, 2)
-        assert len(kernels) == 6 and d.all_iso()
+        assert len(conditions) == 6 and d.all_iso()
 
     def test_monotone_injectivity(self):
         for spec, p in [([2, 2], 2), ([4, 2], 2), ([3, 3], 3)]:
