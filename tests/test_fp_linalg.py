@@ -319,10 +319,10 @@ def test_rref_refuses_primes_past_int64_products(p):
         fl.rref([[1, 2], [3, 4]], p)
 
 
-def test_rank_exact_where_int64_products_overflow():
-    # rank-2 3x3 matrices, products of a 3x2 and a 2x3 factor, at
-    # p = 2^61 - 1, where residues multiply past 2^63
-    p = 2**61 - 1
+@pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+def test_rank_exact_where_int64_products_overflow(p):
+    # rank-2 3x3 matrices, products of a 3x2 and a 2x3 factor, at primes
+    # whose residues multiply past 2^63
     rng = np.random.default_rng(18)
     for _ in range(100):
         left = [[int(x) for x in row] for row in rng.integers(1, p, (3, 2))]

@@ -383,10 +383,10 @@ class TestBuildLambda:
             want = per_morphism_lambda(setup, n, D)
             assert got == want and repr(got) == repr(want), n
 
-    @pytest.mark.parametrize("group, p", [(G([2, 2, 2]), 2), (G([3, 3]), 3),
-                                          (catalog_group("z4xz2"), 2)])
-    def test_condition_triplets_match_dense_reference(self, group, p):
-        setup = loc._AbelianSetup(group, p)
+    @pytest.mark.parametrize("name, p", [("z2cube", 2), ("z3sq", 3),
+                                         ("z4xz2", 2)])
+    def test_condition_triplets_match_dense_reference(self, name, p):
+        setup = loc._AbelianSetup(catalog_group(name), p)
         for n in (1, 2, 3, 4):
             for d in range(7):
                 (rows, cols, vals), shape = loc._top_condition(setup, d, n)
