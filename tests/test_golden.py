@@ -8,7 +8,8 @@ default cutoff, on a rank-4 group and where the p-torsion subgroup is
 trivial; `localize` at rank 3 and 4 past the
 default cutoff, where most objects lie below the top subgroup; the rank-5
 and rank-4 subspace lattices of (Z/2)^5 under `localize` and of (Z/3)^4
-under `quillen-check`;
+under `quillen-check`; `reps` on the nonabelian catalog groups at rank 3
+and on S7 at ranks 2 and 3, where conjugation moves most tuples;
 the `d0` bound report and two `act` runs in high degree, which have no
 JSON form, as plain text.  A change that moves any output byte fails
 here."""
@@ -171,6 +172,22 @@ LATTICE_RUNS = {
          "cb5916b0aa25c7b2e9fb836443d669eb7e2e40b2c5f4be6ec2b8718d524debd8"),
 }
 
+# reps on nonabelian groups: the catalog's a4, d4 and q8 at rank 3, p = 2,
+# and S7 (5,040 elements, from a transposition and a 7-cycle)
+REPS_CATALOG_RUNS = {
+    "a4": "9868c6e50e9041a5da2c8b8974cbf8876a5419454f11982922f8c0722f8ecde0",
+    "d4": "5597a2e1306486007b08113275ea43fe5e015afe02da1784d09457665346e9e8",
+    "q8": "4aca37771a89f031c5bb45a1b68588215e40ea1634d7daa780c6c6bdee9d239f",
+}
+
+S7_GENERATORS = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
+
+REPS_S7_RUNS = {
+    (2, 2): "bd35f21e451ab7221dff749326d0ae3c87bcf657c5c69556bdc60186d5127c6c",
+    (3, 2): "102fb184914d57b889cb85b79c4e4ed8db45fed5a6d0380f514ca25852c8236b",
+    (3, 3): "3d56bdb50bbde8a1893b031f853f01f725dd2d070298912c78ebe50ac1524ca1",
+}
+
 D0_TEXT = """\
 d0 = 0 (verified-through-cutoff)
 d1 = 0 (verified-through-cutoff)
@@ -276,6 +293,22 @@ def test_lattice_output(capsys, tmp_path, command):
     path = tmp_path / "group.json"
     path.write_text(json.dumps({"abelian": orders, "name": name}))
     assert digest(capsys, command, "--group", path, *flags) == expected
+
+
+@pytest.mark.parametrize("group", sorted(REPS_CATALOG_RUNS))
+def test_reps_catalog_output(capsys, data_dir, group):
+    argv = ["reps", "--group", data_dir / "groups" / f"{group}.json",
+            "--rank", 3, "--prime", 2]
+    assert digest(capsys, *argv) == REPS_CATALOG_RUNS[group]
+
+
+@pytest.mark.parametrize("rank, p", sorted(REPS_S7_RUNS))
+def test_reps_s7_output(capsys, tmp_path, rank, p):
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps({"degree": 7, "generators": S7_GENERATORS,
+                                "name": "S7"}))
+    argv = ["reps", "--group", path, "--rank", rank, "--prime", p]
+    assert digest(capsys, *argv) == REPS_S7_RUNS[rank, p]
 
 
 @pytest.mark.parametrize("group", ["klein", "z4xz2"])
