@@ -3,18 +3,22 @@ centralizers, the elementary abelian p-subgroups of an abelian group with
 their inclusions, and commuting p-torsion tuples up to simultaneous
 conjugation.
 
-Everything is brute force over a dense int32 multiplication table with
-orbit deduplication, which is the right tool at desk scale: S7 (order
-5040, a 100 MB table) loads in well under a second.  The hard cap is
-order 10^4, where the table alone takes 400 MB.  A subgroup is a sorted
-tuple of G's elements, read off G's table; it never gets a table of its
-own.
+Everything is array passes over a dense int32 multiplication table:
+powers and element orders by repeated squaring through it, a subgroup
+closure by one table gather per breadth-first level, the orbits of
+commuting tuples by labelling along conjugation by a generating set, and
+a permutation group's table one breadth-first level at a time.  On a
+2-vCPU VM, S7 (order 5040, a 100 MB table) is built in about 0.2 s and
+its rank-3 `rep_classes` take about 0.03 s.  The hard cap is order 10^4,
+where the table alone takes 400 MB.  A subgroup is a sorted tuple of G's
+elements, read off G's table; it never gets a table of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,44 +110,67 @@ class FiniteGroup:
     @classmethod
     def from_permutations(cls, generators, degree, name=None):
         """Close a set of permutations (one-line arrays on 0..degree-1)
-        under composition; brute-force BFS with the order cap."""
+        under composition, breadth first with the order cap.  Elements are
+        numbered in the order the search meets them."""
+        ident = tuple(range(degree))
         gens = []
         for g in generators:
             g = tuple(int(x) for x in g)
-            if sorted(g) != list(range(degree)):
+            if sorted(g) != list(ident):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
-            gens.append(g)
-        ident = tuple(range(degree))
-        seen = {ident: 0}
-        order = [ident]
-        # order[b] = order[parent[b]] o gens[via[b]]
-        parent, via = [0], [0]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for ia in frontier:
-                a = order[ia]
-                for k, g in enumerate(gens):
-                    b = tuple(a[g[i]] for i in range(degree))
-                    if b not in seen:
-                        if len(order) >= MAX_ORDER:
-                            raise ValueError(
-                                f"permutation closure exceeds the cap {MAX_ORDER}")
-                        seen[b] = len(order)
-                        order.append(b)
-                        parent.append(ia)
-                        via.append(k)
-                        nxt.append(len(order) - 1)
-            frontier = nxt
-        n = len(order)
-        # left[k][x] is the index of gens[k] o order[x], so row b of the
-        # table is row parent[b] read through left[via[b]]
-        left = np.array([[seen[tuple(g[x[i]] for i in range(degree))]
-                          for x in order] for g in gens], dtype=np.int32)
+            if g != ident:  # the identity adds no element
+                gens.append(g)
+        width, k = len(ident), len(gens)
+        gens = np.array(gens, dtype=np.int32).reshape(k, width)
+        row_key = np.dtype((np.void, 4 * width))
+        level = np.arange(width, dtype=np.int32)[None]
+        seen = {level.tobytes(): 0}
+        # one level of the search at a time: its candidates order[a] o
+        # gens[j] are hashed once each, into right[a, j]; a new element b
+        # records order[b] = order[parent[b]] o gens[via[b]]
+        parents, vias, rights = [np.zeros(1, np.intp)], [np.zeros(1, np.intp)], []
+        start = 0
+        while len(level):
+            cand = level[:, gens].reshape(len(level) * k, width)
+            keys = np.ascontiguousarray(cand).view(row_key).ravel().tolist()
+            n0 = len(seen)
+            ids = np.array([seen.setdefault(c, len(seen)) for c in keys],
+                           dtype=np.intp)
+            if len(seen) > MAX_ORDER:
+                raise ValueError(
+                    f"permutation closure exceeds the cap {MAX_ORDER}")
+            rights.append(ids.reshape(len(level), k))
+            # the new ids first occur in ascending order
+            prior = np.maximum.accumulate(np.concatenate(([n0 - 1], ids)))
+            first = np.flatnonzero(ids > prior[:-1])
+            parents.append(start + first // k)
+            vias.append(first % k)
+            level, start = cand[first], n0
+        n = len(seen)
+        del seen
+        right = np.concatenate(rights)
+        bounds = np.cumsum([len(v) for v in vias])
+        levels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        parent, via = np.concatenate(parents), np.concatenate(vias)
+        # left[j, a], the index of gens[j] o order[a], is
+        # (gens[j] o order[parent[a]]) o gens[via[a]]: one gather of right
+        # per level, parents first
+        left = np.empty((k, n), dtype=np.intp)
+        left[:, 0] = right[0]
+        for lo, hi in levels:
+            left[:, lo:hi] = right[left[:, parent[lo:hi]], via[lo:hi]]
+        # row b of the table is row parent[b] read through left[via[b]]:
+        # filled a level at a time, the rows of one generator together,
+        # in chunks of about 2^18 entries
         table = np.empty((n, n), dtype=np.int32)
         table[0] = np.arange(n)
-        for b in range(1, n):
-            table[b] = table[parent[b]][left[via[b]]]
+        step = max(1, 2 ** 18 // n)
+        for lo, hi in levels:
+            for j in range(k):
+                rows = lo + np.flatnonzero(via[lo:hi] == j)
+                for c in range(0, len(rows), step):
+                    b = rows[c:c + step]
+                    table[b] = table[parent[b]][:, left[j]]
         g = cls(table, name=name or f"perm{n}", _trusted=True)
         if n <= ASSOC_CHECK_CAP:
             g._validate()
@@ -164,21 +191,38 @@ class FiniteGroup:
         return int(self._inv[a])
 
     def power(self, x, k):
-        out, base = 0, x
-        k = int(k)
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        """x^k for k >= 0, elementwise over arrays x and k, by repeated
+        squaring through the table; an int for scalar x and k."""
+        x, k = np.asarray(x, dtype=np.intp), np.asarray(k, dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(x.shape, k.shape), dtype=np.intp)
+        while k.any():
+            out = np.where(k & 1, self.table[out, x], out)
+            x = self.table[x, x]
+            k = k >> 1
+        return out if out.ndim else int(out)
 
-    def element_order(self, x):
-        k, y = 1, x
-        while y != 0:
-            y = self.mul(y, x)
-            k += 1
-        return k
+    def cyclic(self, x, o):
+        """[x^0, ..., x^(o-1)], doubling the known powers each step."""
+        powers, step = np.zeros(1, dtype=np.intp), x
+        while len(powers) < o:
+            powers = np.concatenate([powers, self.table[powers, step]])
+            step = self.table[step, step]
+        return powers[:o]
+
+    @cached_property
+    def orders(self):
+        """orders[x] is the order of x.  For each prime power q^a exactly
+        dividing n, x^(n/q^a) has order the q-part of x's order, read off
+        by repeated q-th powers: a few table gathers per prime."""
+        n = self.n
+        orders = np.ones(n, dtype=np.int64)
+        for q, a in _factor(n):
+            y = self.power(np.arange(n), n // q ** a)
+            for _ in range(a):
+                alive = y != 0
+                orders[alive] *= q
+                y[alive] = self.power(y[alive], q)
+        return orders
 
     @property
     def is_abelian(self):
@@ -186,22 +230,34 @@ class FiniteGroup:
 
     def p_torsion(self, p):
         """All x with x^p = identity (the identity included)."""
-        return [x for x in self.elements() if self.power(x, p) == 0]
+        return np.flatnonzero(self.power(np.arange(self.n), p) == 0).tolist()
 
     def subgroup_closure(self, gens):
-        elems = {0}
-        frontier = [0]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.mul(a, g)
-                    if b not in elems:
-                        elems.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return tuple(sorted(elems))
+        return tuple(np.flatnonzero(self._closure(gens)).tolist())
+
+    def _closure(self, gens):
+        """Membership mask of the subgroup generated by `gens`: breadth
+        first from the identity, one table gather per level."""
+        gens = np.asarray(list(gens), dtype=np.intp)
+        member = np.zeros(self.n, dtype=bool)
+        member[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while len(frontier):
+            reached = np.zeros(self.n, dtype=bool)
+            reached[self.table[frontier[:, None], gens]] = True
+            reached &= ~member
+            member |= reached
+            frontier = np.flatnonzero(reached)
+        return member
+
+    def generating_set(self):
+        """Generators of G, greedily: the least element outside the
+        subgroup generated so far."""
+        gens, member = [], self._closure([])
+        while not member.all():
+            gens.append(int(member.argmin()))
+            member = self._closure(gens)
+        return gens
 
     def centralizer_elements(self, subset):
         """C_G(S) as a sorted element tuple: g with gs = sg for all s in S,
@@ -227,43 +283,58 @@ class FiniteGroup:
 def abelian_p_basis(G: FiniteGroup, p: int, elements=None):
     """Independent generators of the Sylow p-subgroup of an abelian group,
     or of the abelian subgroup of G on the sorted element tuple
-    `elements`, as (element of G, order) pairs with orders descending."""
+    `elements`, as (element of G, order) pairs with orders descending.
+
+    Each step takes the first element of largest order whose cyclic group
+    meets the span so far trivially: a masked argmax over the orders."""
     if elements is None:
-        elements = G.elements()
         if not G.is_abelian:
             raise ValueError(f"{G.name} is not abelian")
+        elements = np.arange(G.n)
     elif not G.is_abelian_on(elements):
         raise ValueError(f"the subgroup of {G.name} on {len(elements)} "
                          "elements is not abelian")
-    sylow = [x for x in elements if _is_p_power(G.element_order(x), p)]
-    span = {0}
+    elements = np.asarray(elements, dtype=np.intp)
+    orders = G.orders[elements]
+    top = 1  # the largest power of p up to |G|, a multiple of every p-order
+    while top * p <= G.n:
+        top *= p
+    sylow = top % orders == 0
+    # <x> meets the span trivially iff its unique minimal subgroup
+    # generator x^(o/p) is outside it; that also rules out the identity
+    minimal = G.power(elements, orders // p)
+    span = np.zeros(G.n, dtype=bool)
+    members = np.zeros(1, dtype=np.intp)
+    span[members] = True
     basis = []
-    remaining = [x for x in sylow if x not in span]
-    while len(span) < len(sylow):
-        best = None
-        for x in remaining:
-            if x in span:
-                continue
-            o = G.element_order(x)
-            # the cyclic group <x> meets `span` trivially iff its unique
-            # minimal subgroup generator x^(o/p) is outside span
-            if G.power(x, o // p) in span:
-                continue
-            if best is None or o > G.element_order(best):
-                best = x
-        if best is None:
-            raise RuntimeError("basis extraction failed")  # unreachable
-        basis.append((best, G.element_order(best)))
-        span = set(G.subgroup_closure([b for b, _ in basis]))
-        remaining = [x for x in remaining if x not in span]
+    while True:
+        score = np.where(sylow & ~span[minimal], orders, 0)
+        i = int(score.argmax())
+        if not score[i]:
+            break
+        x, o = int(elements[i]), int(orders[i])
+        basis.append((x, o))
+        # the span grows by the direct factor <x>
+        members = G.table[members[:, None], G.cyclic(x, o)].ravel()
+        span[members] = True
     basis.sort(key=lambda t: (-t[1], t[0]))
     return basis
 
 
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
+def _factor(n):
+    """The (prime, exponent) pairs of n, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        a = 0
+        while n % q == 0:
+            n //= q
+            a += 1
+        if a:
+            out.append((q, a))
+        q += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def abelian_coordinates(G: FiniteGroup, basis):
@@ -283,10 +354,7 @@ def _span(G: FiniteGroup, basis):
     order, one table gather per basis element."""
     span = np.zeros(1, dtype=np.intp)
     for b, o in basis:
-        powers = [0]
-        for _ in range(o - 1):
-            powers.append(G.mul(powers[-1], b))
-        span = G.table[span[:, None], powers].ravel()
+        span = G.table[span[:, None], G.cyclic(b, o)].ravel()
     return span
 
 
@@ -380,18 +448,29 @@ def rep_classes(r: int, G: FiniteGroup, p: int):
     # a tuple's code is its value in base n, so codes ascend with the rows
     weights = G.n ** np.arange(r - 1, -1, -1, dtype=np.int64)
     codes = tuples @ weights
-    alive = np.ones(len(codes), dtype=bool)
-    classes = []
-    for i in range(len(codes)):
-        if not alive[i]:
-            continue
-        # every member of this orbit is still alive, so row i is its least
-        t = tuples[i]
-        orbit = np.unique(G.table[G.table[:, t], G._inv[:, None]] @ weights)
-        alive[np.searchsorted(codes, orbit)] = False
-        classes.append(HomClass(rank=r, representative=tuple(t.tolist()),
-                                orbit_size=len(orbit)))
-    return classes
+    # conjugation by each generator of G as a move between rows; central
+    # generators move nothing and are dropped
+    label = np.arange(len(codes))
+    moves = []
+    for g in G.generating_set():
+        conj = G.table[G.table[g, tuples], G._inv[g]]
+        move = np.searchsorted(codes, conj @ weights)
+        if (move != label).any():
+            moves.append(move)
+    # each row takes the least label along the moves, with pointer jumping
+    # (Shiloach and Vishkin), until every orbit carries its least row
+    while True:
+        new = label
+        for move in moves:
+            new = np.minimum(new, new[move])
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    first = np.flatnonzero(label == np.arange(len(label)))
+    sizes = np.bincount(label)[first]
+    return [HomClass(rank=r, representative=tuple(t), orbit_size=size)
+            for t, size in zip(tuples[first].tolist(), sizes.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import pathlib
@@ -235,6 +236,83 @@ def abelian_table(orders):
             table[i, j] = index[tuple((a + b) % e
                                       for a, b, e in zip(u, v, orders))]
     return table
+
+
+def element_order_reference(G, x):
+    """The order of x, by walking its powers: the reference for
+    FiniteGroup.orders."""
+    k, y = 1, x
+    while y != 0:
+        y = G.mul(y, x)
+        k += 1
+    return k
+
+
+def power_reference(G, x, k):
+    """x^k by k products: the reference for FiniteGroup.power."""
+    y = 0
+    for _ in range(k):
+        y = G.mul(y, x)
+    return y
+
+
+def closure_reference(G, gens):
+    """The subgroup generated by `gens` as a sorted tuple, breadth first
+    with one G.mul per product: the reference for
+    FiniteGroup.subgroup_closure."""
+    elems = {0}
+    frontier = [0]
+    gens = list(gens)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = G.mul(a, g)
+                if b not in elems:
+                    elems.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return tuple(sorted(elems))
+
+
+def abelian_p_basis_reference(G, p, elements=None):
+    """The greedy basis element by element: among the elements not yet in
+    the span, the first of largest order whose cyclic group meets the span
+    trivially, the span recomputed by closure after each pick.  The
+    reference for groups.abelian_p_basis."""
+    if elements is None:
+        elements = G.elements()
+        if not G.is_abelian:
+            raise ValueError(f"{G.name} is not abelian")
+    elif not G.is_abelian_on(elements):
+        raise ValueError(f"the subgroup of {G.name} on {len(elements)} "
+                         "elements is not abelian")
+
+    def is_p_power(n):
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    order = functools.partial(element_order_reference, G)
+    sylow = [x for x in elements if is_p_power(order(x))]
+    span = {0}
+    basis = []
+    remaining = [x for x in sylow if x not in span]
+    while len(span) < len(sylow):
+        best = None
+        for x in remaining:
+            if x in span:
+                continue
+            o = order(x)
+            if power_reference(G, x, o // p) in span:
+                continue
+            if best is None or o > order(best):
+                best = x
+        basis.append((best, order(best)))
+        span = set(closure_reference(G, [b for b, _ in basis]))
+        remaining = [x for x in remaining if x not in span]
+    basis.sort(key=lambda t: (-t[1], t[0]))
+    return basis
 
 
 def rep_classes_reference(r, G, p):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from chowops.cli import main
 from chowops.groups import (FiniteGroup, abelian_coordinates, abelian_p_basis,
                             elementary_abelians, load_group, rep_classes)
-from conftest import (ABELIAN_CATALOG, CATALOG, abelian_table,
-                      all_elementary_abelians, catalog_group,
-                      centralizer_reference, conj, conjugates,
-                      conjugation_category, coordinates_reference,
-                      elementary_abelians_reference, permutation_table,
-                      relabelled_p_basis, rep_classes_reference)
+from conftest import (ABELIAN_CATALOG, CATALOG, abelian_p_basis_reference,
+                      abelian_table, all_elementary_abelians, catalog_group,
+                      centralizer_reference, closure_reference, conj,
+                      conjugates, conjugation_category, coordinates_reference,
+                      element_order_reference, elementary_abelians_reference,
+                      permutation_table, power_reference, relabelled_p_basis,
+                      rep_classes_reference)
 
 
 def s3():
@@ -27,6 +28,24 @@ def lattice_reference(G, p):
     objects, data = elementary_abelians_reference(G, p)
     assert all([h for h, _ in maps] == [0] for maps in data.morphisms.values())
     return [o.elements for o in objects], sorted(data.morphisms)
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def check_generating_set(G):
+    """G's generating set generates G, and each generator is the least
+    element outside the subgroup the earlier ones generate."""
+    gens = G.generating_set()
+    for i, g in enumerate(gens):
+        outside = set(G.elements()) - set(closure_reference(G, gens[:i]))
+        assert g == min(outside)
+    assert closure_reference(G, gens) == tuple(G.elements())
 
 
 def gaussian_binomial(r, k, p):
@@ -142,7 +161,7 @@ class TestConstruction:
 
     def test_element_orders(self):
         g = FiniteGroup.from_abelian([4])
-        assert [g.element_order(x) for x in g.elements()] == [1, 4, 2, 4]
+        assert g.orders.tolist() == [1, 4, 2, 4]
 
 
 class TestSubgroups:
@@ -152,7 +171,7 @@ class TestSubgroups:
 
     def test_centralizer_of_transposition(self):
         g = s3()
-        t = next(x for x in g.elements() if g.element_order(x) == 2)
+        t = next(x for x in g.elements() if g.orders[x] == 2)
         assert len(g.centralizer_elements([t])) == 2
 
     def test_centralizer_abelian_group(self):
@@ -337,7 +356,7 @@ class TestAbelianStructure:
         bases = [abelian_p_basis(g, p)]
         bases += [abelian_p_basis(g, p, g.subgroup_closure([x]))
                   for x in g.elements()]
-        bases += [[(x, g.element_order(x)), (x, g.element_order(x))]
+        bases += [[(x, int(g.orders[x])), (x, int(g.orders[x]))]
                   for x in g.p_torsion(p)]
         for basis in bases:
             table = abelian_coordinates(g, basis)
@@ -350,7 +369,7 @@ class TestAbelianStructure:
 
     def test_subgroups_of_a_nonabelian_group(self):
         g = s3()
-        c3 = next(x for x in g.elements() if g.element_order(x) == 3)
+        c3 = next(x for x in g.elements() if g.orders[x] == 3)
         assert abelian_p_basis(g, 3, g.subgroup_closure([c3])) == [(c3, 3)]
         with pytest.raises(ValueError, match="not abelian"):
             abelian_p_basis(g, 2, tuple(g.elements()))
@@ -375,11 +394,16 @@ class TestArrayEngine:
     @settings(max_examples=20, deadline=None)
     @given(permutation_groups(), st.sampled_from([2, 3, 5]))
     @example(([[0]], 1), 2)  # the trivial group
+    @example(([], 1), 3)  # degree 1, no generator
+    @example(([], 4), 2)  # no generator
+    @example(([[0, 1, 2, 3], [1, 0, 3, 2]], 4), 2)  # an identity generator
+    @example(([[1, 2, 0], [1, 2, 0], [1, 0, 2]], 3), 3)  # a repeated one
     @example(([[1, 0, 2], [1, 2, 0]], 3), 5)  # S3 has no 5-torsion
     def test_permutation_groups_match_references(self, group, p):
         gens, degree = group
         G = FiniteGroup.from_permutations(gens, degree)
         assert np.array_equal(G.table, permutation_table(gens, degree))
+        check_generating_set(G)
         for r in range(4):
             assert rep_classes(r, G, p) == rep_classes_reference(r, G, p)
         objs, data = conjugation_category(G, p)
@@ -414,6 +438,59 @@ class TestArrayEngine:
     def test_abelian_table_matches_reference(self, orders):
         G = FiniteGroup.from_abelian(orders)
         assert np.array_equal(G.table, abelian_table(orders))
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog_group_engine_matches_references(self, name):
+        # element orders, powers, cyclic and two-generator closures, and
+        # the greedy generating set
+        G = catalog_group(name)
+        assert G.orders.tolist() == [element_order_reference(G, x)
+                                     for x in G.elements()]
+        xs = np.array(list(G.elements()))
+        for k in (0, 1, 2, 3, 5, 12):
+            assert G.power(xs, k).tolist() == [power_reference(G, x, k)
+                                               for x in xs]
+        assert G.power(xs, xs).tolist() == [power_reference(G, x, x)
+                                            for x in xs]
+        for gens in itertools.combinations_with_replacement(
+                [*G.elements()][:12], 2):
+            assert G.subgroup_closure(gens) == closure_reference(G, gens)
+            assert G.subgroup_closure(gens[:1]) == \
+                closure_reference(G, gens[:1])
+        assert G.subgroup_closure([]) == (0,)
+        check_generating_set(G)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_catalog_p_basis_matches_reference(self, name, p):
+        # the whole group (refused when nonabelian), and every cyclic
+        # subgroup and every abelian two-generator subgroup
+        G = catalog_group(name)
+        assert outcome(abelian_p_basis, G, p) == \
+            outcome(abelian_p_basis_reference, G, p)
+        subgroups = {closure_reference(G, pair)
+                     for pair in itertools.combinations_with_replacement(
+                         G.elements(), 2)}
+        for elems in sorted(subgroups):
+            assert outcome(abelian_p_basis, G, p, elems) == \
+                outcome(abelian_p_basis_reference, G, p, elems), elems
+
+    @pytest.mark.parametrize("orders, p", [([2] * 5, 2), ([3] * 4, 3)])
+    def test_lattice_p_bases_match_reference(self, orders, p):
+        G = FiniteGroup.from_abelian(orders)
+        objects, _ = elementary_abelians(G, p)
+        for elems in objects:
+            assert abelian_p_basis(G, p, elems) == \
+                abelian_p_basis_reference(G, p, elems), elems
+
+    @pytest.mark.parametrize("group", [*CATALOG, "Z/2^4"])
+    def test_rep_classes_match_reference(self, group):
+        # on (Z/2)^4 every generator is central, so no orbit is merged
+        G = FiniteGroup.from_abelian([2, 2, 2, 2]) if group == "Z/2^4" \
+            else catalog_group(group)
+        for p in (2, 3):
+            for r in range(4):
+                assert rep_classes(r, G, p) == rep_classes_reference(r, G, p)
 
     def test_s7(self):
         G = FiniteGroup.from_permutations(
