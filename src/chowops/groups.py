@@ -125,10 +125,10 @@ class FiniteGroup:
         row_key = np.dtype((np.void, 4 * width))
         level = np.arange(width, dtype=np.int32)[None]
         seen = {level.tobytes(): 0}
-        # one level of the search at a time: its candidates order[a] o
-        # gens[j] are hashed once each, into right[a, j]; a new element b
-        # records order[b] = order[parent[b]] o gens[via[b]]
-        parents, vias, rights = [np.zeros(1, np.intp)], [np.zeros(1, np.intp)], []
+        # a breadth-first level at a time: its candidates order[a] o
+        # gens[j] are hashed once each, into right[a, j], and a new element
+        # b records order[b] = order[parent[b]] o gens[via[b]]
+        rights, parents, vias, levels = [], [[0]], [[0]], []
         start = 0
         while len(level):
             cand = level[:, gens].reshape(len(level) * k, width)
@@ -145,12 +145,11 @@ class FiniteGroup:
             first = np.flatnonzero(ids > prior[:-1])
             parents.append(start + first // k)
             vias.append(first % k)
+            levels.append((n0, len(seen)))
             level, start = cand[first], n0
         n = len(seen)
         del seen
         right = np.concatenate(rights)
-        bounds = np.cumsum([len(v) for v in vias])
-        levels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         parent, via = np.concatenate(parents), np.concatenate(vias)
         # left[j, a], the index of gens[j] o order[a], is
         # (gens[j] o order[parent[a]]) o gens[via[a]]: one gather of right
