@@ -11,14 +11,16 @@ and rank-4 subspace lattices of (Z/2)^5 under `localize` and of (Z/3)^4
 under `quillen-check`; `reps` on the nonabelian catalog groups at rank 3
 and on S7 at ranks 2 and 3, where conjugation moves most tuples;
 the `d0` bound report and two `act` runs in high degree, which have no
-JSON form, as plain text.  A change that moves any output byte fails
-here."""
+JSON form, as plain text; and every nonzero action matrix of the
+catalog rings of rank <= 4 from source degrees <= 12.  A change that
+moves any output byte fails here."""
 
 import hashlib
 import json
 
 import pytest
 
+from chowops.chow import elem_abelian_ring, ring_module
 from chowops.cli import main
 
 GROUP_RUNS = {
@@ -211,6 +213,13 @@ ACT_RUNS = {
         "b7dd7489ff4a61c34af9d34daec18196234a29c78a247b7d07ac5455dc217b56",
 }
 
+# sha256 over every nonzero P^a matrix from degree d <= 12 into degree
+# <= 24 of ring_module(elem_abelian_ring(k, p), 24), k = 1..4 and
+# p = 2, 3, 5: 623 matrices, each hashed after its (k, p, a, d, shape)
+ACTION_MATRICES = \
+    "74236df4203768d7b6dfc1ff81bd9a68c5ef8e88a4d90c24348b90bbe1148f71"
+ACTION_TOP = 24
+
 COMMAND_FLAGS = {"tv": ["--rank", "2"], "quillen-check": [],
                  "localize": ["--level", "2"]}
 
@@ -333,3 +342,21 @@ def test_act_high_degree_output(capsys, p, rank, poly):
     out, _ = capsys.readouterr()
     assert code == 0 and out.strip() != "0"
     assert hashlib.sha256(out.encode()).hexdigest() == ACT_RUNS[p, rank, poly]
+
+
+def test_catalog_action_matrices():
+    h, count = hashlib.sha256(), 0
+    for k in range(1, 5):
+        for p in (2, 3, 5):
+            module = ring_module(elem_abelian_ring(k, p), ACTION_TOP)
+            for d in range(13):
+                for a in range(1, d + 1):
+                    if d + a * (p - 1) > ACTION_TOP:
+                        break
+                    mat = module.act(a, d)
+                    if mat.any():
+                        h.update(repr((k, p, a, d, mat.shape)).encode())
+                        h.update(mat.astype("<i8").tobytes())
+                        count += 1
+    assert count == 623
+    assert h.hexdigest() == ACTION_MATRICES
