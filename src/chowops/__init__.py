@@ -3,9 +3,9 @@ classifying spaces, with exact F_p linear algebra underneath.
 
 The layers, bottom up: `fp_linalg` (exact matrices over F_p), `powers`
 (Adem rewriting to admissible normal form), `modules` (unstable modules,
-Brown-Gitler duals, Hom, tensor, nilpotence), `chow` (catalog and ingested
-rings with the reduced-power action, computed in `cartan` by the Cartan
-formula on exponent rows), `groups` (finite group machinery),
+Brown-Gitler duals, Hom, tensor, nilpotence), `chow` (the catalog
+polynomial rings, with the reduced-power action in closed form),
+`groups` (finite group machinery),
 `lannes` (T-functor dimensions and the comparison map), `localization`
 (the level-n localization map, its equalizer, F-isomorphism certificates,
 and d0/d1 estimates), `cli` (the chowops command).

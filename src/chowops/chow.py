@@ -3,23 +3,24 @@
 For an elementary abelian group of rank k the ring is F_p[y_1, ..., y_k]
 with each y_i in degree 1 and P^1(y_i) = y_i^p; abelian p-groups get the
 same shape with one degree-1 class per cyclic factor (a documented catalog
-extension, validated internally).  Anything else must be ingested from a
-ring file and is checked for internal consistency only.
+extension).  These are the only rings: `ChowRing` is that polynomial ring.
 
 Polynomials are dicts mapping exponent tuples to scalars in 1..p-1.  The
-reduced-power action works on numpy exponent rows (degree, e_1, ..., e_k)
-instead, by the Cartan formula, one generator at a time (`cartan`).
+reduced-power action has a closed form on it, from the Cartan formula and
+P(y) = y + y^p:  P^a(y^E) = sum over |I| = a of prod_j C(e_j, i_j)
+y^{E + (p - 1) I}.  It is evaluated in two forms of the same sum: per
+monomial for a single polynomial (`ChowRing.act`), and as one array pass
+per (a, d) for the action matrices of `ring_module` and `truncate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from operator import add
 
 import numpy as np
 
-from . import cartan
 from . import fp_linalg as fl
 from . import groups as gp
 from .modules import FiniteModule
@@ -37,7 +38,6 @@ __all__ = [
     "restriction_map",
     "truncate",
     "ring_module",
-    "ingest_ring",
 ]
 
 Poly = dict  # exponent tuple -> scalar
@@ -75,168 +75,118 @@ def poly_mul_raw(f: Poly, g: Poly, p: int) -> Poly:
 
 
 class ChowRing:
-    """Graded F_p-algebra with named generators, optional homogeneous
-    relations, and reduced-power rules on generators."""
+    """F_p[y_1, ..., y_k] with every y_i in degree 1 and P^1(y_i) = y_i^p,
+    graded by degree."""
 
-    def __init__(self, p, generators, relations=(), steenrod=None,
-                 provenance="catalog", cutoff=None, name=None, validate=False):
+    # a polynomial ring has no relations; the benchmark tracer reads them
+    relations = ()
+
+    def __init__(self, p, k: int, name=None):
         self.p = fl.check_prime(p)
-        self.generators = [(str(n), int(d)) for n, d in generators]
-        if any(d < 1 for _, d in self.generators):
-            raise ValueError("generator degrees must be >= 1")
-        self.k = len(self.generators)
-        self.relations = [dict(r) for r in relations]
-        self.provenance = provenance
-        self.cutoff = cutoff
+        if k < 0:
+            raise ValueError("rank must be >= 0")
+        self.k = k
+        self.generators = [(f"y{i + 1}", 1) for i in range(k)]
         self.name = name or "ring"
-        self.steenrod = {}
-        for (gi, a), val in (steenrod or {}).items():
-            self.steenrod[(int(gi), int(a))] = dict(val)
-        self._fill_top_powers()
-        self._deg_cache = {}
+        self._degrees = {}
         self._shift_cache = {}
-        self._action = cartan.Action(self)
-        if validate:
-            self.validate()
 
     # -- structural helpers ---------------------------------------------
-
-    def gen_degree(self, i: int) -> int:
-        return self.generators[i][1]
-
-    def gen_poly(self, i: int) -> Poly:
-        e = [0] * self.k
-        e[i] = 1
-        return {tuple(e): 1}
-
-    def _fill_top_powers(self):
-        """P^{deg g}(g) = g^p always; install it, reject contradictions."""
-        for i, (nm, d) in enumerate(self.generators):
-            e = [0] * self.k
-            e[i] = self.p
-            top = {tuple(e): 1}
-            have = self.steenrod.get((i, d))
-            if have is None:
-                self.steenrod[(i, d)] = top
-            elif have != top:
-                raise ValueError(
-                    f"top-power violation: P^{d}({nm}) must be {nm}^{self.p}")
-        for (gi, a) in self.steenrod:
-            if not 1 <= a <= self.gen_degree(gi):
-                raise ValueError(
-                    f"operation rule P^{a} out of range for generator "
-                    f"{self.generators[gi][0]} of degree {self.gen_degree(gi)}")
-
-    def monomial_degree(self, m) -> int:
-        return sum(e * d for e, (_, d) in zip(m, self.generators))
 
     def poly_degree(self, f: Poly):
         """Degree of a homogeneous polynomial; raises on mixed degrees."""
         degree = None
         for m in f:
-            d = self.monomial_degree(m)
+            d = sum(m)
             if degree is None:
                 degree = d
             elif d != degree:
                 raise ValueError(f"inhomogeneous polynomial: {d} vs {degree}")
         return degree
 
-    def raw_monomials(self, d: int) -> list[tuple]:
-        """All exponent tuples of degree d, before any relations, sorted:
-        each generator's exponent runs upward inside the previous ones."""
-        if d < 0 or not self.k:
-            return [()] if d == 0 else []
-        partial = [((), d)]  # (exponents so far, degree left)
-        for i in range(self.k - 1):
-            dg = self.gen_degree(i)
-            partial = [(t + (e,), rem - e * dg) for t, rem in partial
-                       for e in range(rem // dg + 1)]
-        dg = self.gen_degree(self.k - 1)
-        return [t + (rem // dg,) for t, rem in partial if rem % dg == 0]
-
-    def _deg_data(self, d: int):
-        """(monomials, index, nf, basis): quotient data in degree d, with
-        nf None where no relation reaches degree d."""
-        if d in self._deg_cache:
-            return self._deg_cache[d]
-        monos = self.raw_monomials(d)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for rel in self.relations:
-            rdeg = self.poly_degree(rel)
-            if rdeg is None or rdeg > d:
-                continue
-            for m in self.raw_monomials(d - rdeg):
-                prod = poly_mul_raw(rel, {m: 1}, self.p)
-                row = np.zeros(len(monos), dtype=np.int64)
-                for mm, c in prod.items():
-                    row[index[mm]] = c
-                rows.append(row)
-        nf, free = (fl.quotient_data(rows, len(monos), self.p) if rows
-                    else (None, range(len(monos))))
-        data = (monos, index, nf, [monos[c] for c in free])
-        self._deg_cache[d] = data
-        return data
+    def _degree(self, d: int):
+        """(basis, index) in degree d: the exponent tuples of degree d in
+        lexicographic order, each generator's exponent running upward
+        inside the previous ones, and the position of each."""
+        if d not in self._degrees:
+            if d < 0 or not self.k:
+                monos = [()] if d == 0 else []
+            else:
+                partial = [((), d)]  # (exponents so far, degree left)
+                for _ in range(self.k - 1):
+                    partial = [(t + (e,), rem - e) for t, rem in partial
+                               for e in range(rem + 1)]
+                monos = [t + (rem,) for t, rem in partial]
+            self._degrees[d] = monos, {m: i for i, m in enumerate(monos)}
+        return self._degrees[d]
 
     def basis(self, d: int) -> list[tuple]:
-        return self._deg_data(d)[3]
+        return self._degree(d)[0]
 
     def dim(self, d: int) -> int:
-        if d < 0:
-            return 0
-        return len(self.basis(d))
+        return len(self._degree(d)[0])
 
     def scatter(self, mus, d: int) -> np.ndarray:
-        """Multiplication by the monomials `mus` as maps of raw-monomial
-        indices: raw_monomials(d)[t] * mus[j] is
-        raw_monomials(d + deg mus[j])[out[t, j]]."""
-        monos = self._deg_data(d)[0]
+        """Multiplication by the monomials `mus` as maps of basis indices:
+        basis(d)[t] * mus[j] is basis(d + deg mus[j])[out[t, j]]."""
+        monos = self.basis(d)
         out = []
         for mu in mus:
-            index = self._deg_data(d + self.monomial_degree(mu))[1]
+            index = self._degree(d + sum(mu))[1]
             out.append([index[tuple(map(add, m, mu))] for m in monos])
         return np.array(out, dtype=np.intp).reshape(len(mus), len(monos)).T
 
     def shifts(self, d: int):
-        """(up, down) in degree d >= 1 of a ring on degree-1 generators
-        with no relations: basis(d-1)[t] * y_j is basis(d)[up[t, j]], and
-        divmod(down[c], k) is the first such (t, j) giving basis(d)[c]."""
+        """(up, down) in degree d >= 1: basis(d-1)[t] * y_j is
+        basis(d)[up[t, j]], and divmod(down[c], k) is the first such
+        (t, j) giving basis(d)[c]."""
         if d not in self._shift_cache:
-            up = self.scatter([self.gen_poly(j).popitem()[0]
-                               for j in range(self.k)], d - 1)
+            units = [tuple(int(i == j) for i in range(self.k))
+                     for j in range(self.k)]
+            up = self.scatter(units, d - 1)
             self._shift_cache[d] = up, np.unique(up, return_index=True)[1]
         return self._shift_cache[d]
 
-    def _reduce(self, raw, d: int) -> np.ndarray:
-        """Basis coordinates of the columns of `raw`, given on
-        raw_monomials(d): one normal-form product where d has relations."""
-        nf = self._deg_data(d)[2]
-        return raw if nf is None else fl.matmul(nf, raw, self.p)
-
     def coords(self, polys, d: int) -> np.ndarray:
-        """One column of basis coordinates per degree-d polynomial; a
-        degree with relations reduces all columns with one product."""
-        monos, index = self._deg_data(d)[:2]
-        raw = fl.zeros(len(monos), len(polys))
+        """One column of basis coordinates per degree-d polynomial."""
+        index = self._degree(d)[1]
+        out = fl.zeros(len(index), len(polys))
         for j, f in enumerate(polys):
             for m, c in f.items():
-                raw[index[m], j] = c
-        return self._reduce(raw, d)
+                out[index[m], j] = c
+        return out
+
+    def positions(self, rows: np.ndarray, d: int) -> np.ndarray:
+        """The index in basis(d) of each exponent row of degree d, by
+        counting: the monomials that agree with a row before coordinate j
+        and are smaller at j number C(s + m, m) - C(s - e_j + m, m), for s
+        the degree left at j and m the coordinates after it.  Every such
+        count is at most dim(d), so it fits in int64."""
+        k = self.k
+        # counts[s, m] = C(s + m, m): the monomials of degree s in m + 1
+        # variables
+        counts = np.ones((d + 1, max(k, 1)), dtype=np.int64)
+        for m in range(1, k):
+            counts[:, m] = counts[:, m - 1].cumsum()
+        index = np.zeros(len(rows), dtype=np.int64)
+        left = np.full(len(rows), d, dtype=np.int64)
+        for j in range(k - 1):
+            m = k - 1 - j
+            index += counts[left, m]
+            left -= rows[:, j]
+            index -= counts[left, m]
+        return index
 
     def poly_from_coords(self, vec, d: int) -> Poly:
         basis = self.basis(d)
         return {m: int(c) % self.p for m, c in zip(basis, vec) if c % self.p}
 
     def normal_form(self, f: Poly) -> Poly:
-        if not f:
-            return {}
-        if not self.relations:
-            return dict(f)
-        d = self.poly_degree(f)
-        return self.poly_from_coords(self.coords([f], d)[:, 0], d)
+        """Every polynomial is its own normal form: there are no relations."""
+        return dict(f)
 
     def mul(self, f: Poly, g: Poly) -> Poly:
-        return self.normal_form(poly_mul_raw(f, g, self.p))
+        return poly_mul_raw(f, g, self.p)
 
     def power(self, f: Poly, e: int) -> Poly:
         out: Poly = {tuple([0] * self.k): 1}
@@ -246,85 +196,53 @@ class ChowRing:
 
     # -- reduced-power action --------------------------------------------
 
-    def act_raw(self, a: int, f: Poly) -> Poly:
-        """P^a(f) before reduction by relations."""
+    def act(self, a: int, f: Poly) -> Poly:
+        """The reduced-power action P^a on a homogeneous polynomial, one
+        monomial at a time by the closed form (`_monomial_power`)."""
         if a < 0:
             raise ValueError("operation index must be >= 0")
         d = self.poly_degree(f)
         if not f or a > d:  # P^a vanishes above the degree
             return {}
-        return self._action.act(a, f, d)
-
-    def act(self, a: int, f: Poly) -> Poly:
-        """The reduced-power action P^a on a homogeneous polynomial."""
-        return self.normal_form(self.act_raw(a, f))
+        out = {}
+        for m, c in f.items():
+            for r, v in _monomial_power(m, a, self.p):
+                out[r] = (out.get(r, 0) + c * v) % self.p
+        return {m: c for m, c in out.items() if c}
 
     def act_word(self, word, f: Poly) -> Poly:
         for a in reversed(tuple(word)):
             f = self.act(a, f)
         return f
 
-    # -- validation -------------------------------------------------------
-
-    def validate(self):
-        """Internal consistency through the declared cutoff: homogeneous
-        relations, descent of the action to the quotient, and the ring's
-        module through the cutoff passing FiniteModule validation (shapes,
-        instability, Adem consistency)."""
-        cutoff = self.cutoff if self.cutoff is not None else 8
-        for r, rel in enumerate(self.relations):
-            try:
-                self.poly_degree(rel)
-            except ValueError as exc:
-                raise ValueError(f"relations[{r}]: {exc}") from None
-        for (gi, a), val in self.steenrod.items():
-            want = self.gen_degree(gi) + a * (self.p - 1)
-            for m in val:
-                if self.monomial_degree(m) != want:
-                    raise ValueError(
-                        f"P^{a}({self.generators[gi][0]}) is not homogeneous "
-                        f"of degree {want}")
-        for r, rel in enumerate(self.relations):
-            rdeg = self.poly_degree(rel)
-            if rdeg is None:
-                continue
-            a = 1
-            while rdeg + a * (self.p - 1) <= cutoff:
-                if self.normal_form(self.act_raw(a, rel)):
-                    raise ValueError(
-                        f"action does not respect relations[{r}]: "
-                        f"P^{a} of it is nonzero in the quotient")
-                a += 1
-        _filled_module(self, cutoff, truncated_above=cutoff)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self):
-        def dump_poly(f):
-            return [{"coeff": int(c), "monomial": list(m)}
-                    for m, c in sorted(f.items())]
-
-        return {
-            "prime": self.p,
-            "cutoff": self.cutoff if self.cutoff is not None else 8,
-            "generators": [{"name": n, "degree": d} for n, d in self.generators],
-            "relations": [dump_poly(r) for r in self.relations],
-            "steenrod": [{"a": a, "gen": self.generators[gi][0],
-                          "value": dump_poly(v)}
-                         for (gi, a), v in sorted(self.steenrod.items())],
-            "provenance": self.provenance,
-        }
-
     def __repr__(self):
         gens = ", ".join(f"{n}({d})" for n, d in self.generators)
         return f"<ChowRing {self.name!r} p={self.p} on {gens or '1'}>"
 
-    def __eq__(self, other):
-        return (isinstance(other, ChowRing) and self.p == other.p
-                and self.generators == other.generators
-                and sorted(map(sorted, (r.items() for r in self.relations)))
-                == sorted(map(sorted, (r.items() for r in other.relations)))
-                and self.steenrod == other.steenrod)
+
+@lru_cache(maxsize=2**16)
+def _monomial_power(e: tuple, a: int, p: int) -> tuple:
+    """The terms (exponents, coefficient) of P^a(y^e), by the Cartan
+    formula on P(y_j) = y_j + y_j^p:
+    P^a(y^e) = sum over |I| = a of prod_j C(e_j, i_j) y^{e + (p - 1) I}.
+    Only the I with i_j <= e_j are enumerated, and the coefficients are
+    Python integers, so this is exact at any prime and never lists a
+    whole degree.  Kept per (e, a, p): a word acts on the same monomials
+    again and again."""
+    terms = [(list(e), a, 1)]  # (exponents, a left to place, coefficient)
+    room = sum(e)  # the most the positions from here on can take
+    for j, ej in enumerate(e):
+        room -= ej
+        grown = []
+        for exps, rem, coef in terms:
+            for i in range(max(0, rem - room), min(ej, rem) + 1):
+                c = fl.binom_mod_p(ej, i, p)
+                if c:
+                    x = exps.copy()
+                    x[j] += i * (p - 1)
+                    grown.append((x, rem - i, coef * c % p))
+        terms = grown
+    return tuple((tuple(x), c) for x, rem, c in terms if rem == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +255,7 @@ def elem_abelian_ring(k: int, p: int) -> ChowRing:
     every abelian p-group with k cyclic factors.  One ring per (k, p) is
     built and shared, with its degree tables; callers treat it as
     read-only."""
-    if k < 0:
-        raise ValueError("rank must be >= 0")
-    return ChowRing(p, [(f"y{i + 1}", 1) for i in range(k)],
-                    name=f"CH((Z/{p})^{k})")
+    return ChowRing(p, k, name=f"CH((Z/{p})^{k})")
 
 
 @dataclass
@@ -409,9 +324,6 @@ class RingMap:
             raise ValueError("primes differ")
         if (source.p - 1) ** 2 >= 2**63:
             raise ValueError(f"prime {source.p} too large for int64 powers")
-        if any(r.relations or {d for _, d in r.generators} - {1}
-               for r in (source, target)):
-            raise ValueError("not a polynomial ring on degree-1 generators")
         self.source, self.target = source, target
         self.mat = np.asarray(mat, dtype=np.int64) % source.p
         if self.mat.shape != (source.k, target.k):
@@ -462,46 +374,37 @@ def restriction_map(G: gp.FiniteGroup, subgroup_elements, p: int,
 # modules from rings
 
 
-class _ActionFill:
-    """P^a from degree d on the ring's basis, into degrees <= top, as
-    FiniteModule action matrices built when first read.  Reading from
-    degree d runs the Cartan recursion on the raw monomials up to degree
-    d, continuing from the blocks of earlier reads; then the block's rows
-    of degree d + a(p-1) are placed on raw_monomials and reduced by the
-    relations."""
-
-    def __init__(self, ring: ChowRing, top: int):
-        self.ring, self.top = ring, top
-        self.levels, self.blocks = {}, {}
-        self.filled = -1  # every degree <= filled has its block
-
-    def __call__(self, a: int, d: int) -> np.ndarray:
-        ring, action = self.ring, self.ring._action
-        if d > self.filled:
-            seeds = np.concatenate(
-                [action.rows(ring._deg_data(e)[0])
-                 for e in range(self.filled + 1, d + 1)])
-            levels = action.prefix_levels(seeds, known=self.levels)
-            action.powers(levels, self.top, self.top, out=self.blocks)
-            self.levels.update(levels)
-            self.filled = d
-        _, index, nf, basis = ring._deg_data(d)
-        rows, vals = self.blocks[d]
-        if nf is not None:
-            vals = vals[:, [index[m] for m in basis]]
-        d2 = d + a * (ring.p - 1)
-        lo, hi = rows[:, 0].searchsorted([d2, d2 + 1])
-        raw = action.rows(ring._deg_data(d2)[0])
-        mat = fl.zeros(len(raw), vals.shape[1])
-        mat[cartan.find(rows[lo:hi], raw)] = vals[lo:hi]
-        return ring._reduce(mat, d2)
+def _action_matrix(ring: ChowRing, a: int, d: int) -> np.ndarray:
+    """P^a from degree d on the basis, by the closed form of
+    `_monomial_power` in one pass over basis(d) x the compositions of a
+    into k parts, which are basis(a).  A coefficient is a product of
+    residues from Pascal's triangle mod p, and a target's row comes from
+    `ChowRing.positions`.  The terms of one column have distinct
+    targets, so every entry is written once."""
+    p, k = ring.p, ring.k
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"prime {p} too large for int64 products")
+    src, parts = (np.array(ring.basis(e), dtype=np.int64).reshape(-1, k)
+                  for e in (d, a))
+    pascal = fl.binom_table(d, a, p)
+    # coef[r, c]: the coefficient of composition c on basis monomial r,
+    # zero where c exceeds r in some exponent
+    coef = np.ones((len(src), len(parts)), dtype=np.int64)
+    for j in range(k):
+        coef = coef * pascal[src[:, j, None], parts[None, :, j]] % p
+    r, c = coef.nonzero()
+    d2 = d + a * (p - 1)
+    mat = fl.zeros(ring.dim(d2), len(src))
+    mat[ring.positions(src[r] + (p - 1) * parts[c], d2), r] = coef[r, c]
+    return mat
 
 
 def _filled_module(ring: ChowRing, top: int, **kwargs) -> FiniteModule:
-    """The ring in degrees <= top, its action matrices filled on first
-    read (`_ActionFill`)."""
+    """The ring in degrees <= top, each action matrix built on first read
+    (`_action_matrix`)."""
     dims = {d: ring.dim(d) for d in range(top + 1) if ring.dim(d)}
-    return FiniteModule(ring.p, dims, {}, fill=_ActionFill(ring, top),
+    return FiniteModule(ring.p, dims, {},
+                        fill=lambda a, d: _action_matrix(ring, a, d),
                         **kwargs)
 
 
@@ -516,80 +419,3 @@ def ring_module(ring: ChowRing, D: int) -> FiniteModule:
     """The ring itself through degree D, marked truncated above D; its
     action matrices are filled on first read."""
     return _filled_module(ring, D, truncated_above=D, validate=False)
-
-
-# ---------------------------------------------------------------------------
-# ingestion
-
-
-_RING_FIELDS = {"prime", "cutoff", "generators", "relations", "steenrod",
-                "provenance", "name"}
-
-
-def _load_poly(data, k, p, where):
-    """Terms summed mod p, so repeated monomials add and zero terms vanish."""
-    out = {}
-    for t, term in enumerate(data):
-        here = f"{where}[{t}]"
-        if set(term) - {"coeff", "monomial"}:
-            raise ValueError(f"{here}: unknown fields "
-                             f"{sorted(set(term) - {'coeff', 'monomial'})}")
-        if "monomial" not in term:
-            raise ValueError(f"{here}: need a monomial exponent vector")
-        coeff = term.get("coeff", 1)
-        fl.check_ints(term["monomial"], f"{here}.monomial", 1)
-        fl.check_ints(coeff, f"{here}.coeff")
-        mono = tuple(term["monomial"])
-        if len(mono) != k:
-            raise ValueError(f"{here}.monomial: expected {k} exponents")
-        if any(e < 0 for e in mono):
-            raise ValueError(f"{here}.monomial: negative exponent")
-        out[mono] = (out.get(mono, 0) + coeff) % p
-    return {m: c for m, c in out.items() if c}
-
-
-def ingest_ring(data) -> ChowRing:
-    """Load and validate a ring file; the checks certify internal
-    consistency (homogeneity, instability, top powers, descent of the
-    action, Adem consistency through the cutoff), never literature
-    correctness."""
-    unknown = set(data) - _RING_FIELDS
-    if unknown:
-        raise ValueError(f"unknown ring file fields: {sorted(unknown)}")
-    if "prime" not in data or "generators" not in data:
-        raise ValueError("ring file needs 'prime' and 'generators'")
-    p = fl.check_prime(data["prime"])
-    gens = []
-    for i, g in enumerate(data["generators"]):
-        try:
-            gens.append((g["name"], g["degree"]))
-        except (KeyError, TypeError):
-            raise ValueError(f"generators[{i}]: need name and degree") from None
-        fl.check_ints(g["degree"], f"generators[{i}].degree")
-    names = [n for n, _ in gens]
-    k = len(gens)
-    rels = [_load_poly(r, k, p, f"relations[{i}]")
-            for i, r in enumerate(data.get("relations", []))]
-    cutoff = data.get("cutoff", 8)
-    fl.check_ints(cutoff, "cutoff")
-    steenrod = {}
-    for i, s in enumerate(data.get("steenrod", [])):
-        where = f"steenrod[{i}]"
-        if set(s) - {"a", "gen", "value"}:
-            raise ValueError(f"{where}: unknown fields")
-        try:
-            a = s["a"]
-            gen = s["gen"]
-            val = _load_poly(s["value"], k, p, f"{where}.value")
-        except (KeyError, TypeError):
-            raise ValueError(f"{where}: need a, gen, value") from None
-        fl.check_ints(a, f"{where}.a")
-        if gen not in names:
-            raise ValueError(f"{where}.gen: unknown generator {gen!r}")
-        steenrod[(names.index(gen), a)] = val
-    ring = ChowRing(p, gens, rels, steenrod,
-                    provenance=data.get("provenance", "ingested"),
-                    cutoff=cutoff,
-                    name=data.get("name", "ingested ring"),
-                    validate=True)
-    return ring

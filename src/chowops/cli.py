@@ -3,7 +3,8 @@
 Subcommands: adem, act, tv, nil, reps, quillen-check, localize, d0.
 Output is deterministic: TSV rows or the same content as JSON with sorted
 keys, so consecutive runs are byte-identical.  Exit codes: 0 success, 2
-validation failure, 3 unresolved verdicts under --strict.
+validation failure, 3 unresolved verdicts under --strict, 4 out of memory
+or recursion depth.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .powers import OperationSyntaxError, adem_reduce, parse_operation
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNRESOLVED = 3
+EXIT_RESOURCES = 4
 
 
 class CliError(Exception):
@@ -203,12 +205,11 @@ def cmd_tv(args):
     if args.group:
         G = _load_group(args.group)
         if not G.is_abelian:
-            # the trivial class's centralizer is G, and only the library
-            # call takes a ring for it
+            # the trivial class's centralizer is G, and the catalog has
+            # no ring for it
             raise CliError(
                 f"tv --group needs an abelian group; {G.name} (order {G.n}) "
-                "is not, and a ring for its centralizers can only be passed "
-                "to the library call tv_structural(centralizer_rings=...)")
+                "is not, and the catalog has rings of abelian groups only")
         try:
             tv = tv_structural(G, args.rank, _prime(args))
         except ValueError as exc:
@@ -444,6 +445,12 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCES
+    except RecursionError:
+        print("error: maximum recursion depth exceeded", file=sys.stderr)
+        return EXIT_RESOURCES
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ __all__ = [
     "check_prime",
     "check_ints",
     "binom_mod_p",
+    "binom_table",
     "as_fp_matrix",
     "zeros",
     "identity",
@@ -82,6 +83,16 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
         n //= p
         k //= p
     return result
+
+
+def binom_table(n: int, m: int, p: int) -> np.ndarray:
+    """Pascal's triangle mod p: entry (t, s) is C(t, s) mod p, for t <= n
+    and s <= m, zero where s > t."""
+    table = zeros(n + 1, m + 1)
+    table[:, 0] = 1
+    for t in range(1, n + 1):
+        table[t, 1:] = (table[t - 1, 1:] + table[t - 1, :-1]) % p
+    return table
 
 
 def as_fp_matrix(entries, p: int) -> np.ndarray:

@@ -108,37 +108,25 @@ def _component_map(source: AbelianRingData, cls: gp.HomClass,
                    name=f"component of class {cls.representative}")
 
 
-def tv_structural(G: gp.FiniteGroup, r: int, p: int,
-                  centralizer_rings=None) -> TvStructural:
+def tv_structural(G: gp.FiniteGroup, r: int, p: int) -> TvStructural:
     """T of the group ring as a product over Rep((Z/p)^r, G).
 
     Every conjugacy class of homomorphisms contributes the ring of the
-    centralizer of its image: abelian centralizers come from the catalog;
-    nonabelian ones must be supplied in `centralizer_rings`, a dict keyed
-    by class representative tuple (ingested rings are accepted as-is --
-    they were validated for internal consistency on ingestion, nothing
-    more).  A class with no available ring is reported by name.
+    centralizer of its image, from the catalog; the catalog has rings for
+    abelian groups only, so a class with a nonabelian centralizer is
+    reported by name.
     """
     classes = gp.rep_classes(r, G, p)
-    provided = centralizer_rings or {}
     components = []
     catalog = {}  # centralizer elements -> its catalog ring
     for cls in classes:
-        if cls.representative in provided:
-            ring = provided[cls.representative]
-            if ring.p != p:
-                raise ValueError(
-                    f"ring supplied for class {cls.representative} has "
-                    f"prime {ring.p}, expected {p}")
-            components.append((cls, ring))
-            continue
         cent = G.centralizer_elements(cls.representative)
         if cent not in catalog:
             if not G.is_abelian_on(cent):
                 raise ValueError(
                     f"no ring available for the centralizer of class "
-                    f"{cls.representative} (order {len(cent)}, nonabelian); "
-                    "supply one via centralizer_rings")
+                    f"{cls.representative} (order {len(cent)}, nonabelian): "
+                    "the catalog has rings for abelian groups only")
             catalog[cent] = abelian_ring(G, p, cent).ring
         components.append((cls, catalog[cent]))
     return TvStructural(group=G, rank=r, p=p, components=components)

@@ -121,27 +121,17 @@ class _AbelianSetup:
         key = (id(ring), i, j)
         if key not in self._comult_cache:
             p, k = self.p, ring.k
-            bi, bj, src = (
+            bi, bj = (
                 np.array(ring.basis(e), dtype=np.int64).reshape(ring.dim(e), k)
-                for e in (i, j, i + j))
+                for e in (i, j))
             beta = np.repeat(bi, len(bj), axis=0)
             alpha = beta + np.tile(bj, (len(bi), 1))
-            # Pascal's triangle mod p through row i + j
-            pascal = np.zeros((i + j + 1, i + j + 1), dtype=np.int64)
-            pascal[:, 0] = 1
-            for t in range(1, i + j + 1):
-                pascal[t, 1:] = (pascal[t - 1, 1:] + pascal[t - 1, :-1]) % p
+            pascal = fl.binom_table(i + j, i + j, p)
             coef = np.ones(len(alpha), dtype=np.int64)
             for x in range(k):
                 coef = coef * pascal[alpha[:, x], beta[:, x]] % p
-            # column of alpha: its place among the sorted radix keys of
-            # the source basis
-            radix = (i + j + 1) ** np.arange(k, dtype=np.int64)
-            keys = src @ radix
-            order = np.argsort(keys)
-            col = order[np.searchsorted(keys, alpha @ radix, sorter=order)]
-            mat = fl.zeros(len(alpha), len(src))
-            mat[np.arange(len(alpha)), col] = coef
+            mat = fl.zeros(len(alpha), ring.dim(i + j))
+            mat[np.arange(len(alpha)), ring.positions(alpha, i + j)] = coef
             self._comult_cache[key] = mat
         return self._comult_cache[key]
 
@@ -437,7 +427,7 @@ def max_nil_submodule(source, d: int, D: int):
     inside degrees <= D, on which the lowering operators at levels below d
     certifiably iterate to zero within the materialized window.
 
-    `source` is a catalog/ingested ring or a FiniteModule.  Returns a dict
+    `source` is a catalog ring or a FiniteModule.  Returns a dict
     degree -> basis matrix (possibly with zero columns removed).
     """
     if isinstance(source, ChowRing):
@@ -481,12 +471,14 @@ def max_nil_submodule(source, d: int, D: int):
                 t = e + a * (p - 1)
                 if t > D:
                     break
-                target = spaces.get(t, fl.zeros(module.dim(t), 0))
                 mat = module.act(a, e)
                 if not mat.any():
                     continue
-                resid = fl.residual_map(target, module.dim(t), p)
-                cond = fl.matmul(resid, fl.matmul(mat, basis, p), p)
+                cond = fl.matmul(mat, basis, p)
+                # the residual of an empty span is the identity
+                if t in spaces and spaces[t].shape[1]:
+                    cond = fl.matmul(
+                        fl.residual_map(spaces[t], module.dim(t), p), cond, p)
                 if cond.any():
                     shrink = fl.kernel_matrix(cond, p)
                     basis = fl.matmul(basis, shrink, p)

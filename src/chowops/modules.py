@@ -205,10 +205,13 @@ class FiniteModule:
                     if not mat.any():
                         out = fl.identity(n)
                     else:
-                        resid = fl.residual_map(self.dies(j, s),
-                                                self.dim(s), self.p)
-                        out = fl.kernel_matrix(
-                            fl.matmul(resid, mat, self.p), self.p)
+                        span = self.dies(j, s)
+                        # the residual of an empty span is the identity
+                        if span.shape[1]:
+                            mat = fl.matmul(
+                                fl.residual_map(span, self.dim(s), self.p),
+                                mat, self.p)
+                        out = fl.kernel_matrix(mat, self.p)
             self._dies[key] = out
         return self._dies[key]
 

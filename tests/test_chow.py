@@ -1,30 +1,33 @@
-import hashlib
-import json
 import math
 import random
-import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chowops import cartan
-from chowops import fp_linalg as fl
-from chowops.chow import (ChowRing, RingMap, abelian_ring,
-                          elem_abelian_ring, ingest_ring, poly_add,
-                          poly_scale, restriction_map, ring_module, truncate)
+from chowops.chow import (ChowRing, RingMap, _action_matrix, abelian_ring,
+                          elem_abelian_ring, poly_add, poly_scale,
+                          restriction_map, ring_module, truncate)
 from chowops.groups import FiniteGroup
 from chowops.powers import reduce_word
 
-from conftest import (act_reference, action_through_reference, apply,
-                      check_commutes)
+from conftest import act_reference, apply, check_commutes
 
 
 def test_elem_abelian_dims():
     assert [elem_abelian_ring(0, 2).dim(d) for d in range(3)] == [1, 0, 0]
     assert all(elem_abelian_ring(1, 2).dim(d) == 1 for d in range(9))
     assert [elem_abelian_ring(2, 5).dim(d) for d in range(5)] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("k, top", [(0, 3), (1, 6), (2, 9), (3, 9), (5, 8),
+                                    (12, 6)])
+def test_positions_count_the_lexicographic_order(k, top):
+    r = ChowRing(2, k)
+    for d in range(top + 1):
+        rows = np.array(r.basis(d), dtype=np.int64).reshape(r.dim(d), k)
+        assert r.positions(rows, d).tolist() == list(range(r.dim(d))), d
 
 
 def test_action_spec_examples():
@@ -48,25 +51,6 @@ def test_catalog_rings_shared_per_rank_and_prime():
     assert elem_abelian_ring(2, 3) is not elem_abelian_ring(2, 5)
     with pytest.raises(ValueError, match="rank"):
         elem_abelian_ring(-1, 3)
-
-
-def test_normal_form_matrix_only_where_relations_have_rows():
-    # a catalog ring stores none, nor does a ring whose only relation is
-    # zero (as ingested from terms that sum to zero mod p); a ring with
-    # relations stores one from the degree of its first relation on, and
-    # reduces there
-    assert all(elem_abelian_ring(2, 3)._deg_data(d)[2] is None
-               for d in range(6))
-    zero = ChowRing(3, [("x", 1)], relations=[{}])
-    assert all(zero._deg_data(d)[2] is None for d in range(4))
-    assert zero.coords([{(2,): 2}], 2).tolist() == [[2]]
-    r = ChowRing(2, [("x", 1), ("y", 1)], relations=[{(2, 0): 1, (0, 2): 1}])
-    assert [r._deg_data(d)[2] is None for d in range(4)] == \
-        [True, True, False, False]
-    assert r.basis(1) == r.raw_monomials(1)
-    assert r.basis(2) == [(1, 1), (2, 0)]
-    assert r.normal_form({(0, 2): 1}) == {(2, 0): 1}
-    assert r.coords([{(0, 2): 1, (1, 1): 1}], 2).tolist() == [[1], [1]]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -235,14 +219,8 @@ class TestRingMap:
         assert rm.matrix(5) is top
         assert rm.matrix(2).shape == (1, 3)
 
-    def test_only_polynomial_rings_on_degree_one_classes(self):
+    def test_refuses_bad_maps(self):
         line = elem_abelian_ring(1, 2)
-        quotient = ChowRing(2, [("x", 1)], relations=[{(2,): 1}])
-        graded = ChowRing(2, [("x", 2)])
-        for source, target in [(quotient, line), (line, quotient),
-                               (graded, line), (line, graded)]:
-            with pytest.raises(ValueError, match="degree-1 generators"):
-                RingMap(source, target, [[1]])
         with pytest.raises(ValueError, match="need a 1 x 1 matrix"):
             RingMap(line, line, [[1, 0]])
         with pytest.raises(ValueError, match="primes differ"):
@@ -271,137 +249,6 @@ class TestTruncate:
         assert all(m.dim(d) == 1 for d in range(7))
 
 
-class TestIngest:
-    def test_roundtrip(self):
-        r = elem_abelian_ring(2, 2)
-        blob = json.loads(json.dumps(r.to_json()))
-        assert ingest_ring(blob) == r
-
-    def test_top_power_violation(self):
-        bad = elem_abelian_ring(1, 2).to_json()
-        bad["steenrod"] = [{"a": 1, "gen": "y1", "value": []}]
-        with pytest.raises(ValueError, match="top-power"):
-            ingest_ring(bad)
-
-    def test_mixed_degree_relation(self):
-        bad = elem_abelian_ring(1, 2).to_json()
-        bad["relations"] = [[{"coeff": 1, "monomial": [1]},
-                             {"coeff": 1, "monomial": [2]}]]
-        with pytest.raises(ValueError, match="relations"):
-            ingest_ring(bad)
-
-    def test_unknown_fields_rejected(self):
-        bad = elem_abelian_ring(1, 2).to_json()
-        bad["surprise"] = True
-        with pytest.raises(ValueError, match="unknown"):
-            ingest_ring(bad)
-
-    def test_action_must_descend(self):
-        # y^3 = 0 but P^1(y) = y^3 nonzero upstairs is fine (it reduces to
-        # zero); a rule sending y to a survivor is not
-        blob = {
-            "prime": 3, "cutoff": 8, "provenance": "ingested",
-            "generators": [{"name": "u", "degree": 1},
-                           {"name": "w", "degree": 1}],
-            "relations": [[{"coeff": 1, "monomial": [3, 0]}]],
-            "steenrod": [{"a": 1, "gen": "u",
-                          "value": [{"coeff": 1, "monomial": [0, 3]}]},
-                         {"a": 1, "gen": "w",
-                          "value": [{"coeff": 1, "monomial": [0, 3]}]}],
-        }
-        with pytest.raises(ValueError, match="respect|top-power"):
-            ingest_ring(blob)
-
-    def test_adem_violation_refused(self):
-        # P^1 P^1 = 0 at p = 2, but P^1 x = y^3 gives P^1 P^1 x = y^4
-        blob = {
-            "prime": 2, "cutoff": 8, "provenance": "ingested",
-            "generators": [{"name": "y", "degree": 1},
-                           {"name": "x", "degree": 2}],
-            "steenrod": [{"a": 1, "gen": "x",
-                          "value": [{"coeff": 1, "monomial": [3, 0]}]}],
-        }
-        with pytest.raises(ValueError, match="Adem"):
-            ingest_ring(blob)
-
-    def test_quotient_ring_dims(self):
-        blob = {
-            "prime": 3, "cutoff": 8, "provenance": "ingested",
-            "generators": [{"name": "y", "degree": 1}],
-            "relations": [[{"coeff": 1, "monomial": [3]}]],
-            "steenrod": [],
-        }
-        r = ingest_ring(blob)
-        assert [r.dim(d) for d in range(5)] == [1, 1, 1, 0, 0]
-
-    def test_repeated_monomials_sum_mod_p(self):
-        # x^2 + 2 x^2 = 3 x^2 is the zero relation at p = 3
-        blob = {
-            "prime": 3, "cutoff": 8, "provenance": "ingested",
-            "generators": [{"name": "x", "degree": 1}],
-            "relations": [[{"coeff": 1, "monomial": [2]},
-                           {"coeff": 2, "monomial": [2]}]],
-            "steenrod": [],
-        }
-        r = ingest_ring(blob)
-        assert r.relations == [{}]
-        assert [r.dim(d) for d in range(4)] == [1, 1, 1, 1]
-        # the top-power rule P^1 x = x^3, written with coefficient 4 = 1
-        blob["steenrod"] = [{"a": 1, "gen": "x",
-                             "value": [{"coeff": 4, "monomial": [3]}]}]
-        assert ingest_ring(blob).steenrod[(0, 1)] == {(3,): 1}
-
-    @pytest.mark.parametrize("path, value", [
-        (("generators", 0, "degree"), 1.9),
-        (("generators", 0, "degree"), True),
-        (("relations", 0, 0, "coeff"), 1.5),
-        (("relations", 0, 0, "monomial"), [2.7]),
-        (("relations", 0, 0, "monomial"), 3),
-        (("steenrod", 0, "a"), 1.0),
-        (("steenrod", 0, "value", 0, "coeff"), False),
-        (("cutoff",), 6.5),
-    ])
-    def test_non_integers_refused(self, path, value):
-        blob = {
-            "prime": 3, "cutoff": 8, "provenance": "ingested",
-            "generators": [{"name": "y", "degree": 1}],
-            "relations": [[{"coeff": 1, "monomial": [4]}]],
-            "steenrod": [{"a": 1, "gen": "y",
-                          "value": [{"coeff": 1, "monomial": [3]}]}],
-        }
-        ingest_ring(json.loads(json.dumps(blob)))
-        target = blob
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        field = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
-                                  for k in path[1:])
-        with pytest.raises(ValueError, match=re.escape(field)):
-            ingest_ring(blob)
-
-
-def test_ring_module_with_relations_matches_per_column_reference():
-    # y1^2 + y2^2 = (y1 + y2)^2 at p = 2, so the action descends
-    r = ChowRing(2, [("y1", 1), ("y2", 1)],
-                 relations=[{(2, 0): 1, (0, 2): 1}], validate=True)
-    module = ring_module(r, 8)
-    for d in range(9):
-        assert module.dim(d) == r.dim(d)
-        for a in range(1, d + 1):
-            d2 = d + a
-            if d2 > 8:
-                continue
-            # one normal-form product per basis monomial
-            monos, index, nf, _ = r._deg_data(d2)
-            cols = []
-            for m in r.basis(d):
-                v = np.zeros(len(monos), dtype=np.int64)
-                for mm, c in r.act(a, {m: 1}).items():
-                    v[index[mm]] = c
-                cols.append(fl.matmul(nf, v, 2))
-            assert (module.act(a, d) == np.stack(cols, axis=1)).all(), (a, d)
-
-
 def test_abelian_ring_uses_p_part():
     G = FiniteGroup.from_abelian([6], name="Z6")
     data2 = abelian_ring(G, 2)
@@ -427,62 +274,16 @@ def test_powers_of_a_degree_one_class(p):
                                            if c else {}), (e, a)
 
 
-def chern_ring(p):
-    """F_p[c1, c2] with |c1| = 1 and |c2| = 2, the Chow ring of BGL_2:
-    P^1 c2 = x1^p x2 + x1 x2^p on the Chern roots, which is c1 c2 at
-    p = 2, c1^2 c2 + c2^2 at p = 3 and c1^4 c2 + c1^2 c2^2 + 2 c2^3 at
-    p = 5."""
-    rule = {2: {(1, 1): 1}, 3: {(2, 1): 1, (0, 2): 1},
-            5: {(4, 1): 1, (2, 2): 1, (0, 3): 2}}[p]
-    return ChowRing(p, [("c1", 1), ("c2", 2)], steenrod={(1, 1): rule},
-                    cutoff=8, validate=True)
-
-
-# sha256 of repr(sorted P^a(m) items) over p in (2, 3), every basis
-# monomial m of degree <= 8 and every a <= deg m: 310 actions, recorded
-# when generators of degree >= 2 were expanded one factor at a time
-CHERN_ACTIONS = \
-    "ccdd25a0e865abdbcee651effdb7cc96802c41644364ffc584e39b78902631b8"
-
-
-def test_chern_ring_actions():
-    # p = 5 is checked against the reference only: its P^1 c2 has a
-    # coefficient 2, which the digest (recorded at p = 2, 3) does not see
-    actions = {}
-    for p in (2, 3, 5):
-        r = chern_ring(p)
-        actions[p] = []
-        for d in range(9):
-            for m in r.basis(d):
-                for a in range(d + 1):
-                    got = r.act(a, {m: 1})
-                    assert got == act_reference(r, a, {m: 1}), (p, m, a)
-                    actions[p].append((d, m, a, sorted(got.items())))
-    del actions[5]
-    assert sum(map(len, actions.values())) == 310
-    assert hashlib.sha256(repr(actions).encode()).hexdigest() == CHERN_ACTIONS
-
-
-# rings for the cross-checks against the dict reference: catalog rings,
-# a degree-2 generator with a multi-term P^1, and two rings with relations
-CROSS_RINGS = {
-    **{f"rank{k}-p{p}": (lambda k=k, p=p: elem_abelian_ring(k, p))
-       for k in range(1, 5) for p in (2, 3, 5)},
-    **{f"chern-p{p}": (lambda p=p: chern_ring(p)) for p in (2, 3, 5)},
-    "x2+y2-p2": lambda: ChowRing(2, [("x", 1), ("y", 1)],
-                                 relations=[{(2, 0): 1, (0, 2): 1}],
-                                 validate=True),
-    "y3-p3": lambda: ChowRing(3, [("y", 1)], relations=[{(3,): 1}],
-                              validate=True),
-}
+# the catalog rings for the cross-checks against the dict reference
+CROSS_RINGS = {f"rank{k}-p{p}": (k, p) for k in range(1, 5) for p in (2, 3, 5)}
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(CROSS_RINGS)), st.integers(0, 10),
        st.integers(0, 6), st.integers(0, 2**32))
 def test_act_matches_dict_reference(name, d, a, seed):
-    r = CROSS_RINGS[name]()
-    monos = r.raw_monomials(d)
+    r = elem_abelian_ring(*CROSS_RINGS[name])
+    monos = r.basis(d)
     assume(monos)
     rng = random.Random(seed)
     f = {m: rng.randrange(1, r.p)
@@ -496,7 +297,7 @@ def test_act_matches_dict_reference(name, d, a, seed):
 def test_ring_module_matches_dict_reference(name, top, seed):
     # every action matrix in the window, on up to three random basis
     # monomials of its source degree
-    r = CROSS_RINGS[name]()
+    r = elem_abelian_ring(*CROSS_RINGS[name])
     module = ring_module(r, top)
     rng = random.Random(seed)
     for d in range(top + 1):
@@ -526,31 +327,28 @@ def lazy_reads(module, dims, top, p, order):
 @pytest.mark.parametrize("order", ["descending", "random"])
 @pytest.mark.parametrize("name", sorted(CROSS_RINGS))
 def test_filled_on_read_matches_eager_build(name, order):
-    # ring_module through 10 and truncate below 8, against the matrices
-    # built all at once: all of `.mats` read first, and every (a, d) read
-    # one by one, high degrees first or in a random order
-    r = CROSS_RINGS[name]()
+    # ring_module through 10 and truncate below 8: all of `.mats` read
+    # first, and every (a, d) read one by one, high degrees first or in a
+    # random order, against the matrices of the dict reference
+    r = elem_abelian_ring(*CROSS_RINGS[name])
     for build, top in ((lambda: ring_module(r, 10), 10),
                        (lambda: truncate(r, 8), 7)):
-        dims, mats = action_through_reference(r, top)
+        dims = {d: r.dim(d) for d in range(top + 1)}
+        mats = {}
+        for d in dims:
+            for a in range(1, d + 1):
+                d2 = d + a * (r.p - 1)
+                if d2 <= top:
+                    mats[(a, d)] = r.coords(
+                        [act_reference(r, a, {m: 1}) for m in r.basis(d)], d2)
         module = build()
-        assert module.dims == dims and module.mats.keys() == mats.keys()
-        assert all((module.mats[key] == mats[key]).all() for key in mats)
-        for (a, d), got in lazy_reads(build(), dims, top, r.p, order).items():
-            d2 = d + a * (r.p - 1)
-            want = mats.get((a, d), fl.zeros(dims.get(d2, 0), dims[d]))
-            assert got.shape == want.shape and (got == want).all(), (a, d)
-
-
-@pytest.mark.parametrize("high", [5, 2**40])
-def test_distinct_rows_in_lexicographic_order(high):
-    rng = np.random.default_rng(0)
-    rows = rng.integers(0, high, size=(200, 4))
-    rows = np.concatenate([rows, rows[::3]])
-    distinct, inverse = cartan.distinct(rows)
-    assert list(map(tuple, distinct.tolist())) == \
-        sorted(set(map(tuple, rows.tolist())))
-    assert (distinct[inverse] == rows).all()
+        assert module.dims == dims
+        assert module.mats.keys() == {key for key in mats if mats[key].any()}
+        assert all((module.mats[key] == mats[key]).all()
+                   for key in module.mats)
+        for key, got in lazy_reads(build(), dims, top, r.p, order).items():
+            assert got.shape == mats[key].shape, key
+            assert (got == mats[key]).all(), key
 
 
 def test_act_on_a_wide_ring_matches_dict_reference():
@@ -562,12 +360,10 @@ def test_act_on_a_wide_ring_matches_dict_reference():
 
 
 def test_action_at_a_prime_past_int64_products():
-    # catalog rules have coefficient 1, so no two residues are multiplied;
-    # a coefficient 2 would multiply them past int64, and is refused
+    # a single polynomial is acted on in Python integers, at any prime; an
+    # action matrix multiplies two residues in int64, and is refused
     p = 4294967311
-    assert elem_abelian_ring(2, p).act(1, {(1, 1): 1}) == \
-        {(p, 1): 1, (1, p): 1}
-    r = ChowRing(p, [("c1", 1), ("c2", 2)],
-                 steenrod={(1, 1): {(p + 1, 0): 2}})
+    r = elem_abelian_ring(2, p)
+    assert r.act(1, {(1, 1): 1}) == {(p, 1): 1, (1, p): 1}
     with pytest.raises(ValueError, match="too large for int64"):
-        r.act(1, {(0, 1): 1})
+        _action_matrix(r, 1, 1)

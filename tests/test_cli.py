@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chowops import cli
 from chowops.cli import main, parse_poly, format_poly
 
 
@@ -112,13 +113,12 @@ def test_tv_structural_table(capsys, data_dir):
 def test_tv_nonabelian_group_names_the_missing_ring(capsys, data_dir, group,
                                                     order):
     # the trivial class's centralizer is the whole nonabelian group, and
-    # the CLI has no way to pass a ring for it
+    # the catalog has no ring for it
     path = str(data_dir / "groups" / f"{group}.json")
     assert run(capsys, "tv", "--group", path) == (
         2, "", f"error: tv --group needs an abelian group; {group.upper()} "
-        f"(order {order}) is not, and a ring for its centralizers can only "
-        "be passed to the library call tv_structural(centralizer_rings=...)"
-        "\n")
+        f"(order {order}) is not, and the catalog has rings of abelian "
+        "groups only\n")
 
 
 def test_tv_module_table(capsys, data_dir):
@@ -257,6 +257,20 @@ def test_flag_value_errors_name_the_flag(capsys, data_dir, argv, flag):
     code, out, err = run(capsys, *(a.format(data=data_dir) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError, "out of memory"),
+    (RecursionError, "maximum recursion depth exceeded"),
+])
+def test_resource_exhaustion_exits_4(capsys, monkeypatch, exc, message):
+    # one error line and exit 4, not a traceback
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "cmd_adem", exhausted)
+    assert run(capsys, "adem", "--expr", "P^1") == (
+        4, "", f"error: {message}\n")
 
 
 def test_bad_prime(capsys):

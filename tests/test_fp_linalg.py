@@ -19,6 +19,14 @@ def test_binom_out_of_range():
     assert fl.binom_mod_p(0, 0, 5) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 4294967311])
+def test_binom_table_is_pascals_triangle_mod_p(p):
+    table = fl.binom_table(20, 7, p)
+    assert table.shape == (21, 8)
+    assert table.tolist() == [[math.comb(t, s) % p for s in range(8)]
+                              for t in range(21)]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lucas_against_factorials(p):
     for n in range(26):

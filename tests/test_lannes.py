@@ -101,25 +101,6 @@ class TestStructural:
         for k in range(5):
             assert tv.dim(k) == sum(r.dim(k) for _, r in tv.components)
 
-    def test_supplied_centralizer_rings(self):
-        # nonabelian centralizers are served by caller-supplied rings; only
-        # the interface is exercised, no literature value is asserted
-        from chowops.chow import elem_abelian_ring
-        s3 = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)], 3)
-        stand_in = elem_abelian_ring(1, 2)
-        tv = tv_structural(s3, 1, 2,
-                           centralizer_rings={(0,): stand_in})
-        assert len(tv.components) == 2
-        # the transposition class centralizer is the catalog Z/2 ring
-        assert tv.dim(3) == stand_in.dim(3) + 1
-
-    def test_supplied_ring_prime_mismatch(self):
-        from chowops.chow import elem_abelian_ring
-        s3 = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)], 3)
-        with pytest.raises(ValueError, match="prime"):
-            tv_structural(s3, 1, 2,
-                          centralizer_rings={(0,): elem_abelian_ring(1, 3)})
-
     def test_nonabelian_centralizer_reported(self):
         s3 = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)], 3)
         with pytest.raises(ValueError, match="centralizer"):

@@ -1,11 +1,14 @@
 """Repository-level contracts: the checkout tracks no file that .gitignore
-lists, such as generated C or saved test output, and every library name
-the benchmark's tracer patches still exists."""
+lists, such as generated C or saved test output; every library module is
+imported by the CLI, so none is reached only by the tests; and every
+library name the benchmark's tracer patches still exists."""
 
 import importlib
 import importlib.util
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,20 @@ def test_no_ignored_file_is_tracked():
     out = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"],
                          cwd=ROOT, capture_output=True, text=True, check=True)
     assert out.stdout == ""
+
+
+def test_every_library_module_is_imported_by_the_cli():
+    # in a fresh interpreter, so that the test suite's own imports do not
+    # count
+    src = Path(chowops.__file__).resolve().parent
+    code = ("import sys, chowops.cli; print(' '.join(sorted("
+            "m for m in sys.modules if m.startswith('chowops'))))")
+    env = dict(os.environ, PYTHONPATH=str(src.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    modules = {f"chowops.{path.stem}" for path in src.glob("*.py")
+               if path.stem != "__init__"} | {"chowops"}
+    assert modules <= set(out.stdout.split())
 
 
 def test_benchmark_trace_targets_exist():
