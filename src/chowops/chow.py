@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from operator import add
 
 import numpy as np
 
@@ -126,24 +125,16 @@ class ChowRing:
     def dim(self, d: int) -> int:
         return len(self._degree(d)[0])
 
-    def scatter(self, mus, d: int) -> np.ndarray:
-        """Multiplication by the monomials `mus` as maps of basis indices:
-        basis(d)[t] * mus[j] is basis(d + deg mus[j])[out[t, j]]."""
-        monos = self.basis(d)
-        out = []
-        for mu in mus:
-            index = self._degree(d + sum(mu))[1]
-            out.append([index[tuple(map(add, m, mu))] for m in monos])
-        return np.array(out, dtype=np.intp).reshape(len(mus), len(monos)).T
-
     def shifts(self, d: int):
         """(up, down) in degree d >= 1: basis(d-1)[t] * y_j is
         basis(d)[up[t, j]], and divmod(down[c], k) is the first such
         (t, j) giving basis(d)[c]."""
         if d not in self._shift_cache:
-            units = [tuple(int(i == j) for i in range(self.k))
-                     for j in range(self.k)]
-            up = self.scatter(units, d - 1)
+            k, n = self.k, self.dim(d - 1)
+            rows = np.array(self.basis(d - 1), dtype=np.int64).reshape(n, k)
+            up = self.positions(
+                (rows[:, None, :] + fl.identity(k)).reshape(n * k, k), d
+            ).reshape(n, k)
             self._shift_cache[d] = up, np.unique(up, return_index=True)[1]
         return self._shift_cache[d]
 
@@ -385,8 +376,8 @@ def _action_matrix(ring: ChowRing, a: int, d: int) -> np.ndarray:
     p, k = ring.p, ring.k
     if (p - 1) ** 2 >= 2**63:
         raise ValueError(f"prime {p} too large for int64 products")
-    src, parts = (np.array(ring.basis(e), dtype=np.int64).reshape(-1, k)
-                  for e in (d, a))
+    src, parts = (np.array(ring.basis(e), dtype=np.int64)
+                  .reshape(ring.dim(e), k) for e in (d, a))
     pascal = fl.binom_table(d, a, p)
     # coef[r, c]: the coefficient of composition c on basis monomial r,
     # zero where c exceeds r in some exponent
