@@ -16,7 +16,7 @@ per (a, d) for the action matrices of `ring_module` and `truncate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -212,29 +212,27 @@ class ChowRing:
         return f"<ChowRing {self.name!r} p={self.p} on {gens or '1'}>"
 
 
-@lru_cache(maxsize=2**16)
-def _monomial_power(e: tuple, a: int, p: int) -> tuple:
+def _monomial_power(e: tuple, a: int, p: int) -> list:
     """The terms (exponents, coefficient) of P^a(y^e), by the Cartan
     formula on P(y_j) = y_j + y_j^p:
     P^a(y^e) = sum over |I| = a of prod_j C(e_j, i_j) y^{e + (p - 1) I}.
-    Only the I with i_j <= e_j are enumerated, and the coefficients are
-    Python integers, so this is exact at any prime and never lists a
-    whole degree.  Kept per (e, a, p): a word acts on the same monomials
-    again and again."""
-    terms = [(list(e), a, 1)]  # (exponents, a left to place, coefficient)
+    Only the I with i_j <= e_j are enumerated, and each binomial row is
+    built exactly in Python integers (C(n, i + 1) = C(n, i) (n - i) /
+    (i + 1)) before it is reduced, so this is exact at any prime and
+    never lists a whole degree."""
+    terms = [((), a, 1)]  # (exponents so far, a left to place, coefficient)
     room = sum(e)  # the most the positions from here on can take
-    for j, ej in enumerate(e):
+    for ej in e:
         room -= ej
-        grown = []
-        for exps, rem, coef in terms:
-            for i in range(max(0, rem - room), min(ej, rem) + 1):
-                c = fl.binom_mod_p(ej, i, p)
-                if c:
-                    x = exps.copy()
-                    x[j] += i * (p - 1)
-                    grown.append((x, rem - i, coef * c % p))
-        terms = grown
-    return tuple((tuple(x), c) for x, rem, c in terms if rem == 0)
+        row, binom = [], 1  # binom = C(ej, i), exact
+        for i in range(min(ej, a) + 1):
+            if binom % p:
+                row.append((i, binom % p))
+            binom = binom * (ej - i) // (i + 1)
+        terms = [(x + (ej + i * (p - 1),), rem - i, coef * c % p)
+                 for x, rem, coef in terms
+                 for i, c in row if rem - room <= i <= rem]
+    return [(x, c) for x, rem, c in terms if rem == 0]
 
 
 # ---------------------------------------------------------------------------

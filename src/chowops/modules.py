@@ -122,9 +122,8 @@ class FiniteModule:
 
     @property
     def mats(self) -> dict:
-        """Every nonzero action matrix, filling those not read yet (the
-        highest source degree first, so one fill reaches them all)."""
-        for key in sorted(self._unread, key=lambda ad: (-ad[1], ad[0])):
+        """Every nonzero action matrix, filling those not read yet."""
+        for key in list(self._unread):
             self._read(key)
         return self._mats
 
