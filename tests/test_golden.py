@@ -5,8 +5,9 @@ levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
 `tv --rank 2` on the elementary abelian groups of rank 3, whose
 729 and 64 classes each take a centralizer ring; `quillen-check` past the
 default cutoff, on a rank-4 group and where the p-torsion subgroup is
-trivial; `localize` at rank 3 and 4 past the
-default cutoff, where most objects lie below the top subgroup; the rank-5
+trivial, as TSV, and at p = 11, where residues have two digits;
+`localize` at rank 3 and 4 past the default cutoff, where most objects
+lie below the top subgroup; the rank-5
 and rank-4 subspace lattices of (Z/2)^5 under `localize` and of (Z/3)^4
 under `quillen-check`; `reps` on the nonabelian catalog groups at rank 3
 and on S7 at ranks 2 and 3, where conjugation moves most tuples;
@@ -146,6 +147,19 @@ QUILLEN_CUTOFF_RUNS = {
 QUILLEN_RANK_FOUR = (
     "4d6dd37dc08410258f6273f56ebc682d5c61a4edf9f765d109d4537f37f6e6ce")
 
+# quillen-check as TSV, and on (Z/11)^2 at p = 11, where a certificate
+# vector has two-digit residues, in both formats
+QUILLEN_FORMAT_RUNS = {
+    ("z3cube", 3, 8, "tsv"):
+        "b0f1333d622e7269a49dd27422410d50e36b7008a2452d4afeaedf633ff64994",
+    ("z4xz2", 2, 8, "tsv"):
+        "9ca90b15815341d96db80e0ff42a725d8080af19cffafeb3585fca4bfa9af06f",
+    ("z11sq", 11, 6, "tsv"):
+        "a36fe6ec0959c97b5eae982ff485f4bef0b121c468e9f3d8a34104976c4011d2",
+    ("z11sq", 11, 6, "json"):
+        "d9c42354df2577919dbcb18d51d14fc9e2e2d5328268024178bc8ec827ca64d0",
+}
+
 # localize on the elementary abelian groups of rank 3, past the default
 # cutoff and level
 LOCALIZE_CUTOFF_RUNS = {
@@ -224,8 +238,8 @@ COMMAND_FLAGS = {"tv": ["--rank", "2"], "quillen-check": [],
                  "localize": ["--level", "2"]}
 
 
-def digest(capsys, *argv):
-    code = main([str(a) for a in argv] + ["--format", "json"])
+def digest(capsys, *argv, fmt="json"):
+    code = main([str(a) for a in argv] + ["--format", fmt])
     out, _ = capsys.readouterr()
     assert code == 0
     return hashlib.sha256(out.encode()).hexdigest()
@@ -276,6 +290,18 @@ def test_quillen_rank_four_output(capsys, tmp_path):
     path.write_text(json.dumps({"abelian": [2, 2, 2, 2], "name": "(Z/2)^4"}))
     argv = ["quillen-check", "--group", path, "--prime", 2, "--cutoff", 6]
     assert digest(capsys, *argv) == QUILLEN_RANK_FOUR
+
+
+@pytest.mark.parametrize("group, p, cutoff, fmt", sorted(QUILLEN_FORMAT_RUNS))
+def test_quillen_format_output(capsys, data_dir, tmp_path, group, p, cutoff,
+                               fmt):
+    path = data_dir / "groups" / f"{group}.json"
+    if group == "z11sq":
+        path = tmp_path / "z11sq.json"
+        path.write_text(json.dumps({"abelian": [11, 11], "name": "(Z/11)^2"}))
+    argv = ["quillen-check", "--group", path, "--prime", p, "--cutoff", cutoff]
+    assert (digest(capsys, *argv, fmt=fmt)
+            == QUILLEN_FORMAT_RUNS[group, p, cutoff, fmt])
 
 
 @pytest.mark.parametrize("group, p, level, cutoff",
