@@ -15,6 +15,7 @@ per (a, d) for the action matrices of `ring_module` and `truncate`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -34,6 +35,7 @@ __all__ = [
     "abelian_ring",
     "AbelianRingData",
     "RingMap",
+    "symmetric_powers",
     "restriction_map",
     "truncate",
     "ring_module",
@@ -304,42 +306,80 @@ def abelian_ring(G: gp.FiniteGroup, p: int, elements=None) -> AbelianRingData:
 # ring maps
 
 
+def symmetric_powers(source: ChowRing, target: ChowRing, mats):
+    """The symmetric powers of a stack of B substitution matrices from
+    `source` to `target` (generator i of the source goes to the sum over j
+    of mats[b, i, j] times generator j of the target): an iterator over
+    d = 0, 1, 2, ... of the B x target.dim(d) x source.dim(d) stacks of
+    the degree-d matrices, in the two rings' monomial bases.
+
+    Degree e is built from degree e - 1 for the whole stack in one pass.
+    A monomial y_i m of degree e goes to the image of m times row i of
+    the substitution, spread over basis(e) by the target's `shifts`;
+    for one target generator j the products land on distinct monomials,
+    so each j is one indexed add."""
+    p = source.p
+    if target.p != p:
+        raise ValueError("primes differ")
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"prime {p} too large for int64 powers")
+    mats = np.asarray(mats, dtype=np.int64) % p
+    if mats.ndim != 3 or mats.shape[1:] != (source.k, target.k):
+        raise ValueError(
+            f"need a {source.k} x {target.k} matrix per map, stacked")
+    return _symmetric_powers(source, target, mats)
+
+
+def _symmetric_powers(source, target, mats):
+    power = np.ones((len(mats), 1, 1), dtype=np.int64)
+    for e in itertools.count(1):
+        yield power
+        power = _next_power(source, target, mats, power, e)
+
+
+def _next_power(source, target, mats, power, e):
+    """Degree e of the stack from degree e - 1, `power`, a block of maps
+    at a time so that the temporaries stay near 2^16 entries."""
+    p = source.p
+    up = target.shifts(e)[0]
+    prev, first = np.divmod(source.shifts(e)[1], source.k)
+    out = np.zeros((len(mats), target.dim(e), len(prev)), dtype=np.int64)
+    step = max(1, 2**16 // max(1, power.shape[1] * len(prev)))
+    for b in range(0, len(mats), step):
+        # gathered[b, t, c]: coefficient of basis(e-1)[t] in the image of
+        # source monomial c divided by its first generator
+        gathered = power[b:b + step, :, prev]
+        term = np.empty_like(gathered)
+        for j in range(target.k):
+            np.multiply(gathered, mats[b:b + step, None, first, j], out=term)
+            term %= p
+            out[b:b + step, up[:, j]] += term
+    out %= p
+    return out
+
+
 class RingMap:
     """The ring map of a linear substitution between polynomial rings on
     degree-1 generators: source generator i goes to the sum over j of
     mat[i, j] times target generator j."""
 
     def __init__(self, source: ChowRing, target: ChowRing, mat, name=None):
-        if source.p != target.p:
-            raise ValueError("primes differ")
-        if (source.p - 1) ** 2 >= 2**63:
-            raise ValueError(f"prime {source.p} too large for int64 powers")
         self.source, self.target = source, target
         self.mat = np.asarray(mat, dtype=np.int64) % source.p
-        if self.mat.shape != (source.k, target.k):
-            raise ValueError(f"need a {source.k} x {target.k} matrix")
+        self._next = symmetric_powers(source, target, self.mat[None])
+        self._powers = []
         self.name = name or "ring map"
         # generator images as polynomials, as the benchmark tracer reads them
         self.images = [{tuple(int(b == j) for b in range(target.k)): int(c)
                         for j, c in enumerate(row) if c} for row in self.mat]
-        self._powers = [fl.identity(1)]
 
     def matrix(self, d: int) -> np.ndarray:
         """Degree-d matrix in the source/target monomial bases: the d-th
-        symmetric power of `mat`, built one degree at a time and kept.  A
-        monomial y_i m of degree e goes to the image of m times row i of
-        `mat`, spread over basis(e) by the target's `shifts`."""
-        powers, p = self._powers, self.target.p
-        while len(powers) <= d:
-            e = len(powers)
-            up = self.target.shifts(e)[0]
-            prev, first = np.divmod(self.source.shifts(e)[1], self.source.k)
-            # terms[t, j, c]: coefficient of basis(e-1)[t] * z_j
-            terms = powers[-1][:, prev][:, None, :] * self.mat[first].T % p
-            out = fl.zeros(self.target.dim(e), len(prev))
-            np.add.at(out, up.ravel(), terms.reshape(up.size, len(prev)))
-            powers.append(out % p)
-        return powers[d] if d >= 0 else fl.zeros(0, 0)
+        symmetric power of `mat`, from `symmetric_powers` as a batch of
+        one, each degree kept once built."""
+        while len(self._powers) <= d:
+            self._powers.append(next(self._next)[0])
+        return self._powers[d] if d >= 0 else fl.zeros(0, 0)
 
     def __repr__(self):
         return f"<RingMap {self.name!r}: {self.source.name} -> {self.target.name}>"

@@ -10,9 +10,12 @@ or recursion depth.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
+
+import numpy as np
 
 from . import fp_linalg as fl
 from . import groups as gp
@@ -70,6 +73,37 @@ def _emit(args, columns, rows, meta=None):
         print("\t".join(columns))
         for r in rows:
             print("\t".join(str(x) for x in r))
+
+
+def format_rows(rows) -> list[str]:
+    """" ".join(map(str, row)) for each of `rows`, vectors of one length
+    with non-negative int64 entries, as array passes over a block of
+    rows (about 2^16 entries) at a time: count each entry's digits, write
+    every digit into one byte buffer with a space after each entry (a
+    newline after each row's last), decode the buffer once and split it
+    into rows."""
+    if not len(rows) or not len(rows[0]):
+        return [""] * len(rows)
+    m, out = len(rows[0]), []
+    step = max(1, 2**16 // m)
+    for start in range(0, len(rows), step):
+        mat = np.array(rows[start:start + step], dtype=np.int64)
+        width = np.ones(mat.shape, dtype=np.uint8)
+        top, ten = int(mat.max()), 10
+        while ten <= top:
+            width += mat >= ten
+            ten *= 10
+        # each entry's separator
+        at = np.cumsum(width + 1, dtype=np.int64).reshape(mat.shape) - 1
+        buf = np.full(at[-1, -1] + 1, ord(" "), dtype=np.uint8)
+        buf[at[:, -1]] = ord("\n")
+        for i in range(int(width.max())):  # the digits, last to first
+            at -= 1
+            live = width > i
+            buf[at[live]] = mat[live] % 10 + ord("0")
+            mat //= 10
+        out += buf.tobytes().decode("ascii").split("\n")[:-1]
+    return out
 
 
 # -- polynomial syntax for `act` --------------------------------------------
@@ -262,12 +296,15 @@ def cmd_quillen(args):
     except ValueError as exc:
         raise CliError(str(exc))
     rows = []
-    for d, vec, m in cert.kernel_report:
-        rows.append(("kernel", d, " ".join(map(str, vec.tolist())),
-                     "unresolved" if m is None else f"nilpotent:p^{m}"))
-    for d, vec, j in cert.image_report:
-        rows.append(("image", d, " ".join(map(str, vec.tolist())),
-                     "unresolved" if j is None else f"power:p^{j}"))
+    for side, report, proof in (("kernel", cert.kernel_report, "nilpotent"),
+                                ("image", cert.image_report, "power")):
+        # one degree's vectors all have the same length
+        for d, entries in itertools.groupby(report, key=lambda e: e[0]):
+            entries = list(entries)
+            texts = format_rows([vec for _, vec, _ in entries])
+            rows += [(side, d, text,
+                      "unresolved" if m is None else f"{proof}:p^{m}")
+                     for text, (_, _, m) in zip(texts, entries)]
     meta = {
         "group": G.name,
         "prime": _prime(args),

@@ -46,11 +46,15 @@ class FiniteGroup:
         self.faithful_degree = faithful_degree
         if not _trusted:
             self._validate()
-        is_identity = table == 0
-        bad = np.flatnonzero(is_identity.sum(axis=1) != 1)
+        # the inverse of a is the one 0 in row a; the 0s are found a block
+        # of rows at a time, so no n x n temporary is made
+        n = self.n
+        zeros = np.concatenate([np.flatnonzero(table[i:i + 256] == 0) + i * n
+                                for i in range(0, n, 256)])
+        bad = np.flatnonzero(np.bincount(zeros // n, minlength=n) != 1)
         if bad.size:
             raise ValueError(f"element {bad[0]} has no unique inverse")
-        self._inv = is_identity.argmax(axis=1).astype(np.int32)
+        self._inv = (zeros % n).astype(np.int32)
 
     def _validate(self):
         t = self.table

@@ -10,12 +10,13 @@ says so.
 
 Implemented scope: abelian groups (all centralizers are then the group
 itself and every map is canonical character algebra).  Nonabelian input
-needs ring AND map data the ring file schema cannot carry, and is
-rejected with a pointed message.
+is rejected with a pointed message: catalog rings exist for abelian
+groups only.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import fp_linalg as fl
 from . import groups as gp
-from .chow import ChowRing, abelian_ring, restriction_map, ring_module
+from .chow import (ChowRing, abelian_ring, restriction_map, ring_module,
+                   symmetric_powers)
 from .modules import FiniteModule
 
 __all__ = [
@@ -60,10 +62,9 @@ class _AbelianSetup:
     def __init__(self, G: gp.FiniteGroup, p: int):
         if not G.is_abelian:
             raise ValueError(
-                f"{G.name}: localization needs catalog ring data and the "
-                "restriction maps between centralizer rings; only abelian "
-                "groups carry these canonically (nonabelian input would "
-                "need map data the ring file schema does not express)")
+                f"{G.name}: localization needs catalog rings and the "
+                "restriction maps between centralizer rings, and catalog "
+                "rings exist for abelian groups only")
         self.G = G
         self.p = fl.check_prime(p)
         self.data_G = abelian_ring(G, p)
@@ -348,38 +349,58 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
     through T, so the kernel of CH_G -> lim is the kernel of res_{G->T};
     restriction is a ring map, so a power of a family lies in the image
     exactly when that power of its T component lies in the image of
-    res_{G->T}."""
+    res_{G->T}.
+
+    The objects of one rank share their ring, so the res_{T->E} of a
+    rank class are one stack of substitution matrices, raised to each
+    degree in one pass (`symmetric_powers`).  The family of a monomial
+    has the monomial itself as its T component, and the p-th power of a
+    monomial multiplies its exponents by p, so the p-power search moves
+    every still-open monomial of a degree at once."""
     setup = _AbelianSetup(G, p)
     ring_G = setup.data_G.ring
     data_T = setup.sub_data[setup.top]
     ring_T = data_T.ring
-    res_from_top = [data_T.restrict(data) for data in setup.sub_data]
+    # `elementary_abelians` sorts the objects by size, so each run of one
+    # rank is a whole rank class
+    stacks = [symmetric_powers(ring_T, ring, np.stack(
+                  [data_T.char_matrix(data.basis) for data in run]))
+              for ring, run in itertools.groupby(setup.sub_data,
+                                                 key=lambda data: data.ring)]
 
     @cache
-    def residual(d):
-        # a vector of CH_T^d lies in the image of CH_G^d exactly when Q
-        # sends it to zero; one elimination per degree serves every test
-        return fl.residual_map(setup.res_mat(setup.top, d), ring_T.dim(d), p)
+    def in_image(d):
+        # monomial t of CH_T^d lies in the image of CH_G^d exactly when
+        # the residual map of that image has a zero column t
+        return ~fl.residual_map(setup.res_mat(setup.top, d), ring_T.dim(d),
+                                p).any(axis=0)
 
     limit_dims = {}
     kernel_report = []
     image_report = []
     for d in range(D + 1):
-        basis = np.vstack([rm.matrix(d) for rm in res_from_top])
-        limit_dims[d] = basis.shape[1]
+        n = ring_T.dim(d)
+        basis = np.concatenate([power.reshape(len(power) * power.shape[1], n)
+                                for power in map(next, stacks)])
+        limit_dims[d] = n
         # kernel elements of CH_G -> lim, certified nilpotent by powering:
         # test x^{p^m} = 0 while p^m * deg x stays inside the window
         for vec in fl.kernel_basis(setup.res_mat(setup.top, d), p):
             poly = ring_G.poly_from_coords(vec, d)
             kernel_report.append((d, vec, certify_nilpotent(ring_G, poly, d, D)))
-        # limit elements: find the least p-power landing in the image
-        for t, mono in enumerate(ring_T.basis(d)):
-            power, j, deg = {mono: 1}, 0, d
-            while deg <= D and fl.matmul(
-                    residual(deg), ring_T.coords([power], deg)[:, 0], p).any():
-                power = ring_T.power(power, p)
-                j, deg = j + 1, deg * p
-            image_report.append((d, basis[:, t], j if deg <= D else None))
+        # limit elements: the least p-power of each monomial landing in
+        # the image, -1 while none has
+        found = np.full(n, -1)
+        exps = np.array(ring_T.basis(d), dtype=np.int64).reshape(n, ring_T.k)
+        open_ = np.arange(n)
+        j, deg = 0, d
+        while open_.size and deg <= D:
+            hit = in_image(deg)[ring_T.positions(exps[open_] * p**j, deg)]
+            found[open_[hit]] = j
+            open_ = open_[~hit]
+            j, deg = j + 1, deg * p
+        image_report += [(d, vec, None if j < 0 else j)
+                         for vec, j in zip(basis.T, found.tolist())]
     return FIsoCertificate(group=G, p=p, cutoff=D, limit_dims=limit_dims,
                            kernel_report=kernel_report,
                            image_report=image_report)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from chowops.chow import (ChowRing, RingMap, _action_matrix, abelian_ring,
                           elem_abelian_ring, poly_add, poly_scale,
-                          restriction_map, ring_module, truncate)
+                          restriction_map, ring_module, symmetric_powers,
+                          truncate)
 from chowops.groups import FiniteGroup
 from chowops.powers import reduce_word
 
@@ -206,6 +208,38 @@ class TestRingMap:
             got = rm.matrix(d)
             assert got.shape == want.shape == (target.dim(d), source.dim(d))
             assert (got == want).all(), d
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 11]), st.integers(1, 4),
+           st.integers(0, 3), st.integers(0, 3),
+           st.lists(st.integers(-2, 6), min_size=1, max_size=5),
+           st.integers(0, 10**6))
+    def test_batched_powers_stack_the_maps(self, p, batch, k, m, degrees,
+                                           seed):
+        # degree d of a stack of substitutions is the per-map matrices of
+        # degree d stacked; a negative degree is each map's empty matrix,
+        # and asking for one between others changes nothing
+        rng = np.random.default_rng(seed)
+        source, target = elem_abelian_ring(k, p), elem_abelian_ring(m, p)
+        mats = rng.integers(0, p, size=(batch, k, m))
+        maps = [RingMap(source, target, mat) for mat in mats]
+        stacks = list(itertools.islice(symmetric_powers(source, target, mats),
+                                       max(max(degrees), -1) + 1))
+        for d in degrees:
+            got = [rm.matrix(d) for rm in maps]
+            if d < 0:
+                assert all(mat.shape == (0, 0) for mat in got)
+            else:
+                assert stacks[d].shape == (batch, target.dim(d),
+                                           source.dim(d))
+                assert (stacks[d] == np.stack(got)).all(), d
+
+    def test_batched_powers_refuse_bad_stacks(self):
+        line = elem_abelian_ring(1, 2)
+        with pytest.raises(ValueError, match="per map, stacked"):
+            symmetric_powers(line, line, [[1]])
+        with pytest.raises(ValueError, match="primes differ"):
+            symmetric_powers(line, elem_abelian_ring(1, 3), [[[1]]])
 
     def test_each_power_built_once(self, monkeypatch):
         G = FiniteGroup.from_abelian([3, 3])

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from chowops import cli
-from chowops.cli import main, parse_poly, format_poly
+from chowops.cli import format_poly, format_rows, main, parse_poly
 
 
 def run(capsys, *argv):
@@ -156,6 +158,36 @@ def test_quillen_check(capsys, data_dir):
     assert code == 0
     assert "# kernel_trivial\tTrue" in out
     assert "# image_full\tTrue" in out
+
+
+@pytest.mark.parametrize("command", ["quillen-check", "localize"])
+def test_nonabelian_group_names_the_missing_ring(capsys, data_dir, command):
+    path = str(data_dir / "groups" / "s3.json")
+    assert run(capsys, command, "--group", path) == (
+        2, "", "error: S3: localization needs catalog rings and the "
+        "restriction maps between centralizer rings, and catalog rings "
+        "exist for abelian groups only\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 11, 3037000493]), st.integers(0, 5),
+       st.integers(0, 6), st.data())
+@example(2, 3, 0, None)    # zero-length rows
+@example(11, 0, 4, None)   # no rows
+@example(11, 3, 4, "zeros")
+@example(3037000493, 2, 3, "tops")
+def test_format_rows_joins_each_row(p, n, m, data):
+    # the one-buffer formatter is str.join over each row, at every width
+    # of residue, including rows of p - 1 and rows of zeros
+    if data is None or data == "zeros":
+        mat = np.zeros((n, m), dtype=np.int64)
+    elif data == "tops":
+        mat = np.full((n, m), p - 1, dtype=np.int64)
+    else:
+        mat = np.array(data.draw(st.lists(st.integers(0, p - 1),
+                                          min_size=n * m, max_size=n * m)),
+                       dtype=np.int64).reshape(n, m)
+    assert format_rows(mat) == [" ".join(map(str, row)) for row in mat.tolist()]
 
 
 def test_localize(capsys, data_dir):

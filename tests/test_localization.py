@@ -531,25 +531,73 @@ class TestFIso:
             mat = own.matrix(d)
             assert (mat == fl.identity(mat.shape[0])).all(), d
 
-    def test_morphism_maps_built_on_first_use(self, monkeypatch):
-        # f_iso_check builds one map per object, res_{T->E}, and checks
-        # no other morphism
+    def test_restrictions_batched_per_rank_class(self, monkeypatch):
+        # f_iso_check builds no RingMap of its own: res_{T->E} for every
+        # object comes from one batched symmetric power per rank class,
+        # whose stack holds exactly that class's objects in order, and no
+        # morphism other than T's is checked
         setup = loc._AbelianSetup(G([2, 2, 2]), 2)
         monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
-        built = []
-        real = chow.RingMap.__init__
+        built, batches = [], []
+        real_init = chow.RingMap.__init__
 
-        def recording(rmap, source, target, mat, name=None):
-            built.append(source)
-            real(rmap, source, target, mat, name)
+        def recording_init(rmap, *args, **kwargs):
+            built.append(rmap)
+            real_init(rmap, *args, **kwargs)
 
-        monkeypatch.setattr(chow.RingMap, "__init__", recording)
+        def recording_powers(source, target, mats):
+            batches.append((source, target, np.array(mats)))
+            return chow.symmetric_powers(source, target, mats)
+
+        monkeypatch.setattr(chow.RingMap, "__init__", recording_init)
+        monkeypatch.setattr(loc, "symmetric_powers", recording_powers)
         f_iso_check(G([2, 2, 2]), 6, 2)
-        ring_T = setup.sub_data[setup.top].ring
-        assert len(built) == len(setup.objects)
-        assert all(source is ring_T for source in built)
+        assert built == []
+        data_T = setup.sub_data[setup.top]
+        ranks = sorted({data.ring.k for data in setup.sub_data})
+        assert [target.k for _, target, _ in batches] == ranks == [0, 1, 2, 3]
+        objects = iter(setup.sub_data)
+        for source, target, mats in batches:
+            assert source is data_T.ring
+            for mat in mats:
+                data = next(objects)
+                assert data.ring is target
+                assert (mat == data_T.char_matrix(data.basis)).all()
+        assert next(objects, None) is None
         assert "functorial" not in vars(setup)
         assert len(setup.objects) < len(setup.morphisms)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_singular_restriction_matches_reference(self, monkeypatch,
+                                                    capsys, tmp_path, p):
+        # res_{G->T} sending y1 and y2 both to z1, composed into every
+        # res_{G->E}: CH_G -> lim then has kernel rows, and monomials
+        # holding z2 never reach the image, so the p-power search runs
+        # past j = 0 and ends unresolved; the CLI formats those rows too
+        group = G([p, p])
+        setup = loc._AbelianSetup(group, p)
+        data_T = setup.sub_data[setup.top]
+        for i, data in enumerate(setup.sub_data):
+            setup.res_to[i] = chow.RingMap(
+                setup.data_G.ring, data.ring,
+                fl.matmul(np.array([[1, 0], [1, 0]]),
+                          data_T.char_matrix(data.basis), p))
+        monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
+        self.check_reference(group, 6, p)
+        cert = f_iso_check(group, 6, p)
+        assert cert.kernel_report and None in {j for *_, j in
+                                               cert.image_report}
+        path = tmp_path / "group.json"
+        path.write_text('{"abelian": [%d, %d]}' % (p, p))
+        assert main(["quillen-check", "--group", str(path), "--prime", str(p),
+                     "--cutoff", "6"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr()[0].splitlines()
+                if not line.startswith("#")][1:]
+        report = ([("kernel", e) for e in cert.kernel_report]
+                  + [("image", e) for e in cert.image_report])
+        assert [row[:3] for row in rows] == [
+            [side, str(d), " ".join(map(str, vec.tolist()))]
+            for side, (d, vec, _) in report]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_elementary_abelian(self, p):
