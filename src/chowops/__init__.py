@@ -11,8 +11,9 @@ polynomial rings, with the reduced-power action in closed form),
 and d0/d1 estimates), `cli` (the chowops command).
 """
 
-# One numpy row reduction serves every caller; benchmark records carry
-# this name so that results from different kernels are never compared.
+# One sparse elimination in Python integers serves every caller;
+# benchmark records carry this name so that results from different
+# kernels are never compared.
 kernel_backend = "fallback"
 __version__ = "0.1.0"
 __all__ = ["kernel_backend", "__version__"]

@@ -1,20 +1,19 @@
 """Exact linear algebra over the prime field F_p.
 
 Matrices are 2-D numpy int64 arrays with entries reduced to 0..p-1, and
-every result is exact.  `rank` is sparse elimination on dict rows in
-Python integers, exact at any prime; it also takes a matrix as COO
-triplets.  `rref`, and the basis constructions built on it, eliminate
-densely in int64 and refuse primes with (p - 1)^2 >= 2^63.  `matmul`
-multiplies in float64 (so through BLAS) only when every partial sum is
-an integer below 2^53, which float64 represents exactly in any summation
-order; otherwise it multiplies in int64.  Every function here is pure:
-inputs are never mutated and results are deterministic, so concurrent
-read-only use is safe.
+every result is exact.  Elimination has one form: a sparse echelon pass
+on dict rows in Python integers, exact at any prime, which takes columns
+in ascending order and pivots on the shortest row holding each.  `rank`
+counts its pivots, and takes a matrix as COO triplets too; `rref`
+back-substitutes after it, and the kernels, solves and quotient maps are
+built on `rref`.  `matmul` multiplies in float64 (so through BLAS) only
+when every partial sum is an integer below 2^53, which float64
+represents exactly in any summation order; otherwise it multiplies in
+int64.  Every function here is pure: inputs are never mutated and
+results are deterministic, so concurrent read-only use is safe.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -114,99 +113,107 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def _dict_rows(rows, cols, vals, p: int):
+    """Row index -> {column: residue}, in Python integers, from COO
+    triplets; repeated entries add, and entries that sum to 0 are
+    dropped."""
+    table = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        row = table.setdefault(r, {})
+        x = (row.get(c, 0) + v) % p
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
+    return table
+
+
+def _subtract(table, r, pivot_row, c, where, p: int) -> None:
+    """Row r minus its entry at c times pivot_row, whose entry at c is 1,
+    keeping `where` (column -> rows holding it) in step."""
+    row = table[r]
+    f = row[c]
+    for k, v in pivot_row.items():
+        x = (row.get(k, 0) - f * v) % p
+        if x:
+            if k not in row:
+                where[k].add(r)
+            row[k] = x
+        elif k in row:
+            del row[k]
+            where[k].discard(r)
+
+
+def _echelon(table, p: int):
+    """The forward pass of elimination over the dict rows `table`, in place.
+
+    Columns are taken in ascending order.  Each pivots on the shortest
+    row that holds it and is not yet a pivot row, scales that row to a
+    leading 1 and clears the column from the other such rows; only
+    columns to the right fill in, which keeps the fill low on the almost
+    empty matrices this serves.  Returns the pivots as (column, row index)
+    pairs in ascending column order, and the index column -> rows holding
+    it, which by then names pivot rows only: every other row is zero."""
+    where = {}
+    for r, row in table.items():
+        for c in row:
+            where.setdefault(c, set()).add(r)
+    pivots, done = [], set()
+    for c in sorted(where):
+        holders = [r for r in where[c] if r not in done]
+        if not holders:
+            continue
+        r = min(holders, key=lambda i: len(table[i]))
+        row = table[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            table[r] = row = {k: v * inv % p for k, v in row.items()}
+        for r2 in holders:
+            if r2 != r:
+                _subtract(table, r2, row, c, where, p)
+        done.add(r)
+        pivots.append((c, r))
+    return pivots, where
+
+
 def rref(m, p: int):
     """Reduced row echelon form.  Returns (R, pivot_columns); m is not mutated.
 
-    One pivot column at a time; each step clears the whole column with one
-    vectorised row update.  Entries stay in int64, whose products of two
-    residues overflow when (p - 1)^2 >= 2^63, so such primes are refused."""
-    if (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"prime {p} too large for exact int64 rref")
+    The forward pass of `rank`, then back-substitution from the last pivot
+    up, each pivot row subtracted only from the rows that hold its column.
+    R is written over the reduced copy of m, in the shape of m."""
     a = as_fp_matrix(m, p)
-    rows, cols = a.shape
-    r = 0
-    pivots = []
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        v = int(a[r, c])
-        if v != 1:
-            a[r] = (a[r] * pow(v, -1, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    rows, cols = np.nonzero(a)
+    table = _dict_rows(rows, cols, a[rows, cols], p)
+    pivots, where = _echelon(table, p)
+    for c, r in reversed(pivots):
+        for r2 in list(where[c]):
+            if r2 != r:
+                _subtract(table, r2, table[r], c, where, p)
+    entries = [(i, c, v) for i, (_, r) in enumerate(pivots)
+               for c, v in table[r].items()]
+    a.fill(0)
+    if entries:
+        rows, cols, vals = zip(*entries)
+        a[rows, cols] = vals
+    return a, [c for c, _ in pivots]
 
 
 def rank(m, p: int, shape=None) -> int:
-    """Rank over F_p by sparse elimination, exact at any prime.
+    """Rank over F_p, exact at any prime: the number of pivots of one
+    forward pass of sparse elimination on dict rows in Python integers.
 
     `m` is a dense matrix or, when `shape` is given, the COO triplets
     (rows, cols, vals) of a matrix of that shape; repeated entries add.
-    Rows are dicts column -> residue in Python integers.  Each step takes
-    the shortest remaining row, pivots on its column that the fewest rows
-    share, clears that column from those rows and drops the pivot row,
-    which keeps the fill low on the almost empty matrices this serves
-    (structured Gaussian elimination, LaMacchia and Odlyzko, CRYPTO 1990).
-    The rank does not depend on the pivot order."""
+    Columns are taken in ascending order, each pivoting on the shortest
+    row that holds it."""
     if shape is None:
         a = as_fp_matrix(m, p)
         rows, cols = np.nonzero(a)
         vals = a[rows, cols]
     else:
         rows, cols, vals = (np.asarray(x) for x in m)
-    table = {}
-    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        row = table.setdefault(r, {})
-        row[c] = (row.get(c, 0) + v) % p
-    live, where = {}, {}   # row -> {col: value}; col -> rows using it
-    for r, row in table.items():
-        row = {c: v for c, v in row.items() if v}
-        if row:
-            live[r] = row
-            for c in row:
-                where.setdefault(c, set()).add(r)
-    heap = [(len(row), r) for r, row in live.items()]
-    heapq.heapify(heap)
-    found = 0
-    while heap:
-        size, r = heapq.heappop(heap)
-        row = live.get(r)
-        if row is None or len(row) != size:
-            continue
-        del live[r]
-        pivot = min(row, key=lambda c: len(where[c]))
-        for c in row:
-            where[c].discard(r)
-        found += 1
-        inv = pow(row.pop(pivot), -1, p)
-        for r2 in where.pop(pivot):
-            row2 = live[r2]
-            f = row2.pop(pivot) * inv % p
-            for c, v in row.items():
-                x = (row2.get(c, 0) - f * v) % p
-                if x:
-                    if c not in row2:
-                        where[c].add(r2)
-                    row2[c] = x
-                elif c in row2:
-                    del row2[c]
-                    where[c].discard(r2)
-            if row2:
-                heapq.heappush(heap, (len(row2), r2))
-            else:
-                del live[r2]
-    return found
+    return len(_echelon(_dict_rows(rows, cols, vals, p), p)[0])
 
 
 def _free_rows(rows, ambient: int, p: int):

@@ -35,7 +35,6 @@ __all__ = [
     "certify_nilpotent",
     "f_iso_check",
     "d0_estimate",
-    "d1_estimate",
     "max_nil_submodule",
     "bounds_report",
 ]
@@ -432,11 +431,6 @@ def d0_estimate(G: gp.FiniteGroup, D: int, p: int):
 
     Injectivity beyond D is unverified, hence the verdict."""
     return _first_levels(G, D, p, EqualizerDiagram.all_injective)[0]
-
-
-def d1_estimate(G: gp.FiniteGroup, D: int, p: int):
-    """As d0_estimate, with isomorphism onto the computed equalizer."""
-    return _first_levels(G, D, p, EqualizerDiagram.all_iso)[0]
 
 
 # ---------------------------------------------------------------------------

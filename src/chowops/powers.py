@@ -120,18 +120,11 @@ class OperationExpression:
             clean[word] = c
         self.terms = clean
 
-    @classmethod
-    def from_word(cls, word, p: int, coeff: int = 1) -> "OperationExpression":
-        return cls(p, {tuple(word): coeff})
-
     @property
     def degree(self) -> int:
         for word in self.terms:
             return word_degree(word, self.p)
         return 0
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_admissible(self) -> bool:
         return all(is_admissible(w, self.p) for w in self.terms)

@@ -13,7 +13,8 @@ from chowops.cli import main as cli_main
 from chowops.groups import FiniteGroup, rep_classes
 from chowops.lannes import (ell_check, tensor_convolution_check, tv_dim,
                             tv_structural)
-from chowops.localization import (build_lambda, d0_estimate, d1_estimate,
+from chowops.localization import (EqualizerDiagram, _first_levels,
+                                  build_lambda, d0_estimate,
                                   f_iso_check, max_nil_submodule)
 from chowops.modules import (brown_gitler, free_presentation, fp_dim,
                              hom_space, nilpotence_degree, point_module,
@@ -165,7 +166,7 @@ def test_criterion_07_localization_consistency():
                 if not all(diag.legs_agree.values()):
                     ok = False
             d0, _ = d0_estimate(G, 8, p)
-            d1, _ = d1_estimate(G, 8, p)
+            d1, _ = _first_levels(G, 8, p, EqualizerDiagram.all_iso)[0]
             if (d0, d1) != (0, 0):
                 ok = False
             fd = G.faithful_degree  # minimal faithful degree from the file

@@ -249,8 +249,8 @@ def test_kron_reduces_inputs_and_refuses_overflowing_primes():
         fl.kron([[3037000506]], [[3037000506]], 3037000507)
 
 
-# Sparse rank against the dense echelon form, COO input, and primes past
-# int64 products
+# Elimination against a Gauss-Jordan reference in Python integers, COO
+# input, and primes past int64 products
 
 def _draw_matrix(rows, cols, kind, p, seed):
     rng = np.random.default_rng(seed)
@@ -266,9 +266,17 @@ def _draw_matrix(rows, cols, kind, p, seed):
 @given(st.integers(0, 60), st.integers(0, 60),
        st.sampled_from(["dense", "sparse", "zero"]),
        st.sampled_from([2, 3, 5, 7]), st.integers(0, 10**9))
-def test_rank_matches_rref(rows, cols, kind, p, seed):
+def test_elimination_matches_reference(rows, cols, kind, p, seed):
     m = _draw_matrix(rows, cols, kind, p, seed)
-    assert fl.rank(m, p) == len(fl.rref(m, p)[1])
+    r_ref, pivots_ref = _rref_reference(m.tolist(), p)
+    r, pivots = fl.rref(m, p)
+    assert pivots == pivots_ref
+    assert r.dtype == np.int64 and r.shape == m.shape
+    assert r.tolist() == r_ref
+    assert fl.rank(m, p) == len(pivots_ref)
+    k = np.array(_kernel_reference(r_ref, pivots_ref, cols, p),
+                 dtype=np.int64).reshape(cols, cols - len(pivots_ref))
+    _same(fl.kernel_matrix(m, p), k)
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
@@ -302,29 +310,66 @@ def test_rank_of_triplets_matches_dense(rows, cols, kind, p, seed):
     assert fl.rank(coo, p, m.shape) == fl.rank(m, p)
 
 
-def _rank_reference(rows, p):
-    """Rank of a list of integer rows mod p, by Gaussian elimination in
-    Python integers."""
+def _rref_reference(rows, p):
+    """(R, pivot columns) of a list of integer rows mod p, by Gauss-Jordan
+    elimination in Python integers, the first row holding each column
+    taken as its pivot; R is a list of rows."""
     rows = [[x % p for x in row] for row in rows]
-    found = 0
+    pivots = []
     for c in range(len(rows[0]) if rows else 0):
+        found = len(pivots)
         piv = next((i for i in range(found, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[found], rows[piv] = rows[piv], rows[found]
         inv = pow(rows[found][c], -1, p)
+        rows[found] = [x * inv % p for x in rows[found]]
         for i in range(len(rows)):
             if i != found and rows[i][c]:
-                f = rows[i][c] * inv % p
+                f = rows[i][c]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[found])]
-        found += 1
-    return found
+        pivots.append(c)
+    return rows, pivots
+
+
+def _kernel_reference(r, pivots, cols, p):
+    """The (cols x dim) right kernel from the reference's (R, pivots), as
+    nested lists: one column per non-pivot column c, with a 1 at c and
+    -R[i, c] mod p at the i-th pivot."""
+    free = [c for c in range(cols) if c not in pivots]
+    basis = [[0] * len(free) for _ in range(cols)]
+    for j, c in enumerate(free):
+        basis[c][j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc][j] = -r[i][c] % p
+    return basis
 
 
 @pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
-def test_rref_refuses_primes_past_int64_products(p):
-    with pytest.raises(ValueError, match=f"prime {p}"):
-        fl.rref([[1, 2], [3, 4]], p)
+def test_elimination_exact_where_int64_products_overflow(p):
+    # rref, kernels and residual maps at primes whose residues multiply
+    # past 2^63: full-rank draws with entries up to p - 1, and rank-2
+    # products of a 3x2 and a 2x3 factor
+    rng = np.random.default_rng(23)
+    draws = [[[int(x) for x in row] for row in rng.integers(0, p, shape)]
+             for shape in ((3, 5), (5, 3), (4, 4)) for _ in range(10)]
+    for _ in range(10):
+        left = [[int(x) for x in row] for row in rng.integers(1, p, (3, 2))]
+        right = [[int(x) for x in row] for row in rng.integers(1, p, (2, 3))]
+        draws.append([[sum(a * b for a, b in zip(row, col)) % p
+                       for col in zip(*right)] for row in left])
+    for m in draws:
+        a = np.array(m, dtype=np.int64)
+        r_ref, pivots_ref = _rref_reference(m, p)
+        r, pivots = fl.rref(a, p)
+        assert pivots == pivots_ref and r.tolist() == r_ref
+        assert fl.kernel_matrix(a, p).tolist() == \
+            _kernel_reference(r_ref, pivots_ref, len(m[0]), p)
+        # the residual map of a span is the kernel construction on its
+        # transpose, transposed
+        t = [list(col) for col in zip(*m)]
+        assert fl.residual_map(a, len(m), p).T.tolist() == \
+            _kernel_reference(*_rref_reference(t, p), len(m), p)
 
 
 @pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
@@ -337,7 +382,7 @@ def test_rank_exact_where_int64_products_overflow(p):
         right = [[int(x) for x in row] for row in rng.integers(1, p, (2, 3))]
         m = [[sum(a * b for a, b in zip(row, col)) % p
               for col in zip(*right)] for row in left]
-        want = _rank_reference(m, p)
+        want = len(_rref_reference(m, p)[1])
         assert want == 2
         assert fl.rank(np.array(m, dtype=np.int64), p) == want
     assert fl.rank([[p - 1, p - 1], [1, 1]], p) == 1

@@ -11,7 +11,7 @@ from chowops.chow import elem_abelian_ring, poly_mul_raw, ring_module
 from chowops.cli import main
 from chowops.groups import FiniteGroup
 from chowops.localization import (EqualizerDiagram, bounds_report,
-                                  build_lambda, d0_estimate, d1_estimate,
+                                  build_lambda, d0_estimate,
                                   f_iso_check, max_nil_submodule)
 from chowops.modules import point_module
 
@@ -190,6 +190,14 @@ def f_iso_reference(group, D, p):
         return np.vstack([setup.res_mat(i, d) for i in range(n_obj)]) \
             if ring_G.dim(d) else fl.zeros(0, 0)
 
+    resid_at = {}   # degree -> residual map modulo the stacked image
+
+    def resid(d):
+        if d not in resid_at:
+            stacked = res_stack(d)
+            resid_at[d] = fl.residual_map(stacked, stacked.shape[0], p)
+        return resid_at[d]
+
     limit_dims, kernel_report, image_report = {}, [], []
     for d in range(D + 1):
         dims = [ring.dim(d) for ring in rings]
@@ -216,11 +224,9 @@ def f_iso_reference(group, D, p):
                      for i, ring in enumerate(rings)]
             j, deg, j_found = 0, d, None
             while deg <= D:
-                stacked = res_stack(deg)
                 coords = np.concatenate([ring.coords([f], deg)[:, 0]
                                          for ring, f in zip(rings, comps)])
-                resid = fl.residual_map(stacked, stacked.shape[0], p)
-                if not fl.matmul(resid, coords, p).any():
+                if not fl.matmul(resid(deg), coords, p).any():
                     j_found = j
                     break
                 comps = [ring.power(f, p) for ring, f in zip(rings, comps)]
@@ -629,7 +635,8 @@ class TestD0D1:
                                         ([3, 3], 3), ([9], 3)])
     def test_zero(self, spec, p):
         assert d0_estimate(G(spec), 5, p) == (0, "verified-through-cutoff")
-        assert d1_estimate(G(spec), 5, p) == (0, "verified-through-cutoff")
+        assert loc._first_levels(G(spec), 5, p, EqualizerDiagram.all_iso)[0] \
+            == (0, "verified-through-cutoff")
 
 
 @pytest.fixture
@@ -679,7 +686,8 @@ class TestLevelSweep:
         assert d0_estimate(G([2]), 5, 2) == (1, "verified-through-cutoff")
         assert built == [1, 2]
         built.clear()
-        assert d1_estimate(G([2]), 5, 2) == (3, "verified-through-cutoff")
+        assert loc._first_levels(G([2]), 5, 2, EqualizerDiagram.all_iso)[0] \
+            == (3, "verified-through-cutoff")
         assert built == [1, 2, 3, 4]
 
     def test_unresolved_at_the_cap(self, monkeypatch, setup_calls):

@@ -9,7 +9,7 @@ from chowops.powers import (OperationExpression, OperationSyntaxError,
 
 
 def expr(word, p):
-    return OperationExpression.from_word(word, p)
+    return OperationExpression(p, {word: 1})
 
 
 def test_degree_examples():
@@ -29,7 +29,7 @@ def test_excess_examples():
 
 
 def test_adem_reduce_spec_examples():
-    assert adem_reduce(expr((1, 1), 2)).is_zero()
+    assert not adem_reduce(expr((1, 1), 2)).terms
     assert adem_reduce(expr((1, 2), 2)).terms == {(3,): 1}
     assert adem_reduce(expr((1, 1), 3)).terms == {(2,): 2}
     assert adem_reduce(expr((3, 1), 2)).terms == {(3, 1): 1}
