@@ -186,17 +186,10 @@ def f_iso_reference(group, D, p):
     n_obj = len(setup.objects)
     rings = [data.ring for data in setup.sub_data]
 
-    def res_stack(d):
-        return np.vstack([setup.res_mat(i, d) for i in range(n_obj)]) \
-            if ring_G.dim(d) else fl.zeros(0, 0)
-
-    resid_at = {}   # degree -> residual map modulo the stacked image
-
-    def resid(d):
-        if d not in resid_at:
-            stacked = res_stack(d)
-            resid_at[d] = fl.residual_map(stacked, stacked.shape[0], p)
-        return resid_at[d]
+    stacks = [np.vstack([setup.res_mat(i, d) for i in range(n_obj)])
+              if ring_G.dim(d) else fl.zeros(0, 0) for d in range(D + 1)]
+    # one residual map modulo the stacked restrictions per degree
+    resid = [fl.residual_map(s, s.shape[0], p) for s in stacks]
 
     limit_dims, kernel_report, image_report = {}, [], []
     for d in range(D + 1):
@@ -214,7 +207,7 @@ def f_iso_reference(group, D, p):
         basis = fl.kernel_matrix(
             np.vstack(rows) if rows else fl.zeros(0, offs[-1]), p)
         limit_dims[d] = basis.shape[1]
-        for vec in fl.kernel_basis(res_stack(d), p):
+        for vec in fl.kernel_basis(stacks[d], p):
             poly = ring_G.poly_from_coords(vec, d)
             kernel_report.append(
                 (d, vec, loc.certify_nilpotent(ring_G, poly, d, D)))
@@ -226,7 +219,7 @@ def f_iso_reference(group, D, p):
             while deg <= D:
                 coords = np.concatenate([ring.coords([f], deg)[:, 0]
                                          for ring, f in zip(rings, comps)])
-                if not fl.matmul(resid(deg), coords, p).any():
+                if not fl.matmul(resid[deg], coords, p).any():
                     j_found = j
                     break
                 comps = [ring.power(f, p) for ring, f in zip(rings, comps)]
