@@ -9,8 +9,11 @@ back-substitutes after it, and the kernels, solves and quotient maps are
 built on `rref`.  `matmul` multiplies in float64 (so through BLAS) only
 when every partial sum is an integer below 2^53, which float64
 represents exactly in any summation order; otherwise it multiplies in
-int64.  Every function here is pure: inputs are never mutated and
-results are deterministic, so concurrent read-only use is safe.
+int64.  `coo_product_is_zero` decides whether the product of a sparse
+matrix, given as COO triplets, with a mostly zero one vanishes, from
+their nonzeros alone.  Every function here is pure: inputs are never
+mutated and results are deterministic, so concurrent read-only use is
+safe.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
     "residual_map",
     "quotient_data",
     "matmul",
-    "coo_matmul",
+    "coo_product_is_zero",
     "kron",
 ]
 
@@ -128,11 +131,12 @@ def _dict_rows(rows, cols, vals, p: int):
     return table
 
 
-def _subtract(table, r, pivot_row, c, where, p: int) -> None:
-    """Row r minus its entry at c times pivot_row, whose entry at c is 1,
-    keeping `where` (column -> rows holding it) in step."""
+def _subtract(table, r, pivot_row, c, inv, where, p: int) -> None:
+    """Row r minus the multiple of pivot_row that clears column c, where
+    `inv` is the inverse of pivot_row's entry at c, keeping `where`
+    (column -> rows holding it) in step."""
     row = table[r]
-    f = row[c]
+    f = row[c] * inv % p
     for k, v in pivot_row.items():
         x = (row.get(k, 0) - f * v) % p
         if x:
@@ -148,8 +152,9 @@ def _echelon(table, p: int):
     """The forward pass of elimination over the dict rows `table`, in place.
 
     Columns are taken in ascending order.  Each pivots on the shortest
-    row that holds it and is not yet a pivot row, scales that row to a
-    leading 1 and clears the column from the other such rows; only
+    row that holds it and is not yet a pivot row, and clears the column
+    from the other such rows; a column with one such row pivots on it
+    with no search and no update.  Pivot rows are left unscaled.  Only
     columns to the right fill in, which keeps the fill low on the almost
     empty matrices this serves.  Returns the pivots as (column, row index)
     pairs in ascending column order, and the index column -> rows holding
@@ -160,17 +165,18 @@ def _echelon(table, p: int):
             where.setdefault(c, set()).add(r)
     pivots, done = [], set()
     for c in sorted(where):
-        holders = [r for r in where[c] if r not in done]
+        holders = where[c] - done
         if not holders:
             continue
-        r = min(holders, key=lambda i: len(table[i]))
-        row = table[r]
-        if row[c] != 1:
+        if len(holders) == 1:
+            r, = holders
+        else:
+            r = min(holders, key=lambda i: len(table[i]))
+            row = table[r]
             inv = pow(row[c], -1, p)
-            table[r] = row = {k: v * inv % p for k, v in row.items()}
-        for r2 in holders:
-            if r2 != r:
-                _subtract(table, r2, row, c, where, p)
+            for r2 in holders:
+                if r2 != r:
+                    _subtract(table, r2, row, c, inv, where, p)
         done.add(r)
         pivots.append((c, r))
     return pivots, where
@@ -179,17 +185,23 @@ def _echelon(table, p: int):
 def rref(m, p: int):
     """Reduced row echelon form.  Returns (R, pivot_columns); m is not mutated.
 
-    The forward pass of `rank`, then back-substitution from the last pivot
-    up, each pivot row subtracted only from the rows that hold its column.
-    R is written over the reduced copy of m, in the shape of m."""
+    The forward pass of `rank`, then each pivot row scaled once to a
+    leading 1 and back-substitution from the last pivot up, each pivot row
+    subtracted only from the rows that hold its column.  R is written over
+    the reduced copy of m, in the shape of m."""
     a = as_fp_matrix(m, p)
     rows, cols = np.nonzero(a)
     table = _dict_rows(rows, cols, a[rows, cols], p)
     pivots, where = _echelon(table, p)
+    for c, r in pivots:
+        row = table[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            table[r] = {k: v * inv % p for k, v in row.items()}
     for c, r in reversed(pivots):
         for r2 in list(where[c]):
             if r2 != r:
-                _subtract(table, r2, table[r], c, where, p)
+                _subtract(table, r2, table[r], c, 1, where, p)
     entries = [(i, c, v) for i, (_, r) in enumerate(pivots)
                for c, v in table[r].items()]
     a.fill(0)
@@ -326,23 +338,55 @@ def matmul(a, b, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def coo_matmul(m, shape, b, p: int) -> np.ndarray:
-    """Exact product mod p of the COO triplets m = (rows, cols, vals) of a
-    matrix of `shape` with the dense matrix b, reduced to 0..p-1.  The
-    products accumulate in int64, so, as in `matmul`, primes large enough
-    to overflow it are refused."""
-    rows, cols, vals = (np.asarray(x, dtype=np.int64) for x in m)
-    b = np.asarray(b, dtype=np.int64)
+# terms per chunk of `coo_product_is_zero`, so the temporaries stay small
+_CHUNK = 2**18
+
+
+def coo_product_is_zero(m, shape, b, p: int) -> bool:
+    """Whether the product mod p of the COO triplets m = (rows, cols, vals)
+    of a matrix of `shape` with the matrix b is zero, without forming it.
+
+    Each triplet (i, k, a) is expanded against the nonzeros b[k, j] of row
+    k of b into terms a b[k, j] at key (i, j), and the terms of equal keys
+    are summed after one sort, by `np.add.reduceat`.  The triplets are
+    taken in chunks of whole rows of m, about _CHUNK terms each, and the
+    check stops at the first chunk with a nonzero sum; a row is never
+    split, since its terms may cancel only in total.  The products are
+    taken in int64, so, as in `matmul`, primes large enough to overflow it
+    are refused."""
     inner = shape[1]
     if inner and (p - 1) ** 2 > (2**62) // inner:
         raise ValueError(f"prime {p} too large for exact int64 matmul")
-    out = np.zeros((shape[0], b.shape[1]), dtype=np.int64)
-    # about 2^18 products at a time, so the temporaries stay small
-    step = max(1, 2**18 // max(1, b.shape[1]))
-    for s in range(0, len(rows), step):
-        np.add.at(out, rows[s:s + step],
-                  vals[s:s + step, None] * b[cols[s:s + step]])
-    return np.remainder(out, p, out=out)
+    b = np.asarray(b, dtype=np.int64) % p
+    if b.shape[0] != inner:
+        raise ValueError(
+            f"dimension mismatch: matrix {tuple(shape)}, matrix {b.shape}")
+    rows, cols, vals = (np.asarray(x, dtype=np.int64) for x in m)
+    order = np.argsort(rows)
+    rows, cols, vals = rows[order], cols[order], vals[order] % p
+    # b's nonzeros in row-major order, and where each row of b starts
+    b_rows, b_cols = np.nonzero(b)
+    b_vals = b[b_rows, b_cols]
+    starts = np.searchsorted(b_rows, np.arange(inner + 1))
+    counts = (starts[1:] - starts[:-1])[cols]  # terms per triplet
+    before = np.cumsum(counts) - counts  # terms before each triplet
+    # a chunk starts at the first row of m whose terms reach a new
+    # multiple of _CHUNK
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))
+    cuts = heads[np.flatnonzero(np.diff(before[heads] // _CHUNK, prepend=-1))]
+    for s, e in zip(cuts.tolist(), cuts[1:].tolist() + [len(rows)]):
+        n = counts[s:e]
+        owner = np.repeat(np.arange(s, e), n)
+        at = (starts[cols[owner]] + np.arange(len(owner))
+              - np.repeat(before[s:e] - before[s], n))
+        keys = (rows[owner] - rows[s]) * b.shape[1] + b_cols[at]
+        terms = vals[owner] * b_vals[at] % p
+        order = np.argsort(keys)
+        keys, terms = keys[order], terms[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        if (np.add.reduceat(terms, first) % p).any():
+            return False
+    return True
 
 
 def kron(a, b, p: int) -> np.ndarray:

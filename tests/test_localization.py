@@ -334,6 +334,34 @@ class TestBuildLambda:
                             per_morphism_lambda(setup, n, 5)):
                 assert not any(diagram.legs_agree[d] for d in range(1, 6))
 
+    def test_wrong_map_in_each_inclusion_class_breaks_functoriality(
+            self, monkeypatch):
+        # one wrong entry in the characters of one inclusion of each
+        # (rank E_i, rank E_j) class, so a batch that skipped a class would
+        # be seen; the classes with rank E_i = 0 have empty matrices
+        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
+        assert setup.functorial
+        first = {}
+        for i, j in setup.morphisms:
+            key = (setup.sub_data[i].ring.k, setup.sub_data[j].ring.k)
+            first.setdefault(key, (i, j))
+        assert sorted(first) == [(a, b) for a in range(4) for b in range(a, 4)]
+        real = chow.AbelianRingData.char_matrix
+        for (k, _), (i, j) in first.items():
+            if not k:
+                continue
+            source, target = setup.sub_data[j], setup.sub_data[i]
+
+            def wrong(data, points, source=source, target=target):
+                mat = real(data, points)
+                if data is source and points == target.basis:
+                    mat[0, 0] ^= 1
+                return mat
+
+            monkeypatch.setattr(chow.AbelianRingData, "char_matrix", wrong)
+            del setup.functorial
+            assert not setup.functorial, (i, j)
+
     def test_wrong_top_leg_two_breaks_the_legs(self):
         # one wrong entry in T's res_comult, the centralizer side of leg 2,
         # in its (j2, j3) = (0, 1) block; level 1 has no such block
