@@ -170,10 +170,6 @@ class ChowRing:
             index -= counts[left, m]
         return index
 
-    def poly_from_coords(self, vec, d: int) -> Poly:
-        basis = self.basis(d)
-        return {m: int(c) % self.p for m, c in zip(basis, vec) if c % self.p}
-
     def normal_form(self, f: Poly) -> Poly:
         """A copy of f: with no relations, every polynomial is its own
         normal form.  The benchmark tracer times this name."""

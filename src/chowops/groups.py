@@ -13,11 +13,13 @@ its rank-3 `rep_classes` take about 0.03 s.  The hard cap is order 10^4,
 where the table alone takes 400 MB.  A subgroup is a sorted tuple of G's
 elements, read off G's table; it never gets a table of its own.
 
-A table is validated by array passes too: the Latin-square checks by
-one occurrence matrix each way and, up to order ASSOC_CHECK_CAP,
-associativity by Light's test, two n x n table gathers per element of a
-generating set.  On a 2-vCPU VM, S5 (order 120) is validated in about 0.4 ms and
-(Z/2)^9 (order 512) in about 20 ms.
+A table read from a file is validated by array passes too: the
+Latin-square checks by one occurrence matrix each way and, up to order
+ASSOC_CHECK_CAP, associativity by Light's test, two n x n table gathers
+per element of a generating set.  On a 2-vCPU VM, S5 (order 120) is
+validated in about 0.4 ms and (Z/2)^9 (order 512) in about 20 ms.  The
+tables that `from_abelian` and `from_permutations` build are groups by
+construction and are not validated.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ import numpy as np
 from . import fp_linalg as fl
 
 MAX_ORDER = 10_000
-# Light's associativity test (`FiniteGroup._validate`) costs two n x n
-# gathers per generator.  Above this order associativity is not checked;
-# a higher cap would start validating permutation closures such as S6
-# (order 720), which are groups by construction
+# Light's associativity test (`FiniteGroup._validate`) runs only on a
+# table read from a file, and costs two n x n gathers per generator of
+# it; above this order associativity is not checked
 ASSOC_CHECK_CAP = 512
 MAX_REP_RANK = 3  # rep_classes enumerates every r-tuple of p-torsion
 
@@ -133,9 +134,7 @@ class FiniteGroup:
             term *= stride
             table += term
         nm = name or ("Z" + "x".join(f"/{e}" for e in orders) if orders else "1")
-        g = cls(table, name=nm, _trusted=True)
-        g._validate()
-        return g
+        return cls(table, name=nm, _trusted=True)
 
     @classmethod
     def from_permutations(cls, generators, degree, name=None):
@@ -200,10 +199,7 @@ class FiniteGroup:
                 for c in range(0, len(rows), step):
                     b = rows[c:c + step]
                     table[b] = table[parent[b]][:, left[j]]
-        g = cls(table, name=name or f"perm{n}", _trusted=True)
-        if n <= ASSOC_CHECK_CAP:
-            g._validate()
-        return g
+        return cls(table, name=name or f"perm{n}", _trusted=True)
 
     # -- basic operations -------------------------------------------------
 

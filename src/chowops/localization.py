@@ -11,14 +11,17 @@ says so.
 Implemented scope: abelian groups (all centralizers are then the group
 itself and every map is canonical character algebra).  Nonabelian input
 is rejected with a pointed message: catalog rings exist for abelian
-groups only.
+groups only.  For abelian G, restriction to T = G[p] is invertible on
+degree-1 classes, hence in every degree; each setup checks that once
+(`_AbelianSetup.res_top_invertible`), and it decides injectivity and the
+F-isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +35,6 @@ __all__ = [
     "EqualizerDiagram",
     "build_lambda",
     "FIsoCertificate",
-    "certify_nilpotent",
     "f_iso_check",
     "d0_estimate",
     "max_nil_submodule",
@@ -82,6 +84,21 @@ class _AbelianSetup:
 
     def res_mat(self, i, d):
         return self.res_to[i].matrix(d)
+
+    @cached_property
+    def res_top_invertible(self):
+        """True, or ValueError: the substitution matrix of res_{G->T} is
+        invertible over F_p.  Restricting characters mod p from an abelian
+        G to T is an isomorphism, so every accepted group passes.  Then
+        res_{G->T} is bijective in every degree, since `RingMap.matrix(d)`
+        is the d-th symmetric power of that matrix."""
+        k = self.data_G.ring.k
+        if fl.rank(self.res_to[self.top].mat, self.p) < k:
+            raise ValueError(
+                f"{self.G.name}: restriction to T, the subgroup of elements "
+                f"of order dividing {self.p}, is not invertible on degree-1 "
+                "classes")
+        return True
 
     def res_comult(self, i, a, b):
         """CH_G^{a+b} -> CH_{E_i}^a (x) CH_G^b: comultiply, then restrict
@@ -259,10 +276,12 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
       that pair, so eq_dim = cols - rank of that condition, which is
       built as COO triplets and ranked by sparse elimination.  No kernel
       basis is formed;
-    * rank.  res_{G->E} = res_{T->E} o res_{G->T}, so
-      lambda_E = (res_{T->E} (x) id) lambda_T.  The lambda stacked over
-      every object therefore has the rank of lambda_T, which decides
-      `injective` and `onto_equalizer`;
+    * injectivity.  The j = 0 block of lambda_T is res_{G->T} in degree
+      d, which is bijective (`_AbelianSetup.res_top_invertible`, checked
+      once per setup; ValueError if it fails), so lambda_T, and with it
+      lambda, is injective in every degree: rank lambda = dim CH_G^d.
+      So `injective[d]` is True and `onto_equalizer[d]` is: the legs
+      agree and eq_dim = dim CH_G^d;
     * morphisms.  For the inclusion E1 <= E2, leg 2 on lambda_{E2}
       equals leg 2 of E1's own pair on lambda_{E1} whenever
       res_{E2->E1} o res_{G->E2} = res_{G->E1}: the mixed-product rule of
@@ -294,6 +313,7 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
         group=setup.G, p=p, level=n, cutoff=D, objects=setup.objects,
         morphism_count=len(setup.morphisms))
     ring_G = setup.data_G.ring
+    setup.res_top_invertible  # raises ValueError unless it holds
     for d in range(D + 1):
         lam = _lambda_block(setup, d, n)
         cond, shape = _top_condition(setup, d, n)
@@ -305,9 +325,8 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
                  and fl.coo_product_is_zero(cond, shape, lam, p))
         diagram.legs_agree[d] = agree
         diagram.eq_dims[d] = eq_dim = shape[1] - fl.rank(cond, p, shape)
-        rk = fl.rank(lam, p)
-        diagram.injective[d] = rk == ring_G.dim(d)
-        diagram.onto_equalizer[d] = agree and rk == eq_dim
+        diagram.injective[d] = True
+        diagram.onto_equalizer[d] = agree and eq_dim == ring_G.dim(d)
     return diagram
 
 
@@ -321,44 +340,14 @@ class FIsoCertificate:
     p: int
     cutoff: int
     limit_dims: dict
-    kernel_report: list   # (degree, coords, smallest m with x^{p^m}=0 | None)
-    image_report: list    # (degree, coords, smallest j with z^{p^j} in image | None)
-
-    @property
-    def kernel_trivial(self):
-        return not self.kernel_report
-
-    @property
-    def image_full(self):
-        return all(j == 0 for _, _, j in self.image_report)
-
-    @property
-    def unresolved(self):
-        return ([e for e in self.kernel_report if e[2] is None]
-                + [e for e in self.image_report if e[2] is None])
-
-
-def certify_nilpotent(ring: ChowRing, poly, degree: int, D: int):
-    """Smallest m with poly^{p^m} = 0 in the ring, searching while
-    p^m * degree <= D; None when the window runs out first."""
-    p = ring.p
-    current = dict(poly)
-    m, deg = 0, degree
-    if not current:
-        return 0
-    while deg * p <= D:
-        current = ring.power(current, p)
-        m, deg = m + 1, deg * p
-        if not current:
-            return m
-    return None
+    image_report: list    # (degree, coords): z = z^{p^0} is in the image
 
 
 def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
     """Compute the limit of the elementary abelian rings over the
-    inclusions (independently of the equalizer machinery), then
-    certify nilpotency of the kernel and p-power membership of the image
-    by explicit multiplication, bounded by the cutoff.
+    inclusions (independently of the equalizer machinery) through degree
+    D.  CH_G -> lim is bijective, so it is an F-isomorphism with an empty
+    kernel and every limit basis vector in the image at p^0.
 
     A compatible family is fixed by its component x_T on the terminal
     object T, and every x_T gives one (see `_AbelianSetup`), so the limit
@@ -366,19 +355,14 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
     of the t-th basis monomial of CH_T.  This is Quillen's limit (Quillen,
     "The spectrum of an equivariant cohomology ring", Ann. Math. 1971)
     where the category has a terminal object.  Every res_{G->E} factors
-    through T, so the kernel of CH_G -> lim is the kernel of res_{G->T};
-    restriction is a ring map, so a power of a family lies in the image
-    exactly when that power of its T component lies in the image of
-    res_{G->T}.
+    through T, so CH_G -> lim is res_{G->T}, which is bijective in every
+    degree (`_AbelianSetup.res_top_invertible`, checked once).
 
     The objects of one rank share their ring, so the res_{T->E} of a
     rank class are one stack of substitution matrices, raised to each
-    degree in one pass (`symmetric_powers`).  The family of a monomial
-    has the monomial itself as its T component, and the p-th power of a
-    monomial multiplies its exponents by p, so the p-power search moves
-    every still-open monomial of a degree at once."""
+    degree in one pass (`symmetric_powers`)."""
     setup = _AbelianSetup(G, p)
-    ring_G = setup.data_G.ring
+    setup.res_top_invertible  # raises ValueError unless it holds
     data_T = setup.sub_data[setup.top]
     ring_T = data_T.ring
     # `elementary_abelians` sorts the objects by size, so each run of one
@@ -387,42 +371,15 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
                   [data_T.char_matrix(data.basis) for data in run]))
               for ring, run in itertools.groupby(setup.sub_data,
                                                  key=lambda data: data.ring)]
-
-    @cache
-    def in_image(d):
-        # monomial t of CH_T^d lies in the image of CH_G^d exactly when
-        # the residual map of that image has a zero column t
-        return ~fl.residual_map(setup.res_mat(setup.top, d), ring_T.dim(d),
-                                p).any(axis=0)
-
     limit_dims = {}
-    kernel_report = []
     image_report = []
     for d in range(D + 1):
         n = ring_T.dim(d)
         basis = np.concatenate([power.reshape(len(power) * power.shape[1], n)
                                 for power in map(next, stacks)])
         limit_dims[d] = n
-        # kernel elements of CH_G -> lim, certified nilpotent by powering:
-        # test x^{p^m} = 0 while p^m * deg x stays inside the window
-        for vec in fl.kernel_basis(setup.res_mat(setup.top, d), p):
-            poly = ring_G.poly_from_coords(vec, d)
-            kernel_report.append((d, vec, certify_nilpotent(ring_G, poly, d, D)))
-        # limit elements: the least p-power of each monomial landing in
-        # the image, -1 while none has
-        found = np.full(n, -1)
-        exps = np.array(ring_T.basis(d), dtype=np.int64).reshape(n, ring_T.k)
-        open_ = np.arange(n)
-        j, deg = 0, d
-        while open_.size and deg <= D:
-            hit = in_image(deg)[ring_T.positions(exps[open_] * p**j, deg)]
-            found[open_[hit]] = j
-            open_ = open_[~hit]
-            j, deg = j + 1, deg * p
-        image_report += [(d, vec, None if j < 0 else j)
-                         for vec, j in zip(basis.T, found.tolist())]
+        image_report += [(d, vec) for vec in basis.T]
     return FIsoCertificate(group=G, p=p, cutoff=D, limit_dims=limit_dims,
-                           kernel_report=kernel_report,
                            image_report=image_report)
 
 
@@ -450,7 +407,9 @@ def _first_levels(G, D, p, *predicates):
 def d0_estimate(G: gp.FiniteGroup, D: int, p: int):
     """Smallest n with lambda_{n+1} injective in every degree <= D.
 
-    Injectivity beyond D is unverified, hence the verdict."""
+    For abelian G this is 0: lambda_1 is injective in every degree once
+    the setup finds res_{G->T} invertible.  Injectivity beyond D is
+    unverified, hence the verdict."""
     return _first_levels(G, D, p, EqualizerDiagram.all_injective)[0]
 
 

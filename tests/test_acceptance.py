@@ -8,13 +8,14 @@ import io
 import itertools
 import time
 
+from chowops import fp_linalg as fl
 from chowops.chow import elem_abelian_ring, poly_add, poly_scale, ring_module
 from chowops.cli import main as cli_main
 from chowops.groups import FiniteGroup, rep_classes
 from chowops.lannes import (ell_check, tensor_convolution_check, tv_dim,
                             tv_structural)
-from chowops.localization import (EqualizerDiagram, _first_levels,
-                                  build_lambda, d0_estimate,
+from chowops.localization import (EqualizerDiagram, _AbelianSetup,
+                                  _first_levels, build_lambda, d0_estimate,
                                   f_iso_check, max_nil_submodule)
 from chowops.modules import (brown_gitler, free_presentation, fp_dim,
                              hom_space, nilpotence_degree, point_module,
@@ -136,11 +137,21 @@ def test_criterion_06_f_isomorphism():
     for p in (2, 3):
         for G in [abelian([1], name="1")] + _acceptance_groups(p):
             cert = f_iso_check(G, 8, p)
-            if not (cert.kernel_trivial and cert.image_full
-                    and not cert.unresolved):
-                ok = False
+            # the map to the limit is res_{G->T}, T the terminal object:
+            # by elimination in each degree, its kernel is empty and its
+            # image has a zero residual map, so it is onto the limit
+            setup = _AbelianSetup(G, p)
+            for d in range(9):
+                res = setup.res_mat(setup.top, d)
+                if (fl.kernel_basis(res, p)
+                        or fl.residual_map(res, len(res), p).any()
+                        or cert.limit_dims[d] != len(res)
+                        or sum(e == d for e, _ in cert.image_report)
+                        != len(res)):
+                    ok = False
     report(6, "restriction to the limit over elementary abelians has empty "
-              "kernel report and full image report (cutoff 8, p in {2,3})",
+              "kernel and full image, by elimination in each degree "
+              "(cutoff 8, p in {2,3})",
            ok, time.monotonic() - t0, limit=60)
 
 

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -154,7 +156,7 @@ def test_nil(capsys, data_dir):
 def test_quillen_check(capsys, data_dir):
     path = str(data_dir / "groups" / "klein.json")
     code, out, _ = run(capsys, "quillen-check", "--group", path,
-                       "--prime", "2", "--cutoff", "6", "--strict")
+                       "--prime", "2", "--cutoff", "6")
     assert code == 0
     assert "# kernel_trivial\tTrue" in out
     assert "# image_full\tTrue" in out
@@ -264,6 +266,7 @@ def test_malformed_module_file(capsys, tmp_path):
     ["act", "--rank", "1", "--op", "P^1", "--poly", "y1", "--format", "json"],
     ["tv", "--group", "z3.json", "--strict"],
     ["reps", "--group", "s3.json", "--strict"],
+    ["quillen-check", "--group", "z2.json", "--strict"],
     ["localize", "--group", "z2.json", "--strict"],
     ["d0", "--group", "klein.json", "--format", "json"],
 ])
@@ -272,6 +275,29 @@ def test_flags_without_effect_are_refused(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser(data_dir):
+    # README's `flag | subcommands` table names, for each shared flag,
+    # exactly the subcommands that register it
+    readme = (data_dir.parent / "README.md").read_text()
+    table = readme.split("| flag | subcommands |\n| --- | --- |\n")[1]
+    rows = table.split("\n\n")[0].splitlines()
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices
+    registered = {name: {s for a in sp._actions for s in a.option_strings}
+                  for name, sp in sub.items()}
+    flags = []
+    for row in rows:
+        flag_cell, subs_cell = row.strip("|").split(" | ")
+        flag = re.search(r"`(--[a-z-]+)", flag_cell)[1]
+        named = set(re.findall(r"`([a-z0-9-]+)`", subs_cell))
+        if subs_cell.strip().startswith("all but"):
+            named = set(sub) - named
+        flags.append(flag)
+        assert named == {name for name, opts in registered.items()
+                         if flag in opts}, flag
+    assert flags == ["--prime", "--cutoff", "--format", "--strict"]
 
 
 @pytest.mark.parametrize("argv, flag", [

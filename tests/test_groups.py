@@ -125,7 +125,10 @@ class TestConstruction:
     def test_catalog_and_s5_tables_validate(self):
         s5 = FiniteGroup.from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)],
                                            5)
-        for G in [catalog_group(name) for name in CATALOG] + [s5]:
+        # the constructors validate nothing, so their tables are checked
+        # here: through `FiniteGroup`, as a table read from a file is
+        for G in [catalog_group(name) for name in CATALOG] + [
+                s5, FiniteGroup.from_abelian([2] * 9)]:
             assert FiniteGroup(G.table).n == G.n
 
     def test_identity_must_be_zero(self):

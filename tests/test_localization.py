@@ -7,7 +7,7 @@ from chowops import fp_linalg as fl
 from chowops import groups as gp
 from chowops import chow
 from chowops import localization as loc
-from chowops.chow import elem_abelian_ring, poly_mul_raw, ring_module
+from chowops.chow import elem_abelian_ring, ring_module
 from chowops.cli import main
 from chowops.groups import FiniteGroup
 from chowops.localization import (EqualizerDiagram, bounds_report,
@@ -179,7 +179,11 @@ def f_iso_reference(group, D, p):
     """The limit as the kernel of one block per morphism (identity minus
     the morphism's map) over the product of every object's ring, with
     kernel and image tested against the stacked restrictions from G to
-    every object: the reference for f_iso_check."""
+    every object, by elimination in each degree: the reference for
+    f_iso_check.  Returns the limit dimensions, the kernel report
+    (degree, coords, least m with x^{p^m} = 0 | None) and the image
+    report (degree, coords, least j with z^{p^j} in the image | None),
+    None when the cutoff ends the search first."""
     setup = loc._AbelianSetup(group, p)
     maps = inclusion_maps(setup)
     ring_G = setup.data_G.ring
@@ -190,6 +194,9 @@ def f_iso_reference(group, D, p):
               if ring_G.dim(d) else fl.zeros(0, 0) for d in range(D + 1)]
     # one residual map modulo the stacked restrictions per degree
     resid = [fl.residual_map(s, s.shape[0], p) for s in stacks]
+
+    def poly(ring, vec, d):
+        return {m: int(c) for m, c in zip(ring.basis(d), vec) if c}
 
     limit_dims, kernel_report, image_report = {}, [], []
     for d in range(D + 1):
@@ -208,12 +215,14 @@ def f_iso_reference(group, D, p):
             np.vstack(rows) if rows else fl.zeros(0, offs[-1]), p)
         limit_dims[d] = basis.shape[1]
         for vec in fl.kernel_basis(stacks[d], p):
-            poly = ring_G.poly_from_coords(vec, d)
-            kernel_report.append(
-                (d, vec, loc.certify_nilpotent(ring_G, poly, d, D)))
+            # powers x^{p^m} while p^m d stays inside the cutoff
+            x, m, deg = poly(ring_G, vec, d), 0, d
+            while x and deg * p <= D:
+                x, m, deg = ring_G.power(x, p), m + 1, deg * p
+            kernel_report.append((d, vec, None if x else m))
         for c in range(basis.shape[1]):
             z = basis[:, c]
-            comps = [ring.poly_from_coords(z[offs[i]:offs[i + 1]], d)
+            comps = [poly(ring, z[offs[i]:offs[i + 1]], d)
                      for i, ring in enumerate(rings)]
             j, deg, j_found = 0, d, None
             while deg <= D:
@@ -439,19 +448,54 @@ class TestBuildLambda:
                     assert (got == want).all(), (k, i, j)
 
     def test_one_condition_rank_per_degree(self, monkeypatch):
-        # T's condition is the one rank taken on COO triplets; lambda_T's
-        # rank is taken on its dense matrix
-        conditions = []
+        # T's condition is the one rank per degree, taken on COO triplets;
+        # the only dense rank is the setup's, of res_{G->T}'s 3 x 3
+        # substitution matrix, and lambda_T is never ranked
+        conditions, dense = [], []
         real = fl.rank
 
         def counting(m, p, shape=None):
-            if shape is not None:
-                conditions.append(shape)
+            (dense if shape is None else conditions).append(np.shape(m))
             return real(m, p, shape)
 
         monkeypatch.setattr(fl, "rank", counting)
         d = build_lambda(G([2, 2, 2]), 2, 5, 2)
-        assert len(conditions) == 6 and d.all_iso()
+        assert len(conditions) == 6 and dense == [(3, 3)] and d.all_iso()
+
+    @pytest.mark.parametrize("spec, p", [
+        *((name, p) for name in ABELIAN_CATALOG for p in (2, 3, 5)),
+        ([2, 2, 2, 2], 2), ([3, 3, 3], 3)], ids=str)
+    def test_invertible_restriction_gives_full_ranks(self, spec, p):
+        # the per-degree ranks that `res_top_invertible` stands in for:
+        # res_{G->T} is bijective in each degree, and lambda_T, whose j = 0
+        # block it is, has rank dim CH_G^d at each level
+        group = catalog_group(spec) if isinstance(spec, str) else G(spec)
+        setup = loc._AbelianSetup(group, p)
+        assert setup.res_top_invertible
+        ring_G = setup.data_G.ring
+        for d in range(9):
+            dim = ring_G.dim(d)
+            res = setup.res_mat(setup.top, d)
+            assert res.shape == (dim, dim) and fl.rank(res, p) == dim, d
+            for n in (1, 2, 3):
+                lam = loc._lambda_block(setup, d, n)
+                assert fl.rank(lam, p) == dim, (d, n)
+
+    def test_larger_equalizer_is_not_onto(self, monkeypatch):
+        # a condition that cuts nothing makes the whole middle term the
+        # equalizer: the legs still agree and lambda is still injective,
+        # but not onto the equalizer where the middle term is larger than
+        # the source, which at level 2 is every degree above 0
+        real = loc._top_condition
+
+        def empty(setup, d, n):
+            return (np.zeros(0, dtype=np.int64),) * 3, real(setup, d, n)[1]
+
+        monkeypatch.setattr(loc, "_top_condition", empty)
+        d = build_lambda(G([2, 2]), 2, 5, 2)
+        assert all(d.legs_agree.values()) and d.all_injective()
+        assert d.onto_equalizer == {e: e == 0 for e in range(6)}
+        assert d.eq_dims[1] == 4 > d.source_dims[1] == 2
 
     def test_monotone_injectivity(self):
         for spec, p in [([2, 2], 2), ([4, 2], 2), ([3, 3], 3)]:
@@ -537,11 +581,14 @@ class TestFIso:
 
     @staticmethod
     def check_reference(group, D, p):
+        # the reference's searches find no kernel and every limit vector
+        # in the image at p^0, which f_iso_check certifies without them
         cert = f_iso_check(group, D, p)
         limit_dims, kernel_report, image_report = f_iso_reference(group, D, p)
         assert cert.limit_dims == limit_dims
-        assert same_reports(cert.kernel_report, kernel_report)
-        assert same_reports(cert.image_report, image_report)
+        assert kernel_report == []
+        assert same_reports([(d, vec, 0) for d, vec in cert.image_report],
+                            image_report)
 
     @pytest.mark.parametrize("spec, p", [([2, 2, 2], 2), ([9, 3], 3),
                                          ([4, 2], 2), ([3], 2), ([1], 2)])
@@ -595,12 +642,12 @@ class TestFIso:
         assert len(setup.objects) < len(setup.morphisms)
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_singular_restriction_matches_reference(self, monkeypatch,
-                                                    capsys, tmp_path, p):
+    def test_singular_restriction_is_refused(self, monkeypatch, capsys,
+                                             tmp_path, p):
         # res_{G->T} sending y1 and y2 both to z1, composed into every
-        # res_{G->E}: CH_G -> lim then has kernel rows, and monomials
-        # holding z2 never reach the image, so the p-power search runs
-        # past j = 0 and ends unresolved; the CLI formats those rows too
+        # res_{G->E}: the reference finds kernel rows, and every entry
+        # point that reads injectivity or the F-isomorphism off the
+        # invertible restriction refuses the setup instead
         group = G([p, p])
         setup = loc._AbelianSetup(group, p)
         data_T = setup.sub_data[setup.top]
@@ -610,38 +657,40 @@ class TestFIso:
                 fl.matmul(np.array([[1, 0], [1, 0]]),
                           data_T.char_matrix(data.basis), p))
         monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
-        self.check_reference(group, 6, p)
-        cert = f_iso_check(group, 6, p)
-        assert cert.kernel_report and None in {j for *_, j in
-                                               cert.image_report}
+        assert f_iso_reference(group, 6, p)[1]
+        message = (f"{group.name}: restriction to T, the subgroup of "
+                   f"elements of order dividing {p}, is not invertible on "
+                   "degree-1 classes")
+        for run in (lambda: f_iso_check(group, 6, p),
+                    lambda: build_lambda(group, 2, 6, p)):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == message
         path = tmp_path / "group.json"
         path.write_text('{"abelian": [%d, %d]}' % (p, p))
-        assert main(["quillen-check", "--group", str(path), "--prime", str(p),
-                     "--cutoff", "6"]) == 0
-        rows = [line.split("\t") for line in capsys.readouterr()[0].splitlines()
-                if not line.startswith("#")][1:]
-        report = ([("kernel", e) for e in cert.kernel_report]
-                  + [("image", e) for e in cert.image_report])
-        assert [row[:3] for row in rows] == [
-            [side, str(d), " ".join(map(str, vec.tolist()))]
-            for side, (d, vec, _) in report]
+        for command in ("quillen-check", "localize", "d0"):
+            assert main([command, "--group", str(path), "--prime", str(p),
+                         "--cutoff", "6"]) == 2, command
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_elementary_abelian(self, p):
         for k in (1, 2):
             cert = f_iso_check(G([p] * k), 6, p)
-            assert cert.kernel_trivial and cert.image_full
-            assert not cert.unresolved
+            ring = elem_abelian_ring(k, p)
+            assert cert.limit_dims == {d: ring.dim(d) for d in range(7)}
+            assert [d for d, _ in cert.image_report] == [
+                d for d in range(7) for _ in range(ring.dim(d))]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_cyclic_square(self, p):
         cert = f_iso_check(G([p * p]), 6, p)
-        assert cert.kernel_trivial and cert.image_full
+        assert cert.limit_dims == {d: 1 for d in range(7)}
 
     def test_trivial_group_identity(self):
         cert = f_iso_check(G([1]), 4, 2)
         assert cert.limit_dims == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
-        assert cert.kernel_trivial and cert.image_full
+        assert [(d, vec.tolist()) for d, vec in cert.image_report] == [(0, [1])]
 
     def test_limit_dim_formula_klein(self):
         # the limit for (Z/2)^2 at small degrees: invariants of the corner
@@ -780,43 +829,6 @@ class TestMaxNil:
             m = direct_sum(v, point_module(d, p))
             levels = [lv for lv in range(1, 9) if max_nil_submodule(m, lv, 8)]
             assert levels and max(levels) == d, (p, d, levels)
-
-
-class TruncatedLine:
-    """F_p[y]/(y^n), as much of a ring as certify_nilpotent reads: its
-    prime and its powers."""
-
-    def __init__(self, p, n):
-        self.p, self.n = p, n
-
-    def power(self, f, e):
-        out = {(0,): 1}
-        for _ in range(e):
-            out = {m: c for m, c in poly_mul_raw(out, f, self.p).items()
-                   if m[0] < self.n}
-        return out
-
-
-class TestNilpotencyCertification:
-    def test_nilpotent_element_in_quotient_ring(self):
-        from chowops.localization import certify_nilpotent
-        r = TruncatedLine(3, 3)
-        m = certify_nilpotent(r, {(1,): 1}, 1, 12)
-        assert m == 1  # y^3 = 0
-        # re-multiplication check: the certificate really holds
-        assert r.power({(1,): 1}, 3 ** m) == {}
-
-    def test_window_too_small_is_unresolved(self):
-        from chowops.localization import certify_nilpotent
-        r = TruncatedLine(3, 9)
-        assert certify_nilpotent(r, {(1,): 1}, 1, 2) is None
-        assert certify_nilpotent(r, {(1,): 1}, 1, 9) == 2
-
-    def test_non_nilpotent_never_certified(self):
-        from chowops.chow import elem_abelian_ring
-        from chowops.localization import certify_nilpotent
-        r = elem_abelian_ring(1, 2)
-        assert certify_nilpotent(r, {(1,): 1}, 1, 64) is None
 
 
 class TestBounds:
