@@ -3,8 +3,8 @@
 Subcommands: adem, act, tv, nil, reps, quillen-check, localize, d0.
 Output is deterministic: TSV rows or the same content as JSON with sorted
 keys, so consecutive runs are byte-identical.  Exit codes: 0 success, 2
-validation failure, 3 unresolved verdicts under --strict, 4 out of memory
-or recursion depth.
+validation failure, 3 an unresolved nilpotence degree under `nil
+--strict`, 4 out of memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -371,8 +371,6 @@ def cmd_d0(args):
             print(f"VIOLATION: {v}", file=sys.stderr)
         if rep["violations"]:
             exit_code = EXIT_VALIDATION
-    if args.strict and v0 != "verified-through-cutoff":
-        return EXIT_UNRESOLVED
     return exit_code
 
 
@@ -383,7 +381,7 @@ def _prime(args):
     return args.prime if args.prime is not None else 2
 
 
-def _add_common(sp, prime=True, cutoff=True, fmt=True, strict=False):
+def _add_common(sp, prime=True, cutoff=True, fmt=True):
     """Register the shared flags a subcommand reads, and no others."""
     if prime:
         sp.add_argument("--prime", type=int, default=None,
@@ -393,9 +391,6 @@ def _add_common(sp, prime=True, cutoff=True, fmt=True, strict=False):
                         help="verify through this degree (default 8)")
     if fmt:
         sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    if strict:
-        sp.add_argument("--strict", action="store_true",
-                        help="exit 3 when any verdict is unresolved")
 
 
 def build_parser():
@@ -429,8 +424,10 @@ def build_parser():
     sp.set_defaults(fn=cmd_tv)
 
     sp = sub.add_parser("nil", help="nilpotence degree of a presented module")
-    _add_common(sp, prime=False, strict=True)
+    _add_common(sp, prime=False)
     sp.add_argument("--module", required=True)
+    sp.add_argument("--strict", action="store_true",
+                    help="exit 3 when the verdict is unresolved")
     sp.set_defaults(fn=cmd_nil)
 
     sp = sub.add_parser("reps", help="conjugacy classes of (Z/p)^r -> G")
@@ -454,7 +451,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_localize)
 
     sp = sub.add_parser("d0", help="smallest n with level-(n+1) map injective")
-    _add_common(sp, fmt=False, strict=True)
+    _add_common(sp, fmt=False)
     sp.add_argument("--group", required=True)
     sp.add_argument("--faithful-degree", type=int, default=None,
                     help="degree of a faithful representation, for bound checks")

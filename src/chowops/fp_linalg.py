@@ -9,11 +9,8 @@ back-substitutes after it, and the kernels, solves and quotient maps are
 built on `rref`.  `matmul` multiplies in float64 (so through BLAS) only
 when every partial sum is an integer below 2^53, which float64
 represents exactly in any summation order; otherwise it multiplies in
-int64.  `coo_product_is_zero` decides whether the product of a sparse
-matrix, given as COO triplets, with a mostly zero one vanishes, from
-their nonzeros alone.  Every function here is pure: inputs are never
-mutated and results are deterministic, so concurrent read-only use is
-safe.
+int64.  Every function here is pure: inputs are never mutated and
+results are deterministic, so concurrent read-only use is safe.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "residual_map",
     "quotient_data",
     "matmul",
-    "coo_product_is_zero",
     "kron",
 ]
 
@@ -336,57 +332,6 @@ def matmul(a, b, p: int) -> np.ndarray:
     if inner and (p - 1) ** 2 > (2**62) // inner:
         raise ValueError(f"prime {p} too large for exact int64 matmul")
     return (a @ b) % p
-
-
-# terms per chunk of `coo_product_is_zero`, so the temporaries stay small
-_CHUNK = 2**18
-
-
-def coo_product_is_zero(m, shape, b, p: int) -> bool:
-    """Whether the product mod p of the COO triplets m = (rows, cols, vals)
-    of a matrix of `shape` with the matrix b is zero, without forming it.
-
-    Each triplet (i, k, a) is expanded against the nonzeros b[k, j] of row
-    k of b into terms a b[k, j] at key (i, j), and the terms of equal keys
-    are summed after one sort, by `np.add.reduceat`.  The triplets are
-    taken in chunks of whole rows of m, about _CHUNK terms each, and the
-    check stops at the first chunk with a nonzero sum; a row is never
-    split, since its terms may cancel only in total.  The products are
-    taken in int64, so, as in `matmul`, primes large enough to overflow it
-    are refused."""
-    inner = shape[1]
-    if inner and (p - 1) ** 2 > (2**62) // inner:
-        raise ValueError(f"prime {p} too large for exact int64 matmul")
-    b = np.asarray(b, dtype=np.int64) % p
-    if b.shape[0] != inner:
-        raise ValueError(
-            f"dimension mismatch: matrix {tuple(shape)}, matrix {b.shape}")
-    rows, cols, vals = (np.asarray(x, dtype=np.int64) for x in m)
-    order = np.argsort(rows)
-    rows, cols, vals = rows[order], cols[order], vals[order] % p
-    # b's nonzeros in row-major order, and where each row of b starts
-    b_rows, b_cols = np.nonzero(b)
-    b_vals = b[b_rows, b_cols]
-    starts = np.searchsorted(b_rows, np.arange(inner + 1))
-    counts = (starts[1:] - starts[:-1])[cols]  # terms per triplet
-    before = np.cumsum(counts) - counts  # terms before each triplet
-    # a chunk starts at the first row of m whose terms reach a new
-    # multiple of _CHUNK
-    heads = np.flatnonzero(np.diff(rows, prepend=-1))
-    cuts = heads[np.flatnonzero(np.diff(before[heads] // _CHUNK, prepend=-1))]
-    for s, e in zip(cuts.tolist(), cuts[1:].tolist() + [len(rows)]):
-        n = counts[s:e]
-        owner = np.repeat(np.arange(s, e), n)
-        at = (starts[cols[owner]] + np.arange(len(owner))
-              - np.repeat(before[s:e] - before[s], n))
-        keys = (rows[owner] - rows[s]) * b.shape[1] + b_cols[at]
-        terms = vals[owner] * b_vals[at] % p
-        order = np.argsort(keys)
-        keys, terms = keys[order], terms[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        if (np.add.reduceat(terms, first) % p).any():
-            return False
-    return True
 
 
 def kron(a, b, p: int) -> np.ndarray:

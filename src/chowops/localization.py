@@ -14,12 +14,15 @@ is rejected with a pointed message: catalog rings exist for abelian
 groups only.  For abelian G, restriction to T = G[p] is invertible on
 degree-1 classes, hence in every degree; each setup checks that once
 (`_AbelianSetup.res_top_invertible`), and it decides injectivity and the
-F-isomorphism.
+F-isomorphism.  In T's coordinates the equalizer condition splits by
+multidegree, and its blocks depend only on the sorted exponents, so each
+degree's equalizer is one small binomial block per type (`_type_legs`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,7 +51,7 @@ __all__ = [
 
 class _AbelianSetup:
     """Rings, restriction maps, and the subgroup category of an abelian
-    group, with caches for degreewise matrices.
+    group.
 
     The category is the subspace lattice of T, the subgroup of elements
     of order dividing p: conjugation is the identity, so the morphisms
@@ -76,14 +79,7 @@ class _AbelianSetup:
             rm = restriction_map(G, obj, p, ring_G=self.data_G)
             self.res_to.append(rm)
             self.sub_data.append(rm.subgroup_data)
-        self._mat_cache = {}
-        self._comult_cache = {}
         self.top = len(self.objects) - 1
-
-    # -- cached degreewise matrices --------------------------------------
-
-    def res_mat(self, i, d):
-        return self.res_to[i].matrix(d)
 
     @cached_property
     def res_top_invertible(self):
@@ -99,25 +95,6 @@ class _AbelianSetup:
                 f"of order dividing {self.p}, is not invertible on degree-1 "
                 "classes")
         return True
-
-    def res_comult(self, i, a, b):
-        """CH_G^{a+b} -> CH_{E_i}^a (x) CH_G^b: comultiply, then restrict
-        the left factor to E_i."""
-        key = ("rescomult", i, a, b)
-        if key not in self._mat_cache:
-            ring_G = self.data_G.ring
-            m, k = ring_G.dim(b), ring_G.dim(a + b)
-            if self.sub_data[i].ring.dim(a) * m:
-                # kron(res, I_m) @ C without the Kronecker product: C's
-                # rows are (s, t) pairs, s a CH_G^a index and t < m
-                res = self.res_mat(i, a)
-                comult = self.comult_split(ring_G, a, b)
-                self._mat_cache[key] = fl.matmul(
-                    res, comult.reshape(res.shape[1], m * k), self.p
-                ).reshape(res.shape[0] * m, k)
-            else:
-                self._mat_cache[key] = fl.zeros(0, k)
-        return self._mat_cache[key]
 
     @cached_property
     def functorial(self):
@@ -151,91 +128,44 @@ class _AbelianSetup:
                 return False
         return True
 
-    def comult_split(self, ring: ChowRing, i, j):
-        """Matrix of the coproduct piece CH^{i+j} -> CH^i (x) CH^j for a
-        polynomial ring on degree-1 classes: row (a, b) has the product
-        of binomials C(alpha, beta) at the column of alpha = beta + gamma,
-        for beta and gamma the a-th and b-th basis monomials."""
-        key = (id(ring), i, j)
-        if key not in self._comult_cache:
-            p, k = self.p, ring.k
-            bi, bj = (
-                np.array(ring.basis(e), dtype=np.int64).reshape(ring.dim(e), k)
-                for e in (i, j))
-            beta = np.repeat(bi, len(bj), axis=0)
-            alpha = beta + np.tile(bj, (len(bi), 1))
-            pascal = fl.binom_table(i + j, i + j, p)
-            coef = np.ones(len(alpha), dtype=np.int64)
-            for x in range(k):
-                coef = coef * pascal[alpha[:, x], beta[:, x]] % p
-            mat = fl.zeros(len(alpha), ring.dim(i + j))
-            mat[np.arange(len(alpha)), ring.positions(alpha, i + j)] = coef
-            self._comult_cache[key] = mat
-        return self._comult_cache[key]
 
+def _type_legs(alpha, n, p):
+    """T's pair of legs at the multidegree alpha, each as a dense matrix,
+    and lambda_T's column for y^alpha, all in T's coordinates.
 
-def _lambda_block(setup, d, n):
-    """lambda_T in degree d, CH^d_G -> (CH_T (x) CH_G^{<n})^d: comultiply,
-    restrict the left factor to T, truncate the right factor below n.  Its
-    row blocks are the centralizer degrees j < n, in increasing order."""
-    return np.vstack([setup.res_comult(setup.top, d - j, j)
-                      for j in range(min(n - 1, d) + 1)])
+    The columns are y^(alpha - gamma) (x) y^gamma for gamma <= alpha with
+    |gamma| < n, in `itertools.product` order; lambda_T holds C(alpha,
+    gamma) there.  The rows are y^beta1 (x) y^beta2 (x) y^gamma3 with
+    beta1 + beta2 + gamma3 = alpha and |beta2| + |gamma3| < n: for each
+    column gamma in turn, beta2 runs over the multi-indices <= gamma in
+    that order, and gamma3 = gamma - beta2.  Leg 1 comultiplies the first
+    factor of a column: it holds C(beta1 + beta2, beta2) at column gamma3.
+    Leg 2 comultiplies the second: it holds C(beta2 + gamma3, beta2) at
+    column beta2 + gamma3.  The rows with beta2 = 0 are the counit law,
+    where both legs hold 1 at column gamma3.  Binomials of multi-indices
+    are products of binomials, mod p, read off one Pascal table."""
+    top = max(alpha, default=0)
+    pascal = fl.binom_table(top, top, p).tolist()
 
+    def binom(top, bottom):
+        return math.prod(pascal[t][b] for t, b in zip(top, bottom)) % p
 
-def _top_condition(setup, d, n):
-    """Leg 1 minus leg 2 of T's own pair in degree d, from
-    (CH_T (x) CH_G^{<n})^d to (CH_T (x) (CH_T (x) CH_G)^{<n})^d, as COO
-    triplets (rows, cols, vals) with entries in 0..p-1, and its shape.
-    Leg 1 comultiplies the CH_T factor.  Leg 2 maps the CH_T factor by T's
-    own map, the identity, and expands the centralizer factor into factors
-    two and three.  The row blocks are the (j2, j3) degrees of those
-    factors, j2 >= 1; `_counit_holds` checks the (0, j3) blocks instead.
-    Each block is kron(comult_split, I) at the columns of middle degree j3
-    minus kron(I, res_comult) at those of middle degree j2 + j3; the
-    triplets come from the nonzeros of those two cached pieces."""
-    p, ring_G = setup.p, setup.data_G.ring
-    ring_T = setup.sub_data[setup.top].ring
-    offs = np.cumsum([0] + [ring_T.dim(d - j) * ring_G.dim(j)
-                            for j in range(min(n - 1, d) + 1)])
-    rows, cols, vals = [], [], []
-    start = 0
-    for j2 in range(1, min(n - 1, d) + 1):
-        for j3 in range(min(n - 1 - j2, d - j2) + 1):
-            i, j = d - j2 - j3, j2 + j3
-            size = ring_T.dim(i) * ring_T.dim(j2) * ring_G.dim(j3)
-            if size:
-                # kron(A, I_m) holds A[a, c] at (a m + t, c m + t), t < m
-                piece = setup.comult_split(ring_T, i, j2)
-                a, c = np.nonzero(piece)
-                m = ring_G.dim(j3)
-                t = np.arange(m)
-                rows.append((start + a[:, None] * m + t).ravel())
-                cols.append((offs[j3] + c[:, None] * m + t).ravel())
-                vals.append(np.repeat(piece[a, c], m))
-                # kron(I_s, B) holds B[a, c] at (t rb + a, t cb + c), t < s
-                piece = setup.res_comult(setup.top, j2, j3)
-                a, c = np.nonzero(piece)
-                rb, cb = piece.shape
-                t = np.arange(ring_T.dim(i))[:, None]
-                rows.append((start + t * rb + a).ravel())
-                cols.append((offs[j] + t * cb + c).ravel())
-                vals.append(np.tile(-piece[a, c] % p, len(t)))
-            start += size
-    coo = tuple(np.concatenate([np.zeros(0, dtype=np.int64)] + part)
-                for part in (rows, cols, vals))
-    return coo, (start, int(offs[-1]))
-
-
-def _counit_holds(setup, d, n):
-    """Whether both pieces of every (0, j3) block of T's pair in degree d,
-    CH_T^i -> CH_T^i (x) CH_T^0 in leg 1 and CH_G^{j3} -> CH_T^0 (x)
-    CH_G^{j3} in leg 2, are identities, as the counit law says."""
-    ring_T = setup.sub_data[setup.top].ring
-    return all(
-        np.array_equal(piece, fl.identity(len(piece)))
-        for j in range(min(n - 1, d) + 1)
-        for piece in (setup.comult_split(ring_T, d - j, 0),
-                      setup.res_comult(setup.top, 0, j)))
+    below = [g for g in itertools.product(*(range(a + 1) for a in alpha))
+             if sum(g) < n]
+    col = {g: c for c, g in enumerate(below)}
+    entries = []  # (leg 1 column, value, leg 2 column, value) per row
+    for c, gamma in enumerate(below):
+        for b2 in itertools.product(*(range(g + 1) for g in gamma)):
+            g3 = tuple(g - b for g, b in zip(gamma, b2))
+            entries.append((col[g3], binom([a - g for a, g in zip(alpha, g3)],
+                                           b2), c, binom(gamma, b2)))
+    c1, v1, c2, v2 = np.array(entries, dtype=np.int64).T
+    rows = np.arange(len(entries))
+    leg1, leg2 = (fl.zeros(len(rows), len(below)) for _ in range(2))
+    leg1[rows, c1] = v1
+    leg2[rows, c2] = v2
+    lam = np.array([binom(alpha, g) for g in below], dtype=np.int64)
+    return leg1, leg2, lam
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +202,33 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     and every output is read off T's component lambda_T and T's own pair
     of legs, where T's own map is the identity:
 
+    * coordinates.  res_{G->T} is invertible on degree-1 classes
+      (`_AbelianSetup.res_top_invertible`, checked once per setup;
+      ValueError if it fails), its degree-j matrix is its j-th symmetric
+      power, and it is a coalgebra map.  Change the basis of every CH_G
+      factor of T's pair and of lambda_T by these powers: G's condition
+      becomes T's own, in which every piece is the comultiplication
+      y^alpha -> sum C(alpha, beta) y^beta (x) y^(alpha - beta) of
+      F_p[y_1..y_k] or an identity.  No rank changes, and no product
+      that vanishes starts or stops vanishing;
     * equalizer.  In degree d it is the kernel of leg 1 minus leg 2 of
-      that pair, so eq_dim = cols - rank of that condition, which is
-      built as COO triplets and ranked by sparse elimination.  No kernel
-      basis is formed;
+      T's pair.  Both legs and lambda_T preserve the multidegree alpha in
+      N^k, so that condition is block-diagonal by alpha, and permuting
+      the k variables permutes the rows and columns of a block.  So a
+      block's free-column count depends only on sorted(alpha), its type:
+      each type is built (`_type_legs`) and ranked once, and eq_dim is
+      the sum of the free counts over the monomials of degree d.  No
+      kernel basis is formed, and no matrix of a ring map is raised;
+    * legs.  They agree on lambda_T in degree d when every block of
+      degree d annihilates lambda_T's column for its y^alpha, a verdict
+      that depends on the type too.  A block keeps its rows whose middle
+      factor has degree 0: by the counit law they are identity minus
+      identity, so they cost no rank, and the product checks them;
     * injectivity.  The j = 0 block of lambda_T is res_{G->T} in degree
-      d, which is bijective (`_AbelianSetup.res_top_invertible`, checked
-      once per setup; ValueError if it fails), so lambda_T, and with it
-      lambda, is injective in every degree: rank lambda = dim CH_G^d.
-      So `injective[d]` is True and `onto_equalizer[d]` is: the legs
-      agree and eq_dim = dim CH_G^d;
+      d, which is bijective, so lambda_T, and with it lambda, is
+      injective in every degree: rank lambda = dim CH_G^d.  So
+      `injective[d]` is True and `onto_equalizer[d]` is: the legs agree
+      and eq_dim = dim CH_G^d;
     * morphisms.  For the inclusion E1 <= E2, leg 2 on lambda_{E2}
       equals leg 2 of E1's own pair on lambda_{E1} whenever
       res_{E2->E1} o res_{G->E2} = res_{G->E1}: the mixed-product rule of
@@ -296,11 +243,9 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     checked once per setup on the degree-1 substitution matrices; it
     covers every degree because `RingMap.matrix(d)` is the d-th symmetric
     power of the substitution matrix.  Together they imply that the legs
-    agree on the image of lambda over every morphism.
-
-    By the counit law, the blocks of T's pair whose second factor has
-    degree 0 are identity minus identity.  The condition leaves them out;
-    the first part checks that their pieces are identities.
+    agree on the image of lambda over every morphism.  G enters each
+    degree's certificate only through these two checks on degree-1
+    matrices: `res_top_invertible` and `functorial`.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
@@ -314,17 +259,25 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
         morphism_count=len(setup.morphisms))
     ring_G = setup.data_G.ring
     setup.res_top_invertible  # raises ValueError unless it holds
+    types = {}  # sorted exponents -> (free columns, legs agree)
     for d in range(D + 1):
-        lam = _lambda_block(setup, d, n)
-        cond, shape = _top_condition(setup, d, n)
+        eq_dim, agree = 0, setup.functorial
+        for alpha in ring_G.basis(d):
+            key = tuple(sorted(alpha))
+            if key not in types:
+                leg1, leg2, lam = _type_legs(key, n, p)
+                cond = (leg1 - leg2) % p
+                types[key] = (len(lam) - fl.rank(cond, p),
+                              not fl.matmul(cond, lam, p).any())
+            free, holds = types[key]
+            eq_dim += free
+            agree = agree and holds
         diagram.source_dims[d] = ring_G.dim(d)
         diagram.middle_dims[d] = sum(
             data.ring.dim(d - j) * ring_G.dim(j)
             for data in setup.sub_data for j in range(min(n - 1, d) + 1))
-        agree = (setup.functorial and _counit_holds(setup, d, n)
-                 and fl.coo_product_is_zero(cond, shape, lam, p))
         diagram.legs_agree[d] = agree
-        diagram.eq_dims[d] = eq_dim = shape[1] - fl.rank(cond, p, shape)
+        diagram.eq_dims[d] = eq_dim
         diagram.injective[d] = True
         diagram.onto_equalizer[d] = agree and eq_dim == ring_G.dim(d)
     return diagram

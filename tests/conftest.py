@@ -475,27 +475,40 @@ def inclusion_map(setup, i, j):
     return setup.sub_data[j].restrict(setup.sub_data[i])
 
 
+def res_comult_reference(setup, i, a, b):
+    """CH_G^{a+b} -> CH_{E_i}^a (x) CH_G^b of a localization setup:
+    comultiply, then restrict the left factor to E_i, as
+    kron(res, I) @ comultiply."""
+    ring_G = setup.data_G.ring
+    return fl.matmul(
+        fl.kron(setup.res_to[i].matrix(a), fl.identity(ring_G.dim(b)),
+                setup.p),
+        comult_split_reference(ring_G, a, b), setup.p)
+
+
 def top_condition_reference(setup, d, n):
-    """Leg 1 minus leg 2 of T's own pair in degree d as one dense matrix,
-    block by block from Kronecker products: the reference for the COO
-    triplets of `localization._top_condition`."""
+    """Leg 1 minus leg 2 of T's own pair in degree d, in G's coordinates,
+    as one dense matrix, block by block from Kronecker products: the
+    reference for the type blocks of `localization._type_legs`.  Its row
+    blocks are the (j2, j3) degrees of the middle and right factors, j2
+    from 0: by the counit law the j2 = 0 blocks are zero."""
     p, ring_G = setup.p, setup.data_G.ring
     ring_T = setup.sub_data[setup.top].ring
     offs = np.cumsum([0] + [ring_T.dim(d - j) * ring_G.dim(j)
                             for j in range(min(n - 1, d) + 1)])
     blocks = [fl.zeros(0, offs[-1])]
-    for j2 in range(1, min(n - 1, d) + 1):
+    for j2 in range(min(n - 1, d) + 1):
         for j3 in range(min(n - 1 - j2, d - j2) + 1):
             i, j = d - j2 - j3, j2 + j3
             block = fl.zeros(ring_T.dim(i) * ring_T.dim(j2) * ring_G.dim(j3),
                              offs[-1])
             if block.shape[0]:
                 block[:, offs[j3]:offs[j3 + 1]] = fl.kron(
-                    setup.comult_split(ring_T, i, j2),
+                    comult_split_reference(ring_T, i, j2),
                     fl.identity(ring_G.dim(j3)), p)
                 block[:, offs[j]:offs[j + 1]] -= fl.kron(
                     fl.identity(ring_T.dim(i)),
-                    setup.res_comult(setup.top, j2, j3), p)
+                    res_comult_reference(setup, setup.top, j2, j3), p)
             blocks.append(block % p)
     return np.vstack(blocks)
 

@@ -142,7 +142,7 @@ def test_criterion_06_f_isomorphism():
             # image has a zero residual map, so it is onto the limit
             setup = _AbelianSetup(G, p)
             for d in range(9):
-                res = setup.res_mat(setup.top, d)
+                res = setup.res_to[setup.top].matrix(d)
                 if (fl.kernel_basis(res, p)
                         or fl.residual_map(res, len(res), p).any()
                         or cert.limit_dims[d] != len(res)

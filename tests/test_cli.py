@@ -269,6 +269,7 @@ def test_malformed_module_file(capsys, tmp_path):
     ["quillen-check", "--group", "z2.json", "--strict"],
     ["localize", "--group", "z2.json", "--strict"],
     ["d0", "--group", "klein.json", "--format", "json"],
+    ["d0", "--group", "klein.json", "--strict"],
 ])
 def test_flags_without_effect_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:

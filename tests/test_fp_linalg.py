@@ -387,49 +387,3 @@ def test_rank_exact_where_int64_products_overflow(p):
         assert fl.rank(np.array(m, dtype=np.int64), p) == want
     assert fl.rank([[p - 1, p - 1], [1, 1]], p) == 1
     assert fl.rank([[p - 1, p - 2], [1, 1]], p) == 2
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 4),
-       st.sampled_from([2, 3, 5, 7]), st.booleans(), st.integers(0, 10**9))
-def test_coo_product_is_zero_matches_dense(rows, inner, cols, p, annihilate,
-                                           seed):
-    # a is random or, when `annihilate`, built from the left kernel of b,
-    # so both verdicts occur; about a third of its rows are empty, and each
-    # nonzero is split over two triplets in shuffled order, which must add
-    rng = np.random.default_rng(seed)
-    b = rng.integers(0, p, size=(inner, cols)) * (rng.random((inner, cols))
-                                                  < 0.5)
-    if annihilate:
-        left = fl.kernel_matrix(b.T, p)
-        a = rng.integers(0, p, size=(rows, left.shape[1])) @ left.T % p
-        a = a.reshape(rows, inner)
-    else:
-        a = rng.integers(0, p, size=(rows, inner))
-    a[rng.random(rows) < 0.3] = 0
-    r, c = np.nonzero(a)
-    split = rng.integers(0, p, size=len(r))
-    order = rng.permutation(2 * len(r))
-    triplets = (np.concatenate([r, r])[order], np.concatenate([c, c])[order],
-                np.concatenate([(a[r, c] - split) % p, split])[order])
-    want = not _matmul_ref(a, b, p).any()
-    for chunk in (1, 2, 2**18):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fl, "_CHUNK", chunk)
-            assert fl.coo_product_is_zero(triplets, a.shape, b, p) == want
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_coo_product_is_zero_keeps_rows_whole(monkeypatch, p):
-    # row 0's two terms at (0, 0), 1 and p - 1, cancel only in total, and
-    # chunks of one term would split them; row 1's one term does not
-    monkeypatch.setattr(fl, "_CHUNK", 1)
-    b = [[1], [p - 1]]
-    assert fl.coo_product_is_zero(([0, 0], [0, 1], [1, 1]), (1, 2), b, p)
-    assert not fl.coo_product_is_zero(([1, 0, 0], [1, 0, 1], [1, 1, 1]),
-                                      (2, 2), b, p)
-
-
-def test_coo_product_is_zero_refuses_overflowing_primes():
-    with pytest.raises(ValueError, match="prime 4294967311"):
-        fl.coo_product_is_zero(([0], [0], [1]), (1, 1), [[1]], 4294967311)

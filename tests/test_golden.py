@@ -7,7 +7,8 @@ levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
 default cutoff, on a rank-4 group and where the p-torsion subgroup is
 trivial, as TSV, and at p = 11, where residues have two digits;
 `localize` at rank 3 and 4 past the default cutoff, where most objects
-lie below the top subgroup; the rank-5
+lie below the top subgroup, and on the widest equalizers, level 4 on
+(Z/2)^4 and (Z/5)^3 and level 3 on (Z/3)^4; the rank-5
 and rank-4 subspace lattices of (Z/2)^5 under `localize` and of (Z/3)^4
 under `quillen-check`; `reps` on the nonabelian catalog groups at rank 3
 and on S7 at ranks 2 and 3, where conjugation moves most tuples;
@@ -174,6 +175,17 @@ LOCALIZE_CUTOFF_RUNS = {
         "bfb80f03ce89a3150c83744255262424c1fb335dd0af471fbbf832fa15781420",
 }
 
+# the widest equalizers pinned: level 4 on (Z/2)^4 through degree 12 and
+# on (Z/5)^3 through degree 8, level 3 on (Z/3)^4 through degree 8
+WIDE_LOCALIZE_RUNS = {
+    ((2, 2, 2, 2), 2, 4, 12):
+        "a93464eb4e7d4cebe986a634625ab3f2faa946d102770e5f45e970c788ef8a2a",
+    ((5, 5, 5), 5, 4, 8):
+        "cae541bc5599e36773390f09a2ed4f77ceee48e3c51cc47014ed9093acd196a2",
+    ((3, 3, 3, 3), 3, 3, 8):
+        "3dee79673087daed7a383bb073869c25504e5f1fef58195c19a10e9f14eee196",
+}
+
 LOCALIZE_RANK_FOUR = (
     "5835f539fd35dcd26982ba373a8379f3621c6e8dd5ba649e770b1bc571e4f0c4")
 
@@ -311,6 +323,18 @@ def test_localize_cutoff_output(capsys, data_dir, group, p, level, cutoff):
             "--prime", p, "--level", level, "--cutoff", cutoff]
     assert digest(capsys, *argv) == LOCALIZE_CUTOFF_RUNS[group, p, level,
                                                          cutoff]
+
+
+@pytest.mark.parametrize("orders, p, level, cutoff",
+                         sorted(WIDE_LOCALIZE_RUNS))
+def test_wide_localize_output(capsys, tmp_path, orders, p, level, cutoff):
+    path = tmp_path / "group.json"
+    name = f"(Z/{orders[0]})^{len(orders)}"
+    path.write_text(json.dumps({"abelian": list(orders), "name": name}))
+    argv = ["localize", "--group", path, "--prime", p, "--level", level,
+            "--cutoff", cutoff]
+    assert digest(capsys, *argv) == WIDE_LOCALIZE_RUNS[orders, p, level,
+                                                       cutoff]
 
 
 def test_localize_rank_four_output(capsys, tmp_path):

@@ -16,7 +16,8 @@ from chowops.localization import (EqualizerDiagram, bounds_report,
 from chowops.modules import point_module
 
 from conftest import (ABELIAN_CATALOG, catalog_group, comult_split_reference,
-                      direct_sum, inclusion_map, top_condition_reference)
+                      direct_sum, inclusion_map, res_comult_reference,
+                      top_condition_reference)
 
 
 def G(spec, name=None):
@@ -57,7 +58,7 @@ def offsets(blocks):
 
 def lambda_block(setup, obj_index, d, n):
     """lambda_E in degree d for any object E."""
-    return np.vstack([setup.res_comult(obj_index, d - j, j)
+    return np.vstack([res_comult_reference(setup, obj_index, d - j, j)
                       for j, _ in middle_blocks(setup, obj_index, d, n)])
 
 
@@ -75,7 +76,7 @@ def leg1_block(setup, i1, d, n):
         if rows and src_rows:
             mat[tgt_offs[(j2, j3)]:tgt_offs[(j2, j3)] + rows,
                 src_offs[j3]:src_offs[j3] + src_rows] = fl.kron(
-                    setup.comult_split(ring_E, i - j2, j2),
+                    comult_split_reference(ring_E, i - j2, j2),
                     fl.identity(ring_G.dim(j3)), setup.p)
     return mat
 
@@ -102,7 +103,7 @@ def leg2_block(setup, i1, i2, rmap, d, n):
             mat[tgt_offs[(j2, j3)]:tgt_offs[(j2, j3)] + rows,
                 src_offs[j]:src_offs[j] + src_rows] = fl.kron(
                     rmap.matrix(d - j),
-                    setup.res_comult(i1, j2, j3), setup.p)
+                    res_comult_reference(setup, i1, j2, j3), setup.p)
     return mat
 
 
@@ -190,7 +191,7 @@ def f_iso_reference(group, D, p):
     n_obj = len(setup.objects)
     rings = [data.ring for data in setup.sub_data]
 
-    stacks = [np.vstack([setup.res_mat(i, d) for i in range(n_obj)])
+    stacks = [np.vstack([setup.res_to[i].matrix(d) for i in range(n_obj)])
               if ring_G.dim(d) else fl.zeros(0, 0) for d in range(D + 1)]
     # one residual map modulo the stacked restrictions per degree
     resid = [fl.residual_map(s, s.shape[0], p) for s in stacks]
@@ -258,10 +259,9 @@ def test_substitution_is_a_coalgebra_map(data, p, k, m, a, b):
                                  max_size=k * m))
     source, target = elem_abelian_ring(k, p), elem_abelian_ring(m, p)
     rmap = chow.RingMap(source, target, np.array(entries).reshape(k, m))
-    setup = loc._AbelianSetup(G([1]), p)
-    left = setup.comult_split(target, a, b) @ rmap.matrix(a + b) % p
+    left = comult_split_reference(target, a, b) @ rmap.matrix(a + b) % p
     right = fl.kron(rmap.matrix(a), rmap.matrix(b), p) \
-        @ setup.comult_split(source, a, b) % p
+        @ comult_split_reference(source, a, b) % p
     assert left.shape == right.shape and (left == right).all()
 
 
@@ -295,10 +295,8 @@ class TestBuildLambda:
                 assert d.eq_dims == d.source_dims, (spec, n)
 
     def test_builds_powers_of_restriction_to_top_alone(self, monkeypatch):
-        # every degreewise map matrix build_lambda asks for is a power of
-        # res_{G->T}: no other object's lambda, no morphism's leg 2
-        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
+        # build_lambda works in T's coordinates, so it raises no
+        # degreewise map matrix at all, not even a power of res_{G->T}
         maps = []
         real = chow.RingMap.matrix
 
@@ -308,7 +306,7 @@ class TestBuildLambda:
 
         monkeypatch.setattr(chow.RingMap, "matrix", recording)
         d = build_lambda(G([2, 2, 2]), 3, 6, 2)
-        assert maps and all(m is setup.res_to[setup.top] for m in maps)
+        assert maps == []
         assert d.all_iso() and all(d.legs_agree.values())
 
     @pytest.mark.parametrize("spec, p", [([2, 2], 2), ([4, 2], 2),
@@ -371,27 +369,52 @@ class TestBuildLambda:
             del setup.functorial
             assert not setup.functorial, (i, j)
 
-    def test_wrong_top_leg_two_breaks_the_legs(self):
-        # one wrong entry in T's res_comult, the centralizer side of leg 2,
-        # in its (j2, j3) = (0, 1) block; level 1 has no such block
-        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        block = setup.res_comult(setup.top, 0, 1)
-        block[0, 0] ^= 1
-        for n in (2, 3):
-            for diagram in (loc._build_lambda(setup, n, 5),
-                            per_morphism_lambda(setup, n, 5)):
-                assert not any(diagram.legs_agree[d] for d in range(1, 6))
+    @staticmethod
+    def wrong_type_block(monkeypatch, wrong_type, mutate):
+        """Patch `_type_legs` so that `mutate(leg1, leg2, lam, p)` changes
+        the block of `wrong_type` alone."""
+        real = loc._type_legs
 
-    def test_wrong_top_leg_one_counit_breaks_the_legs(self):
-        # one wrong entry in T's coproduct piece CH_T^1 -> CH_T^1 (x) CH_T^0,
-        # the leg-1 side of the (0, d - 1) block that the condition leaves
-        # out; it enters degrees 1..n at level n
-        for n in (1, 2, 3):
-            setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-            ring_T = setup.sub_data[setup.top].ring
-            setup.comult_split(ring_T, 1, 0)[0, 0] ^= 1
-            diagram = loc._build_lambda(setup, n, 5)
-            assert not any(diagram.legs_agree[d] for d in range(1, n + 1))
+        def wrong(alpha, n, p):
+            leg1, leg2, lam = real(alpha, n, p)
+            if alpha == wrong_type:
+                mutate(leg1, leg2, lam, p)
+            return leg1, leg2, lam
+
+        monkeypatch.setattr(loc, "_type_legs", wrong)
+
+    def test_wrong_top_leg_two_breaks_the_legs(self, monkeypatch):
+        # one wrong leg-2 entry of the type (0, 1, 2), in a row whose middle
+        # factor is not the unit, so leg 1 is zero there, and at a column
+        # where lambda_T is not; level 1 has no such row
+        def mutate(leg1, leg2, lam, p):
+            r, c = np.argwhere((leg2 != 0) & (leg1 == 0) & (lam != 0))[0]
+            leg2[r, c] = (leg2[r, c] + 1) % p
+
+        self.wrong_type_block(monkeypatch, (0, 1, 2), mutate)
+        for p in (2, 3):
+            setup = loc._AbelianSetup(G([p] * 3), p)
+            for n in (2, 3):
+                diagram = loc._build_lambda(setup, n, 5)
+                assert [d for d, ok in diagram.legs_agree.items()
+                        if not ok] == [3], (p, n)
+
+    def test_wrong_top_leg_one_counit_breaks_the_legs(self, monkeypatch):
+        # one wrong leg-1 entry of the type (0, 0, 1), in a counit row, where
+        # both legs are the same unit vector, at a column where lambda_T is
+        # not zero; level 1 has that row and no other
+        def mutate(leg1, leg2, lam, p):
+            counit = (leg1 == leg2).all(axis=1) & leg1.any(axis=1)
+            r, c = np.argwhere(counit[:, None] & (leg1 != 0) & (lam != 0))[0]
+            leg1[r, c] = (leg1[r, c] + 1) % p
+
+        self.wrong_type_block(monkeypatch, (0, 0, 1), mutate)
+        for p in (2, 3):
+            setup = loc._AbelianSetup(G([p] * 3), p)
+            for n in (1, 2, 3):
+                diagram = loc._build_lambda(setup, n, 5)
+                assert [d for d, ok in diagram.legs_agree.items()
+                        if not ok] == [1], (p, n)
 
     def test_objects_share_one_ring_per_rank(self):
         setup = loc._AbelianSetup(gp.load_group({"abelian": [3, 3, 3]}), 3)
@@ -418,49 +441,43 @@ class TestBuildLambda:
             want = per_morphism_lambda(setup, n, D)
             assert got == want and repr(got) == repr(want), n
 
-    @pytest.mark.parametrize("name, p", [("z2cube", 2), ("z3sq", 3),
-                                         ("z4xz2", 2)])
-    def test_condition_triplets_match_dense_reference(self, name, p):
-        setup = loc._AbelianSetup(catalog_group(name), p)
-        for n in (1, 2, 3, 4):
-            for d in range(7):
-                (rows, cols, vals), shape = loc._top_condition(setup, d, n)
-                want = top_condition_reference(setup, d, n)
-                assert shape == want.shape, (n, d)
-                # one triplet per nonzero entry, reduced
-                assert len(set(zip(rows, cols))) == len(rows), (n, d)
-                assert ((vals > 0) & (vals < p)).all(), (n, d)
-                got = fl.zeros(*shape)
-                got[rows, cols] = vals
-                assert (got == want).all(), (n, d)
+    @staticmethod
+    def full_condition_reference(setup, n, D):
+        """(eq_dims, legs_agree) from T's whole condition in G's
+        coordinates, one dense matrix per degree: its column count minus
+        its rank, and whether it annihilates lambda_T while every morphism
+        composes with restriction from G."""
+        p = setup.p
+        eq_dims, legs_agree = {}, {}
+        for d in range(D + 1):
+            cond = top_condition_reference(setup, d, n)
+            lam = lambda_block(setup, setup.top, d, n)
+            eq_dims[d] = cond.shape[1] - fl.rank(cond, p)
+            legs_agree[d] = (setup.functorial
+                             and not fl.matmul(cond, lam, p).any())
+        return eq_dims, legs_agree
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_comult_split_matches_binomial_reference(self, p):
-        setup = loc._AbelianSetup(G([1]), p)
-        for k in range(4):
-            ring = elem_abelian_ring(k, p)
-            for i in range(6):
-                for j in range(6 - i):
-                    got = setup.comult_split(ring, i, j)
-                    want = comult_split_reference(ring, i, j)
-                    assert got.dtype == want.dtype, (k, i, j)
-                    assert got.shape == want.shape, (k, i, j)
-                    assert (got == want).all(), (k, i, j)
+    @pytest.mark.parametrize("name", ABELIAN_CATALOG)
+    def test_type_blocks_match_full_condition_on_catalog(self, name, p):
+        setup = loc._AbelianSetup(catalog_group(name), p)
+        for n in (1, 2, 3, 4):
+            diagram = loc._build_lambda(setup, n, 6)
+            assert (diagram.eq_dims, diagram.legs_agree) \
+                == self.full_condition_reference(setup, n, 6), n
 
-    def test_one_condition_rank_per_degree(self, monkeypatch):
-        # T's condition is the one rank per degree, taken on COO triplets;
-        # the only dense rank is the setup's, of res_{G->T}'s 3 x 3
-        # substitution matrix, and lambda_T is never ranked
-        conditions, dense = [], []
-        real = fl.rank
-
-        def counting(m, p, shape=None):
-            (dense if shape is None else conditions).append(np.shape(m))
-            return real(m, p, shape)
-
-        monkeypatch.setattr(fl, "rank", counting)
-        d = build_lambda(G([2, 2, 2]), 2, 5, 2)
-        assert len(conditions) == 6 and dense == [(3, 3)] and d.all_iso()
+    @pytest.mark.parametrize("k, p, n, D", [
+        (1, 5, 4, 10), (2, 2, 4, 8), (2, 3, 4, 8), (2, 5, 3, 8),
+        (3, 3, 3, 8), (3, 2, 4, 7), (3, 5, 4, 6), (4, 2, 4, 6),
+        (4, 3, 3, 6), (5, 2, 3, 6)])
+    def test_type_blocks_match_full_condition_on_grid(self, k, p, n, D):
+        # rank k up to 5, levels where the blocks have rows with both the
+        # middle and the right factor of degree >= 1, and degrees where a
+        # block has several types of equal degree
+        setup = loc._AbelianSetup(G([p] * k), p)
+        diagram = loc._build_lambda(setup, n, D)
+        assert (diagram.eq_dims, diagram.legs_agree) \
+            == self.full_condition_reference(setup, n, D)
 
     @pytest.mark.parametrize("spec, p", [
         *((name, p) for name in ABELIAN_CATALOG for p in (2, 3, 5)),
@@ -475,23 +492,24 @@ class TestBuildLambda:
         ring_G = setup.data_G.ring
         for d in range(9):
             dim = ring_G.dim(d)
-            res = setup.res_mat(setup.top, d)
+            res = setup.res_to[setup.top].matrix(d)
             assert res.shape == (dim, dim) and fl.rank(res, p) == dim, d
             for n in (1, 2, 3):
-                lam = loc._lambda_block(setup, d, n)
+                lam = lambda_block(setup, setup.top, d, n)
                 assert fl.rank(lam, p) == dim, (d, n)
 
     def test_larger_equalizer_is_not_onto(self, monkeypatch):
-        # a condition that cuts nothing makes the whole middle term the
-        # equalizer: the legs still agree and lambda is still injective,
-        # but not onto the equalizer where the middle term is larger than
-        # the source, which at level 2 is every degree above 0
-        real = loc._top_condition
+        # type blocks with no rows cut nothing, which makes the whole middle
+        # term the equalizer: the legs still agree and lambda is still
+        # injective, but not onto the equalizer where the middle term is
+        # larger than the source, which at level 2 is every degree above 0
+        real = loc._type_legs
 
-        def empty(setup, d, n):
-            return (np.zeros(0, dtype=np.int64),) * 3, real(setup, d, n)[1]
+        def empty(alpha, n, p):
+            leg1, leg2, lam = real(alpha, n, p)
+            return leg1[:0], leg2[:0], lam
 
-        monkeypatch.setattr(loc, "_top_condition", empty)
+        monkeypatch.setattr(loc, "_type_legs", empty)
         d = build_lambda(G([2, 2]), 2, 5, 2)
         assert all(d.legs_agree.values()) and d.all_injective()
         assert d.onto_equalizer == {e: e == 0 for e in range(6)}
@@ -522,24 +540,8 @@ class TestBuildLambda:
         setup = loc._AbelianSetup(G(spec), p)
         for (i, j), rmap in inclusion_maps(setup).items():
             for d in range(5):
-                via_j = fl.matmul(rmap.matrix(d), setup.res_mat(j, d), p)
-                assert (via_j == setup.res_mat(i, d)).all(), (i, j, d)
-
-    @pytest.mark.parametrize("spec, p", [([3, 3], 3), ([2, 2, 2], 2),
-                                         ([4, 2], 2)])
-    def test_res_comult_matches_kronecker_reference(self, spec, p):
-        # the reshaped product equals kron(restrict, I) @ comultiply
-        setup = loc._AbelianSetup(G(spec), p)
-        ring_G = setup.data_G.ring
-        for i in range(len(setup.objects)):
-            for a in range(7):
-                for b in range(7 - a):
-                    want = np.kron(setup.res_mat(i, a),
-                                   fl.identity(ring_G.dim(b))) \
-                        @ setup.comult_split(ring_G, a, b) % p
-                    got = setup.res_comult(i, a, b)
-                    assert got.shape == want.shape, (i, a, b)
-                    assert (got == want).all(), (i, a, b)
+                via_j = fl.matmul(rmap.matrix(d), setup.res_to[j].matrix(d), p)
+                assert (via_j == setup.res_to[i].matrix(d)).all(), (i, j, d)
 
     def test_maps_need_no_polynomial_products(self, monkeypatch):
         # every restriction matrix, from G and along each inclusion, is a
@@ -553,7 +555,7 @@ class TestBuildLambda:
         maps = inclusion_maps(setup)
         for d in range(7):
             for i, data in enumerate(setup.sub_data):
-                assert setup.res_mat(i, d).shape == (
+                assert setup.res_to[i].matrix(d).shape == (
                     data.ring.dim(d), setup.data_G.ring.dim(d))
             for (i, j), rmap in maps.items():
                 assert rmap.matrix(d).shape == (
