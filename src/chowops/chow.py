@@ -10,7 +10,7 @@ reduced-power action has a closed form on it, from the Cartan formula and
 P(y) = y + y^p:  P^a(y^E) = sum over |I| = a of prod_j C(e_j, i_j)
 y^{E + (p - 1) I}.  It is evaluated in two forms of the same sum: per
 monomial for a single polynomial (`ChowRing.act`), and as one array pass
-per (a, d) for the action matrices of `ring_module` and `truncate`.
+per (a, d) for the action matrices of `ring_module`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "RingMap",
     "symmetric_powers",
     "restriction_map",
-    "truncate",
     "ring_module",
 ]
 
@@ -425,23 +424,10 @@ def _action_matrix(ring: ChowRing, a: int, d: int) -> np.ndarray:
     return mat
 
 
-def _filled_module(ring: ChowRing, top: int, **kwargs) -> FiniteModule:
-    """The ring in degrees <= top, each action matrix built on first read
-    (`_action_matrix`)."""
-    dims = {d: ring.dim(d) for d in range(top + 1) if ring.dim(d)}
-    return FiniteModule(ring.p, dims, {},
-                        fill=lambda a, d: _action_matrix(ring, a, d),
-                        **kwargs)
-
-
-def truncate(ring: ChowRing, n: int) -> FiniteModule:
-    """The graded quotient of the ring in degrees < n, as a module over the
-    reduced powers (operations landing in degrees >= n become zero); its
-    action matrices are filled on first read."""
-    return _filled_module(ring, n - 1, validate=False)
-
-
 def ring_module(ring: ChowRing, D: int) -> FiniteModule:
     """The ring itself through degree D, marked truncated above D; its
-    action matrices are filled on first read."""
-    return _filled_module(ring, D, truncated_above=D, validate=False)
+    action matrices are filled on first read (`_action_matrix`)."""
+    dims = {d: ring.dim(d) for d in range(D + 1) if ring.dim(d)}
+    return FiniteModule(ring.p, dims, {},
+                        fill=lambda a, d: _action_matrix(ring, a, d),
+                        truncated_above=D, validate=False)

@@ -356,7 +356,7 @@ def cmd_d0(args):
         if fd is None:
             d0, v0 = d0_estimate(G, args.cutoff, p)
         else:
-            # one level sweep finds d0 and d1 together
+            # one setup's checks give d0, d1 and the nilpotent level
             rep = bounds_report(G, fd, args.cutoff, p)
             d0, v0 = rep["d0"], rep["d0_verdict"]
     except ValueError as exc:

@@ -112,18 +112,13 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def _dict_rows(rows, cols, vals, p: int):
-    """Row index -> {column: residue}, in Python integers, from COO
-    triplets; repeated entries add, and entries that sum to 0 are
-    dropped."""
+def _dict_rows(a):
+    """Row index -> {column: residue}, in Python integers, for the
+    nonzero entries of a reduced matrix."""
+    rows, cols = np.nonzero(a)
     table = {}
-    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        row = table.setdefault(r, {})
-        x = (row.get(c, 0) + v) % p
-        if x:
-            row[c] = x
-        else:
-            row.pop(c, None)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+        table.setdefault(r, {})[c] = v
     return table
 
 
@@ -186,8 +181,7 @@ def rref(m, p: int):
     subtracted only from the rows that hold its column.  R is written over
     the reduced copy of m, in the shape of m."""
     a = as_fp_matrix(m, p)
-    rows, cols = np.nonzero(a)
-    table = _dict_rows(rows, cols, a[rows, cols], p)
+    table = _dict_rows(a)
     pivots, where = _echelon(table, p)
     for c, r in pivots:
         row = table[r]
@@ -207,21 +201,12 @@ def rref(m, p: int):
     return a, [c for c, _ in pivots]
 
 
-def rank(m, p: int, shape=None) -> int:
+def rank(m, p: int) -> int:
     """Rank over F_p, exact at any prime: the number of pivots of one
     forward pass of sparse elimination on dict rows in Python integers.
-
-    `m` is a dense matrix or, when `shape` is given, the COO triplets
-    (rows, cols, vals) of a matrix of that shape; repeated entries add.
     Columns are taken in ascending order, each pivoting on the shortest
     row that holds it."""
-    if shape is None:
-        a = as_fp_matrix(m, p)
-        rows, cols = np.nonzero(a)
-        vals = a[rows, cols]
-    else:
-        rows, cols, vals = (np.asarray(x) for x in m)
-    return len(_echelon(_dict_rows(rows, cols, vals, p), p)[0])
+    return len(_echelon(_dict_rows(as_fp_matrix(m, p)), p)[0])
 
 
 def _free_rows(rows, ambient: int, p: int):

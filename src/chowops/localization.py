@@ -17,6 +17,8 @@ degree-1 classes, hence in every degree; each setup checks that once
 F-isomorphism.  In T's coordinates the equalizer condition splits by
 multidegree, and its blocks depend only on the sorted exponents, so each
 degree's equalizer is one small binomial block per type (`_type_legs`).
+d0, d1 and the largest nilpotent level are read off the same once-per-setup
+checks, with no diagram built (`bounds_report`).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import numpy as np
 
 from . import fp_linalg as fl
 from . import groups as gp
-from .chow import (ChowRing, abelian_ring, restriction_map, ring_module,
-                   symmetric_powers)
-from .modules import FiniteModule
+from .chow import abelian_ring, restriction_map, symmetric_powers
+# perfbench/layers.py patches this unused name; tests/test_repo.py needs it
+from .chow import ring_module
 
 __all__ = [
     "EqualizerDiagram",
@@ -40,7 +42,6 @@ __all__ = [
     "FIsoCertificate",
     "f_iso_check",
     "d0_estimate",
-    "max_nil_submodule",
     "bounds_report",
 ]
 
@@ -128,6 +129,26 @@ class _AbelianSetup:
                 return False
         return True
 
+    def frobenius_injective(self, D):
+        """True, or ValueError: the Frobenius y^E -> y^(pE) of CH_G is
+        injective in each degree e = 1..D.  On degree e it is P^e, and in
+        the closed form P^a(y^E) = sum over |I| = a of prod_j C(e_j, i_j)
+        y^(E + (p - 1) I) the only I with |I| = |E| and a nonzero
+        coefficient is E itself, with coefficient 1: every column holds
+        one 1, at the row of y^(pE).  So it is injective exactly when
+        those rows are distinct, found here by sorting them, with no
+        matrix built."""
+        ring, p = self.data_G.ring, self.p
+        for e in range(1, D + 1):
+            rows = np.array(ring.basis(e), dtype=np.int64).reshape(
+                ring.dim(e), ring.k)
+            targets = np.sort(ring.positions(p * rows, p * e))
+            if (targets[1:] == targets[:-1]).any():
+                raise ValueError(
+                    f"{self.G.name}: the Frobenius y^E -> y^(pE) is not "
+                    f"injective on degree-{e} classes")
+        return True
+
 
 def _type_legs(alpha, n, p):
     """T's pair of legs at the multidegree alpha, each as a dense matrix,
@@ -186,12 +207,6 @@ class EqualizerDiagram:
     legs_agree: dict = field(default_factory=dict)    # degree -> bool
     injective: dict = field(default_factory=dict)
     onto_equalizer: dict = field(default_factory=dict)
-
-    def all_injective(self):
-        return all(self.injective.values())
-
-    def all_iso(self):
-        return self.all_injective() and all(self.onto_equalizer.values())
 
 
 def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
@@ -337,125 +352,50 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
 
 
 # ---------------------------------------------------------------------------
-# d0 / d1
-
-
-def _first_levels(G, D, p, *predicates):
-    """(n - 1, verdict) per predicate for the first level n whose diagram
-    satisfies it, sweeping levels 1..D+2 on one setup and stopping once
-    every predicate has held; (D + 2, "unresolved") for one that never
-    does."""
-    setup = _AbelianSetup(G, p)
-    first = [None] * len(predicates)
-    for level in range(1, D + 3):
-        diagram = _build_lambda(setup, level, D)
-        first = [f or (level if holds(diagram) else None)
-                 for f, holds in zip(first, predicates)]
-        if None not in first:
-            break
-    return [(f - 1, "verified-through-cutoff") if f else (D + 2, "unresolved")
-            for f in first]
+# d0, d1 and the bound checks
 
 
 def d0_estimate(G: gp.FiniteGroup, D: int, p: int):
     """Smallest n with lambda_{n+1} injective in every degree <= D.
 
-    For abelian G this is 0: lambda_1 is injective in every degree once
-    the setup finds res_{G->T} invertible.  Injectivity beyond D is
-    unverified, hence the verdict."""
-    return _first_levels(G, D, p, EqualizerDiagram.all_injective)[0]
-
-
-# ---------------------------------------------------------------------------
-# largest submodule certified n-nilpotent in the window
-
-
-def max_nil_submodule(source, d: int, D: int):
-    """Degreewise basis of the largest subspace, closed under the powers
-    inside degrees <= D, on which the lowering operators at levels below d
-    certifiably iterate to zero within the materialized window.
-
-    `source` is a catalog ring or a FiniteModule.  Returns a dict
-    degree -> basis matrix (possibly with zero columns removed).
-    """
-    if isinstance(source, ChowRing):
-        module = ring_module(source, source.p * max(D, 1))
-    elif isinstance(source, FiniteModule):
-        module = source
-    else:
-        raise TypeError("expected a ChowRing or FiniteModule")
-    p = module.p
-    if d == 0:
-        return {e: fl.identity(module.dim(e))
-                for e in range(D + 1) if module.dim(e)}
-
-    spaces = {}
-    for e in range(D + 1):
-        if module.dim(e) == 0:
-            continue
-        basis = fl.identity(module.dim(e))
-        for j in range(d):
-            dies = module.dies(j, e)
-            if dies.shape[1] == 0:
-                basis = dies
-            else:  # the closure loop's shrink step, against dies' span
-                resid = fl.residual_map(dies, module.dim(e), p)
-                cond = fl.matmul(resid, basis, p)
-                if cond.any():
-                    basis = fl.matmul(basis, fl.kernel_matrix(cond, p), p)
-            if basis.shape[1] == 0:
-                break
-        spaces[e] = basis
-
-    # closure under the powers within the window (greatest fixed point)
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(spaces):
-            basis = spaces[e]
-            if basis.shape[1] == 0:
-                continue
-            for a in range(1, e + 1):
-                t = e + a * (p - 1)
-                if t > D:
-                    break
-                mat = module.act(a, e)
-                if not mat.any():
-                    continue
-                cond = fl.matmul(mat, basis, p)
-                # the residual of an empty span is the identity
-                if t in spaces and spaces[t].shape[1]:
-                    cond = fl.matmul(
-                        fl.residual_map(spaces[t], module.dim(t), p), cond, p)
-                if cond.any():
-                    shrink = fl.kernel_matrix(cond, p)
-                    basis = fl.matmul(basis, shrink, p)
-                    spaces[e] = basis
-                    changed = True
-                    if basis.shape[1] == 0:
-                        break
-    return {e: b for e, b in spaces.items() if b.shape[1]}
-
-
-# ---------------------------------------------------------------------------
-# bound checks
+    For abelian G this is 0, read off the setup with no diagram built:
+    lambda_1 is injective in every degree once the setup finds res_{G->T}
+    invertible (see `build_lambda`; ValueError if it is not).
+    Injectivity beyond D is unverified, hence the verdict."""
+    _AbelianSetup(G, p).res_top_invertible  # raises ValueError unless it holds
+    return 0, "verified-through-cutoff"
 
 
 def bounds_report(G: gp.FiniteGroup, faithful_degree: int, D: int, p: int):
     """d0/d1 against the finite-group bounds n(n-1)/2 and n(n-1), plus the
     identity between d0 and the largest level with a nonzero certified
-    nilpotent submodule.  Violations are reported, not swallowed."""
+    nilpotent submodule.  Violations are reported, not swallowed.
+
+    Each answer is read off one setup's checks, with no diagram and no
+    module built:
+
+    * d0 is 0, as in `d0_estimate`;
+    * d1, the first n - 1 with lambda_n onto the equalizer in every
+      degree <= D, is 0 when `functorial` holds.  At level 1 each type
+      block of `_type_legs` is its one counit row, identity minus
+      identity, so eq_dim = dim CH_G^d, and the legs agree in every
+      degree exactly when `functorial` holds.  Their verdict starts from
+      `functorial` at every level, so when it fails no level is onto,
+      and d1 is (D + 2, "unresolved"): where a sweep over the levels
+      1..D+2 would give up;
+    * the largest nilpotent level is 0.  A nonzero submodule certified
+      at level 1 needs a degree e in 1..D whose level-0 lowering P^e,
+      the Frobenius y^E -> y^(pE), kills a vector inside the window.
+      `_AbelianSetup.frobenius_injective` shows it kills none (ValueError
+      if it does)."""
     n = faithful_degree
-    (d0, v0), (d1, v1) = _first_levels(G, D, p, EqualizerDiagram.all_injective,
-                                       EqualizerDiagram.all_iso)
-    # one module for every level, so the levels share its lowering memo
-    module = ring_module(abelian_ring(G, p).ring, p * max(D, 1))
+    setup = _AbelianSetup(G, p)
+    setup.res_top_invertible  # raises ValueError unless it holds
+    d0, v0 = 0, "verified-through-cutoff"
+    d1, v1 = ((0, "verified-through-cutoff") if setup.functorial
+              else (D + 2, "unresolved"))
+    setup.frobenius_injective(D)  # raises ValueError unless it holds
     largest = 0
-    for level in range(1, D + 1):
-        if max_nil_submodule(module, level, D):
-            largest = level
-        else:
-            break
     violations = []
     if d0 > n * (n - 1) // 2:
         violations.append(f"d0 = {d0} exceeds n(n-1)/2 = {n * (n - 1) // 2}")

@@ -25,7 +25,6 @@ __all__ = [
     "admissible_words_of_degree",
     "free_module_basis",
     "FiniteModule",
-    "point_module",
     "brown_gitler",
     "tensor_finite",
     "FPModule",
@@ -252,11 +251,6 @@ class FiniteModule:
         tail = "" if self.is_complete else f", truncated above {self.truncated_above}"
         return (f"<FiniteModule p={self.p} dims="
                 f"{{{', '.join(f'{d}:{n}' for d, n in sorted(self.dims.items()))}}}{tail}>")
-
-
-def point_module(d: int, p: int) -> FiniteModule:
-    """F_p concentrated in degree d (complete; all positive powers vanish)."""
-    return FiniteModule(p, {d: 1}, {})
 
 
 def brown_gitler(k: int, D: int, p: int) -> FiniteModule:

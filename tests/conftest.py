@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from chowops import fp_linalg as fl
-from chowops.chow import (elem_abelian_ring, poly_add, poly_mul_raw,
-                          poly_scale, truncate)
+from chowops import localization as loc
+from chowops.chow import (ChowRing, _action_matrix, abelian_ring,
+                          elem_abelian_ring, poly_add, poly_mul_raw,
+                          poly_scale, ring_module)
 from chowops.groups import FiniteGroup, HomClass, abelian_p_basis, load_group
 from chowops.modules import (FiniteModule, brown_gitler,
-                             finite_to_presentation, point_module,
-                             point_presentation, suspension_presentation)
+                             finite_to_presentation, point_presentation,
+                             suspension_presentation)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 CATALOG = sorted(path.stem for path in (DATA / "groups").glob("*.json"))
@@ -30,6 +32,21 @@ def catalog_group(name):
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+def truncate(ring, n):
+    """The graded quotient of the ring in degrees < n, as a module over the
+    reduced powers (operations landing in degrees >= n become zero); its
+    action matrices are filled on first read."""
+    dims = {d: ring.dim(d) for d in range(n) if ring.dim(d)}
+    return FiniteModule(ring.p, dims, {},
+                        fill=lambda a, d: _action_matrix(ring, a, d),
+                        validate=False)
+
+
+def point_module(d, p):
+    """F_p concentrated in degree d (complete; all positive powers vanish)."""
+    return FiniteModule(p, {d: 1}, {})
 
 
 def fp_test_modules(p):
@@ -529,3 +546,138 @@ def comult_split_reference(ring, i, j):
                 c = c * fl.binom_mod_p(y, x, p) % p
             mat[a * len(bj) + b, idx[alpha]] = c
     return mat
+
+
+# -- d0, d1 and the nilpotent level by the level sweep ----------------------
+
+
+def all_injective(diagram):
+    """Whether lambda_n is injective in every degree of the diagram."""
+    return all(diagram.injective.values())
+
+
+def all_iso(diagram):
+    """Whether lambda_n is an isomorphism onto the equalizer in every
+    degree of the diagram."""
+    return all_injective(diagram) and all(diagram.onto_equalizer.values())
+
+
+def level_sweep(G, D, p, *predicates):
+    """(n - 1, verdict) per predicate for the first level n whose diagram
+    satisfies it, sweeping levels 1..D+2 on one setup and stopping once
+    every predicate has held; (D + 2, "unresolved") for one that never
+    does: the reference for `localization.d0_estimate` and for d0 and d1
+    in `localization.bounds_report`."""
+    setup = loc._AbelianSetup(G, p)
+    first = [None] * len(predicates)
+    for level in range(1, D + 3):
+        diagram = loc._build_lambda(setup, level, D)
+        first = [f or (level if holds(diagram) else None)
+                 for f, holds in zip(first, predicates)]
+        if None not in first:
+            break
+    return [(f - 1, "verified-through-cutoff") if f else (D + 2, "unresolved")
+            for f in first]
+
+
+def max_nil_submodule(source, d: int, D: int):
+    """Degreewise basis of the largest subspace, closed under the powers
+    inside degrees <= D, on which the lowering operators at levels below d
+    certifiably iterate to zero within the materialized window.
+
+    `source` is a catalog ring or a FiniteModule.  Returns a dict
+    degree -> basis matrix (possibly with zero columns removed): the
+    reference for the nilpotent level of `localization.bounds_report`.
+    """
+    if isinstance(source, ChowRing):
+        module = ring_module(source, source.p * max(D, 1))
+    elif isinstance(source, FiniteModule):
+        module = source
+    else:
+        raise TypeError("expected a ChowRing or FiniteModule")
+    p = module.p
+    if d == 0:
+        return {e: fl.identity(module.dim(e))
+                for e in range(D + 1) if module.dim(e)}
+
+    spaces = {}
+    for e in range(D + 1):
+        if module.dim(e) == 0:
+            continue
+        basis = fl.identity(module.dim(e))
+        for j in range(d):
+            dies = module.dies(j, e)
+            if dies.shape[1] == 0:
+                basis = dies
+            else:  # the closure loop's shrink step, against dies' span
+                resid = fl.residual_map(dies, module.dim(e), p)
+                cond = fl.matmul(resid, basis, p)
+                if cond.any():
+                    basis = fl.matmul(basis, fl.kernel_matrix(cond, p), p)
+            if basis.shape[1] == 0:
+                break
+        spaces[e] = basis
+
+    # closure under the powers within the window (greatest fixed point)
+    changed = True
+    while changed:
+        changed = False
+        for e in sorted(spaces):
+            basis = spaces[e]
+            if basis.shape[1] == 0:
+                continue
+            for a in range(1, e + 1):
+                t = e + a * (p - 1)
+                if t > D:
+                    break
+                mat = module.act(a, e)
+                if not mat.any():
+                    continue
+                cond = fl.matmul(mat, basis, p)
+                # the residual of an empty span is the identity
+                if t in spaces and spaces[t].shape[1]:
+                    cond = fl.matmul(
+                        fl.residual_map(spaces[t], module.dim(t), p), cond, p)
+                if cond.any():
+                    shrink = fl.kernel_matrix(cond, p)
+                    basis = fl.matmul(basis, shrink, p)
+                    spaces[e] = basis
+                    changed = True
+                    if basis.shape[1] == 0:
+                        break
+    return {e: b for e, b in spaces.items() if b.shape[1]}
+
+
+def bounds_report_reference(G, faithful_degree, D, p):
+    """`localization.bounds_report` by the level sweep and
+    `max_nil_submodule` on one module of the ring through degree p D."""
+    n = faithful_degree
+    (d0, v0), (d1, v1) = level_sweep(G, D, p, all_injective, all_iso)
+    # one module for every level, so the levels share its lowering memo
+    module = ring_module(abelian_ring(G, p).ring, p * max(D, 1))
+    largest = 0
+    for level in range(1, D + 1):
+        if max_nil_submodule(module, level, D):
+            largest = level
+        else:
+            break
+    violations = []
+    if d0 > n * (n - 1) // 2:
+        violations.append(f"d0 = {d0} exceeds n(n-1)/2 = {n * (n - 1) // 2}")
+    if d1 > n * (n - 1):
+        violations.append(f"d1 = {d1} exceeds n(n-1) = {n * (n - 1)}")
+    if d0 != largest:
+        violations.append(
+            f"d0 = {d0} but the largest level with a nonzero certified "
+            f"nilpotent submodule is {largest}")
+    return {
+        "group": G.name,
+        "faithful_degree": n,
+        "cutoff": D,
+        "d0": d0, "d0_verdict": v0,
+        "d1": d1, "d1_verdict": v1,
+        "largest_nil_level": largest,
+        "bound_d0": n * (n - 1) // 2,
+        "bound_d1": n * (n - 1),
+        "violations": violations,
+    }

@@ -14,16 +14,15 @@ from chowops.cli import main as cli_main
 from chowops.groups import FiniteGroup, rep_classes
 from chowops.lannes import (ell_check, tensor_convolution_check, tv_dim,
                             tv_structural)
-from chowops.localization import (EqualizerDiagram, _AbelianSetup,
-                                  _first_levels, build_lambda, d0_estimate,
-                                  f_iso_check, max_nil_submodule)
+from chowops.localization import (_AbelianSetup, build_lambda, d0_estimate,
+                                  f_iso_check)
 from chowops.modules import (brown_gitler, free_presentation, fp_dim,
-                             hom_space, nilpotence_degree, point_module,
-                             point_presentation)
+                             hom_space, nilpotence_degree, point_presentation)
 from chowops.powers import reduce_word
 
-from conftest import (DATA, conj, direct_sum, fp_test_modules,
-                      mixed_test_modules)
+from conftest import (DATA, all_iso, conj, direct_sum, fp_test_modules,
+                      level_sweep, max_nil_submodule, mixed_test_modules,
+                      point_module)
 
 
 def report(number, label, ok, elapsed, limit=None):
@@ -177,7 +176,7 @@ def test_criterion_07_localization_consistency():
                 if not all(diag.legs_agree.values()):
                     ok = False
             d0, _ = d0_estimate(G, 8, p)
-            d1, _ = _first_levels(G, 8, p, EqualizerDiagram.all_iso)[0]
+            d1, _ = level_sweep(G, 8, p, all_iso)[0]
             if (d0, d1) != (0, 0):
                 ok = False
             fd = G.faithful_degree  # minimal faithful degree from the file

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from chowops.chow import (ChowRing, RingMap, _action_matrix, abelian_ring,
                           elem_abelian_ring, poly_add, poly_scale,
-                          restriction_map, ring_module, symmetric_powers,
-                          truncate)
+                          restriction_map, ring_module, symmetric_powers)
 from chowops.groups import FiniteGroup
 from chowops.powers import reduce_word
 
-from conftest import act_reference, apply, check_commutes
+from conftest import act_reference, apply, check_commutes, truncate
 
 
 def test_elem_abelian_dims():

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -357,3 +361,30 @@ def test_determinism_byte_identical(capsys, data_dir):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# the benchmark's four runs, at its sizes: numpy imports numpy.ma lazily,
+# at about 10 ms, and none of them needs it
+@pytest.mark.parametrize("argv,group", [
+    (["localize", "--prime", "3", "--level", "3", "--cutoff", "10"],
+     {"abelian": [3, 3, 3]}),
+    (["d0", "--prime", "2", "--cutoff", "12", "--faithful-degree", "3"],
+     {"abelian": [2, 2, 2]}),
+    (["quillen-check", "--prime", "2", "--cutoff", "14"],
+     {"abelian": [2, 2, 2]}),
+    (["reps", "--prime", "2", "--rank", "3"],
+     {"degree": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}),
+])
+def test_runs_leave_numpy_ma_unimported(tmp_path, argv, group):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group))
+    code = ("import sys\n"
+            "from chowops.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--group", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, check=True)
+    assert out.stderr.splitlines()[-1] == "0 False"

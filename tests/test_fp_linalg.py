@@ -281,33 +281,7 @@ def test_elimination_matches_reference(rows, cols, kind, p, seed):
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_rank_of_empty_matrices(shape):
-    none = np.zeros(0, dtype=np.int64)
     assert fl.rank(np.zeros(shape, dtype=np.int64), 3) == 0
-    assert fl.rank((none, none, none), 3, shape) == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 30), st.integers(0, 30),
-       st.sampled_from(["dense", "sparse", "zero"]),
-       st.sampled_from([2, 3, 5, 7]), st.integers(0, 10**9))
-def test_rank_of_triplets_matches_dense(rows, cols, kind, p, seed):
-    # the triplets come shuffled, every entry split into two summands that
-    # add up mod p (one of them unreduced or negative), plus a cancelling
-    # pair at an entry that is zero
-    m = _draw_matrix(rows, cols, kind, p, seed)
-    rng = np.random.default_rng(seed + 1)
-    r, c = np.nonzero(m)
-    part = rng.integers(-p, 2 * p, size=len(r))
-    rr, cc = np.concatenate([r, r]), np.concatenate([c, c])
-    vv = np.concatenate([part, m[r, c] - part])
-    zero = np.argwhere(m == 0)
-    if len(zero):
-        (zr, zc), v = zero[0], int(rng.integers(1, p))
-        rr, cc = np.append(rr, [zr, zr]), np.append(cc, [zc, zc])
-        vv = np.append(vv, [v, p - v])
-    order = rng.permutation(len(rr))
-    coo = (rr[order], cc[order], vv[order])
-    assert fl.rank(coo, p, m.shape) == fl.rank(m, p)
 
 
 def _rref_reference(rows, p):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from chowops import lannes
-from chowops.chow import elem_abelian_ring, truncate
+from chowops.chow import elem_abelian_ring
 from chowops.groups import FiniteGroup
 from chowops.lannes import (ell_check, tensor_convolution_check, tv_dim,
                             tv_structural, tv_table, tv_target)

@@ -6,18 +6,19 @@ from hypothesis import strategies as st
 from chowops import fp_linalg as fl
 from chowops import groups as gp
 from chowops import chow
+from chowops import cli
 from chowops import localization as loc
 from chowops.chow import elem_abelian_ring, ring_module
 from chowops.cli import main
 from chowops.groups import FiniteGroup
 from chowops.localization import (EqualizerDiagram, bounds_report,
-                                  build_lambda, d0_estimate,
-                                  f_iso_check, max_nil_submodule)
-from chowops.modules import point_module
+                                  build_lambda, d0_estimate, f_iso_check)
 
-from conftest import (ABELIAN_CATALOG, catalog_group, comult_split_reference,
-                      direct_sum, inclusion_map, res_comult_reference,
-                      top_condition_reference)
+from conftest import (ABELIAN_CATALOG, all_injective, all_iso,
+                      bounds_report_reference, catalog_group,
+                      comult_split_reference, direct_sum, inclusion_map,
+                      level_sweep, max_nil_submodule, point_module,
+                      res_comult_reference, top_condition_reference)
 
 
 def G(spec, name=None):
@@ -269,19 +270,19 @@ class TestBuildLambda:
     def test_trivial_group(self):
         d = build_lambda(G([1]), 1, 4, 2)
         assert d.eq_dims == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
-        assert d.all_iso()
+        assert all_iso(d)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_elementary_abelian_injective_at_level_one(self, p):
         # the component at E = G restricts along the identity, forcing
         # injectivity in every degree
         d = build_lambda(G([p, p]), 1, 6, p)
-        assert d.all_injective() and all(d.legs_agree.values())
+        assert all_injective(d) and all(d.legs_agree.values())
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_cyclic_square(self, p):
         d = build_lambda(G([p * p]), 1, 6, p)
-        assert d.all_injective() and d.all_iso()
+        assert all_injective(d) and all_iso(d)
 
     def test_equalizer_legs_agree_through_level_three(self):
         for spec, p in [([2], 2), ([2, 2], 2), ([4], 2), ([3], 3), ([9], 3),
@@ -291,7 +292,7 @@ class TestBuildLambda:
                 assert all(d.legs_agree.values()), (spec, n)
                 # abelian groups are isomorphic onto the equalizer at every
                 # level; picking the wrong unit-monomial rows breaks this
-                assert d.all_iso(), (spec, n)
+                assert all_iso(d), (spec, n)
                 assert d.eq_dims == d.source_dims, (spec, n)
 
     def test_builds_powers_of_restriction_to_top_alone(self, monkeypatch):
@@ -307,7 +308,7 @@ class TestBuildLambda:
         monkeypatch.setattr(chow.RingMap, "matrix", recording)
         d = build_lambda(G([2, 2, 2]), 3, 6, 2)
         assert maps == []
-        assert d.all_iso() and all(d.legs_agree.values())
+        assert all_iso(d) and all(d.legs_agree.values())
 
     @pytest.mark.parametrize("spec, p", [([2, 2], 2), ([4, 2], 2),
                                          ([3, 3], 3), ([2, 2, 2], 2),
@@ -511,7 +512,7 @@ class TestBuildLambda:
 
         monkeypatch.setattr(loc, "_type_legs", empty)
         d = build_lambda(G([2, 2]), 2, 5, 2)
-        assert all(d.legs_agree.values()) and d.all_injective()
+        assert all(d.legs_agree.values()) and all_injective(d)
         assert d.onto_equalizer == {e: e == 0 for e in range(6)}
         assert d.eq_dims[1] == 4 > d.source_dims[1] == 2
 
@@ -519,7 +520,7 @@ class TestBuildLambda:
         for spec, p in [([2, 2], 2), ([4, 2], 2), ([3, 3], 3)]:
             prev = None
             for n in (1, 2, 3):
-                inj = build_lambda(G(spec), n, 5, p).all_injective()
+                inj = all_injective(build_lambda(G(spec), n, 5, p))
                 if prev is not None and prev:
                     assert inj, (spec, n)
                 prev = inj
@@ -707,7 +708,7 @@ class TestD0D1:
                                         ([3, 3], 3), ([9], 3)])
     def test_zero(self, spec, p):
         assert d0_estimate(G(spec), 5, p) == (0, "verified-through-cutoff")
-        assert loc._first_levels(G(spec), 5, p, EqualizerDiagram.all_iso)[0] \
+        assert level_sweep(G(spec), 5, p, all_iso)[0] \
             == (0, "verified-through-cutoff")
 
 
@@ -726,49 +727,98 @@ def setup_calls(monkeypatch):
 
 
 class TestLevelSweep:
-    """The d0/d1 level sweep on stub diagrams whose predicates turn true
-    at chosen levels: every catalog group has d0 = d1 = 0, so real
-    diagrams never reach the later levels."""
+    """d0, d1 and the nilpotent level read off one setup's checks, against
+    the level sweep of `conftest.level_sweep`, with faults injected into
+    the checks they read."""
 
-    @staticmethod
-    def stub(monkeypatch, injective_from, iso_from):
-        built = []
-
-        def fake(setup, n, D):
-            built.append(n)
-            return EqualizerDiagram(
-                group=setup.G, p=setup.p, level=n, cutoff=D,
-                objects=setup.objects, morphism_count=0,
-                injective={0: n >= injective_from},
-                onto_equalizer={0: n >= iso_from})
-
-        monkeypatch.setattr(loc, "_build_lambda", fake)
-        return built
+    @pytest.mark.parametrize("name,p", [
+        *((name, p) for name in ABELIAN_CATALOG for p in (2, 3, 5)),
+        ("z2^4", 2), ("z3^3", 3)])
+    def test_matches_level_sweep(self, name, p):
+        group = (G([p] * (4 if p == 2 else 3), name) if "^" in name
+                 else catalog_group(name))
+        for D in range(9):
+            assert d0_estimate(group, D, p) == level_sweep(
+                group, D, p, all_injective)[0]
+            for n in range(1, 5):
+                assert bounds_report(group, n, D, p) == \
+                    bounds_report_reference(group, n, D, p), (D, n)
 
     def test_d0_below_d1_in_one_pass(self, monkeypatch, setup_calls):
-        built = self.stub(monkeypatch, 2, 4)
+        # with every morphism breaking functoriality, d0 stays at 0 and
+        # d1 gives up, from one setup and with no diagram built
+        def refuse(*args):
+            raise AssertionError("no diagram is built")
+
+        monkeypatch.setattr(loc._AbelianSetup, "functorial", False)
+        monkeypatch.setattr(loc, "_build_lambda", refuse)
+        monkeypatch.setattr(loc, "_type_legs", refuse)
         rep = bounds_report(G([2, 2]), 3, 5, 2)
-        assert (rep["d0"], rep["d0_verdict"]) == (1, "verified-through-cutoff")
-        assert (rep["d1"], rep["d1_verdict"]) == (3, "verified-through-cutoff")
-        assert built == [1, 2, 3, 4]
+        assert (rep["d0"], rep["d0_verdict"]) == (0, "verified-through-cutoff")
+        assert (rep["d1"], rep["d1_verdict"]) == (7, "unresolved")
         assert len(setup_calls) == 1
 
     def test_each_estimate_stops_at_its_level(self, monkeypatch):
-        built = self.stub(monkeypatch, 2, 4)
-        assert d0_estimate(G([2]), 5, 2) == (1, "verified-through-cutoff")
-        assert built == [1, 2]
-        built.clear()
-        assert loc._first_levels(G([2]), 5, 2, EqualizerDiagram.all_iso)[0] \
-            == (3, "verified-through-cutoff")
-        assert built == [1, 2, 3, 4]
+        # d0 reads res_top_invertible alone; the bound report reads it,
+        # `functorial` and the Frobenius, each once
+        read = []
+        for name in ("res_top_invertible", "functorial"):
+            real = getattr(loc._AbelianSetup, name).func
 
-    def test_unresolved_at_the_cap(self, monkeypatch, setup_calls):
-        built = self.stub(monkeypatch, 100, 100)
-        rep = bounds_report(G([2]), 1, 3, 2)
-        assert (rep["d0"], rep["d0_verdict"]) == (5, "unresolved")
-        assert (rep["d1"], rep["d1_verdict"]) == (5, "unresolved")
-        assert built == [1, 2, 3, 4, 5]
-        assert len(setup_calls) == 1
+            def recording(setup, name=name, real=real):
+                read.append(name)
+                return real(setup)
+
+            monkeypatch.setattr(loc._AbelianSetup, name,
+                                property(recording))
+        real_frobenius = loc._AbelianSetup.frobenius_injective
+
+        def frobenius(setup, D):
+            read.append("frobenius_injective")
+            return real_frobenius(setup, D)
+
+        monkeypatch.setattr(loc._AbelianSetup, "frobenius_injective",
+                            frobenius)
+        assert d0_estimate(G([2, 2]), 5, 2) == (0, "verified-through-cutoff")
+        assert read == ["res_top_invertible"]
+        read.clear()
+        assert not bounds_report(G([2, 2]), 2, 5, 2)["violations"]
+        assert read == ["res_top_invertible", "functorial",
+                        "frobenius_injective"]
+
+    def test_unresolved_at_the_cap(self, monkeypatch, capsys, data_dir):
+        # `functorial` patched to fail: the legs agree at no level, so
+        # the sweep gives up at level D + 2, and so does the report; the
+        # CLI prints the same lines and exits the same with either
+        monkeypatch.setattr(loc._AbelianSetup, "functorial", False)
+        path = str(data_dir / "groups" / "klein.json")
+        for D in (1, 3, 8):
+            rep = bounds_report(G([2, 2]), 2, D, 2)
+            assert (rep["d1"], rep["d1_verdict"]) == (D + 2, "unresolved")
+            assert rep == bounds_report_reference(G([2, 2]), 2, D, 2)
+            argv = ["d0", "--group", path, "--cutoff", str(D),
+                    "--faithful-degree", "2"]
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "bounds_report", bounds_report_reference)
+                code = main(argv)
+                printed = capsys.readouterr()
+            assert (code, printed.err) == (
+                2, f"VIOLATION: d1 = {D + 2} exceeds n(n-1) = 2\n")
+            assert (main(argv), capsys.readouterr()) == (code, printed)
+
+    def test_frobenius_collision_is_refused(self, monkeypatch, capsys,
+                                            data_dir):
+        # every monomial sent to the first row: two degree-1 classes of
+        # the Klein group collide under the Frobenius
+        monkeypatch.setattr(
+            chow.ChowRing, "positions",
+            lambda ring, rows, d: np.zeros(len(rows), dtype=np.int64))
+        path = str(data_dir / "groups" / "klein.json")
+        assert main(["d0", "--group", path, "--cutoff", "4",
+                     "--faithful-degree", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: (Z/2)^2: the Frobenius y^E -> y^(pE) is not injective "
+                "on degree-1 classes\n")
 
     def test_one_setup_per_run(self, setup_calls, capsys, data_dir):
         bounds_report(G([2, 2]), 2, 4, 2)
@@ -781,21 +831,17 @@ class TestLevelSweep:
 
 
 class TestMaxNil:
-    def test_bounds_report_builds_one_ring_module(self, monkeypatch):
-        built = []
-        real = loc.ring_module
+    def test_bounds_report_builds_no_ring_module(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no ring module is built")
 
-        def counting(ring, D):
-            built.append(D)
-            return real(ring, D)
-
-        monkeypatch.setattr(loc, "ring_module", counting)
-        rep = bounds_report(G([2, 2]), 2, 5, 2)
-        assert built == [10] and not rep["violations"]
+        for module in (loc, chow):
+            monkeypatch.setattr(module, "ring_module", refuse)
+        assert not bounds_report(G([2, 2]), 2, 5, 2)["violations"]
 
     def test_bounds_report_fills_only_what_it_reads(self, monkeypatch):
-        # d0 through 12 on (Z/2)^3 reads P^a from degrees <= 12 of a module
-        # through 24: each matrix is filled once, and none from above 12
+        # d0 through 12 on (Z/2)^3 reads the Frobenius off the closed
+        # form: no action matrix is filled
         filled = []
         real = chow._action_matrix
 
@@ -805,8 +851,7 @@ class TestMaxNil:
 
         monkeypatch.setattr(chow, "_action_matrix", recording)
         assert not bounds_report(G([2, 2, 2]), 3, 12, 2)["violations"]
-        assert len(filled) == len(set(filled))
-        assert max(d for _, d in filled) == 12
+        assert filled == []
 
     def test_polynomial_line_has_no_nilpotents(self):
         r = elem_abelian_ring(1, 2)

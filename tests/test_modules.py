@@ -7,11 +7,12 @@ from chowops import fp_linalg as fl
 from chowops.modules import (FPModule, FiniteModule, brown_gitler,
                              compile_presentation, finite_to_presentation,
                              fp_dim, free_module_basis, free_presentation,
-                             hom_space, nilpotence_degree, point_module,
+                             hom_space, nilpotence_degree,
                              point_presentation, suspension_presentation,
                              tensor_finite)
 
-from conftest import fp_test_modules, mixed_test_modules, suspend
+from conftest import (fp_test_modules, mixed_test_modules, point_module,
+                      suspend, truncate)
 
 
 class TestFreeBases:
@@ -103,7 +104,7 @@ class TestHom:
 
     def test_relation_obstruction(self):
         # generator in degree 1 with P^1 g = 0 cannot map to the line's y
-        from chowops.chow import elem_abelian_ring, truncate
+        from chowops.chow import elem_abelian_ring
         p = 2
         m = FPModule(p, [("g", 1)], [[(1, (1,), 0)]])
         target = truncate(elem_abelian_ring(1, p), 4)
@@ -288,7 +289,7 @@ class TestNilpotence:
                     (d, "exact")
 
     def test_truncated_polynomial_line(self):
-        from chowops.chow import elem_abelian_ring, truncate
+        from chowops.chow import elem_abelian_ring
         for p in (2, 3):
             t = truncate(elem_abelian_ring(1, p), 6)
             assert nilpotence_degree(t, 8) == (0, "exact")

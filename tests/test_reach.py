@@ -13,8 +13,8 @@ SRC = Path(chowops.__file__).resolve().parent
 # tests call, and names that only the benchmark's tracer patches
 UNUSED = {
     "assignment", "ell_check", "finite_to_presentation", "free_presentation",
-    "image_contains", "kernel_basis", "normal_form", "point_module",
-    "point_presentation", "tensor_convolution_check", "to_json", "truncate",
+    "image_contains", "kernel_basis", "normal_form", "point_presentation",
+    "tensor_convolution_check", "to_json",
 }
 
 
