@@ -4,7 +4,9 @@ Subcommands: adem, act, tv, nil, reps, quillen-check, localize, d0.
 Output is deterministic: TSV rows or the same content as JSON with sorted
 keys, so consecutive runs are byte-identical.  Exit codes: 0 success, 2
 validation failure, 3 an unresolved nilpotence degree under `nil
---strict`, 4 out of memory or recursion depth.
+--strict`, 4 out of memory or recursion depth, 141 (128 + SIGPIPE, what a
+shell reports for a tool that a closed pipe stops) when the reader closes
+stdout early, as `| head` does; that stops the run with no message.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 
@@ -30,32 +33,26 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNRESOLVED = 3
 EXIT_RESOURCES = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
     pass
 
 
-def _load_json(path):
+def _load(path, load):
+    """`load(data, name=path)` on the JSON file at `path`, for `load` one
+    of `gp.load_group` and `FPModule.from_json`; a failure names the
+    path."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON ({exc})")
-
-
-def _load_group(path) -> gp.FiniteGroup:
     try:
-        return gp.load_group(_load_json(path), name=path)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}")
-
-
-def _load_module(path) -> FPModule:
-    try:
-        return FPModule.from_json(_load_json(path), name=path)
+        return load(data, name=path)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -237,17 +234,14 @@ def cmd_tv(args):
     rows = []
     meta = {}
     if args.group:
-        G = _load_group(args.group)
+        G = _load(args.group, gp.load_group)
         if not G.is_abelian:
             # the trivial class's centralizer is G, and the catalog has
             # no ring for it
             raise CliError(
                 f"tv --group needs an abelian group; {G.name} (order {G.n}) "
                 "is not, and the catalog has rings of abelian groups only")
-        try:
-            tv = tv_structural(G, args.rank, _prime(args))
-        except ValueError as exc:
-            raise CliError(str(exc))
+        tv = tv_structural(G, args.rank, _prime(args))
         for k in range(args.cutoff + 1):
             rows.append((args.rank, k, tv.dim(k)))
         meta = {
@@ -257,7 +251,7 @@ def cmd_tv(args):
                                  for c, _ in tv.components),
         }
     else:
-        mod = _load_module(args.module)
+        mod = _load(args.module, FPModule.from_json)
         if args.prime is not None and args.prime != mod.p:
             raise CliError(f"--prime {args.prime} but module file says {mod.p}")
         table = tv_table(mod, args.rank, args.cutoff)
@@ -268,7 +262,7 @@ def cmd_tv(args):
 
 
 def cmd_nil(args):
-    mod = _load_module(args.module)
+    mod = _load(args.module, FPModule.from_json)
     n, verdict = nilpotence_degree(mod, args.cutoff)
     _emit(args, ("nilpotence_degree", "verdict"), [(n, verdict)],
           {"module": mod.name or args.module, "cutoff": args.cutoff})
@@ -279,7 +273,7 @@ def cmd_nil(args):
 
 def cmd_reps(args):
     _rank(args, gp.MAX_REP_RANK)
-    G = _load_group(args.group)
+    G = _load(args.group, gp.load_group)
     classes = gp.rep_classes(args.rank, G, _prime(args))
     rows = [(i, c.orbit_size, " ".join(map(str, c.representative)))
             for i, c in enumerate(classes)]
@@ -290,11 +284,8 @@ def cmd_reps(args):
 
 
 def cmd_quillen(args):
-    G = _load_group(args.group)
-    try:
-        cert = f_iso_check(G, args.cutoff, _prime(args))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    G = _load(args.group, gp.load_group)
+    cert = f_iso_check(G, args.cutoff, _prime(args))
     rows = []
     # one degree's vectors all have the same length
     for d, entries in itertools.groupby(cert.image_report, key=lambda e: e[0]):
@@ -319,11 +310,8 @@ def cmd_quillen(args):
 def cmd_localize(args):
     if args.level < 1:
         raise CliError(f"--level: must be >= 1, got {args.level}")
-    G = _load_group(args.group)
-    try:
-        diag = build_lambda(G, args.level, args.cutoff, _prime(args))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    G = _load(args.group, gp.load_group)
+    diag = build_lambda(G, args.level, args.cutoff, _prime(args))
     rows = []
     for d in range(args.cutoff + 1):
         rows.append((d, diag.source_dims[d], diag.middle_dims[d],
@@ -347,20 +335,17 @@ def cmd_d0(args):
     if args.faithful_degree is not None and args.faithful_degree < 1:
         raise CliError(f"--faithful-degree must be a positive integer, "
                        f"got {args.faithful_degree}")
-    G = _load_group(args.group)
+    G = _load(args.group, gp.load_group)
     fd = (args.faithful_degree if args.faithful_degree is not None
           else G.faithful_degree)
     p = _prime(args)
     rep = None
-    try:
-        if fd is None:
-            d0, v0 = d0_estimate(G, args.cutoff, p)
-        else:
-            # one setup's checks give d0, d1 and the nilpotent level
-            rep = bounds_report(G, fd, args.cutoff, p)
-            d0, v0 = rep["d0"], rep["d0_verdict"]
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if fd is None:
+        d0, v0 = d0_estimate(G, args.cutoff, p)
+    else:
+        # one setup's checks give d0, d1 and the nilpotent level
+        rep = bounds_report(G, fd, args.cutoff, p)
+        d0, v0 = rep["d0"], rep["d0_verdict"]
     print(f"d0 = {d0} ({v0})")
     exit_code = EXIT_OK
     if rep is not None:
@@ -466,11 +451,15 @@ def main(argv=None):
             fl.check_prime(args.prime)
         if getattr(args, "cutoff", 1) < 1:
             raise CliError("--cutoff must be >= 1")
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull, so the interpreter's final flush of what
+        # is still buffered cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError:

@@ -4,13 +4,13 @@ Matrices are 2-D numpy int64 arrays with entries reduced to 0..p-1, and
 every result is exact.  Elimination has one form: a sparse echelon pass
 on dict rows in Python integers, exact at any prime, which takes columns
 in ascending order and pivots on the shortest row holding each.  `rank`
-counts its pivots, and takes a matrix as COO triplets too; `rref`
-back-substitutes after it, and the kernels, solves and quotient maps are
-built on `rref`.  `matmul` multiplies in float64 (so through BLAS) only
-when every partial sum is an integer below 2^53, which float64
-represents exactly in any summation order; otherwise it multiplies in
-int64.  Every function here is pure: inputs are never mutated and
-results are deterministic, so concurrent read-only use is safe.
+counts its pivots; `rref` back-substitutes after it, and the kernels,
+solves and quotient maps are built on `rref`.  `matmul` multiplies in
+float64 (so through BLAS) only when every partial sum is an integer
+below 2^53, which float64 represents exactly in any summation order;
+otherwise it multiplies in int64.  Every function here is pure: inputs
+are never mutated and results are deterministic, so concurrent
+read-only use is safe.
 """
 
 from __future__ import annotations

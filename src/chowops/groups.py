@@ -505,6 +505,8 @@ def rep_classes(r: int, G: FiniteGroup, p: int):
 def load_group(data, name=None) -> FiniteGroup:
     """Group file schema: {"order", "table"} | {"degree", "generators"} |
     {"abelian": [e_1, ...]}, with optional "name" and "faithful_degree"."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {data!r:.40}")
     known = {"order", "table", "degree", "generators", "abelian", "name",
              "faithful_degree"}
     unknown = set(data) - known
@@ -521,6 +523,8 @@ def load_group(data, name=None) -> FiniteGroup:
                        ("faithful_degree", 0)):
         if key in data:
             fl.check_ints(data[key], key, depth)
+    if not isinstance(data.get("name", ""), str):
+        raise ValueError(f"name: expected a string, got {data['name']!r:.40}")
     name = data.get("name", name)
     fd = data.get("faithful_degree")
     if fd is not None and fd < 1:

@@ -16,15 +16,16 @@ degree-1 classes, hence in every degree; each setup checks that once
 (`_AbelianSetup.res_top_invertible`), and it decides injectivity and the
 F-isomorphism.  In T's coordinates the equalizer condition splits by
 multidegree, and its blocks depend only on the sorted exponents, so each
-degree's equalizer is one small binomial block per type (`_type_legs`).
+degree's equalizer is one small binomial block per type, ranked by its pin
+rows with no elimination, all types of a degree in one pass (`_type_blocks`).
 d0, d1 and the largest nilpotent level are read off the same once-per-setup
 checks, with no diagram built (`bounds_report`).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -150,43 +151,57 @@ class _AbelianSetup:
         return True
 
 
-def _type_legs(alpha, n, p):
-    """T's pair of legs at the multidegree alpha, each as a dense matrix,
-    and lambda_T's column for y^alpha, all in T's coordinates.
-
-    The columns are y^(alpha - gamma) (x) y^gamma for gamma <= alpha with
-    |gamma| < n, in `itertools.product` order; lambda_T holds C(alpha,
-    gamma) there.  The rows are y^beta1 (x) y^beta2 (x) y^gamma3 with
-    beta1 + beta2 + gamma3 = alpha and |beta2| + |gamma3| < n: for each
-    column gamma in turn, beta2 runs over the multi-indices <= gamma in
-    that order, and gamma3 = gamma - beta2.  Leg 1 comultiplies the first
-    factor of a column: it holds C(beta1 + beta2, beta2) at column gamma3.
-    Leg 2 comultiplies the second: it holds C(beta2 + gamma3, beta2) at
-    column beta2 + gamma3.  The rows with beta2 = 0 are the counit law,
-    where both legs hold 1 at column gamma3.  Binomials of multi-indices
-    are products of binomials, mod p, read off one Pascal table."""
-    top = max(alpha, default=0)
-    pascal = fl.binom_table(top, top, p).tolist()
-
-    def binom(top, bottom):
-        return math.prod(pascal[t][b] for t, b in zip(top, bottom)) % p
-
-    below = [g for g in itertools.product(*(range(a + 1) for a in alpha))
-             if sum(g) < n]
-    col = {g: c for c, g in enumerate(below)}
-    entries = []  # (leg 1 column, value, leg 2 column, value) per row
-    for c, gamma in enumerate(below):
-        for b2 in itertools.product(*(range(g + 1) for g in gamma)):
-            g3 = tuple(g - b for g, b in zip(gamma, b2))
-            entries.append((col[g3], binom([a - g for a, g in zip(alpha, g3)],
-                                           b2), c, binom(gamma, b2)))
-    c1, v1, c2, v2 = np.array(entries, dtype=np.int64).T
-    rows = np.arange(len(entries))
-    leg1, leg2 = (fl.zeros(len(rows), len(below)) for _ in range(2))
-    leg1[rows, c1] = v1
-    leg2[rows, c2] = v2
-    lam = np.array([binom(alpha, g) for g in below], dtype=np.int64)
-    return leg1, leg2, lam
+def _type_blocks(ring, n, D, p):
+    """T's pair of legs and lambda_T in T's coordinates, per degree d =
+    0..D one array pass over the types of degree d: (types, orbits, rows,
+    lam).  A type is a sorted exponent row alpha; `orbits` counts the
+    monomials that sort to it.  The columns are the gamma of degree < n,
+    degree by degree in `ring.basis` order (column 0 is gamma = 0); the
+    block of alpha has those with gamma <= alpha, and lam[t, c] = C(alpha,
+    gamma).  Its rows are the pairs (gamma, beta2 <= gamma) of its columns
+    (the pairs of all columns depend only on (k, n) and are enumerated
+    once), each a column (type, c1, v1, c2, v2) of `rows`: leg 1 holds
+    v1 = C(alpha - gamma3, beta2) at c1 = gamma3 = gamma - beta2, and leg
+    2 holds v2 = C(gamma, beta2) at c2 = gamma.  Binomials of multi-indices
+    come from one Pascal table, reduced mod p after each factor."""
+    k, top = ring.k, min(n - 1, D)
+    start = np.cumsum([0] + [ring.dim(e) for e in range(top + 1)])
+    columns = np.array([g for e in range(top + 1) for g in ring.basis(e)],
+                       dtype=np.int64).reshape(start[-1], k)
+    table = fl.binom_table(D, top, p)
+    c1, c2, b2 = [], [], []  # per pair: gamma3, gamma and beta2
+    for e2 in range(top + 1):
+        for e3 in range(top + 1 - e2):
+            beta2 = columns[start[e2]:start[e2 + 1]]
+            gamma3 = np.arange(start[e3], start[e3 + 1])
+            gamma = (beta2[:, None] + columns[gamma3]).reshape(
+                len(beta2) * len(gamma3), k)
+            c1.append(np.tile(gamma3, len(beta2)))
+            c2.append(start[e2 + e3] + ring.positions(gamma, e2 + e3))
+            b2.append(np.repeat(beta2, len(gamma3), axis=0))
+    c1, c2, b2 = np.concatenate(c1), np.concatenate(c2), np.concatenate(b2)
+    v2 = np.ones(len(c2), dtype=np.int64)
+    for i in range(k):
+        v2 = v2 * table[columns[c2, i], b2[:, i]] % p
+    for d in range(D + 1):
+        alphas = np.array(ring.basis(d), dtype=np.int64).reshape(
+            ring.dim(d), k)
+        orbits = np.bincount(ring.positions(np.sort(alphas, axis=1), d),
+                             minlength=len(alphas))
+        types, orbits = alphas[orbits > 0], orbits[orbits > 0]
+        lam = np.ones((len(types), len(columns)), dtype=np.int64)
+        for i in range(k):
+            lam = lam * table[types[:, None, i], columns[:, i]] % p
+        # the columns of each block, read off the exponents: lam may
+        # vanish mod p inside a block
+        inside = (columns <= types[:, None]).all(axis=2)
+        owner, pair = np.nonzero(inside[:, c2])
+        v1 = np.ones(len(pair), dtype=np.int64)
+        for i in range(k):
+            v1 = v1 * table[types[owner, i] - columns[c1[pair], i],
+                            b2[pair, i]] % p
+        yield types, orbits, np.stack(
+            [owner, c1[pair], v1, c2[pair], v2[pair]]), lam
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +246,22 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
       N^k, so that condition is block-diagonal by alpha, and permuting
       the k variables permutes the rows and columns of a block.  So a
       block's free-column count depends only on sorted(alpha), its type:
-      each type is built (`_type_legs`) and ranked once, and eq_dim is
+      each type is built (`_type_blocks`) and ranked once, and eq_dim is
       the sum of the free counts over the monomials of degree d.  No
       kernel basis is formed, and no matrix of a ring map is raised;
+    * rank.  In the block of alpha, the pin row of a column gamma != 0
+      (beta2 = gamma, gamma3 = 0) reads C(alpha, gamma) x_0 - x_gamma.
+      The pin rows are independent pivots, so x_gamma = w_gamma x_0 with
+      w_0 = 1, every other row reduces to (row . w) x_0, and the rank is
+      m - 1 + [some row . w != 0] for m columns.  A block lacking a pin
+      row with an invertible leg-2 entry raises ValueError;
     * legs.  They agree on lambda_T in degree d when every block of
       degree d annihilates lambda_T's column for its y^alpha, a verdict
-      that depends on the type too.  A block keeps its rows whose middle
-      factor has degree 0: by the counit law they are identity minus
-      identity, so they cost no rank, and the product checks them;
+      that depends on the type too, one residual per row (the counit
+      rows, beta2 = 0, are identity minus identity).  The pin rows give
+      w = lambda_T's column, so `onto_equalizer` equals `legs_agree`
+      whenever the pin rows are there; the free count is still read off
+      the block alone;
     * injectivity.  The j = 0 block of lambda_T is res_{G->T} in degree
       d, which is bijective, so lambda_T, and with it lambda, is
       injective in every degree: rank lambda = dim CH_G^d.  So
@@ -251,7 +274,8 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
     * objects below T.  E1's own pair is T's pair pushed forward by
       res_{T->E1} (x) res_{T->E1} (x) id.  This uses functoriality
       G -> T -> E1 and that restriction is a coalgebra map;
-    * `middle_dims` is the sum of the block dimensions over the objects.
+    * `middle_dims` is the sum of the block dimensions over the objects,
+      one term per rank, whose objects share one ring.
 
     So `legs_agree[d]` is: T's legs agree on lambda_T in degree d, and
     every morphism composes with restriction from G.  The second part is
@@ -274,23 +298,34 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
         morphism_count=len(setup.morphisms))
     ring_G = setup.data_G.ring
     setup.res_top_invertible  # raises ValueError unless it holds
-    types = {}  # sorted exponents -> (free columns, legs agree)
-    for d in range(D + 1):
-        eq_dim, agree = 0, setup.functorial
-        for alpha in ring_G.basis(d):
-            key = tuple(sorted(alpha))
-            if key not in types:
-                leg1, leg2, lam = _type_legs(key, n, p)
-                cond = (leg1 - leg2) % p
-                types[key] = (len(lam) - fl.rank(cond, p),
-                              not fl.matmul(cond, lam, p).any())
-            free, holds = types[key]
-            eq_dim += free
-            agree = agree and holds
+    rings = collections.Counter(data.ring for data in setup.sub_data)
+    for d, (types, orbits, rows, lam) in enumerate(
+            _type_blocks(ring_G, n, D, p)):
+        owner, c1, v1, c2, v2 = rows
+        # x_gamma = (num / den) x_0 from the pin row of each column gamma
+        # != 0, which reads v1 x_0 - v2 x_gamma; num / den = 1 at gamma = 0
+        pin = (c1 == 0) & (c2 != 0)
+        num, den = np.zeros((2, *lam.shape), dtype=np.int64)
+        num[:, 0] = den[:, 0] = 1
+        num[owner[pin], c2[pin]], den[owner[pin], c2[pin]] = v1[pin], v2[pin]
+        missing = owner[den[owner, c2] % p == 0]
+        if len(missing):
+            raise ValueError(
+                f"{setup.G.name}: a column of the equalizer block of type "
+                f"{tuple(types[missing[0]].tolist())} has no pin row with "
+                "an invertible leg-2 entry")
+        # row . w, times the den at both its columns: a nonzero one cuts
+        # the block's last free column
+        cut = owner[(v1 * num[owner, c1] % p * den[owner, c2]
+                     - v2 * num[owner, c2] % p * den[owner, c1]) % p != 0]
+        eq_dim = int(orbits[np.bincount(cut, minlength=len(types)) == 0].sum())
+        agree = setup.functorial and not (
+            (v1 * lam[owner, c1] - v2 * lam[owner, c2]) % p).any()
         diagram.source_dims[d] = ring_G.dim(d)
         diagram.middle_dims[d] = sum(
-            data.ring.dim(d - j) * ring_G.dim(j)
-            for data in setup.sub_data for j in range(min(n - 1, d) + 1))
+            count * ring.dim(d - j) * ring_G.dim(j)
+            for ring, count in rings.items()
+            for j in range(min(n - 1, d) + 1))
         diagram.legs_agree[d] = agree
         diagram.eq_dims[d] = eq_dim
         diagram.injective[d] = True
@@ -377,7 +412,7 @@ def bounds_report(G: gp.FiniteGroup, faithful_degree: int, D: int, p: int):
     * d0 is 0, as in `d0_estimate`;
     * d1, the first n - 1 with lambda_n onto the equalizer in every
       degree <= D, is 0 when `functorial` holds.  At level 1 each type
-      block of `_type_legs` is its one counit row, identity minus
+      block of `_type_blocks` is its one counit row, identity minus
       identity, so eq_dim = dim CH_G^d, and the legs agree in every
       degree exactly when `functorial` holds.  Their verdict starts from
       `functorial` at every level, so when it fails no level is onto,

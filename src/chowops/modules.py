@@ -423,9 +423,16 @@ class FPModule:
     def from_json(cls, data, name=None) -> "FPModule":
         from .powers import parse_operation
 
-        for key in data:
-            if key not in ("prime", "generators", "relations", "name"):
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {data!r:.40}")
+        kinds = {"prime": object, "generators": list, "relations": list,
+                 "name": str}
+        for key, value in data.items():
+            if key not in kinds:
                 raise ValueError(f"unknown field {key!r} in module file")
+            if not isinstance(value, kinds[key]):
+                what = "a string" if key == "name" else "a list"
+                raise ValueError(f"{key}: expected {what}, got {value!r:.40}")
         try:
             p = data["prime"]
         except KeyError:
@@ -437,9 +444,15 @@ class FPModule:
             except (KeyError, TypeError):
                 raise ValueError(f"generators[{i}]: need name and degree") from None
             fl.check_ints(g["degree"], f"generators[{i}].degree")
+            if not isinstance(g["name"], str):
+                raise ValueError(f"generators[{i}].name: expected a string, "
+                                 f"got {g['name']!r:.40}")
         names = [n for n, _ in gens]
         rels = []
         for ri, rel in enumerate(data.get("relations", [])):
+            if not isinstance(rel, list):
+                raise ValueError(f"relations[{ri}]: expected a list, "
+                                 f"got {rel!r:.40}")
             terms = []
             for ti, t in enumerate(rel):
                 where = f"relations[{ri}][{ti}]"
@@ -450,6 +463,9 @@ class FPModule:
                 except (KeyError, TypeError, AttributeError):
                     raise ValueError(f"{where}: need op and gen") from None
                 fl.check_ints(coeff, f"{where}.coeff")
+                if not isinstance(op, str):
+                    raise ValueError(f"{where}.op: expected a string, "
+                                     f"got {op!r:.40}")
                 if gen not in names:
                     raise ValueError(f"{where}.gen: unknown generator {gen!r}")
                 op = op.strip()

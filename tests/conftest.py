@@ -506,7 +506,7 @@ def res_comult_reference(setup, i, a, b):
 def top_condition_reference(setup, d, n):
     """Leg 1 minus leg 2 of T's own pair in degree d, in G's coordinates,
     as one dense matrix, block by block from Kronecker products: the
-    reference for the type blocks of `localization._type_legs`.  Its row
+    reference for the type blocks of `localization._type_blocks`.  Its row
     blocks are the (j2, j3) degrees of the middle and right factors, j2
     from 0: by the counit law the j2 = 0 blocks are zero."""
     p, ring_G = setup.p, setup.data_G.ring
@@ -528,6 +528,41 @@ def top_condition_reference(setup, d, n):
                     res_comult_reference(setup, setup.top, j2, j3), p)
             blocks.append(block % p)
     return np.vstack(blocks)
+
+
+def type_legs(alpha, n, p):
+    """T's pair of legs at the multidegree alpha, each as a dense matrix,
+    and lambda_T's column for y^alpha, all in T's coordinates: the
+    per-type reference for `localization._type_blocks`.
+
+    The columns are y^(alpha - gamma) (x) y^gamma for gamma <= alpha with
+    |gamma| < n, in `itertools.product` order; lambda_T holds C(alpha,
+    gamma) there.  The rows are y^beta1 (x) y^beta2 (x) y^gamma3 with
+    beta1 + beta2 + gamma3 = alpha and |beta2| + |gamma3| < n: for each
+    column gamma in turn, beta2 runs over the multi-indices <= gamma in
+    that order, and gamma3 = gamma - beta2.  Leg 1 comultiplies the first
+    factor of a column: it holds C(beta1 + beta2, beta2) at column gamma3.
+    Leg 2 comultiplies the second: it holds C(beta2 + gamma3, beta2) at
+    column beta2 + gamma3.  The rows with beta2 = 0 are the counit law,
+    where both legs hold 1 at column gamma3."""
+    def binom(top, bottom):
+        c = 1
+        for t, b in zip(top, bottom):
+            c = c * fl.binom_mod_p(t, b, p) % p
+        return c
+
+    below = [g for g in itertools.product(*(range(a + 1) for a in alpha))
+             if sum(g) < n]
+    col = {g: c for c, g in enumerate(below)}
+    rows = [(gamma, tuple(g - b for g, b in zip(gamma, b2)), b2)
+            for gamma in below
+            for b2 in itertools.product(*(range(g + 1) for g in gamma))]
+    leg1, leg2 = (fl.zeros(len(rows), len(below)) for _ in range(2))
+    for r, (gamma, g3, b2) in enumerate(rows):
+        leg1[r, col[g3]] = binom([a - g for a, g in zip(alpha, g3)], b2)
+        leg2[r, col[gamma]] = binom(gamma, b2)
+    lam = np.array([binom(alpha, g) for g in below], dtype=np.int64)
+    return leg1, leg2, lam
 
 
 def comult_split_reference(ring, i, j):

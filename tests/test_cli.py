@@ -261,6 +261,65 @@ def test_malformed_module_file(capsys, tmp_path):
     assert code == 2 and "generators[0].degree" in err
 
 
+# a file whose top-level value is not an object, or whose fields have the
+# wrong JSON type, exits 2 with one error line naming the field
+@pytest.mark.parametrize("blob, field", [
+    ("5", "expected a JSON object, got 5"),
+    ("null", "expected a JSON object, got None"),
+    ("[[1]]", "expected a JSON object, got [[1]]"),
+    ('"abc"', "expected a JSON object, got 'abc'"),
+    ('{"abelian": [2], "name": 5}', "name: expected a string, got 5"),
+    ('{"abelian": [2], "name": null}', "name: expected a string, got None"),
+])
+def test_group_file_of_the_wrong_shape(capsys, tmp_path, blob, field):
+    path = tmp_path / "g.json"
+    path.write_text(blob)
+    assert run(capsys, "localize", "--group", str(path)) == (
+        2, "", f"error: {path}: {field}\n")
+
+
+@pytest.mark.parametrize("blob, field", [
+    ("5", "expected a JSON object, got 5"),
+    ("null", "expected a JSON object, got None"),
+    ('[{"prime": 2}]', "expected a JSON object, got [{'prime': 2}]"),
+    ('"abc"', "expected a JSON object, got 'abc'"),
+    ('{"prime": 2, "name": 5}', "name: expected a string, got 5"),
+    ('{"prime": 2, "generators": 5}', "generators: expected a list, got 5"),
+    ('{"prime": 2, "relations": {}}', "relations: expected a list, got {}"),
+    ('{"prime": 2, "generators": [{"name": "g", "degree": 0}], '
+     '"relations": [5]}', "relations[0]: expected a list, got 5"),
+    ('{"prime": 2, "generators": [{"name": ["g"], "degree": 0}]}',
+     "generators[0].name: expected a string, got ['g']"),
+    ('{"prime": 2, "generators": [{"name": "g", "degree": 0}], '
+     '"relations": [[{"op": 5, "gen": "g"}]]}',
+     "relations[0][0].op: expected a string, got 5"),
+])
+def test_module_file_of_the_wrong_shape(capsys, tmp_path, blob, field):
+    path = tmp_path / "m.json"
+    path.write_text(blob)
+    assert run(capsys, "nil", "--module", str(path)) == (
+        2, "", f"error: {path}: {field}\n")
+
+
+def test_closed_stdout_exits_without_a_traceback(tmp_path):
+    # the reader closes the pipe after one line, as `| head -1` does: the
+    # run stops with its documented exit code and writes nothing to stderr
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"abelian": [2, 2, 2]}))
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chowops.cli", "quillen-check", "--prime",
+         "2", "--cutoff", "14", "--group", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
 # each subcommand takes --strict and --format only where they change the
 # exit code or the output
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +11,7 @@ from chowops import groups as gp
 from chowops import chow
 from chowops import cli
 from chowops import localization as loc
-from chowops.chow import elem_abelian_ring, ring_module
+from chowops.chow import abelian_ring, elem_abelian_ring, ring_module
 from chowops.cli import main
 from chowops.groups import FiniteGroup
 from chowops.localization import (EqualizerDiagram, bounds_report,
@@ -18,7 +21,17 @@ from conftest import (ABELIAN_CATALOG, all_injective, all_iso,
                       bounds_report_reference, catalog_group,
                       comult_split_reference, direct_sum, inclusion_map,
                       level_sweep, max_nil_submodule, point_module,
-                      res_comult_reference, top_condition_reference)
+                      res_comult_reference, top_condition_reference,
+                      type_legs)
+
+
+# (k, p, n, D): rank k up to 5, levels where the type blocks have rows
+# with both the middle and the right factor of degree >= 1, and degrees
+# where a block has several types of equal degree
+TYPE_GRID = [
+    (1, 5, 4, 10), (2, 2, 4, 8), (2, 3, 4, 8), (2, 5, 3, 8),
+    (3, 3, 3, 8), (3, 2, 4, 7), (3, 5, 4, 6), (4, 2, 4, 6),
+    (4, 3, 3, 6), (5, 2, 3, 6)]
 
 
 def G(spec, name=None):
@@ -372,25 +385,32 @@ class TestBuildLambda:
 
     @staticmethod
     def wrong_type_block(monkeypatch, wrong_type, mutate):
-        """Patch `_type_legs` so that `mutate(leg1, leg2, lam, p)` changes
-        the block of `wrong_type` alone."""
-        real = loc._type_legs
+        """Patch `_type_blocks` so that `mutate(rows, lam, t, p)` changes
+        the rows of `wrong_type`, the t-th type of its degree, alone."""
+        real = loc._type_blocks
 
-        def wrong(alpha, n, p):
-            leg1, leg2, lam = real(alpha, n, p)
-            if alpha == wrong_type:
-                mutate(leg1, leg2, lam, p)
-            return leg1, leg2, lam
+        def wrong(ring, n, D, p):
+            for types, orbits, rows, lam in real(ring, n, D, p):
+                hit = np.flatnonzero((types == wrong_type).all(axis=1))
+                if len(hit):
+                    mutate(rows, lam, hit[0], p)
+                yield types, orbits, rows, lam
 
-        monkeypatch.setattr(loc, "_type_legs", wrong)
+        monkeypatch.setattr(loc, "_type_blocks", wrong)
 
     def test_wrong_top_leg_two_breaks_the_legs(self, monkeypatch):
-        # one wrong leg-2 entry of the type (0, 1, 2), in a row whose middle
-        # factor is not the unit, so leg 1 is zero there, and at a column
-        # where lambda_T is not; level 1 has no such row
-        def mutate(leg1, leg2, lam, p):
-            r, c = np.argwhere((leg2 != 0) & (leg1 == 0) & (lam != 0))[0]
-            leg2[r, c] = (leg2[r, c] + 1) % p
+        # one wrong leg-2 entry of the type (0, 1, 2), at a column where
+        # lambda_T is not zero, in a row that is not a pin row (a wrong pin
+        # is refused: test_block_without_its_pin_row_is_refused).  Where
+        # the level allows it, the row's middle factor is not the unit, so
+        # leg 1 is zero at that column; level 1 has no such type block
+        def mutate(rows, lam, t, p):
+            owner, c1, v1, c2, v2 = rows
+            pin = (c1 == 0) & (c2 != 0)
+            found = np.flatnonzero((owner == t) & ~pin & (v2 != 0)
+                                   & (lam[t, c2] != 0))
+            r = max(found, key=lambda r: c1[r] != c2[r])
+            v2[r] = (v2[r] + 1) % p
 
         self.wrong_type_block(monkeypatch, (0, 1, 2), mutate)
         for p in (2, 3):
@@ -404,10 +424,11 @@ class TestBuildLambda:
         # one wrong leg-1 entry of the type (0, 0, 1), in a counit row, where
         # both legs are the same unit vector, at a column where lambda_T is
         # not zero; level 1 has that row and no other
-        def mutate(leg1, leg2, lam, p):
-            counit = (leg1 == leg2).all(axis=1) & leg1.any(axis=1)
-            r, c = np.argwhere(counit[:, None] & (leg1 != 0) & (lam != 0))[0]
-            leg1[r, c] = (leg1[r, c] + 1) % p
+        def mutate(rows, lam, t, p):
+            owner, c1, v1, c2, v2 = rows
+            counit = (owner == t) & (c1 == c2) & (v1 == v2) & (v1 != 0)
+            r = np.flatnonzero(counit & (lam[t, c1] != 0))[0]
+            v1[r] = (v1[r] + 1) % p
 
         self.wrong_type_block(monkeypatch, (0, 0, 1), mutate)
         for p in (2, 3):
@@ -416,6 +437,82 @@ class TestBuildLambda:
                 diagram = loc._build_lambda(setup, n, 5)
                 assert [d for d, ok in diagram.legs_agree.items()
                         if not ok] == [1], (p, n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k, p, n, D", [
+        (2, 2, 3, 6), (2, 3, 4, 6), (3, 2, 3, 5), (3, 5, 3, 5)])
+    def test_pin_rank_matches_elimination_on_perturbed_blocks(
+            self, monkeypatch, k, p, n, D, seed):
+        # random entries of random rows changed, the pin rows' leg-2
+        # entries kept invertible: eq_dims and legs_agree against each
+        # perturbed block built dense and ranked by elimination
+        rng = np.random.default_rng(seed)
+        real, seen = loc._type_blocks, []
+
+        def perturbed(ring, n, D, p):
+            for types, orbits, rows, lam in real(ring, n, D, p):
+                owner, c1, v1, c2, v2 = rows
+                hit = rng.random(len(owner)) < 0.1
+                v1[hit] = rng.integers(0, p, hit.sum())
+                v2[hit] = rng.integers(0, p, hit.sum())
+                pin = (c1 == 0) & (c2 != 0)
+                v2[hit & pin] = rng.integers(1, p, (hit & pin).sum())
+                seen.append((types, orbits, rows, lam))
+                yield types, orbits, rows, lam
+
+        monkeypatch.setattr(loc, "_type_blocks", perturbed)
+        setup = loc._AbelianSetup(G([p] * k), p)
+        diagram = loc._build_lambda(setup, n, D)
+        for d, (types, orbits, rows, lam) in enumerate(seen):
+            eq_dim, agree = 0, setup.functorial
+            for t in range(len(types)):
+                _, c1, v1, c2, v2 = rows[:, rows[0] == t]
+                cols = np.unique(c2)
+                cond = fl.zeros(len(c1), len(cols))
+                r = np.arange(len(c1))
+                np.add.at(cond, (r, np.searchsorted(cols, c1)), v1)
+                np.add.at(cond, (r, np.searchsorted(cols, c2)), -v2)
+                cond %= p
+                eq_dim += orbits[t] * (len(cols) - fl.rank(cond, p))
+                agree = agree and not fl.matmul(cond, lam[t, cols], p).any()
+            assert (diagram.eq_dims[d], diagram.legs_agree[d]) \
+                == (eq_dim, agree), d
+        assert any(diagram.eq_dims[d] < setup.data_G.ring.dim(d)
+                   for d in range(D + 1))
+
+    @pytest.mark.parametrize("fault", ["drop", "zero"])
+    def test_block_without_its_pin_row_is_refused(self, monkeypatch, capsys,
+                                                  tmp_path, fault):
+        # a block's rank rests on its pin rows, one per column gamma != 0
+        # with a unit leg-2 entry there: the last block of degree 3 loses
+        # one, or has its leg-2 entry zeroed, and is refused, not ranked
+        real = loc._type_blocks
+
+        def faulty(ring, n, D, p):
+            for d, (types, orbits, rows, lam) in enumerate(
+                    real(ring, n, D, p)):
+                if d == 3:
+                    owner, c1, v1, c2, v2 = rows
+                    r = np.flatnonzero((c1 == 0) & (c2 != 0))[-1]
+                    if fault == "drop":
+                        rows = np.delete(rows, r, axis=1)
+                    else:
+                        v2[r] = 0
+                yield types, orbits, rows, lam
+
+        monkeypatch.setattr(loc, "_type_blocks", faulty)
+        group = G([2, 2])
+        message = (f"{group.name}: a column of the equalizer block of type "
+                   "(1, 2) has no pin row with an invertible leg-2 entry")
+        for n in (2, 3):
+            with pytest.raises(ValueError) as exc:
+                build_lambda(group, n, 5, 2)
+            assert str(exc.value) == message, n
+        path = tmp_path / "group.json"
+        path.write_text('{"abelian": [2, 2], "name": "%s"}' % group.name)
+        assert main(["localize", "--group", str(path), "--level", "2",
+                     "--cutoff", "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_objects_share_one_ring_per_rank(self):
         setup = loc._AbelianSetup(gp.load_group({"abelian": [3, 3, 3]}), 3)
@@ -467,18 +564,56 @@ class TestBuildLambda:
             assert (diagram.eq_dims, diagram.legs_agree) \
                 == self.full_condition_reference(setup, n, 6), n
 
-    @pytest.mark.parametrize("k, p, n, D", [
-        (1, 5, 4, 10), (2, 2, 4, 8), (2, 3, 4, 8), (2, 5, 3, 8),
-        (3, 3, 3, 8), (3, 2, 4, 7), (3, 5, 4, 6), (4, 2, 4, 6),
-        (4, 3, 3, 6), (5, 2, 3, 6)])
+    @pytest.mark.parametrize("k, p, n, D", TYPE_GRID)
     def test_type_blocks_match_full_condition_on_grid(self, k, p, n, D):
-        # rank k up to 5, levels where the blocks have rows with both the
-        # middle and the right factor of degree >= 1, and degrees where a
-        # block has several types of equal degree
         setup = loc._AbelianSetup(G([p] * k), p)
         diagram = loc._build_lambda(setup, n, D)
         assert (diagram.eq_dims, diagram.legs_agree) \
             == self.full_condition_reference(setup, n, D)
+
+    @staticmethod
+    def check_type_blocks(ring, n, D, p):
+        """Every type block of `_type_blocks`, rows, columns and
+        coefficients, against the dense per-type reference
+        `conftest.type_legs`: the same rows, each once, with the same
+        entries at the same columns, and lambda_T's column, zero off the
+        block; and the types of each degree with their orbit sizes."""
+        columns = [g for e in range(min(n - 1, D) + 1) for g in ring.basis(e)]
+        for d, (types, orbits, rows, lam) in enumerate(
+                loc._type_blocks(ring, n, D, p)):
+            assert dict(zip(map(tuple, types.tolist()), orbits.tolist())) \
+                == collections.Counter(tuple(sorted(a))
+                                       for a in ring.basis(d)), d
+            for t, alpha in enumerate(map(tuple, types.tolist())):
+                leg1, leg2, want_lam = type_legs(alpha, n, p)
+                below = [g for g in itertools.product(
+                    *(range(a + 1) for a in alpha)) if sum(g) < n]
+                col = {g: c for c, g in enumerate(below)}
+                row = {(g, b2): r for r, (g, b2) in enumerate(
+                    (g, b2) for g in below
+                    for b2 in itertools.product(*(range(x + 1) for x in g)))}
+                got1, got2 = np.zeros_like(leg1), np.zeros_like(leg2)
+                for _, c1, v1, c2, v2 in rows[:, rows[0] == t].T.tolist():
+                    gamma, g3 = columns[c2], columns[c1]
+                    r = row.pop((gamma, tuple(
+                        g - h for g, h in zip(gamma, g3))))
+                    got1[r, col[g3]], got2[r, col[gamma]] = v1, v2
+                assert not row, (alpha, n)
+                assert (got1 == leg1).all() and (got2 == leg2).all(), alpha
+                assert [lam[t, columns.index(g)] for g in below] \
+                    == want_lam.tolist(), alpha
+                assert lam[t].sum() == want_lam.sum(), alpha
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", ABELIAN_CATALOG)
+    def test_batched_blocks_match_dense_reference_on_catalog(self, name, p):
+        ring = abelian_ring(catalog_group(name), p).ring
+        for n in (1, 2, 3, 4):
+            self.check_type_blocks(ring, n, 6, p)
+
+    @pytest.mark.parametrize("k, p, n, D", TYPE_GRID)
+    def test_batched_blocks_match_dense_reference_on_grid(self, k, p, n, D):
+        self.check_type_blocks(elem_abelian_ring(k, p), n, D, p)
 
     @pytest.mark.parametrize("spec, p", [
         *((name, p) for name in ABELIAN_CATALOG for p in (2, 3, 5)),
@@ -498,23 +633,6 @@ class TestBuildLambda:
             for n in (1, 2, 3):
                 lam = lambda_block(setup, setup.top, d, n)
                 assert fl.rank(lam, p) == dim, (d, n)
-
-    def test_larger_equalizer_is_not_onto(self, monkeypatch):
-        # type blocks with no rows cut nothing, which makes the whole middle
-        # term the equalizer: the legs still agree and lambda is still
-        # injective, but not onto the equalizer where the middle term is
-        # larger than the source, which at level 2 is every degree above 0
-        real = loc._type_legs
-
-        def empty(alpha, n, p):
-            leg1, leg2, lam = real(alpha, n, p)
-            return leg1[:0], leg2[:0], lam
-
-        monkeypatch.setattr(loc, "_type_legs", empty)
-        d = build_lambda(G([2, 2]), 2, 5, 2)
-        assert all(d.legs_agree.values()) and all_injective(d)
-        assert d.onto_equalizer == {e: e == 0 for e in range(6)}
-        assert d.eq_dims[1] == 4 > d.source_dims[1] == 2
 
     def test_monotone_injectivity(self):
         for spec, p in [([2, 2], 2), ([4, 2], 2), ([3, 3], 3)]:
@@ -752,7 +870,7 @@ class TestLevelSweep:
 
         monkeypatch.setattr(loc._AbelianSetup, "functorial", False)
         monkeypatch.setattr(loc, "_build_lambda", refuse)
-        monkeypatch.setattr(loc, "_type_legs", refuse)
+        monkeypatch.setattr(loc, "_type_blocks", refuse)
         rep = bounds_report(G([2, 2]), 3, 5, 2)
         assert (rep["d0"], rep["d0_verdict"]) == (0, "verified-through-cutoff")
         assert (rep["d1"], rep["d1_verdict"]) == (7, "unresolved")
