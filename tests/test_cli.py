@@ -314,10 +314,9 @@ def test_closed_stdout_exits_without_a_traceback(tmp_path):
         stderr=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
-    assert err == b""
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    with proc.stderr:
+        assert proc.stderr.read() == b""
 
 
 # each subcommand takes --strict and --format only where they change the

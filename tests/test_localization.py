@@ -403,7 +403,7 @@ class TestBuildLambda:
         # lambda_T is not zero, in a row that is not a pin row (a wrong pin
         # is refused: test_block_without_its_pin_row_is_refused).  Where
         # the level allows it, the row's middle factor is not the unit, so
-        # leg 1 is zero at that column; level 1 has no such type block
+        # leg 1 is zero at that column; level 1 has no such row
         def mutate(rows, lam, t, p):
             owner, c1, v1, c2, v2 = rows
             pin = (c1 == 0) & (c2 != 0)
