@@ -322,7 +322,7 @@ def cmd_localize(args):
         "prime": _prime(args),
         "level": args.level,
         "cutoff": args.cutoff,
-        "classes": len(diag.objects),
+        "classes": diag.object_count,
         "morphisms": diag.morphism_count,
         "verdict": "verified-through-cutoff",
     }

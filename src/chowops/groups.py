@@ -13,6 +13,17 @@ its rank-3 `rep_classes` take about 0.03 s.  The hard cap is order 10^4,
 where the table alone takes 400 MB.  A subgroup is a sorted tuple of G's
 elements, read off G's table; it never gets a table of its own.
 
+The elementary abelian p-subgroups of an abelian group are the subspaces
+of T ~ F_p^r, its elements of order dividing p, held as arrays
+(`Lattice`): each rank class's objects as one array of element codes, and
+each class of inclusions as two index arrays, found by one sorted lookup
+per pair of ranks, so memory grows with the inclusions and no objects x
+objects array is formed.  Their counts are Gaussian binomials, and a
+lattice above MAX_INCLUSIONS inclusions is refused before it is
+enumerated: (Z/2)^9, of order 512, has 8,283,458 objects and about 5.2e9
+inclusions.  On a 2-vCPU VM, (Z/2)^6 (2,825 objects, 95,706 inclusions)
+is enumerated in about 25 ms.
+
 A table read from a file is validated by array passes too: the
 Latin-square checks by one occurrence matrix each way and, up to order
 ASSOC_CHECK_CAP, associativity by Light's test, two n x n table gathers
@@ -38,6 +49,12 @@ MAX_ORDER = 10_000
 # it; above this order associativity is not checked
 ASSOC_CHECK_CAP = 512
 MAX_REP_RANK = 3  # rep_classes enumerates every r-tuple of p-torsion
+# `elementary_abelians` refuses a lattice with more inclusions.  A setup
+# of localization peaks at about 190 bytes per inclusion (measured on
+# (Z/2)^7, (Z/5)^5 and (Z/3)^6: 0.46-0.80 GB for 2.4-4.4 million), so a
+# lattice at the cap needs about 4 GB.  The largest accepted is (Z/3)^6;
+# the next, (Z/2)^8, has 9.0e7 inclusions
+MAX_INCLUSIONS = 20_000_000
 
 
 class FiniteGroup:
@@ -387,53 +404,114 @@ def _span(G: FiniteGroup, basis):
 # elementary abelian subgroups of an abelian group: the subspaces of T
 
 
-def elementary_abelians(G: FiniteGroup, p: int):
-    """The elementary abelian p-subgroups of an abelian group G and their
-    inclusions, as (objects, inclusions).
+@dataclass
+class Lattice:
+    """The subspace lattice of T ~ F_p^r, the elements of order dividing p
+    in an abelian group.
 
-    They are the subspaces of T ~ F_p^r, the subgroup of elements of
-    order dividing p.  Conjugation is the identity, so the category's
-    morphisms are the inclusions.  `objects` are sorted element tuples,
-    ordered by (size, elements), so T is last; `inclusions` are the
-    ascending pairs (i, j) with E_i <= E_j.  Each subspace is enumerated
-    once, by its reduced echelon basis, one batch per pivot set."""
+    An element of T has a code, the base-p value of its exponents in T's
+    generators b^(o/p), for (b, o) the p-basis of G (`abelian_p_basis`),
+    and `ids[c]` is the element of code c.  The objects are
+    numbered by (size, sorted elements), one rank class after another, so
+    T is last.  Row b of `codes[k]` lists the codes of the b-th object of
+    rank k, at the positions of F_p^k in base-p order, as combinations of
+    its reduced echelon basis.  `inclusions[k, l]` is a 2 x M array of
+    object numbers, E_sub <= E_sup with sub of rank k and sup of rank l,
+    sorted by (sub, sup)."""
+
+    ids: np.ndarray
+    codes: list
+    inclusions: dict
+
+
+def gaussian_binomial(r, k, p):
+    """The number of k-dimensional subspaces of F_p^r."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (r - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def lattice_size(r, p):
+    """(objects, inclusions) of the subspace lattice of F_p^r: [r, k]_p
+    subspaces of dimension k, each inside [r - k, l - k]_p of dimension
+    l."""
+    objects = sum(gaussian_binomial(r, k, p) for k in range(r + 1))
+    inclusions = sum(gaussian_binomial(r, k, p)
+                     * gaussian_binomial(r - k, l - k, p)
+                     for k in range(r + 1) for l in range(k, r + 1))
+    return objects, inclusions
+
+
+def elementary_abelians(G: FiniteGroup, p: int) -> Lattice:
+    """The elementary abelian p-subgroups of an abelian group G and their
+    inclusions, as a `Lattice`.
+
+    They are the subspaces of T ~ F_p^r.  Conjugation is the identity, so
+    the category's morphisms are the inclusions.  Their counts are Gaussian
+    binomials (`lattice_size`); above MAX_INCLUSIONS inclusions the lattice
+    is refused before any is enumerated.  Each subspace is enumerated once,
+    by its reduced echelon basis, one batch per pivot set.
+
+    The subspaces of an object W of rank l are the images of the echelon
+    bases Q of F_p^l under W's echelon basis R.  Each product Q R is again
+    in reduced echelon form: it holds Q at R's pivot columns, so its pivots
+    are R's at Q's and every other pivot column is 0 in it.  Row t of Q R
+    is the element of W at Q's row t, read off `codes`, so a subspace's key
+    is the codes of its echelon rows, and one sorted lookup per (k, l)
+    names every inclusion.  The Q of F_p^l are the echelon bases of F_p^r
+    whose rows have codes below p^l.  Memory grows with the inclusions."""
     gens = [(G.power(b, o // p), p) for b, o in abelian_p_basis(G, p)]
     r = len(gens)
-    # ids[c] is the element of T with exponents v in `gens`, where the
-    # code c is the base-p value of v
+    n_objects, n_inclusions = lattice_size(r, p)
+    if n_inclusions > MAX_INCLUSIONS:
+        raise ValueError(
+            f"{G.name}: its elementary abelian {p}-subgroups number "
+            f"{n_objects:,}, with {n_inclusions:,} inclusions, above the cap "
+            f"of {MAX_INCLUSIONS:,} inclusions")
     ids = _span(G, gens)
     weights = p ** np.arange(r - 1, -1, -1)
-    objects = []
+    rows, codes = [], []  # per rank: codes of the echelon rows, of members
     for k in range(r + 1):
         # the span of a k x r basis B is every v B, v in F_p^k
-        span = _vectors(p, k)
+        span = vectors(p, k)
+        bases = []
         for pivots in itertools.combinations(range(r), k):
             # the free entries of a reduced echelon form with these pivots
             free = [(a, c) for a, pc in enumerate(pivots)
                     for c in range(pc + 1, r) if c not in pivots]
-            bases = np.zeros((p ** len(free), k, r), dtype=np.intp)
-            bases[:, range(k), pivots] = 1
+            batch = np.zeros((p ** len(free), k, r), dtype=np.intp)
+            batch[:, range(k), pivots] = 1
             if free:
                 a, c = zip(*free)
-                bases[:, a, c] = _vectors(p, len(free))
-            objects += ids[span @ bases % p @ weights].tolist()
-    objects = sorted((tuple(sorted(E)) for E in objects),
-                     key=lambda E: (len(E), E))
-    # E_i <= E_j exactly when E_i meets E_j in |E_i| elements; row i of
-    # `member` marks the codes of E_i's elements (float32 counts are exact
-    # below 2^24, far above the order cap)
-    code = np.zeros(G.n, dtype=np.intp)
-    code[ids] = np.arange(len(ids))
-    member = np.zeros((len(objects), len(ids)), dtype=np.float32)
-    for i, E in enumerate(objects):
-        member[i, code[list(E)]] = 1
-    meets = member @ member.T
-    rows, cols = np.nonzero(meets == meets.diagonal()[:, None])
-    return objects, list(zip(rows.tolist(), cols.tolist()))
+                batch[:, a, c] = vectors(p, len(free))
+            bases.append(batch)
+        bases = np.concatenate(bases)
+        members = span @ bases % p @ weights
+        order = np.lexsort(np.sort(ids[members], axis=1).T[::-1])
+        rows.append((bases @ weights)[order])
+        codes.append(members[order])
+    start = np.cumsum([0] + [len(c) for c in codes])
+    # a k-row key is below (p^r)^k <= 2^58 on every accepted lattice
+    inclusions = {}
+    for k in range(r + 1):
+        key = (p ** r) ** np.arange(k - 1, -1, -1)
+        keys = rows[k] @ key
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        for l in range(k, r + 1):
+            q = rows[k][(rows[k] < p ** l).all(axis=1)]
+            images = codes[l][:, q] @ key
+            sub = start[k] + by_key[np.searchsorted(keys, images)].ravel()
+            sup = np.repeat(np.arange(start[l], start[l + 1]), len(q))
+            order = np.lexsort((sup, sub))
+            inclusions[k, l] = np.stack([sub[order], sup[order]])
+    return Lattice(ids=ids, codes=codes, inclusions=inclusions)
 
 
-def _vectors(p, k):
-    """Every vector of F_p^k, one per row."""
+def vectors(p, k):
+    """Every vector of F_p^k, one per row, in base-p order."""
     return np.indices((p,) * k, dtype=np.intp).reshape(k, p ** k).T
 
 

@@ -14,18 +14,20 @@ is rejected with a pointed message: catalog rings exist for abelian
 groups only.  For abelian G, restriction to T = G[p] is invertible on
 degree-1 classes, hence in every degree; each setup checks that once
 (`_AbelianSetup.res_top_invertible`), and it decides injectivity and the
-F-isomorphism.  In T's coordinates the equalizer condition splits by
-multidegree, and its blocks depend only on the sorted exponents, so each
-degree's equalizer is one small binomial block per type, ranked by its pin
-rows with no elimination, all types of a degree in one pass (`_type_blocks`).
+F-isomorphism.  The subgroup lattice is held as arrays, one class per
+rank: each object's basis, its restriction from G and each inclusion's
+characters come from a few array passes per class, with no ring map built
+per object (`_AbelianSetup`).  In T's coordinates the equalizer condition
+splits by multidegree, and its blocks depend only on the sorted exponents,
+so each degree's equalizer is one small binomial block per type, ranked by
+its pin rows with no elimination, all types of a degree in one pass
+(`_type_blocks`).
 d0, d1 and the largest nilpotent level are read off the same once-per-setup
 checks, with no diagram built (`bounds_report`).
 """
 
 from __future__ import annotations
 
-import collections
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,7 +35,8 @@ import numpy as np
 
 from . import fp_linalg as fl
 from . import groups as gp
-from .chow import abelian_ring, restriction_map, symmetric_powers
+from .chow import (abelian_ring, elem_abelian_ring, restriction_map,
+                   symmetric_powers)
 # perfbench/layers.py patches this unused name; tests/test_repo.py needs it
 from .chow import ring_module
 
@@ -53,17 +56,34 @@ __all__ = [
 
 class _AbelianSetup:
     """Rings, restriction maps, and the subgroup category of an abelian
-    group.
+    group, held as arrays, one class per rank k.
 
     The category is the subspace lattice of T, the subgroup of elements
-    of order dividing p: conjugation is the identity, so the morphisms
-    are the inclusion pairs (i, j), E_i <= E_j, of `morphisms`, and the
-    map of (i, j) is res_{E_j->E_i}.  T is terminal: every E lies in T.
-    It is the largest object, so `elementary_abelians` sorts it last, and
-    `top` is its index.  Restriction is functorial,
-    res_{E2->E1} o res_{T->E2} = res_{T->E1}, so T's component determines
-    every other: `build_lambda` and `f_iso_check` both work on T alone.
-    """
+    of order dividing p (`gp.elementary_abelians`): conjugation is the
+    identity, so the morphisms are the inclusions E_i <= E_j, and the map
+    of (i, j) is res_{E_j->E_i}.  T is terminal: every E lies in T.  The
+    objects are numbered one rank class after another, `counts[k]` of rank
+    k from `start[k]`, so T is last, `top`.  `inclusions[k, l]` holds the
+    pairs (i, j) of rank (k, l) as two index arrays.  Restriction is
+    functorial, res_{E2->E1} o res_{T->E2} = res_{T->E1}, so T's component
+    determines every other: `build_lambda` and `f_iso_check` both work on
+    T alone.
+
+    Per rank class, in object order:
+
+    * `picks[k]`, each object's basis as positions in its row of
+      `codes[k]`, and `basis_codes[k]` their codes: the greedy picks of
+      `gp.abelian_p_basis`, each the element of least G-index outside the
+      span so far, so ascending.  A class takes k batched steps
+      (`_greedy_picks`);
+    * `res_G[k]`, the stack of substitution matrices res_{G->E}, of shape
+      counts[k] x k_G x k.  Entry (i, s) is c_i(x_s) p / o_i, for x_s the
+      basis element s and o_i the order of G's basis element i, read off
+      one array of every element of T in G's coordinates.
+
+    T's own basis and res_{G->T} come from its restriction map.  The
+    characters of each class of inclusions are built on first read
+    (`characters`)."""
 
     def __init__(self, G: gp.FiniteGroup, p: int):
         if not G.is_abelian:
@@ -74,24 +94,69 @@ class _AbelianSetup:
         self.G = G
         self.p = fl.check_prime(p)
         self.data_G = abelian_ring(G, p)
-        self.objects, self.morphisms = gp.elementary_abelians(G, p)
-        self.res_to = []      # RingMap CH_G -> CH_E per object
-        self.sub_data = []    # AbelianRingData per object
-        for obj in self.objects:
-            rm = restriction_map(G, obj, p, ring_G=self.data_G)
-            self.res_to.append(rm)
-            self.sub_data.append(rm.subgroup_data)
-        self.top = len(self.objects) - 1
+        lattice = gp.elementary_abelians(G, p)
+        self.ids, self.codes = lattice.ids, lattice.codes
+        self.inclusions = lattice.inclusions
+        self.counts = [len(codes) for codes in self.codes]
+        self.start = np.cumsum([0] + self.counts)
+        self.top = int(self.start[-1]) - 1
+        res_T = restriction_map(G, self.ids, p, ring_G=self.data_G)
+        basis_T = np.array([x for x, _ in res_T.subgroup_data.basis],
+                           dtype=np.intp)
+        *below, _ = self.codes
+        self.picks = [_greedy_picks(self.ids[codes], p, k)
+                      for k, codes in enumerate(below)]
+        # T's codes are its positions in F_p^r
+        self.picks.append(
+            (self.ids == basis_T[:, None]).argmax(axis=1)[None])
+        self.basis_codes = [codes[np.arange(len(codes))[:, None], picks]
+                            for codes, picks in zip(self.codes, self.picks)]
+        in_G = self.data_G.char_matrix([(x, p) for x in self.ids.tolist()])
+        self.res_G = [in_G[:, codes].transpose(1, 0, 2)
+                      for codes in self.basis_codes[:-1]] + [res_T.mat[None]]
+        self._lookups, self._characters = {}, {}
+
+    def _lookup(self, l):
+        """(keys, at): the sorted keys j p^r + code of every element of
+        every rank-l object E_j, and at each key the element's position in
+        its object's elements listed by their coordinates in its basis,
+        each a combination of its picks."""
+        if l not in self._lookups:
+            p = self.p
+            span, weights = gp.vectors(p, l), p ** np.arange(l - 1, -1, -1)
+            at = span @ span[self.picks[l]] % p @ weights
+            codes = self.codes[l][np.arange(len(at))[:, None], at]
+            keys = (np.arange(len(at))[:, None] * len(self.ids)
+                    + codes).ravel()
+            order = np.argsort(keys)
+            self._lookups[l] = keys[order], order % len(span)
+        return self._lookups[l]
+
+    def characters(self, k, l):
+        """The characters of the inclusions E_i <= E_j of `inclusions[k,
+        l]`, an M x l x k stack: entry (t, s) is the coordinate t of E_i's
+        basis element s in E_j's basis, so res_{E_j->E_i} has that
+        substitution matrix.  The coordinates come from one sorted lookup
+        of (j, code) (`_lookup`).  Built once, on first read."""
+        if (k, l) not in self._characters:
+            keys, at = self._lookup(l)
+            sub, sup = self.inclusions[k, l]
+            wanted = ((sup - self.start[l])[:, None] * len(self.ids)
+                      + self.basis_codes[k][sub - self.start[k]])
+            found = at[np.searchsorted(keys, wanted)]
+            self._characters[k, l] = \
+                gp.vectors(self.p, l)[found].transpose(0, 2, 1)
+        return self._characters[k, l]
 
     @cached_property
     def res_top_invertible(self):
         """True, or ValueError: the substitution matrix of res_{G->T} is
         invertible over F_p.  Restricting characters mod p from an abelian
         G to T is an isomorphism, so every accepted group passes.  Then
-        res_{G->T} is bijective in every degree, since `RingMap.matrix(d)`
-        is the d-th symmetric power of that matrix."""
+        res_{G->T} is bijective in every degree, since its degree-d matrix
+        is the d-th symmetric power of that matrix (`symmetric_powers`)."""
         k = self.data_G.ring.k
-        if fl.rank(self.res_to[self.top].mat, self.p) < k:
+        if fl.rank(self.res_G[-1][0], self.p) < k:
             raise ValueError(
                 f"{self.G.name}: restriction to T, the subgroup of elements "
                 f"of order dividing {self.p}, is not invertible on degree-1 "
@@ -106,27 +171,12 @@ class _AbelianSetup:
 
         The inclusions of one (rank E_i, rank E_j) class have matrices of
         one shape, so each class is checked by one stacked product, still
-        one check per inclusion.  The entries are residues, and each term
-        is reduced before it is added, so the product is exact in int64 at
-        every prime a `RingMap` accepts."""
-        p = self.p
-        classes = {}
-        for i, j in self.morphisms:
-            key = (self.sub_data[i].ring.k, self.sub_data[j].ring.k)
-            classes.setdefault(key, []).append((i, j))
-        for (k_i, k_j), pairs in classes.items():
-            via = np.stack([self.res_to[j].mat for _, j in pairs])
-            # filled in place, so that no list of small matrices is held
-            chars = np.empty((len(pairs), k_j, k_i), dtype=np.int64)
-            for b, (i, j) in enumerate(pairs):
-                chars[b] = self.sub_data[j].char_matrix(self.sub_data[i].basis)
-            composed = np.zeros((len(pairs), via.shape[1], k_i),
-                                dtype=np.int64)
-            for t in range(k_j):
-                composed += via[:, :, t, None] * chars[:, None, t] % p
-                composed %= p
-            if (composed != np.stack([self.res_to[i].mat
-                                      for i, _ in pairs])).any():
+        one check per inclusion.  The entries are residues and p^r is at
+        most the order cap, so the int64 products are exact."""
+        for (k, l), (sub, sup) in self.inclusions.items():
+            composed = (self.res_G[l][sup - self.start[l]]
+                        @ self.characters(k, l) % self.p)
+            if (composed != self.res_G[k][sub - self.start[k]]).any():
                 return False
         return True
 
@@ -149,6 +199,27 @@ class _AbelianSetup:
                     f"{self.G.name}: the Frobenius y^E -> y^(pE) is not "
                     f"injective on degree-{e} classes")
         return True
+
+
+def _greedy_picks(elements, p, k):
+    """The basis of each row of `elements`, a B x p^k array of subspaces'
+    elements at the positions of F_p^k: k steps, each picking in every row
+    the position of least element outside the span of the earlier picks,
+    then marking the span of the picks so far, every combination of
+    them."""
+    rows = np.arange(len(elements))
+    by_element = np.argsort(elements, axis=1)
+    span, weights = gp.vectors(p, k), p ** np.arange(k - 1, -1, -1)
+    inside = np.zeros(elements.shape, dtype=bool)
+    inside[:, 0] = True
+    picks = np.zeros((len(elements), k), dtype=np.intp)
+    for t in range(k):
+        if t:
+            combos = gp.vectors(p, t) @ span[picks[:, :t]] % p
+            inside[rows[:, None], combos @ weights] = True
+        outside = ~np.take_along_axis(inside, by_element, axis=1)
+        picks[:, t] = by_element[rows, outside.argmax(axis=1)]
+    return picks
 
 
 def _type_blocks(ring, n, D, p):
@@ -214,7 +285,7 @@ class EqualizerDiagram:
     p: int
     level: int
     cutoff: int
-    objects: list
+    object_count: int
     morphism_count: int
     source_dims: dict = field(default_factory=dict)
     middle_dims: dict = field(default_factory=dict)
@@ -294,11 +365,12 @@ def build_lambda(G: gp.FiniteGroup, n: int, D: int, p: int) -> EqualizerDiagram:
 def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
     p = setup.p
     diagram = EqualizerDiagram(
-        group=setup.G, p=p, level=n, cutoff=D, objects=setup.objects,
-        morphism_count=len(setup.morphisms))
+        group=setup.G, p=p, level=n, cutoff=D,
+        object_count=setup.top + 1,
+        morphism_count=sum(pairs.shape[1]
+                           for pairs in setup.inclusions.values()))
     ring_G = setup.data_G.ring
     setup.res_top_invertible  # raises ValueError unless it holds
-    rings = collections.Counter(data.ring for data in setup.sub_data)
     for d, (types, orbits, rows, lam) in enumerate(
             _type_blocks(ring_G, n, D, p)):
         owner, c1, v1, c2, v2 = rows
@@ -323,8 +395,8 @@ def _build_lambda(setup: _AbelianSetup, n: int, D: int) -> EqualizerDiagram:
             (v1 * lam[owner, c1] - v2 * lam[owner, c2]) % p).any()
         diagram.source_dims[d] = ring_G.dim(d)
         diagram.middle_dims[d] = sum(
-            count * ring.dim(d - j) * ring_G.dim(j)
-            for ring, count in rings.items()
+            count * elem_abelian_ring(k, p).dim(d - j) * ring_G.dim(j)
+            for k, count in enumerate(setup.counts)
             for j in range(min(n - 1, d) + 1))
         diagram.legs_agree[d] = agree
         diagram.eq_dims[d] = eq_dim
@@ -361,19 +433,18 @@ def f_iso_check(G: gp.FiniteGroup, D: int, p: int) -> FIsoCertificate:
     through T, so CH_G -> lim is res_{G->T}, which is bijective in every
     degree (`_AbelianSetup.res_top_invertible`, checked once).
 
-    The objects of one rank share their ring, so the res_{T->E} of a
-    rank class are one stack of substitution matrices, raised to each
-    degree in one pass (`symmetric_powers`)."""
+    res_{T->E} is the map of the inclusion E <= T, so the res_{T->E} of
+    a rank class are the setup's characters of its inclusions into T
+    (`_AbelianSetup.characters`), one stack of substitution matrices in
+    object order, raised to each degree in one pass (`symmetric_powers`).
+    No other class of inclusions is read."""
     setup = _AbelianSetup(G, p)
     setup.res_top_invertible  # raises ValueError unless it holds
-    data_T = setup.sub_data[setup.top]
-    ring_T = data_T.ring
-    # `elementary_abelians` sorts the objects by size, so each run of one
-    # rank is a whole rank class
-    stacks = [symmetric_powers(ring_T, ring, np.stack(
-                  [data_T.char_matrix(data.basis) for data in run]))
-              for ring, run in itertools.groupby(setup.sub_data,
-                                                 key=lambda data: data.ring)]
+    r = len(setup.counts) - 1
+    ring_T = elem_abelian_ring(r, p)
+    stacks = [symmetric_powers(ring_T, elem_abelian_ring(k, p),
+                               setup.characters(k, r))
+              for k in range(r + 1)]
     limit_dims = {}
     image_report = []
     for d in range(D + 1):

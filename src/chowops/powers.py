@@ -120,15 +120,6 @@ class OperationExpression:
             clean[word] = c
         self.terms = clean
 
-    @property
-    def degree(self) -> int:
-        for word in self.terms:
-            return word_degree(word, self.p)
-        return 0
-
-    def is_admissible(self) -> bool:
-        return all(is_admissible(w, self.p) for w in self.terms)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, OperationExpression)
                 and self.p == other.p and self.terms == other.terms)

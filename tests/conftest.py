@@ -9,9 +9,9 @@ import pytest
 
 from chowops import fp_linalg as fl
 from chowops import localization as loc
-from chowops.chow import (ChowRing, _action_matrix, abelian_ring,
+from chowops.chow import (ChowRing, RingMap, _action_matrix, abelian_ring,
                           elem_abelian_ring, poly_add, poly_mul_raw,
-                          poly_scale, ring_module)
+                          poly_scale, restriction_map, ring_module)
 from chowops.groups import FiniteGroup, HomClass, abelian_p_basis, load_group
 from chowops.modules import (FiniteModule, brown_gitler,
                              finite_to_presentation, point_presentation,
@@ -486,10 +486,101 @@ def centralizer_reference(G, subset):
 # -- the subgroup category of an abelian group, map by map ------------------
 
 
-def inclusion_map(setup, i, j):
-    """The RingMap CH_{E_j} -> CH_{E_i} of the inclusion E_i <= E_j of a
-    localization setup: the restriction res_{E_j->E_i}."""
-    return setup.sub_data[j].restrict(setup.sub_data[i])
+def lattice_pairs(lattice):
+    """(objects, inclusions) of a `groups.Lattice`, or of a localization
+    setup, which holds the same fields: each object's sorted element
+    tuple, in object order, and the sorted list of inclusion pairs (i, j),
+    E_i <= E_j."""
+    objects = [tuple(sorted(row)) for codes in lattice.codes
+               for row in lattice.ids[codes].tolist()]
+    pairs = sorted((i, j) for block in lattice.inclusions.values()
+                   for i, j in block.T.tolist())
+    return objects, pairs
+
+
+def object_class(setup, i):
+    """(k, b): object i of a localization setup is the b-th of rank k."""
+    k = int(np.searchsorted(setup.start, i, side="right")) - 1
+    return k, i - int(setup.start[k])
+
+
+def object_ring(setup, i):
+    return elem_abelian_ring(object_class(setup, i)[0], setup.p)
+
+
+def restriction_from_G(setup, i):
+    """The RingMap res_{G->E_i} of a localization setup, from its stack."""
+    k, b = object_class(setup, i)
+    return RingMap(setup.data_G.ring, object_ring(setup, i), setup.res_G[k][b])
+
+
+def setup_morphisms(setup):
+    """Every inclusion pair (i, j) of a localization setup, sorted."""
+    return sorted((i, j) for block in setup.inclusions.values()
+                  for i, j in block.T.tolist())
+
+
+def inclusion_maps(setup):
+    """The RingMap CH_{E_j} -> CH_{E_i} of every inclusion E_i <= E_j of a
+    localization setup, by pair: res_{E_j->E_i}, from the setup's batched
+    characters."""
+    maps = {}
+    for (k, l), (sub, sup) in setup.inclusions.items():
+        for i, j, chars in zip(sub.tolist(), sup.tolist(),
+                               setup.characters(k, l)):
+            maps[i, j] = RingMap(object_ring(setup, j), object_ring(setup, i),
+                                 chars)
+    return maps
+
+
+@dataclass
+class SetupReference:
+    """A localization setup's data object by object, in the setup's object
+    order: the elements, basis, res_{G->E} and res_{T->E} substitution
+    matrix of each object, and the character matrix of each inclusion."""
+
+    objects: list
+    bases: list
+    res_G: list
+    res_T: list
+    morphisms: list
+    chars: dict
+
+
+def setup_reference(G, p):
+    """One `restriction_map` per object, over the objects and inclusions of
+    the conjugation reference, and one `char_matrix` per inclusion: the
+    reference for `localization._AbelianSetup`."""
+    data_G = abelian_ring(G, p)
+    objects, morphisms = lattice_reference(G, p)
+    maps = [restriction_map(G, E, p, ring_G=data_G) for E in objects]
+    data = [rm.subgroup_data for rm in maps]
+    return SetupReference(
+        objects=objects,
+        bases=[[x for x, _ in d.basis] for d in data],
+        res_G=[rm.mat for rm in maps],
+        res_T=[data[-1].char_matrix(d.basis) for d in data],
+        morphisms=morphisms,
+        chars={(i, j): data[j].char_matrix(data[i].basis)
+               for i, j in morphisms})
+
+
+def lattice_reference(G, p):
+    """(objects, inclusion pairs) read off the conjugation reference, whose
+    every morphism of an abelian group must be the one conjugation h = 0."""
+    objects, data = elementary_abelians_reference(G, p)
+    assert all([h for h, _ in maps] == [0] for maps in data.morphisms.values())
+    return [o.elements for o in objects], sorted(data.morphisms)
+
+
+def relabelled(G, seed):
+    """G's table with the non-identity elements renumbered by a random
+    permutation, as a table file reads it."""
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([[0], 1 + rng.permutation(G.n - 1)])
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return load_group({"table": table.tolist(), "name": f"{G.name} relabelled"})
 
 
 def res_comult_reference(setup, i, a, b):
@@ -498,7 +589,8 @@ def res_comult_reference(setup, i, a, b):
     kron(res, I) @ comultiply."""
     ring_G = setup.data_G.ring
     return fl.matmul(
-        fl.kron(setup.res_to[i].matrix(a), fl.identity(ring_G.dim(b)),
+        fl.kron(restriction_from_G(setup, i).matrix(a),
+                fl.identity(ring_G.dim(b)),
                 setup.p),
         comult_split_reference(ring_G, a, b), setup.p)
 
@@ -510,7 +602,7 @@ def top_condition_reference(setup, d, n):
     blocks are the (j2, j3) degrees of the middle and right factors, j2
     from 0: by the counit law the j2 = 0 blocks are zero."""
     p, ring_G = setup.p, setup.data_G.ring
-    ring_T = setup.sub_data[setup.top].ring
+    ring_T = object_ring(setup, setup.top)
     offs = np.cumsum([0] + [ring_T.dim(d - j) * ring_G.dim(j)
                             for j in range(min(n - 1, d) + 1)])
     blocks = [fl.zeros(0, offs[-1])]

@@ -9,7 +9,8 @@ import itertools
 import time
 
 from chowops import fp_linalg as fl
-from chowops.chow import elem_abelian_ring, poly_add, poly_scale, ring_module
+from chowops.chow import (RingMap, elem_abelian_ring, poly_add, poly_scale,
+                          ring_module)
 from chowops.cli import main as cli_main
 from chowops.groups import FiniteGroup, rep_classes
 from chowops.lannes import (ell_check, tensor_convolution_check, tv_dim,
@@ -140,8 +141,10 @@ def test_criterion_06_f_isomorphism():
             # by elimination in each degree, its kernel is empty and its
             # image has a zero residual map, so it is onto the limit
             setup = _AbelianSetup(G, p)
+            res_T = RingMap(setup.data_G.ring, setup.data_G.ring,
+                            setup.res_G[-1][0])
             for d in range(9):
-                res = setup.res_to[setup.top].matrix(d)
+                res = res_T.matrix(d)
                 if (fl.kernel_basis(res, p)
                         or fl.residual_map(res, len(res), p).any()
                         or cert.limit_dims[d] != len(res)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from chowops import cli
+from chowops import groups as gp
 from chowops.cli import format_poly, format_rows, main, parse_poly
 
 
@@ -240,6 +242,23 @@ def test_nonabelian_localize_fails_cleanly(capsys, data_dir):
     code, _, err = run(capsys, "localize", "--group", path, "--prime", "2")
     assert code == 2 and "abelian" in err
 
+
+
+@pytest.mark.parametrize("command", ["localize", "d0", "quillen-check"])
+def test_unenumerable_lattice_is_refused_at_once(capsys, tmp_path, command):
+    # (Z/2)^9 is inside the order cap, but its lattice has 8,283,458
+    # objects and 5.19e9 inclusions: refused from the Gaussian binomials
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"abelian": [2] * 9, "name": "(Z/2)^9"}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--group", str(path), "--prime",
+                         "2", "--cutoff", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: (Z/2)^9: its elementary abelian 2-subgroups number "
+        "8,283,458, with 5,188,919,427 inclusions, above the cap of "
+        f"{gp.MAX_INCLUSIONS:,} inclusions\n")
 
 def test_missing_file(capsys):
     code, _, err = run(capsys, "reps", "--group", "nope.json")

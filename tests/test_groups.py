@@ -7,27 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowops.cli import main
+from chowops import groups as gp
 from chowops.groups import (FiniteGroup, abelian_coordinates, abelian_p_basis,
-                            elementary_abelians, load_group, rep_classes)
+                            elementary_abelians, lattice_size, load_group,
+                            rep_classes)
 from conftest import (ABELIAN_CATALOG, CATALOG, abelian_p_basis_reference,
                       abelian_table, all_elementary_abelians, catalog_group,
                       centralizer_reference, closure_reference, conj,
                       conjugates, conjugation_category, coordinates_reference,
                       element_order_reference, elementary_abelians_reference,
-                      permutation_table, power_reference, relabelled_p_basis,
+                      lattice_pairs, lattice_reference, permutation_table,
+                      power_reference, relabelled, relabelled_p_basis,
                       rep_classes_reference)
 
 
 def s3():
     return FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)], 3, name="S3")
-
-
-def lattice_reference(G, p):
-    """(objects, inclusion pairs) read off the conjugation reference, whose
-    every morphism of an abelian group must be the one conjugation h = 0."""
-    objects, data = elementary_abelians_reference(G, p)
-    assert all([h for h, _ in maps] == [0] for maps in data.morphisms.values())
-    return [o.elements for o in objects], sorted(data.morphisms)
 
 
 def outcome(f, *args):
@@ -259,8 +254,8 @@ class TestSubgroups:
 
 class TestElementaryAbelians:
     def test_klein_counts(self):
-        objs, inclusions = elementary_abelians(
-            FiniteGroup.from_abelian([2, 2]), 2)
+        objs, inclusions = lattice_pairs(elementary_abelians(
+            FiniteGroup.from_abelian([2, 2]), 2))
         assert [len(o) for o in objs] == [1, 2, 2, 2, 4]
         assert len(inclusions) == 12
         assert len(all_elementary_abelians(
@@ -275,8 +270,8 @@ class TestElementaryAbelians:
     def test_morphisms_compose(self):
         # inclusions are closed under composition, and every object has
         # its identity
-        objs, inclusions = elementary_abelians(
-            FiniteGroup.from_abelian([2, 2]), 2)
+        objs, inclusions = lattice_pairs(elementary_abelians(
+            FiniteGroup.from_abelian([2, 2]), 2))
         pairs = set(inclusions)
         assert all((i, i) in pairs for i in range(len(objs)))
         for i, j in inclusions:
@@ -299,8 +294,17 @@ class TestElementaryAbelians:
     @pytest.mark.parametrize("orders, p", [([2] * 5, 2), ([3] * 4, 3)])
     def test_large_lattices_match_reference(self, orders, p):
         G = FiniteGroup.from_abelian(orders)
-        objs, inclusions = elementary_abelians(G, p)
-        assert (objs, inclusions) == lattice_reference(G, p)
+        assert lattice_pairs(elementary_abelians(G, p)) \
+            == lattice_reference(G, p)
+
+    @pytest.mark.parametrize("orders, p, seed", [
+        ([2, 2, 2, 2], 2, 0), ([4, 2, 2], 2, 1), ([3, 3, 3], 3, 2),
+        ([9, 3], 3, 3)])
+    def test_relabelled_lattices_match_reference(self, orders, p, seed):
+        # the object order follows G's numbering
+        G = relabelled(FiniteGroup.from_abelian(orders), seed)
+        assert lattice_pairs(elementary_abelians(G, p)) \
+            == lattice_reference(G, p)
 
     @pytest.mark.parametrize("orders, p, counts", [
         ([2] * 6, 2, (2825, 95706)), ([3] * 5, 3, (2664, 69699))])
@@ -313,10 +317,39 @@ class TestElementaryAbelians:
         inclusions = sum(gaussian_binomial(r, k, p)
                          * gaussian_binomial(r - k, l - k, p)
                          for k in range(r + 1) for l in range(k, r + 1))
-        assert (objects, inclusions) == counts
-        objs, incs = elementary_abelians(FiniteGroup.from_abelian(orders), p)
+        assert (objects, inclusions) == counts == lattice_size(r, p)
+        objs, incs = lattice_pairs(
+            elementary_abelians(FiniteGroup.from_abelian(orders), p))
         assert (len(objs), len(incs)) == counts
         assert len(set(objs)) == len(objs) and objs[-1] == tuple(range(p ** r))
+
+
+    def test_lattice_over_the_cap_is_refused(self, monkeypatch):
+        # (Z/2)^5 has 5,769 inclusions: a cap one below refuses it before
+        # any enumeration, a cap at that count accepts it
+        G = FiniteGroup.from_abelian([2] * 5, name="(Z/2)^5")
+        monkeypatch.setattr(gp, "MAX_INCLUSIONS", 5768)
+        monkeypatch.setattr(gp, "vectors", None)
+        with pytest.raises(ValueError) as exc:
+            elementary_abelians(G, 2)
+        assert str(exc.value) == (
+            "(Z/2)^5: its elementary abelian 2-subgroups number 374, with "
+            "5,769 inclusions, above the cap of 5,768 inclusions")
+        monkeypatch.undo()
+        monkeypatch.setattr(gp, "MAX_INCLUSIONS", 5769)
+        assert len(lattice_pairs(elementary_abelians(G, 2))[1]) == 5769
+
+    def test_accepted_lattices_have_int64_keys(self):
+        # a subspace's key is the codes of its k echelon rows in base p^r,
+        # below p^(r r): under 2^63 for every elementary abelian group
+        # that both caps accept, and the cap refuses (Z/2)^8, where it
+        # would not be
+        accepted = [(p, r) for p in (2, 3, 5, 7, 11, 13, 97, 101, 9973)
+                    for r in range(1, 14)
+                    if p ** r <= gp.MAX_ORDER
+                    and lattice_size(r, p)[1] <= gp.MAX_INCLUSIONS]
+        assert (2, 7) in accepted and (2, 8) not in accepted
+        assert all(p ** (r * r) < 2 ** 63 for p, r in accepted)
 
 
 class TestRepClasses:
@@ -460,7 +493,8 @@ class TestArrayEngine:
         assert [o.elements for o in objs] == [o.elements for o in ref_objs]
         assert data.morphisms == ref_data.morphisms
         if G.is_abelian:
-            assert elementary_abelians(G, p) == lattice_reference(G, p)
+            assert lattice_pairs(elementary_abelians(G, p)) \
+                == lattice_reference(G, p)
         else:
             with pytest.raises(ValueError, match="not abelian"):
                 elementary_abelians(G, p)
@@ -477,7 +511,8 @@ class TestArrayEngine:
         assert list(data.morphisms.items()) == \
             list(ref_data.morphisms.items())
         if name in ABELIAN_CATALOG:
-            assert elementary_abelians(G, p) == lattice_reference(G, p)
+            assert lattice_pairs(elementary_abelians(G, p)) \
+                == lattice_reference(G, p)
         else:
             with pytest.raises(ValueError, match="not abelian"):
                 elementary_abelians(G, p)
@@ -527,7 +562,7 @@ class TestArrayEngine:
     @pytest.mark.parametrize("orders, p", [([2] * 5, 2), ([3] * 4, 3)])
     def test_lattice_p_bases_match_reference(self, orders, p):
         G = FiniteGroup.from_abelian(orders)
-        objects, _ = elementary_abelians(G, p)
+        objects, _ = lattice_pairs(elementary_abelians(G, p))
         for elems in objects:
             assert abelian_p_basis(G, p, elems) == \
                 abelian_p_basis_reference(G, p, elems), elems

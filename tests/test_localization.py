@@ -19,10 +19,12 @@ from chowops.localization import (EqualizerDiagram, bounds_report,
 
 from conftest import (ABELIAN_CATALOG, all_injective, all_iso,
                       bounds_report_reference, catalog_group,
-                      comult_split_reference, direct_sum, inclusion_map,
-                      level_sweep, max_nil_submodule, point_module,
-                      res_comult_reference, top_condition_reference,
-                      type_legs)
+                      comult_split_reference, direct_sum, inclusion_maps,
+                      lattice_pairs, level_sweep, max_nil_submodule,
+                      object_class, object_ring, point_module, relabelled,
+                      res_comult_reference, restriction_from_G,
+                      setup_morphisms, setup_reference,
+                      top_condition_reference, type_legs)
 
 
 # (k, p, n, D): rank k up to 5, levels where the type blocks have rows
@@ -45,7 +47,7 @@ def G(spec, name=None):
 
 def middle_blocks(setup, obj_index, d, n):
     """Ordered (j, rows) blocks of CH_E (x) CH_G^{<n} in degree d."""
-    ring_E = setup.sub_data[obj_index].ring
+    ring_E = object_ring(setup, obj_index)
     ring_G = setup.data_G.ring
     return [(j, ring_E.dim(d - j) * ring_G.dim(j))
             for j in range(min(n - 1, d) + 1)]
@@ -54,7 +56,7 @@ def middle_blocks(setup, obj_index, d, n):
 def right_blocks(setup, e1_index, d, n):
     """Ordered ((j2, j3), rows) blocks of CH_{E1} (x) (CH_{E1} (x)
     CH_G)^{<n} in degree d."""
-    ring_E = setup.sub_data[e1_index].ring
+    ring_E = object_ring(setup, e1_index)
     ring_G = setup.data_G.ring
     return [((j2, j3),
              ring_E.dim(d - j2 - j3) * ring_E.dim(j2) * ring_G.dim(j3))
@@ -78,7 +80,7 @@ def lambda_block(setup, obj_index, d, n):
 
 def leg1_block(setup, i1, d, n):
     """Leg 1 of any morphism out of object i1: comultiply the E1 factor."""
-    ring_E = setup.sub_data[i1].ring
+    ring_E = object_ring(setup, i1)
     ring_G = setup.data_G.ring
     src_offs, src_total = offsets(middle_blocks(setup, i1, d, n))
     tgt_blocks = right_blocks(setup, i1, d, n)
@@ -95,16 +97,11 @@ def leg1_block(setup, i1, d, n):
     return mat
 
 
-def inclusion_maps(setup):
-    """The RingMap of every inclusion pair of the setup, by pair."""
-    return {(i, j): inclusion_map(setup, i, j) for i, j in setup.morphisms}
-
-
 def leg2_block(setup, i1, i2, rmap, d, n):
     """Leg 2 of the inclusion E_i1 <= E_i2 with map `rmap`: restrict the
     E2 factor along the map into factor one, expand the centralizer factor
     into factors two and three."""
-    ring_E2 = setup.sub_data[i2].ring
+    ring_E2 = object_ring(setup, i2)
     ring_G = setup.data_G.ring
     src_offs, src_total = offsets(middle_blocks(setup, i2, d, n))
     tgt_blocks = right_blocks(setup, i1, d, n)
@@ -129,15 +126,15 @@ def per_morphism_lambda(setup, n, D):
     maps = inclusion_maps(setup)
     ring_G = setup.data_G.ring
     diagram = EqualizerDiagram(
-        group=setup.G, p=p, level=n, cutoff=D, objects=setup.objects,
-        morphism_count=len(setup.morphisms))
+        group=setup.G, p=p, level=n, cutoff=D, object_count=setup.top + 1,
+        morphism_count=len(maps))
     for d in range(D + 1):
         lam = [lambda_block(setup, i, d, n)
-               for i in range(len(setup.objects))]
+               for i in range(setup.top + 1)]
         diagram.source_dims[d] = ring_G.dim(d)
         diagram.middle_dims[d] = sum(m.shape[0] for m in lam)
         agree = True
-        for i1, i2 in setup.morphisms:
+        for i1, i2 in maps:
             a = leg1_block(setup, i1, d, n)
             b = leg2_block(setup, i1, i2, maps[i1, i2], d, n)
             if (fl.matmul(a, lam[i1], p) != fl.matmul(b, lam[i2], p)).any():
@@ -161,9 +158,9 @@ def seed_and_cut(setup, n, D):
     changed the space)."""
     p = setup.p
     maps = inclusion_maps(setup)
-    top = max(range(len(setup.objects)), key=lambda i: len(setup.objects[i]))
-    order = sorted(setup.morphisms,
-                   key=lambda m: (m != (top, top), m[1] != top))
+    objects = lattice_pairs(setup)[0]
+    top = max(range(len(objects)), key=lambda i: len(objects[i]))
+    order = sorted(maps, key=lambda m: (m != (top, top), m[1] != top))
     eq_dims, tested, changed = {}, 0, 0
     for d in range(D + 1):
         solved = {}
@@ -202,10 +199,11 @@ def f_iso_reference(group, D, p):
     setup = loc._AbelianSetup(group, p)
     maps = inclusion_maps(setup)
     ring_G = setup.data_G.ring
-    n_obj = len(setup.objects)
-    rings = [data.ring for data in setup.sub_data]
+    n_obj = setup.top + 1
+    rings = [object_ring(setup, i) for i in range(n_obj)]
+    res = [restriction_from_G(setup, i) for i in range(n_obj)]
 
-    stacks = [np.vstack([setup.res_to[i].matrix(d) for i in range(n_obj)])
+    stacks = [np.vstack([res[i].matrix(d) for i in range(n_obj)])
               if ring_G.dim(d) else fl.zeros(0, 0) for d in range(D + 1)]
     # one residual map modulo the stacked restrictions per degree
     resid = [fl.residual_map(s, s.shape[0], p) for s in stacks]
@@ -218,7 +216,7 @@ def f_iso_reference(group, D, p):
         dims = [ring.dim(d) for ring in rings]
         offs = np.cumsum([0] + dims)
         rows = []
-        for i1, i2 in setup.morphisms:
+        for i1, i2 in maps:
             block = fl.zeros(dims[i1], offs[-1])
             block[:, offs[i1]:offs[i1 + 1]] = fl.identity(dims[i1])
             block[:, offs[i2]:offs[i2 + 1]] = \
@@ -279,6 +277,52 @@ def test_substitution_is_a_coalgebra_map(data, p, k, m, a, b):
     assert left.shape == right.shape and (left == right).all()
 
 
+class TestSetup:
+    """The array setup against the per-object path of
+    `conftest.setup_reference`: one `restriction_map` per object and one
+    `char_matrix` per inclusion."""
+
+    @staticmethod
+    def check_reference(group, p):
+        setup = loc._AbelianSetup(group, p)
+        ref = setup_reference(group, p)
+        assert lattice_pairs(setup) == (ref.objects, ref.morphisms)
+        for i in range(setup.top + 1):
+            k, b = object_class(setup, i)
+            assert setup.ids[setup.basis_codes[k][b]].tolist() \
+                == ref.bases[i], i
+            assert (setup.res_G[k][b] == ref.res_G[i]).all(), i
+        for (k, l), (sub, sup) in setup.inclusions.items():
+            assert all(object_class(setup, i)[0] == k for i in sub.tolist())
+            assert all(object_class(setup, j)[0] == l for j in sup.tolist())
+            chars = setup.characters(k, l)
+            assert chars.shape == (len(sub), l, k)
+            for i, j, mat in zip(sub.tolist(), sup.tolist(), chars):
+                assert (mat == ref.chars[i, j]).all(), (i, j)
+        r = len(setup.counts) - 1
+        res_T = [mat for k in range(r + 1) for mat in setup.characters(k, r)]
+        assert len(res_T) == len(ref.res_T)
+        assert all((a == b).all() for a, b in zip(res_T, ref.res_T))
+        assert setup.functorial
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", ABELIAN_CATALOG)
+    def test_catalog_matches_per_object_reference(self, name, p):
+        self.check_reference(catalog_group(name), p)
+
+    @pytest.mark.parametrize("orders, p, seed", [
+        ([2, 2, 2, 2], 2, 0), ([4, 2, 2], 2, 1), ([3, 3, 3], 3, 2),
+        ([9, 3], 3, 3), ([6, 6], 2, 4), ([6, 6], 3, 5)])
+    def test_relabelled_table_matches_per_object_reference(self, orders, p,
+                                                           seed):
+        # the greedy picks follow G's numbering: a table file whose
+        # elements are renumbered at random
+        self.check_reference(relabelled(G(orders), seed), p)
+
+    def test_rank_five_matches_per_object_reference(self):
+        self.check_reference(G([2] * 5), 2)
+
+
 class TestBuildLambda:
     def test_trivial_group(self):
         d = build_lambda(G([1]), 1, 4, 2)
@@ -334,54 +378,45 @@ class TestBuildLambda:
             assert tested and not changed, (n, changed)
             assert eq_dims == build_lambda(G(spec), n, 6, p).eq_dims, n
 
-    def test_wrong_morphism_map_breaks_the_legs(self, monkeypatch):
+    @staticmethod
+    def inclusion_at(setup, i, j):
+        """(k, l, m): the inclusion E_i <= E_j is the m-th of
+        `setup.inclusions[k, l]`."""
+        (k, _), (l, _) = object_class(setup, i), object_class(setup, j)
+        sub, sup = setup.inclusions[k, l]
+        return k, l, int(np.flatnonzero((sub == i) & (sup == j))[0])
+
+    def test_wrong_morphism_map_breaks_the_legs(self):
         # a morphism whose map does not compose with restriction from G:
         # one wrong entry in the characters of E_8 on E_1's basis, which
-        # both `functorial` and `inclusion_map` read
+        # both `functorial` and `inclusion_maps` read
         setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        assert (1, 8) in setup.morphisms
-        source, target = setup.sub_data[8], setup.sub_data[1]
-        real = chow.AbelianRingData.char_matrix
-
-        def wrong(data, points):
-            mat = real(data, points)
-            if data is source and points == target.basis:
-                mat[0, 0] ^= 1
-            return mat
-
-        monkeypatch.setattr(chow.AbelianRingData, "char_matrix", wrong)
+        assert (1, 8) in setup_morphisms(setup)
+        k, l, m = self.inclusion_at(setup, 1, 8)
+        setup.characters(k, l)[m, 0, 0] ^= 1
         for n in (1, 2, 3):
             for diagram in (loc._build_lambda(setup, n, 5),
                             per_morphism_lambda(setup, n, 5)):
                 assert not any(diagram.legs_agree[d] for d in range(1, 6))
 
-    def test_wrong_map_in_each_inclusion_class_breaks_functoriality(
-            self, monkeypatch):
+    def test_wrong_map_in_each_inclusion_class_breaks_functoriality(self):
         # one wrong entry in the characters of one inclusion of each
         # (rank E_i, rank E_j) class, so a batch that skipped a class would
         # be seen; the classes with rank E_i = 0 have empty matrices
         setup = loc._AbelianSetup(G([2, 2, 2]), 2)
         assert setup.functorial
-        first = {}
-        for i, j in setup.morphisms:
-            key = (setup.sub_data[i].ring.k, setup.sub_data[j].ring.k)
-            first.setdefault(key, (i, j))
-        assert sorted(first) == [(a, b) for a in range(4) for b in range(a, 4)]
-        real = chow.AbelianRingData.char_matrix
-        for (k, _), (i, j) in first.items():
+        assert sorted(setup.inclusions) == [(a, b) for a in range(4)
+                                            for b in range(a, 4)]
+        for (k, l), (sub, sup) in setup.inclusions.items():
             if not k:
                 continue
-            source, target = setup.sub_data[j], setup.sub_data[i]
-
-            def wrong(data, points, source=source, target=target):
-                mat = real(data, points)
-                if data is source and points == target.basis:
-                    mat[0, 0] ^= 1
-                return mat
-
-            monkeypatch.setattr(chow.AbelianRingData, "char_matrix", wrong)
+            chars = setup.characters(k, l)
+            chars[0, 0, 0] ^= 1
             del setup.functorial
-            assert not setup.functorial, (i, j)
+            assert not setup.functorial, (sub[0], sup[0])
+            chars[0, 0, 0] ^= 1
+        del setup.functorial
+        assert setup.functorial
 
     @staticmethod
     def wrong_type_block(monkeypatch, wrong_type, mutate):
@@ -514,13 +549,16 @@ class TestBuildLambda:
                      "--cutoff", "5"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_objects_share_one_ring_per_rank(self):
+    def test_objects_share_one_stack_per_rank(self):
+        # one stack per rank class, of res_{G->E} and of the characters of
+        # each class of inclusions, over G's one ring of rank 3
         setup = loc._AbelianSetup(gp.load_group({"abelian": [3, 3, 3]}), 3)
-        maps = setup.res_to + list(inclusion_maps(setup).values())
-        rings = [setup.data_G.ring] + [data.ring for data in setup.sub_data] \
-            + [r for rmap in maps for r in (rmap.source, rmap.target)]
-        assert {r.k for r in rings} == {0, 1, 2, 3}
-        assert all(r is elem_abelian_ring(r.k, 3) for r in rings)
+        assert setup.data_G.ring is elem_abelian_ring(3, 3)
+        assert setup.counts == [1, 13, 13, 1]
+        assert [res.shape for res in setup.res_G] == [
+            (count, 3, k) for k, count in enumerate(setup.counts)]
+        for (k, l), pairs in setup.inclusions.items():
+            assert setup.characters(k, l).shape == (pairs.shape[1], l, k)
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", ABELIAN_CATALOG)
@@ -628,7 +666,7 @@ class TestBuildLambda:
         ring_G = setup.data_G.ring
         for d in range(9):
             dim = ring_G.dim(d)
-            res = setup.res_to[setup.top].matrix(d)
+            res = restriction_from_G(setup, setup.top).matrix(d)
             assert res.shape == (dim, dim) and fl.rank(res, p) == dim, d
             for n in (1, 2, 3):
                 lam = lambda_block(setup, setup.top, d, n)
@@ -657,10 +695,11 @@ class TestBuildLambda:
         # the map of E_i -> E_j composed with restriction from G to E_j is
         # restriction from G to E_i
         setup = loc._AbelianSetup(G(spec), p)
+        res = [restriction_from_G(setup, i) for i in range(setup.top + 1)]
         for (i, j), rmap in inclusion_maps(setup).items():
             for d in range(5):
-                via_j = fl.matmul(rmap.matrix(d), setup.res_to[j].matrix(d), p)
-                assert (via_j == setup.res_to[i].matrix(d)).all(), (i, j, d)
+                via_j = fl.matmul(rmap.matrix(d), res[j].matrix(d), p)
+                assert (via_j == res[i].matrix(d)).all(), (i, j, d)
 
     def test_maps_need_no_polynomial_products(self, monkeypatch):
         # every restriction matrix, from G and along each inclusion, is a
@@ -672,14 +711,14 @@ class TestBuildLambda:
         monkeypatch.setattr(chow, "poly_mul_raw", refuse)
         setup = loc._AbelianSetup(G([3, 3, 3]), 3)
         maps = inclusion_maps(setup)
+        rings = [object_ring(setup, i) for i in range(setup.top + 1)]
         for d in range(7):
-            for i, data in enumerate(setup.sub_data):
-                assert setup.res_to[i].matrix(d).shape == (
-                    data.ring.dim(d), setup.data_G.ring.dim(d))
+            for i, ring in enumerate(rings):
+                assert restriction_from_G(setup, i).matrix(d).shape == (
+                    ring.dim(d), setup.data_G.ring.dim(d))
             for (i, j), rmap in maps.items():
-                assert rmap.matrix(d).shape == (
-                    setup.sub_data[i].ring.dim(d),
-                    setup.sub_data[j].ring.dim(d))
+                assert rmap.matrix(d).shape == (rings[i].dim(d),
+                                                rings[j].dim(d))
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -717,11 +756,12 @@ class TestFIso:
         # T contains every object, every object has exactly one morphism
         # into T, and T's own map is the identity
         setup = loc._AbelianSetup(G(spec), p)
-        top = set(setup.objects[setup.top])
-        assert all(top.issuperset(obj) for obj in setup.objects)
-        into_top = [i for i, j in setup.morphisms if j == setup.top]
-        assert into_top == list(range(len(setup.objects)))
-        own = inclusion_map(setup, setup.top, setup.top)
+        objects = lattice_pairs(setup)[0]
+        top = set(objects[setup.top])
+        assert all(top.issuperset(obj) for obj in objects)
+        into_top = [i for i, j in setup_morphisms(setup) if j == setup.top]
+        assert into_top == list(range(len(objects)))
+        own = inclusion_maps(setup)[setup.top, setup.top]
         for d in range(7):
             mat = own.matrix(d)
             assert (mat == fl.identity(mat.shape[0])).all(), d
@@ -730,7 +770,7 @@ class TestFIso:
         # f_iso_check builds no RingMap of its own: res_{T->E} for every
         # object comes from one batched symmetric power per rank class,
         # whose stack holds exactly that class's objects in order, and no
-        # morphism other than T's is checked
+        # morphism other than those into T is checked
         setup = loc._AbelianSetup(G([2, 2, 2]), 2)
         monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
         built, batches = [], []
@@ -748,19 +788,16 @@ class TestFIso:
         monkeypatch.setattr(loc, "symmetric_powers", recording_powers)
         f_iso_check(G([2, 2, 2]), 6, 2)
         assert built == []
-        data_T = setup.sub_data[setup.top]
-        ranks = sorted({data.ring.k for data in setup.sub_data})
-        assert [target.k for _, target, _ in batches] == ranks == [0, 1, 2, 3]
-        objects = iter(setup.sub_data)
+        assert [target.k for _, target, _ in batches] == [0, 1, 2, 3]
+        want = iter(setup_reference(G([2, 2, 2]), 2).res_T)
         for source, target, mats in batches:
-            assert source is data_T.ring
+            assert source is setup.data_G.ring
+            assert target is elem_abelian_ring(target.k, 2)
             for mat in mats:
-                data = next(objects)
-                assert data.ring is target
-                assert (mat == data_T.char_matrix(data.basis)).all()
-        assert next(objects, None) is None
+                assert (mat == next(want)).all()
+        assert next(want, None) is None
         assert "functorial" not in vars(setup)
-        assert len(setup.objects) < len(setup.morphisms)
+        assert sorted(setup._characters) == [(k, 3) for k in range(4)]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_singular_restriction_is_refused(self, monkeypatch, capsys,
@@ -771,12 +808,9 @@ class TestFIso:
         # invertible restriction refuses the setup instead
         group = G([p, p])
         setup = loc._AbelianSetup(group, p)
-        data_T = setup.sub_data[setup.top]
-        for i, data in enumerate(setup.sub_data):
-            setup.res_to[i] = chow.RingMap(
-                setup.data_G.ring, data.ring,
-                fl.matmul(np.array([[1, 0], [1, 0]]),
-                          data_T.char_matrix(data.basis), p))
+        for k in range(3):
+            setup.res_G[k] = np.array([[1, 0], [1, 0]]) \
+                @ setup.characters(k, 2) % p
         monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
         assert f_iso_reference(group, 6, p)[1]
         message = (f"{group.name}: restriction to T, the subgroup of "
