@@ -514,12 +514,6 @@ def restriction_from_G(setup, i):
     return RingMap(setup.data_G.ring, object_ring(setup, i), setup.res_G[k][b])
 
 
-def setup_morphisms(setup):
-    """Every inclusion pair (i, j) of a localization setup, sorted."""
-    return sorted((i, j) for block in setup.inclusions.values()
-                  for i, j in block.T.tolist())
-
-
 def inclusion_maps(setup):
     """The RingMap CH_{E_j} -> CH_{E_i} of every inclusion E_i <= E_j of a
     localization setup, by pair: res_{E_j->E_i}, from the setup's batched

@@ -43,17 +43,6 @@ def check_generating_set(G):
     assert closure_reference(G, gens) == tuple(G.elements())
 
 
-def gaussian_binomial(r, k, p):
-    """The number of k-dimensional subspaces of F_p^r."""
-    num = den = 1
-    for i in range(k):
-        num *= p ** (r - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
-
-
 class TestConstruction:
     def test_abelian(self):
         k = FiniteGroup.from_abelian([2, 2])
@@ -310,19 +299,12 @@ class TestElementaryAbelians:
         ([2] * 6, 2, (2825, 95706)), ([3] * 5, 3, (2664, 69699))])
     def test_lattice_counts_are_gaussian_binomial_sums(self, orders, p,
                                                        counts):
-        # [r, k]_p subspaces of dimension k, each inside [r - k, l - k]_p
-        # subspaces of dimension l
         r = len(orders)
-        objects = sum(gaussian_binomial(r, k, p) for k in range(r + 1))
-        inclusions = sum(gaussian_binomial(r, k, p)
-                         * gaussian_binomial(r - k, l - k, p)
-                         for k in range(r + 1) for l in range(k, r + 1))
-        assert (objects, inclusions) == counts == lattice_size(r, p)
+        assert lattice_size(r, p) == counts
         objs, incs = lattice_pairs(
             elementary_abelians(FiniteGroup.from_abelian(orders), p))
         assert (len(objs), len(incs)) == counts
         assert len(set(objs)) == len(objs) and objs[-1] == tuple(range(p ** r))
-
 
     def test_lattice_over_the_cap_is_refused(self, monkeypatch):
         # (Z/2)^5 has 5,769 inclusions: a cap one below refuses it before

@@ -23,8 +23,7 @@ from conftest import (ABELIAN_CATALOG, all_injective, all_iso,
                       lattice_pairs, level_sweep, max_nil_submodule,
                       object_class, object_ring, point_module, relabelled,
                       res_comult_reference, restriction_from_G,
-                      setup_morphisms, setup_reference,
-                      top_condition_reference, type_legs)
+                      setup_reference, top_condition_reference, type_legs)
 
 
 # (k, p, n, D): rank k up to 5, levels where the type blocks have rows
@@ -391,7 +390,7 @@ class TestBuildLambda:
         # one wrong entry in the characters of E_8 on E_1's basis, which
         # both `functorial` and `inclusion_maps` read
         setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        assert (1, 8) in setup_morphisms(setup)
+        assert (1, 8) in lattice_pairs(setup)[1]
         k, l, m = self.inclusion_at(setup, 1, 8)
         setup.characters(k, l)[m, 0, 0] ^= 1
         for n in (1, 2, 3):
@@ -549,7 +548,7 @@ class TestBuildLambda:
                      "--cutoff", "5"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_objects_share_one_stack_per_rank(self):
+    def test_objects_share_one_ring_per_rank(self):
         # one stack per rank class, of res_{G->E} and of the characters of
         # each class of inclusions, over G's one ring of rank 3
         setup = loc._AbelianSetup(gp.load_group({"abelian": [3, 3, 3]}), 3)
@@ -759,7 +758,7 @@ class TestFIso:
         objects = lattice_pairs(setup)[0]
         top = set(objects[setup.top])
         assert all(top.issuperset(obj) for obj in objects)
-        into_top = [i for i, j in setup_morphisms(setup) if j == setup.top]
+        into_top = [i for i, j in lattice_pairs(setup)[1] if j == setup.top]
         assert into_top == list(range(len(objects)))
         own = inclusion_maps(setup)[setup.top, setup.top]
         for d in range(7):
