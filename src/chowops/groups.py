@@ -266,8 +266,10 @@ class FiniteGroup:
                 y[alive] = self.power(y[alive], q)
         return orders
 
-    @property
+    @cached_property
     def is_abelian(self):
+        """Whether the table equals its transpose, compared on first read
+        only: the table never changes."""
         return bool((self.table == self.table.T).all())
 
     def p_torsion(self, p):

@@ -3,9 +3,9 @@ centralizer rings.
 
 Two computation routes, deliberately independent of each other:
 
-* presented or finite modules: degree-k T-dimensions are Hom dimensions
-  into (rank-r elementary abelian ring) (x) (degree-k Brown-Gitler dual),
-  by exact kernel computations;
+* presented modules: degree-k T-dimensions are Hom dimensions into
+  (rank-r elementary abelian ring) (x) (degree-k Brown-Gitler dual), by
+  exact kernel computations;
 * catalog groups: the structural product over conjugacy classes of
   homomorphisms, with the comparison map materialized degreewise so its
   injectivity can be certified through a cutoff.
@@ -22,8 +22,8 @@ from . import fp_linalg as fl
 from . import groups as gp
 from .chow import (AbelianRingData, RingMap, abelian_ring,
                    elem_abelian_ring, ring_module)
-from .modules import (FPModule, FiniteModule, brown_gitler, compile_presentation,
-                      fp_dim, hom_space, suspension_presentation, tensor_finite)
+from .modules import (FPModule, FiniteModule, brown_gitler, fp_dim, hom_space,
+                      tensor_finite)
 
 __all__ = [
     "tv_target",
@@ -32,7 +32,6 @@ __all__ = [
     "TvStructural",
     "tv_structural",
     "ell_check",
-    "tensor_convolution_check",
 ]
 
 
@@ -46,33 +45,20 @@ def tv_target(r: int, k: int, p: int, max_degree: int) -> FiniteModule:
     return tensor_finite(ch, bg)
 
 
-def tv_dim(m, r: int, k: int) -> int:
-    """dim of the degree-k part of T applied to m, for V of rank r.
+def tv_dim(m: FPModule, r: int, k: int) -> int:
+    """dim of the degree-k part of T applied to the presented module m,
+    for V of rank r.
 
-    Rank 0 returns m's own dimension.  Presented modules go through the
-    generator/relation Hom computation; complete finite modules through
-    the degreewise commuting-family computation.  Both are exact.
+    Rank 0 returns m's own dimension, by `fp_dim`; any other rank is the
+    dimension of Hom from m into `tv_target`.  Both are exact.
     """
     if r == 0:
-        if isinstance(m, FPModule):
-            return fp_dim(m, k)
-        return m.dim(k)
-    if isinstance(m, FPModule):
-        degrees = [d for _, d in m.generators]
-        degrees.append(m.max_relation_degree)
-        horizon = max(degrees, default=0)
-        target = tv_target(r, k, m.p, horizon)
-        return hom_space(m, target).dim
-    if isinstance(m, FiniteModule):
-        if not m.is_complete:
-            raise ValueError("finite-route T dimensions need a complete module")
-        horizon = m.p * max(m.max_degree, 1)
-        target = tv_target(r, k, m.p, horizon)
-        return hom_space(m, target).dim
-    raise TypeError(f"unsupported module {type(m).__name__}")
+        return fp_dim(m, k)
+    horizon = max([m.max_relation_degree] + [d for _, d in m.generators])
+    return hom_space(m, tv_target(r, k, m.p, horizon)).dim
 
 
-def tv_table(m, r: int, kmax: int) -> dict[int, int]:
+def tv_table(m: FPModule, r: int, kmax: int) -> dict[int, int]:
     """Degree k -> dim (T m)^k for k = 0..kmax."""
     return {k: tv_dim(m, r, k) for k in range(kmax + 1)}
 
@@ -167,58 +153,3 @@ def ell_check(G: gp.FiniteGroup, r: int, D: int, p: int):
             "surjective": rk == dim_source and tv_dim_structural == expected,
         })
     return report
-
-
-def _compile_bounded(m: FPModule):
-    """Complete finite model of a presentation with a declared support
-    bound (see FPModule.support_bound), or None without one."""
-    if m.support_bound is None:
-        return None
-    compiled = compile_presentation(m, m.support_bound)
-    return FiniteModule(m.p, compiled.dims, compiled.mats,
-                        truncated_above=None, validate=False)
-
-
-def _point_degree(finite: FiniteModule | None):
-    """The degree of a one-dimensional module concentrated in a single
-    degree, else None."""
-    if finite is not None and len(finite.support) == 1 \
-            and finite.dim(finite.support[0]) == 1:
-        return finite.support[0]
-    return None
-
-
-def tensor_convolution_check(m: FPModule, n: FPModule, r: int, D: int,
-                             verbose=False):
-    """Check deg-by-deg that T of the tensor product has the dimensions of
-    the convolution of the two T-dimension tables.
-
-    The left side is computed without ever invoking the product rule:
-    bounded factors tensor into one complete finite module whose T
-    dimensions come from the Hom route; a one-dimensional factor is a
-    degree shift handled by an explicit suspension presentation.  Each
-    bounded factor is compiled once.
-    """
-    if m.p != n.p:
-        raise ValueError("primes differ")
-    finite_m, finite_n = _compile_bounded(m), _compile_bounded(n)
-    shift_n, shift_m = _point_degree(finite_n), _point_degree(finite_m)
-    if finite_m is not None and finite_n is not None:
-        prod = tensor_finite(finite_m, finite_n)
-        lhs = {k: tv_dim(prod, r, k) for k in range(D + 1)}
-    elif shift_n is not None:
-        s = suspension_presentation(m, shift_n)
-        lhs = {k: tv_dim(s, r, k) for k in range(D + 1)}
-    elif shift_m is not None:
-        s = suspension_presentation(n, shift_m)
-        lhs = {k: tv_dim(s, r, k) for k in range(D + 1)}
-    else:
-        raise ValueError(
-            "tensor route needs bounded factors or a one-dimensional one")
-    mt = tv_table(m, r, D)
-    nt = tv_table(n, r, D)
-    rhs = {k: sum(mt[i] * nt[k - i] for i in range(k + 1)) for k in range(D + 1)}
-    ok = lhs == rhs
-    if verbose:
-        return ok, {"tensor": lhs, "convolution": rhs}
-    return ok

@@ -1,6 +1,7 @@
 """Unstable modules in the Chow grading: free-module bases, Brown-Gitler
 duals, finitely presented and finite (degreewise-matrix) modules, Hom
-spaces, Cartan tensor products, and nilpotence-degree certification.
+spaces out of presented modules, Cartan tensor products, and
+nilpotence-degree certification.
 
 Two representations, one-way compiled:
 
@@ -28,10 +29,6 @@ __all__ = [
     "brown_gitler",
     "tensor_finite",
     "FPModule",
-    "free_presentation",
-    "point_presentation",
-    "suspension_presentation",
-    "finite_to_presentation",
     "compile_presentation",
     "fp_dim",
     "HomSpace",
@@ -363,12 +360,9 @@ class FPModule:
     stripped.
     """
 
-    def __init__(self, p, generators, relations, name=None, support_bound=None):
+    def __init__(self, p, generators, relations, name=None):
         self.p = fl.check_prime(p)
         self.name = name
-        # a caller-supplied promise that the module vanishes above this
-        # degree; compilations cannot certify it, some routes require it
-        self.support_bound = support_bound
         self.generators = []
         seen = set()
         for gname, deg in generators:
@@ -480,83 +474,10 @@ class FPModule:
             rels.append(terms)
         return cls(p, gens, rels, name=data.get("name", name))
 
-    def to_json(self):
-        return {
-            "prime": self.p,
-            "generators": [{"name": n, "degree": d} for n, d in self.generators],
-            "relations": [
-                [{"coeff": int(c),
-                  "op": " ".join(f"P^{a}" for a in w) if w else "1",
-                  "gen": self.generators[g][0]}
-                 for c, w, g in rel]
-                for rel in self.relations
-            ],
-        }
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return (f"<FPModule{tag} p={self.p}, {len(self.generators)} generators, "
                 f"{len(self.relations)} relations>")
-
-
-def free_presentation(n: int, p: int, name=None) -> FPModule:
-    """The free unstable module on one generator of degree n."""
-    return FPModule(p, [("g", n)], [], name=name or f"free({n})")
-
-
-def point_presentation(d: int, p: int) -> FPModule:
-    """F_p in degree d: one generator killed by every positive power."""
-    rels = [[(1, (a,), 0)] for a in range(1, d + 1)]
-    return FPModule(p, [("g", d)], rels, name=f"point({d})", support_bound=d)
-
-
-def suspension_presentation(m: FPModule, k: int) -> FPModule:
-    """Presentation of the k-fold suspension (degree shift) of m.
-
-    Generators move up by k; the original relations keep their words; each
-    generator additionally acquires the instability relations P^a g for
-    old_degree < a <= old_degree + k, which cut the larger free modules
-    down to shifted copies.  Exactness of this presentation is asserted by
-    the test suite against shifted compilations.
-    """
-    if k < 0:
-        raise ValueError("suspension shift must be >= 0")
-    gens = [(n, d + k) for n, d in m.generators]
-    rels = [[(c, w, g) for c, w, g in rel] for rel in m.relations]
-    for gi, (_, old_deg) in enumerate(m.generators):
-        for a in range(old_deg + 1, old_deg + k + 1):
-            rels.append([(1, (a,), gi)])
-    bound = None if m.support_bound is None else m.support_bound + k
-    return FPModule(m.p, gens, rels, support_bound=bound,
-                    name=f"suspension({m.name or 'module'},{k})")
-
-
-def finite_to_presentation(m: FiniteModule, name=None) -> FPModule:
-    """Exact presentation of a complete bounded module: one generator per
-    basis vector, one relation per (P^a, basis vector) recording the full
-    action table (including the vanishing ones)."""
-    if not m.is_complete:
-        raise ValueError("only complete modules convert exactly")
-    gens = []
-    index = {}
-    for d in m.support:
-        for i in range(m.dim(d)):
-            index[(d, i)] = len(gens)
-            gens.append((f"e{d}_{i}", d))
-    rels = []
-    for d in m.support:
-        for a in range(1, d + 1):
-            target = d + a * (m.p - 1)
-            mat = m.act(a, d)
-            for i in range(m.dim(d)):
-                rel = [(1, (a,), index[(d, i)])]
-                for r in range(m.dim(target)):
-                    c = int(mat[r, i]) if mat.size else 0
-                    if c:
-                        rel.append(((-c) % m.p, (), index[(target, r)]))
-                rels.append(rel)
-    bound = max(m.support, default=0)
-    return FPModule(m.p, gens, rels, name=name, support_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -649,44 +570,26 @@ def fp_dim(fp: FPModule, d: int) -> int:
 
 @dataclass
 class HomSpace:
-    """Basis of Hom with bookkeeping to read vectors back as assignments."""
+    """A basis of Hom: one column of ``vectors`` per homomorphism."""
 
     p: int
     dim: int
     vectors: np.ndarray  # (unknowns x dim)
-    blocks: list[tuple[object, int, int]]  # (label, offset, size)
-
-    def assignment(self, j: int) -> dict:
-        v = self.vectors[:, j]
-        return {lab: v[off:off + size].copy() for lab, off, size in self.blocks}
 
 
-def hom_space(m, n: FiniteModule) -> HomSpace:
-    """Hom over the reduced-power algebra into a finite module.
+def hom_space(m: FPModule, n: FiniteModule) -> HomSpace:
+    """Hom over the reduced-power algebra from a presented module into a
+    finite one.
 
-    For a presented source, a homomorphism is an assignment of each
-    generator to an element of matching degree annihilating every
-    relation; for a complete finite source it is a degreewise family of
-    matrices commuting with the action.  Either way the answer is the
+    A homomorphism is an assignment of each generator to an element of
+    matching degree annihilating every relation, so the answer is the
     kernel of one exact constraint matrix.
     """
-    if isinstance(m, FPModule):
-        return _hom_fp(m, n)
-    if isinstance(m, FiniteModule):
-        if not m.is_complete:
-            raise ValueError("Hom from a truncated module is not determined; "
-                             "compile a presentation or pass a complete module")
-        return _hom_finite(m, n)
-    raise TypeError(f"unsupported source {type(m).__name__}")
-
-
-def _hom_fp(m: FPModule, n: FiniteModule) -> HomSpace:
     p = m.p
-    blocks, offset = [], 0
-    for name, d in m.generators:
-        size = n.dim(d)
-        blocks.append((name, offset, size))
-        offset += size
+    offsets, offset = [], 0
+    for _, d in m.generators:
+        offsets.append(offset)
+        offset += n.dim(d)
     rows = []
     for rel in m.relations:
         rdeg = word_degree(rel[0][1], p) + m.generators[rel[0][2]][1]
@@ -694,7 +597,7 @@ def _hom_fp(m: FPModule, n: FiniteModule) -> HomSpace:
         for c, w, gi in rel:
             gdeg = m.generators[gi][1]
             mat = n.word_mat(w, gdeg)
-            _, off, size = blocks[gi]
+            off, size = offsets[gi], n.dim(gdeg)
             block_rows[:, off:off + size] = \
                 (block_rows[:, off:off + size] + c * mat) % p
         rows.append(block_rows)
@@ -703,42 +606,7 @@ def _hom_fp(m: FPModule, n: FiniteModule) -> HomSpace:
     else:
         constraint = fl.zeros(0, offset)
     vectors = fl.kernel_matrix(constraint, p)
-    return HomSpace(p, vectors.shape[1], vectors, blocks)
-
-
-def _hom_finite(m: FiniteModule, n: FiniteModule) -> HomSpace:
-    p = m.p
-    blocks, offset = [], 0
-    coords = {}
-    for d in m.support:
-        size = n.dim(d) * m.dim(d)
-        coords[d] = offset
-        blocks.append((d, offset, size))
-        offset += size
-    rows = []
-    for d in m.support:
-        for a in range(1, d + 1):
-            d2 = d + a * (p - 1)
-            pn = n.act(a, d)       # N^d -> N^{d2}
-            pm = m.act(a, d)       # M^d -> M^{d2}
-            rdim = n.dim(d2) * m.dim(d)
-            if rdim == 0:
-                continue
-            block = fl.zeros(rdim, offset)
-            if n.dim(d) and pn.any():
-                # P^a . f_d, unknowns f_d flattened row-major (N x M)
-                block[:, coords[d]:coords[d] + n.dim(d) * m.dim(d)] = \
-                    fl.kron(pn, fl.identity(m.dim(d)), p)
-            if d2 in coords and m.dim(d2) and pm.any():
-                contrib = fl.kron(fl.identity(n.dim(d2)), pm.T, p)
-                block[:, coords[d2]:coords[d2] + n.dim(d2) * m.dim(d2)] = \
-                    (block[:, coords[d2]:coords[d2] + n.dim(d2) * m.dim(d2)]
-                     - contrib) % p
-            if block.any():
-                rows.append(block)
-    constraint = np.vstack(rows) if rows else fl.zeros(0, offset)
-    vectors = fl.kernel_matrix(constraint, p)
-    return HomSpace(p, vectors.shape[1], vectors, blocks)
+    return HomSpace(p, vectors.shape[1], vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from chowops.chow import (ChowRing, RingMap, _action_matrix, abelian_ring,
                           elem_abelian_ring, poly_add, poly_mul_raw,
                           poly_scale, restriction_map, ring_module)
 from chowops.groups import FiniteGroup, HomClass, abelian_p_basis, load_group
-from chowops.modules import (FiniteModule, brown_gitler,
-                             finite_to_presentation, point_presentation,
-                             suspension_presentation)
+from chowops.lannes import tv_table, tv_target
+from chowops.modules import (FiniteModule, FPModule, brown_gitler,
+                             compile_presentation, tensor_finite)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 CATALOG = sorted(path.stem for path in (DATA / "groups").glob("*.json"))
@@ -47,6 +47,172 @@ def truncate(ring, n):
 def point_module(d, p):
     """F_p concentrated in degree d (complete; all positive powers vanish)."""
     return FiniteModule(p, {d: 1}, {})
+
+
+# -- presented test modules and the tensor theorem ------------------------
+
+
+class Presentation(FPModule):
+    """A presented module that also states the degree above which it
+    vanishes, or None: a promise that its builder knows and that no
+    compilation can certify.  The tensor check reads it."""
+
+    def __init__(self, p, generators, relations, name=None,
+                 support_bound=None):
+        super().__init__(p, generators, relations, name=name)
+        self.support_bound = support_bound
+
+
+def free_presentation(n, p, name=None):
+    """The free unstable module on one generator of degree n."""
+    return Presentation(p, [("g", n)], [], name=name or f"free({n})")
+
+
+def point_presentation(d, p):
+    """F_p in degree d: one generator killed by every positive power."""
+    rels = [[(1, (a,), 0)] for a in range(1, d + 1)]
+    return Presentation(p, [("g", d)], rels, name=f"point({d})",
+                        support_bound=d)
+
+
+def suspension_presentation(m, k):
+    """Presentation of the k-fold suspension (degree shift) of m.
+
+    Generators move up by k; the original relations keep their words; each
+    generator additionally acquires the instability relations P^a g for
+    old_degree < a <= old_degree + k, which cut the larger free modules
+    down to shifted copies.  Exactness of this presentation is asserted
+    against shifted compilations.
+    """
+    if k < 0:
+        raise ValueError("suspension shift must be >= 0")
+    gens = [(n, d + k) for n, d in m.generators]
+    rels = [[(c, w, g) for c, w, g in rel] for rel in m.relations]
+    for gi, (_, old_deg) in enumerate(m.generators):
+        for a in range(old_deg + 1, old_deg + k + 1):
+            rels.append([(1, (a,), gi)])
+    bound = None if m.support_bound is None else m.support_bound + k
+    return Presentation(m.p, gens, rels, support_bound=bound,
+                        name=f"suspension({m.name or 'module'},{k})")
+
+
+def finite_to_presentation(m, name=None):
+    """Exact presentation of a complete bounded module: one generator per
+    basis vector, one relation per (P^a, basis vector) recording the full
+    action table (including the vanishing ones)."""
+    if not m.is_complete:
+        raise ValueError("only complete modules convert exactly")
+    gens = []
+    index = {}
+    for d in m.support:
+        for i in range(m.dim(d)):
+            index[(d, i)] = len(gens)
+            gens.append((f"e{d}_{i}", d))
+    rels = []
+    for d in m.support:
+        for a in range(1, d + 1):
+            target = d + a * (m.p - 1)
+            mat = m.act(a, d)
+            for i in range(m.dim(d)):
+                rel = [(1, (a,), index[(d, i)])]
+                for r in range(m.dim(target)):
+                    c = int(mat[r, i]) if mat.size else 0
+                    if c:
+                        rel.append(((-c) % m.p, (), index[(target, r)]))
+                rels.append(rel)
+    return Presentation(m.p, gens, rels, name=name,
+                        support_bound=max(m.support, default=0))
+
+
+def hom_finite_reference(m, n):
+    """dim Hom(m, n) for a complete finite source m: the degreewise families
+    of matrices f_d: m^d -> n^d commuting with every P^a, unknowns f_d
+    flattened row-major.  The reference for `modules.hom_space`, which
+    reads a presentation of the source instead."""
+    p = m.p
+    coords, offset = {}, 0
+    for d in m.support:
+        coords[d] = offset
+        offset += n.dim(d) * m.dim(d)
+    rows = []
+    for d in m.support:
+        for a in range(1, d + 1):
+            d2 = d + a * (p - 1)
+            pn = n.act(a, d)       # N^d -> N^{d2}
+            pm = m.act(a, d)       # M^d -> M^{d2}
+            rdim = n.dim(d2) * m.dim(d)
+            if rdim == 0:
+                continue
+            block = fl.zeros(rdim, offset)
+            if n.dim(d) and pn.any():
+                # P^a . f_d
+                block[:, coords[d]:coords[d] + n.dim(d) * m.dim(d)] = \
+                    fl.kron(pn, fl.identity(m.dim(d)), p)
+            if d2 in coords and m.dim(d2) and pm.any():
+                # minus f_{d2} . P^a
+                contrib = fl.kron(fl.identity(n.dim(d2)), pm.T, p)
+                block[:, coords[d2]:coords[d2] + n.dim(d2) * m.dim(d2)] = \
+                    (block[:, coords[d2]:coords[d2] + n.dim(d2) * m.dim(d2)]
+                     - contrib) % p
+            if block.any():
+                rows.append(block)
+    constraint = np.vstack(rows) if rows else fl.zeros(0, offset)
+    return fl.kernel_matrix(constraint, p).shape[1]
+
+
+def _compile_bounded(m):
+    """Complete finite model of a presentation with a stated support
+    bound, or None without one."""
+    if m.support_bound is None:
+        return None
+    compiled = compile_presentation(m, m.support_bound)
+    return FiniteModule(m.p, compiled.dims, compiled.mats,
+                        truncated_above=None, validate=False)
+
+
+def _point_degree(finite):
+    """The degree of a one-dimensional module concentrated in a single
+    degree, else None."""
+    if finite is not None and len(finite.support) == 1 \
+            and finite.dim(finite.support[0]) == 1:
+        return finite.support[0]
+    return None
+
+
+def tensor_convolution_check(m, n, r, D, verbose=False):
+    """Check deg-by-deg that T of the tensor product has the dimensions of
+    the convolution of the two T-dimension tables.
+
+    The left side is computed without ever invoking the product rule:
+    bounded factors tensor into one complete finite module whose T
+    dimensions are Hom dimensions by `hom_finite_reference`, a route
+    independent of the library's; a one-dimensional factor is a degree
+    shift handled by an explicit suspension presentation.  Each bounded
+    factor is compiled once.
+    """
+    if m.p != n.p:
+        raise ValueError("primes differ")
+    finite_m, finite_n = _compile_bounded(m), _compile_bounded(n)
+    shift_n, shift_m = _point_degree(finite_n), _point_degree(finite_m)
+    if finite_m is not None and finite_n is not None:
+        prod = tensor_finite(finite_m, finite_n)
+        horizon = prod.p * max(prod.max_degree, 1)
+        lhs = {k: hom_finite_reference(prod, tv_target(r, k, prod.p, horizon))
+               for k in range(D + 1)}
+    elif shift_n is not None:
+        lhs = tv_table(suspension_presentation(m, shift_n), r, D)
+    elif shift_m is not None:
+        lhs = tv_table(suspension_presentation(n, shift_m), r, D)
+    else:
+        raise ValueError(
+            "tensor route needs bounded factors or a one-dimensional one")
+    mt = tv_table(m, r, D)
+    nt = tv_table(n, r, D)
+    rhs = {k: sum(mt[i] * nt[k - i] for i in range(k + 1)) for k in range(D + 1)}
+    ok = lhs == rhs
+    if verbose:
+        return ok, {"tensor": lhs, "convolution": rhs}
+    return ok
 
 
 def fp_test_modules(p):

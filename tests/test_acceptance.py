@@ -13,17 +13,16 @@ from chowops.chow import (RingMap, elem_abelian_ring, poly_add, poly_scale,
                           ring_module)
 from chowops.cli import main as cli_main
 from chowops.groups import FiniteGroup, rep_classes
-from chowops.lannes import (ell_check, tensor_convolution_check, tv_dim,
-                            tv_structural)
+from chowops.lannes import ell_check, tv_dim, tv_structural
 from chowops.localization import (_AbelianSetup, build_lambda, d0_estimate,
                                   f_iso_check)
-from chowops.modules import (brown_gitler, free_presentation, fp_dim,
-                             hom_space, nilpotence_degree, point_presentation)
+from chowops.modules import brown_gitler, fp_dim, hom_space, nilpotence_degree
 from chowops.powers import reduce_word
 
 from conftest import (DATA, all_iso, conj, direct_sum, fp_test_modules,
-                      level_sweep, max_nil_submodule, mixed_test_modules,
-                      point_module)
+                      free_presentation, level_sweep, max_nil_submodule,
+                      mixed_test_modules, point_module, point_presentation,
+                      tensor_convolution_check)
 
 
 def report(number, label, ok, elapsed, limit=None):

@@ -1,9 +1,9 @@
 """Exact outputs pinned where the benchmark does not reach: SHA-256
 digests of `--format json` stdout for the non-elementary abelian groups,
 whose characters restrict through cyclic factors of order above p (at
-levels 1-3 for `localize`), and for `tv` and `nil` on the module files;
-`tv --rank 2` on the elementary abelian groups of rank 3, whose
-729 and 64 classes each take a centralizer ring; `quillen-check` past the
+levels 1-3 for `localize`), and for `tv` (at ranks 1 and 0) and `nil` on
+the module files; `tv --rank 2` on the elementary abelian groups of
+rank 3, whose 729 and 64 classes each take a centralizer ring; `quillen-check` past the
 default cutoff, on a rank-4 group and where the p-torsion subgroup is
 trivial, as TSV, and at p = 11, where residues have two digits;
 `localize` at rank 3 and 4 past the default cutoff, where most objects
@@ -24,6 +24,7 @@ import pytest
 
 from chowops.chow import elem_abelian_ring, ring_module
 from chowops.cli import main
+from chowops.modules import FPModule, compile_presentation
 
 GROUP_RUNS = {
     ("tv", "z4xz2", 2):
@@ -89,6 +90,18 @@ MODULE_RUNS = {
     "point2_p2": "eb7e68baac8ff90e39bb08908613a029e5c590159357990101cc695a9515f4d0",
     "point2_p3": "eb7e68baac8ff90e39bb08908613a029e5c590159357990101cc695a9515f4d0",
     "tied_p2": "970d4c82b9227c4e503c997688024854f1cba39be456ef972cb06f32e601ef52",
+}
+
+# tv --module --rank 0: the CLI's one route into `fp_dim`
+MODULE_RANK_ZERO_RUNS = {
+    "free1_p2":
+        "abfedab67118efd38a3c11a49df9dad09809f58f7e87b2f2f43fdf8205f9e789",
+    "point2_p2":
+        "67659a7486858b25beec819ed97ada2ac5fdf732ed5ea0ed07b04981b42945dc",
+    "point2_p3":
+        "67659a7486858b25beec819ed97ada2ac5fdf732ed5ea0ed07b04981b42945dc",
+    "tied_p2":
+        "8883773eba13e31f0d24ecc74160fcf165d9db1af725180989933089b11c2af9",
 }
 
 LOCALIZE_LEVEL_RUNS = {
@@ -275,6 +288,22 @@ def test_tv_rank_two_output(capsys, data_dir, group, p):
 def test_module_tv_output(capsys, data_dir, module):
     argv = ["tv", "--module", data_dir / "modules" / f"{module}.json"]
     assert digest(capsys, *argv) == MODULE_RUNS[module]
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_RANK_ZERO_RUNS))
+def test_module_tv_rank_zero_output(capsys, data_dir, module):
+    path = data_dir / "modules" / f"{module}.json"
+    code = main(["tv", "--module", str(path), "--rank", "0",
+                 "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        MODULE_RANK_ZERO_RUNS[module]
+    # the rows are the module's own dimensions, as its compilation has them
+    compiled = compile_presentation(
+        FPModule.from_json(json.loads(path.read_text())), 8)
+    assert json.loads(out)["rows"] == [[0, k, compiled.dim(k)]
+                                       for k in range(9)]
 
 
 @pytest.mark.parametrize("group, p, level", sorted(LOCALIZE_LEVEL_RUNS))

@@ -53,6 +53,14 @@ class TestConstruction:
         g = s3()
         assert len(g) == 6 and not g.is_abelian
 
+    def test_is_abelian_compares_the_table_once(self, monkeypatch):
+        for g, expected in ((FiniteGroup.from_abelian([2, 2]), True),
+                            (s3(), False)):
+            assert g.is_abelian is expected
+            # without its table a second comparison would raise
+            monkeypatch.setattr(g, "table", None)
+            assert g.is_abelian is expected
+
     def test_bad_table(self):
         with pytest.raises(ValueError):
             FiniteGroup([[0, 1], [1, 1]])

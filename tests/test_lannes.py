@@ -1,18 +1,15 @@
-import itertools
-
 import pytest
 
+import conftest
 from chowops import lannes
-from chowops.chow import elem_abelian_ring
 from chowops.groups import FiniteGroup
-from chowops.lannes import (ell_check, tensor_convolution_check, tv_dim,
-                            tv_structural, tv_table, tv_target)
-from chowops.modules import (brown_gitler, compile_presentation,
-                             finite_to_presentation, free_module_basis,
-                             free_presentation, point_presentation,
-                             suspension_presentation)
+from chowops.lannes import (ell_check, tv_dim, tv_structural, tv_table,
+                            tv_target)
+from chowops.modules import brown_gitler, compile_presentation
 
-from conftest import fp_test_modules, mixed_test_modules
+from conftest import (finite_to_presentation, fp_test_modules,
+                      free_presentation, mixed_test_modules,
+                      point_presentation, tensor_convolution_check)
 
 
 class TestTvDim:
@@ -162,13 +159,13 @@ class TestTensorTheorem:
 
     def test_each_bounded_factor_compiled_once(self, monkeypatch):
         compiled = []
-        real = lannes.compile_presentation
+        real = conftest.compile_presentation
 
         def counting(m, D):
             compiled.append(m)
             return real(m, D)
 
-        monkeypatch.setattr(lannes, "compile_presentation", counting)
+        monkeypatch.setattr(conftest, "compile_presentation", counting)
         a = point_presentation(1, 2)
         b = finite_to_presentation(brown_gitler(2, 6, 2))
         assert tensor_convolution_check(a, b, 1, 4)

@@ -5,14 +5,13 @@ import pytest
 
 from chowops import fp_linalg as fl
 from chowops.modules import (FPModule, FiniteModule, brown_gitler,
-                             compile_presentation, finite_to_presentation,
-                             fp_dim, free_module_basis, free_presentation,
-                             hom_space, nilpotence_degree,
-                             point_presentation, suspension_presentation,
-                             tensor_finite)
+                             compile_presentation, fp_dim, free_module_basis,
+                             hom_space, nilpotence_degree, tensor_finite)
 
-from conftest import (fp_test_modules, mixed_test_modules, point_module,
-                      suspend, truncate)
+from conftest import (finite_to_presentation, fp_test_modules,
+                      free_presentation, hom_finite_reference,
+                      mixed_test_modules, point_module, point_presentation,
+                      suspend, suspension_presentation, truncate)
 
 
 class TestFreeBases:
@@ -117,21 +116,8 @@ class TestHom:
                 complete = FiniteModule(p, finite.dims, finite.mats,
                                         truncated_above=None, validate=False)
                 n = brown_gitler(4, 4 * p * 3, p)
-                assert hom_space(complete, n).dim == hom_space(m, n).dim
-
-    def test_truncated_source_rejected(self):
-        m = compile_presentation(free_presentation(1, 2), 6)
-        with pytest.raises(ValueError):
-            hom_space(m, brown_gitler(2, 8, 2))
-
-    def test_assignment_readback(self):
-        p = 2
-        m = point_presentation(2, p)
-        j = brown_gitler(2, 8, p)
-        h = hom_space(m, j)
-        assert h.dim == 1
-        assign = h.assignment(0)
-        assert list(assign) == ["g"] and assign["g"].shape == (1,)
+                assert hom_finite_reference(complete, n) == \
+                    hom_space(m, n).dim
 
 
 class TestCompile:
@@ -184,9 +170,11 @@ class TestSuspension:
                     assert (a.act(op, d) == mat).all(), (p, k, op, d)
 
     def test_support_bound_propagates(self):
+        # the fixture's own bound: point(1) vanishes above 1, its
+        # threefold suspension above 4
         m = point_presentation(1, 2)
-        s = suspension_presentation(m, 3)
-        assert s.support_bound == 4
+        assert m.support_bound == 1
+        assert suspension_presentation(m, 3).support_bound == 4
 
 
 class TestTensor:
@@ -318,10 +306,14 @@ class TestNilpotence:
 
 class TestPresentationSchema:
     def test_roundtrip(self):
+        blob = {"prime": 3, "name": "point(2)",
+                "generators": [{"name": "g", "degree": 2}],
+                "relations": [[{"coeff": 1, "op": "P^1", "gen": "g"}],
+                              [{"coeff": 1, "op": "P^2", "gen": "g"}]]}
         m = point_presentation(2, 3)
-        again = FPModule.from_json(m.to_json())
-        assert again.generators == m.generators
-        assert again.relations == m.relations
+        parsed = FPModule.from_json(blob)
+        assert parsed.generators == m.generators
+        assert parsed.relations == m.relations
 
     def test_field_paths_in_errors(self):
         blob = {"prime": 2,
