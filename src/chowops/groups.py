@@ -1,7 +1,6 @@
 """Finite group engine: multiplication-table groups, subgroups,
-centralizers, the elementary abelian p-subgroups of an abelian group with
-their inclusions, and commuting p-torsion tuples up to simultaneous
-conjugation.
+centralizers, the elementary abelian p-subgroups of an abelian group, and
+commuting p-torsion tuples up to simultaneous conjugation.
 
 Everything is array passes over a dense int32 multiplication table:
 powers and element orders by repeated squaring through it, a subgroup
@@ -14,15 +13,16 @@ where the table alone takes 400 MB.  A subgroup is a sorted tuple of G's
 elements, read off G's table; it never gets a table of its own.
 
 The elementary abelian p-subgroups of an abelian group are the subspaces
-of T ~ F_p^r, its elements of order dividing p, held as arrays
-(`Lattice`): each rank class's objects as one array of element codes, and
-each class of inclusions as two index arrays, found by one sorted lookup
-per pair of ranks, so memory grows with the inclusions and no objects x
-objects array is formed.  Their counts are Gaussian binomials, and a
-lattice above MAX_INCLUSIONS inclusions is refused before it is
-enumerated: (Z/2)^9, of order 512, has 8,283,458 objects and about 5.2e9
-inclusions.  On a 2-vCPU VM, (Z/2)^6 (2,825 objects, 95,706 inclusions)
-is enumerated in about 25 ms.
+of T ~ F_p^r, its elements of order dividing p.  Their counts are
+Gaussian binomials (`lattice_size`), and `localize` and `d0` read
+everything else off T's codes (`torsion_codes`).  So only `quillen-check`
+enumerates the subgroups, held as arrays (`Lattice`): each rank class's
+objects as one array of element codes.  The inclusions are never
+enumerated.  A lattice above MAX_INCLUSIONS of them is still refused
+before its objects are enumerated, so the cap now guards only that
+object enumeration: (Z/2)^9, of order 512, has 8,283,458 objects and
+about 5.2e9 inclusions.  A budget on the bytes written (ROADMAP item 8)
+is the follow-up.
 
 A table read from a file is validated by array passes too: the
 Latin-square checks by one occurrence matrix each way and, up to order
@@ -49,11 +49,12 @@ MAX_ORDER = 10_000
 # it; above this order associativity is not checked
 ASSOC_CHECK_CAP = 512
 MAX_REP_RANK = 3  # rep_classes enumerates every r-tuple of p-torsion
-# `elementary_abelians` refuses a lattice with more inclusions.  A setup
-# of localization peaks at about 190 bytes per inclusion (measured on
-# (Z/2)^7, (Z/5)^5 and (Z/3)^6: 0.46-0.80 GB for 2.4-4.4 million), so a
-# lattice at the cap needs about 4 GB.  The largest accepted is (Z/3)^6;
-# the next, (Z/2)^8, has 9.0e7 inclusions
+# `elementary_abelians` refuses a lattice with more inclusions, from its
+# Gaussian binomials.  Only `quillen-check` enumerates a lattice, objects
+# alone; the cap keeps the value it had when every inclusion was held
+# (about 190 bytes each), so that command refuses what it refused then:
+# the largest accepted is (Z/3)^6, and (Z/2)^8, with 9.0e7 inclusions, is
+# refused
 MAX_INCLUSIONS = 20_000_000
 
 
@@ -406,24 +407,28 @@ def _span(G: FiniteGroup, basis):
 # elementary abelian subgroups of an abelian group: the subspaces of T
 
 
+def torsion_codes(G: FiniteGroup, p: int):
+    """T, the elements of order dividing p of an abelian group G, by code:
+    entry c is the element whose exponents in T's generators b^(o/p), for
+    (b, o) the p-basis of G (`abelian_p_basis`), have base-p value c, so
+    T ~ F_p^r with the code arithmetic of F_p^r."""
+    gens = [(G.power(b, o // p), p) for b, o in abelian_p_basis(G, p)]
+    return _span(G, gens)
+
+
 @dataclass
 class Lattice:
     """The subspace lattice of T ~ F_p^r, the elements of order dividing p
-    in an abelian group.
+    in an abelian group, by its objects.
 
-    An element of T has a code, the base-p value of its exponents in T's
-    generators b^(o/p), for (b, o) the p-basis of G (`abelian_p_basis`),
-    and `ids[c]` is the element of code c.  The objects are
-    numbered by (size, sorted elements), one rank class after another, so
-    T is last.  Row b of `codes[k]` lists the codes of the b-th object of
-    rank k, at the positions of F_p^k in base-p order, as combinations of
-    its reduced echelon basis.  `inclusions[k, l]` is a 2 x M array of
-    object numbers, E_sub <= E_sup with sub of rank k and sup of rank l,
-    sorted by (sub, sup)."""
+    `ids[c]` is the element of T of code c (`torsion_codes`).  The objects
+    are numbered by (size, sorted elements), one rank class after another,
+    so T is last.  Row b of `codes[k]` lists the codes of the b-th object
+    of rank k, at the positions of F_p^k in base-p order, as combinations
+    of its reduced echelon basis."""
 
     ids: np.ndarray
     codes: list
-    inclusions: dict
 
 
 def gaussian_binomial(r, k, p):
@@ -447,34 +452,24 @@ def lattice_size(r, p):
 
 
 def elementary_abelians(G: FiniteGroup, p: int) -> Lattice:
-    """The elementary abelian p-subgroups of an abelian group G and their
-    inclusions, as a `Lattice`.
+    """The elementary abelian p-subgroups of an abelian group G, as a
+    `Lattice` of objects; no inclusion is enumerated.
 
-    They are the subspaces of T ~ F_p^r.  Conjugation is the identity, so
-    the category's morphisms are the inclusions.  Their counts are Gaussian
+    They are the subspaces of T ~ F_p^r.  Their counts are Gaussian
     binomials (`lattice_size`); above MAX_INCLUSIONS inclusions the lattice
-    is refused before any is enumerated.  Each subspace is enumerated once,
-    by its reduced echelon basis, one batch per pivot set.
-
-    The subspaces of an object W of rank l are the images of the echelon
-    bases Q of F_p^l under W's echelon basis R.  Each product Q R is again
-    in reduced echelon form: it holds Q at R's pivot columns, so its pivots
-    are R's at Q's and every other pivot column is 0 in it.  Row t of Q R
-    is the element of W at Q's row t, read off `codes`, so a subspace's key
-    is the codes of its echelon rows, and one sorted lookup per (k, l)
-    names every inclusion.  The Q of F_p^l are the echelon bases of F_p^r
-    whose rows have codes below p^l.  Memory grows with the inclusions."""
-    gens = [(G.power(b, o // p), p) for b, o in abelian_p_basis(G, p)]
-    r = len(gens)
+    is refused before any object is enumerated.  Each subspace is
+    enumerated once, by its reduced echelon basis, one batch per pivot
+    set."""
+    ids = torsion_codes(G, p)
+    r = round(np.log(len(ids)) / np.log(p))  # |T| = p^r
     n_objects, n_inclusions = lattice_size(r, p)
     if n_inclusions > MAX_INCLUSIONS:
         raise ValueError(
             f"{G.name}: its elementary abelian {p}-subgroups number "
             f"{n_objects:,}, with {n_inclusions:,} inclusions, above the cap "
             f"of {MAX_INCLUSIONS:,} inclusions")
-    ids = _span(G, gens)
     weights = p ** np.arange(r - 1, -1, -1)
-    rows, codes = [], []  # per rank: codes of the echelon rows, of members
+    codes = []  # per rank: codes of the members
     for k in range(r + 1):
         # the span of a k x r basis B is every v B, v in F_p^k
         span = vectors(p, k)
@@ -489,27 +484,10 @@ def elementary_abelians(G: FiniteGroup, p: int) -> Lattice:
                 a, c = zip(*free)
                 batch[:, a, c] = vectors(p, len(free))
             bases.append(batch)
-        bases = np.concatenate(bases)
-        members = span @ bases % p @ weights
+        members = span @ np.concatenate(bases) % p @ weights
         order = np.lexsort(np.sort(ids[members], axis=1).T[::-1])
-        rows.append((bases @ weights)[order])
         codes.append(members[order])
-    start = np.cumsum([0] + [len(c) for c in codes])
-    # a k-row key is below (p^r)^k <= 2^58 on every accepted lattice
-    inclusions = {}
-    for k in range(r + 1):
-        key = (p ** r) ** np.arange(k - 1, -1, -1)
-        keys = rows[k] @ key
-        by_key = np.argsort(keys)
-        keys = keys[by_key]
-        for l in range(k, r + 1):
-            q = rows[k][(rows[k] < p ** l).all(axis=1)]
-            images = codes[l][:, q] @ key
-            sub = start[k] + by_key[np.searchsorted(keys, images)].ravel()
-            sup = np.repeat(np.arange(start[l], start[l + 1]), len(q))
-            order = np.lexsort((sup, sub))
-            inclusions[k, l] = np.stack([sub[order], sup[order]])
-    return Lattice(ids=ids, codes=codes, inclusions=inclusions)
+    return Lattice(ids=ids, codes=codes)
 
 
 def vectors(p, k):

@@ -570,11 +570,10 @@ def fp_dim(fp: FPModule, d: int) -> int:
 
 @dataclass
 class HomSpace:
-    """A basis of Hom: one column of ``vectors`` per homomorphism."""
+    """The dimension of Hom over F_p."""
 
     p: int
     dim: int
-    vectors: np.ndarray  # (unknowns x dim)
 
 
 def hom_space(m: FPModule, n: FiniteModule) -> HomSpace:
@@ -582,8 +581,9 @@ def hom_space(m: FPModule, n: FiniteModule) -> HomSpace:
     finite one.
 
     A homomorphism is an assignment of each generator to an element of
-    matching degree annihilating every relation, so the answer is the
-    kernel of one exact constraint matrix.
+    matching degree annihilating every relation, so Hom is the kernel of
+    one exact constraint matrix, and its dimension is the number of
+    unknowns minus that matrix's rank.
     """
     p = m.p
     offsets, offset = [], 0
@@ -601,12 +601,8 @@ def hom_space(m: FPModule, n: FiniteModule) -> HomSpace:
             block_rows[:, off:off + size] = \
                 (block_rows[:, off:off + size] + c * mat) % p
         rows.append(block_rows)
-    if rows:
-        constraint = np.vstack(rows)
-    else:
-        constraint = fl.zeros(0, offset)
-    vectors = fl.kernel_matrix(constraint, p)
-    return HomSpace(p, vectors.shape[1], vectors)
+    constraint = np.vstack(rows) if rows else fl.zeros(0, offset)
+    return HomSpace(p, offset - fl.rank(constraint, p))
 
 
 # ---------------------------------------------------------------------------

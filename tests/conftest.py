@@ -652,53 +652,24 @@ def centralizer_reference(G, subset):
 # -- the subgroup category of an abelian group, map by map ------------------
 
 
-def lattice_pairs(lattice):
-    """(objects, inclusions) of a `groups.Lattice`, or of a localization
-    setup, which holds the same fields: each object's sorted element
-    tuple, in object order, and the sorted list of inclusion pairs (i, j),
-    E_i <= E_j."""
-    objects = [tuple(sorted(row)) for codes in lattice.codes
-               for row in lattice.ids[codes].tolist()]
-    pairs = sorted((i, j) for block in lattice.inclusions.values()
-                   for i, j in block.T.tolist())
-    return objects, pairs
-
-
-def object_class(setup, i):
-    """(k, b): object i of a localization setup is the b-th of rank k."""
-    k = int(np.searchsorted(setup.start, i, side="right")) - 1
-    return k, i - int(setup.start[k])
-
-
-def object_ring(setup, i):
-    return elem_abelian_ring(object_class(setup, i)[0], setup.p)
-
-
-def restriction_from_G(setup, i):
-    """The RingMap res_{G->E_i} of a localization setup, from its stack."""
-    k, b = object_class(setup, i)
-    return RingMap(setup.data_G.ring, object_ring(setup, i), setup.res_G[k][b])
-
-
-def inclusion_maps(setup):
-    """The RingMap CH_{E_j} -> CH_{E_i} of every inclusion E_i <= E_j of a
-    localization setup, by pair: res_{E_j->E_i}, from the setup's batched
-    characters."""
-    maps = {}
-    for (k, l), (sub, sup) in setup.inclusions.items():
-        for i, j, chars in zip(sub.tolist(), sup.tolist(),
-                               setup.characters(k, l)):
-            maps[i, j] = RingMap(object_ring(setup, j), object_ring(setup, i),
-                                 chars)
-    return maps
+def lattice_objects(lattice):
+    """Each object of a `groups.Lattice`, as its sorted element tuple, in
+    object order."""
+    return [tuple(sorted(row)) for codes in lattice.codes
+            for row in lattice.ids[codes].tolist()]
 
 
 @dataclass
 class SetupReference:
-    """A localization setup's data object by object, in the setup's object
-    order: the elements, basis, res_{G->E} and res_{T->E} substitution
-    matrix of each object, and the character matrix of each inclusion."""
+    """The subgroup category of an abelian group object by object, in the
+    object order of `groups.elementary_abelians`: the elements, basis,
+    res_{G->E} and res_{T->E} substitution matrix of each object, the
+    inclusion pairs (i, j), E_i <= E_j, and the character matrix of each,
+    the substitution matrix of res_{E_j->E_i}.  T is last, `top`."""
 
+    G: FiniteGroup
+    p: int
+    data_G: object
     objects: list
     bases: list
     res_G: list
@@ -706,16 +677,22 @@ class SetupReference:
     morphisms: list
     chars: dict
 
+    @property
+    def top(self):
+        return len(self.objects) - 1
+
 
 def setup_reference(G, p):
     """One `restriction_map` per object, over the objects and inclusions of
     the conjugation reference, and one `char_matrix` per inclusion: the
-    reference for `localization._AbelianSetup`."""
+    reference for `localization._AbelianSetup` and for the restrictions
+    from T of `localization.f_iso_check`."""
     data_G = abelian_ring(G, p)
     objects, morphisms = lattice_reference(G, p)
     maps = [restriction_map(G, E, p, ring_G=data_G) for E in objects]
     data = [rm.subgroup_data for rm in maps]
     return SetupReference(
+        G=G, p=p, data_G=data_G,
         objects=objects,
         bases=[[x for x, _ in d.basis] for d in data],
         res_G=[rm.mat for rm in maps],
@@ -723,6 +700,49 @@ def setup_reference(G, p):
         morphisms=morphisms,
         chars={(i, j): data[j].char_matrix(data[i].basis)
                for i, j in morphisms})
+
+
+def top_reference(G, p):
+    """The setup reference of T alone, with its identity map: all that the
+    references for T's own pair read, without the lattice."""
+    data_G = abelian_ring(G, p)
+    rm = restriction_map(G, G.p_torsion(p), p, ring_G=data_G)
+    basis = [x for x, _ in rm.subgroup_data.basis]
+    unit = fl.identity(len(basis))
+    return SetupReference(G=G, p=p, data_G=data_G,
+                          objects=[tuple(G.p_torsion(p))], bases=[basis],
+                          res_G=[rm.mat], res_T=[unit], morphisms=[(0, 0)],
+                          chars={(0, 0): unit})
+
+
+def object_ring(ref, i):
+    return elem_abelian_ring(len(ref.bases[i]), ref.p)
+
+
+def restriction_from_G(ref, i):
+    """The RingMap res_{G->E_i} of a setup reference."""
+    return RingMap(ref.data_G.ring, object_ring(ref, i), ref.res_G[i])
+
+
+def inclusion_maps(ref):
+    """The RingMap CH_{E_j} -> CH_{E_i} of every inclusion E_i <= E_j of a
+    setup reference, by pair: res_{E_j->E_i}."""
+    return {(i, j): RingMap(object_ring(ref, j), object_ring(ref, i),
+                            ref.chars[i, j])
+            for i, j in ref.morphisms}
+
+
+def functorial_reference(setup, ref):
+    """Whether every inclusion E_i <= E_j of the setup reference `ref`
+    composes with restriction from G, res_{E_j->E_i} o res_{G->E_j} =
+    res_{G->E_i}: one product per inclusion, each res_{G->E} read off
+    the setup's characters on T, `in_G`, at E's basis.  The reference for
+    `localization._AbelianSetup.functorial`, which checks T alone."""
+    p = setup.p
+    code = {x: c for c, x in enumerate(setup.ids.tolist())}
+    res_G = [setup.in_G[:, [code[x] for x in basis]] for basis in ref.bases]
+    return all(((res_G[j] @ ref.chars[i, j] - res_G[i]) % p == 0).all()
+               for i, j in ref.morphisms)
 
 
 def lattice_reference(G, p):
@@ -743,26 +763,27 @@ def relabelled(G, seed):
     return load_group({"table": table.tolist(), "name": f"{G.name} relabelled"})
 
 
-def res_comult_reference(setup, i, a, b):
-    """CH_G^{a+b} -> CH_{E_i}^a (x) CH_G^b of a localization setup:
+def res_comult_reference(ref, i, a, b):
+    """CH_G^{a+b} -> CH_{E_i}^a (x) CH_G^b of a setup reference:
     comultiply, then restrict the left factor to E_i, as
     kron(res, I) @ comultiply."""
-    ring_G = setup.data_G.ring
+    ring_G = ref.data_G.ring
     return fl.matmul(
-        fl.kron(restriction_from_G(setup, i).matrix(a),
+        fl.kron(restriction_from_G(ref, i).matrix(a),
                 fl.identity(ring_G.dim(b)),
-                setup.p),
-        comult_split_reference(ring_G, a, b), setup.p)
+                ref.p),
+        comult_split_reference(ring_G, a, b), ref.p)
 
 
-def top_condition_reference(setup, d, n):
+def top_condition_reference(ref, d, n):
     """Leg 1 minus leg 2 of T's own pair in degree d, in G's coordinates,
     as one dense matrix, block by block from Kronecker products: the
-    reference for the type blocks of `localization._type_blocks`.  Its row
-    blocks are the (j2, j3) degrees of the middle and right factors, j2
-    from 0: by the counit law the j2 = 0 blocks are zero."""
-    p, ring_G = setup.p, setup.data_G.ring
-    ring_T = object_ring(setup, setup.top)
+    reference for the equalizer of `localization.build_lambda` and for
+    the type blocks of `type_blocks`.  Its row blocks are the (j2, j3)
+    degrees of the middle and right factors, j2 from 0: by the counit law
+    the j2 = 0 blocks are zero."""
+    p, ring_G = ref.p, ref.data_G.ring
+    ring_T = object_ring(ref, ref.top)
     offs = np.cumsum([0] + [ring_T.dim(d - j) * ring_G.dim(j)
                             for j in range(min(n - 1, d) + 1)])
     blocks = [fl.zeros(0, offs[-1])]
@@ -777,9 +798,104 @@ def top_condition_reference(setup, d, n):
                     fl.identity(ring_G.dim(j3)), p)
                 block[:, offs[j]:offs[j + 1]] -= fl.kron(
                     fl.identity(ring_T.dim(i)),
-                    res_comult_reference(setup, setup.top, j2, j3), p)
+                    res_comult_reference(ref, ref.top, j2, j3), p)
             blocks.append(block % p)
     return np.vstack(blocks)
+
+
+def type_blocks(ring, n, D, p):
+    """T's pair of legs and lambda_T in T's coordinates, per degree d =
+    0..D one array pass over the types of degree d: (types, orbits, rows,
+    lam).  A type is a sorted exponent row alpha; `orbits` counts the
+    monomials that sort to it.  The columns are the gamma of degree < n,
+    degree by degree in `ring.basis` order (column 0 is gamma = 0); the
+    block of alpha has those with gamma <= alpha, and lam[t, c] = C(alpha,
+    gamma).  Its rows are the pairs (gamma, beta2 <= gamma) of its columns
+    (the pairs of all columns depend only on (k, n) and are enumerated
+    once), each a column (type, c1, v1, c2, v2) of `rows`: leg 1 holds
+    v1 = C(alpha - gamma3, beta2) at c1 = gamma3 = gamma - beta2, and leg
+    2 holds v2 = C(gamma, beta2) at c2 = gamma.  Binomials of multi-indices
+    come from one Pascal table, reduced mod p after each factor.  The
+    identities of `localization.build_lambda` are read off these blocks
+    (`rank_type_blocks`)."""
+    k, top = ring.k, min(n - 1, D)
+    start = np.cumsum([0] + [ring.dim(e) for e in range(top + 1)])
+    columns = np.array([g for e in range(top + 1) for g in ring.basis(e)],
+                       dtype=np.int64).reshape(start[-1], k)
+    table = fl.binom_table(D, top, p)
+    c1, c2, b2 = [], [], []  # per pair: gamma3, gamma and beta2
+    for e2 in range(top + 1):
+        for e3 in range(top + 1 - e2):
+            beta2 = columns[start[e2]:start[e2 + 1]]
+            gamma3 = np.arange(start[e3], start[e3 + 1])
+            gamma = (beta2[:, None] + columns[gamma3]).reshape(
+                len(beta2) * len(gamma3), k)
+            c1.append(np.tile(gamma3, len(beta2)))
+            c2.append(start[e2 + e3] + ring.positions(gamma, e2 + e3))
+            b2.append(np.repeat(beta2, len(gamma3), axis=0))
+    c1, c2, b2 = np.concatenate(c1), np.concatenate(c2), np.concatenate(b2)
+    v2 = np.ones(len(c2), dtype=np.int64)
+    for i in range(k):
+        v2 = v2 * table[columns[c2, i], b2[:, i]] % p
+    for d in range(D + 1):
+        alphas = np.array(ring.basis(d), dtype=np.int64).reshape(
+            ring.dim(d), k)
+        orbits = np.bincount(ring.positions(np.sort(alphas, axis=1), d),
+                             minlength=len(alphas))
+        types, orbits = alphas[orbits > 0], orbits[orbits > 0]
+        lam = np.ones((len(types), len(columns)), dtype=np.int64)
+        for i in range(k):
+            lam = lam * table[types[:, None, i], columns[:, i]] % p
+        # the columns of each block, read off the exponents: lam may
+        # vanish mod p inside a block
+        inside = (columns <= types[:, None]).all(axis=2)
+        owner, pair = np.nonzero(inside[:, c2])
+        v1 = np.ones(len(pair), dtype=np.int64)
+        for i in range(k):
+            v1 = v1 * table[types[owner, i] - columns[c1[pair], i],
+                            b2[pair, i]] % p
+        yield types, orbits, np.stack(
+            [owner, c1[pair], v1, c2[pair], v2[pair]]), lam
+
+
+def rank_type_blocks(name, blocks, p):
+    """(eq_dims, legs_agree) of T's own pair per degree, from the type
+    blocks `blocks` of `type_blocks`, each ranked by its pin rows with no
+    elimination: the reference for the identities of
+    `localization.build_lambda`.
+
+    In the block of alpha, the pin row of a column gamma != 0 (beta2 =
+    gamma, gamma3 = 0) reads C(alpha, gamma) x_0 - x_gamma.  The pin rows
+    are independent pivots, so x_gamma = w_gamma x_0 with w_0 = 1, every
+    other row reduces to (row . w) x_0, and the rank is m - 1 + [some row
+    . w != 0] for m columns; eq_dim is the sum of the free counts over
+    the monomials of degree d.  The legs agree on lambda_T when every row
+    annihilates its column.  A block lacking a pin row with an invertible
+    leg-2 entry raises ValueError, naming the group `name`."""
+    eq_dims, legs_agree = {}, {}
+    for d, (types, orbits, rows, lam) in enumerate(blocks):
+        owner, c1, v1, c2, v2 = rows
+        # x_gamma = (num / den) x_0 from the pin row of each column gamma
+        # != 0, which reads v1 x_0 - v2 x_gamma; num / den = 1 at gamma = 0
+        pin = (c1 == 0) & (c2 != 0)
+        num, den = np.zeros((2, *lam.shape), dtype=np.int64)
+        num[:, 0] = den[:, 0] = 1
+        num[owner[pin], c2[pin]], den[owner[pin], c2[pin]] = v1[pin], v2[pin]
+        missing = owner[den[owner, c2] % p == 0]
+        if len(missing):
+            raise ValueError(
+                f"{name}: a column of the equalizer block of type "
+                f"{tuple(types[missing[0]].tolist())} has no pin row with "
+                "an invertible leg-2 entry")
+        # row . w, times the den at both its columns: a nonzero one cuts
+        # the block's last free column
+        cut = owner[(v1 * num[owner, c1] % p * den[owner, c2]
+                     - v2 * num[owner, c2] % p * den[owner, c1]) % p != 0]
+        eq_dims[d] = int(
+            orbits[np.bincount(cut, minlength=len(types)) == 0].sum())
+        legs_agree[d] = not (
+            (v1 * lam[owner, c1] - v2 * lam[owner, c2]) % p).any()
+    return eq_dims, legs_agree
 
 
 def type_legs(alpha, n, p):

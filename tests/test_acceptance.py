@@ -141,7 +141,7 @@ def test_criterion_06_f_isomorphism():
             # image has a zero residual map, so it is onto the limit
             setup = _AbelianSetup(G, p)
             res_T = RingMap(setup.data_G.ring, setup.data_G.ring,
-                            setup.res_G[-1][0])
+                            setup.res_T)
             for d in range(9):
                 res = res_T.matrix(d)
                 if (fl.kernel_basis(res, p)

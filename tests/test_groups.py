@@ -16,7 +16,7 @@ from conftest import (ABELIAN_CATALOG, CATALOG, abelian_p_basis_reference,
                       centralizer_reference, closure_reference, conj,
                       conjugates, conjugation_category, coordinates_reference,
                       element_order_reference, elementary_abelians_reference,
-                      lattice_pairs, lattice_reference, permutation_table,
+                      lattice_objects, lattice_reference, permutation_table,
                       power_reference, relabelled, relabelled_p_basis,
                       rep_classes_reference)
 
@@ -251,10 +251,10 @@ class TestSubgroups:
 
 class TestElementaryAbelians:
     def test_klein_counts(self):
-        objs, inclusions = lattice_pairs(elementary_abelians(
+        objs = lattice_objects(elementary_abelians(
             FiniteGroup.from_abelian([2, 2]), 2))
         assert [len(o) for o in objs] == [1, 2, 2, 2, 4]
-        assert len(inclusions) == 12
+        assert lattice_size(2, 2) == (5, 12)
         assert len(all_elementary_abelians(
             FiniteGroup.from_abelian([2, 2]), 2)) == 5
 
@@ -265,17 +265,19 @@ class TestElementaryAbelians:
         assert [o.rank for o in objs5] == [0]
 
     def test_morphisms_compose(self):
-        # inclusions are closed under composition, and every object has
-        # its identity
-        objs, inclusions = lattice_pairs(elementary_abelians(
+        # the inclusions between the objects, which no library code
+        # enumerates, are closed under composition, every object has its
+        # identity, and they number as `lattice_size` says
+        objs = lattice_objects(elementary_abelians(
             FiniteGroup.from_abelian([2, 2]), 2))
-        pairs = set(inclusions)
+        pairs = {(i, j) for i, a in enumerate(objs)
+                 for j, b in enumerate(objs) if set(a) <= set(b)}
         assert all((i, i) in pairs for i in range(len(objs)))
-        for i, j in inclusions:
-            for j2, k in inclusions:
+        for i, j in pairs:
+            for j2, k in pairs:
                 if j2 == j:
                     assert (i, k) in pairs
-                    assert set(objs[i]) <= set(objs[k])
+        assert lattice_size(2, 2) == (len(objs), len(pairs))
 
     def test_nonabelian_morphisms_dedup(self):
         objs, cat = elementary_abelians_reference(s3(), 2)
@@ -291,8 +293,9 @@ class TestElementaryAbelians:
     @pytest.mark.parametrize("orders, p", [([2] * 5, 2), ([3] * 4, 3)])
     def test_large_lattices_match_reference(self, orders, p):
         G = FiniteGroup.from_abelian(orders)
-        assert lattice_pairs(elementary_abelians(G, p)) \
-            == lattice_reference(G, p)
+        objects, pairs = lattice_reference(G, p)
+        assert lattice_objects(elementary_abelians(G, p)) == objects
+        assert lattice_size(len(orders), p) == (len(objects), len(pairs))
 
     @pytest.mark.parametrize("orders, p, seed", [
         ([2, 2, 2, 2], 2, 0), ([4, 2, 2], 2, 1), ([3, 3, 3], 3, 2),
@@ -300,8 +303,8 @@ class TestElementaryAbelians:
     def test_relabelled_lattices_match_reference(self, orders, p, seed):
         # the object order follows G's numbering
         G = relabelled(FiniteGroup.from_abelian(orders), seed)
-        assert lattice_pairs(elementary_abelians(G, p)) \
-            == lattice_reference(G, p)
+        assert lattice_objects(elementary_abelians(G, p)) \
+            == lattice_reference(G, p)[0]
 
     @pytest.mark.parametrize("orders, p, counts", [
         ([2] * 6, 2, (2825, 95706)), ([3] * 5, 3, (2664, 69699))])
@@ -309,9 +312,9 @@ class TestElementaryAbelians:
                                                        counts):
         r = len(orders)
         assert lattice_size(r, p) == counts
-        objs, incs = lattice_pairs(
+        objs = lattice_objects(
             elementary_abelians(FiniteGroup.from_abelian(orders), p))
-        assert (len(objs), len(incs)) == counts
+        assert len(objs) == counts[0]
         assert len(set(objs)) == len(objs) and objs[-1] == tuple(range(p ** r))
 
     def test_lattice_over_the_cap_is_refused(self, monkeypatch):
@@ -327,19 +330,20 @@ class TestElementaryAbelians:
             "5,769 inclusions, above the cap of 5,768 inclusions")
         monkeypatch.undo()
         monkeypatch.setattr(gp, "MAX_INCLUSIONS", 5769)
-        assert len(lattice_pairs(elementary_abelians(G, 2))[1]) == 5769
+        assert len(lattice_objects(elementary_abelians(G, 2))) == 374
 
-    def test_accepted_lattices_have_int64_keys(self):
-        # a subspace's key is the codes of its k echelon rows in base p^r,
-        # below p^(r r): under 2^63 for every elementary abelian group
-        # that both caps accept, and the cap refuses (Z/2)^8, where it
-        # would not be
+    def test_cap_accepts_what_it_accepted(self):
+        # the cap keeps its value now that it guards the object
+        # enumeration of quillen-check alone: of the elementary abelian
+        # groups inside the order cap, it refuses (Z/2)^8 and (Z/3)^7 and
+        # accepts every smaller rank; at p >= 5 the order cap binds first
         accepted = [(p, r) for p in (2, 3, 5, 7, 11, 13, 97, 101, 9973)
                     for r in range(1, 14)
                     if p ** r <= gp.MAX_ORDER
                     and lattice_size(r, p)[1] <= gp.MAX_INCLUSIONS]
-        assert (2, 7) in accepted and (2, 8) not in accepted
-        assert all(p ** (r * r) < 2 ** 63 for p, r in accepted)
+        assert [(p, max(r for q, r in accepted if q == p))
+                for p in (2, 3, 5, 7, 11, 13, 97)] == [
+            (2, 7), (3, 6), (5, 5), (7, 4), (11, 3), (13, 3), (97, 2)]
 
 
 class TestRepClasses:
@@ -483,8 +487,8 @@ class TestArrayEngine:
         assert [o.elements for o in objs] == [o.elements for o in ref_objs]
         assert data.morphisms == ref_data.morphisms
         if G.is_abelian:
-            assert lattice_pairs(elementary_abelians(G, p)) \
-                == lattice_reference(G, p)
+            assert lattice_objects(elementary_abelians(G, p)) \
+                == lattice_reference(G, p)[0]
         else:
             with pytest.raises(ValueError, match="not abelian"):
                 elementary_abelians(G, p)
@@ -501,8 +505,8 @@ class TestArrayEngine:
         assert list(data.morphisms.items()) == \
             list(ref_data.morphisms.items())
         if name in ABELIAN_CATALOG:
-            assert lattice_pairs(elementary_abelians(G, p)) \
-                == lattice_reference(G, p)
+            assert lattice_objects(elementary_abelians(G, p)) \
+                == lattice_reference(G, p)[0]
         else:
             with pytest.raises(ValueError, match="not abelian"):
                 elementary_abelians(G, p)
@@ -552,7 +556,7 @@ class TestArrayEngine:
     @pytest.mark.parametrize("orders, p", [([2] * 5, 2), ([3] * 4, 3)])
     def test_lattice_p_bases_match_reference(self, orders, p):
         G = FiniteGroup.from_abelian(orders)
-        objects, _ = lattice_pairs(elementary_abelians(G, p))
+        objects = lattice_objects(elementary_abelians(G, p))
         for elems in objects:
             assert abelian_p_basis(G, p, elems) == \
                 abelian_p_basis_reference(G, p, elems), elems

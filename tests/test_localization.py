@@ -19,11 +19,13 @@ from chowops.localization import (EqualizerDiagram, bounds_report,
 
 from conftest import (ABELIAN_CATALOG, all_injective, all_iso,
                       bounds_report_reference, catalog_group,
-                      comult_split_reference, direct_sum, inclusion_maps,
-                      lattice_pairs, level_sweep, max_nil_submodule,
-                      object_class, object_ring, point_module, relabelled,
+                      comult_split_reference, direct_sum,
+                      functorial_reference, inclusion_maps, lattice_objects,
+                      level_sweep, max_nil_submodule, object_ring,
+                      point_module, rank_type_blocks, relabelled,
                       res_comult_reference, restriction_from_G,
-                      setup_reference, top_condition_reference, type_legs)
+                      setup_reference, top_condition_reference,
+                      top_reference, type_blocks, type_legs)
 
 
 # (k, p, n, D): rank k up to 5, levels where the type blocks have rows
@@ -39,24 +41,25 @@ def G(spec, name=None):
     return FiniteGroup.from_abelian(spec, name=name)
 
 
-# The general leg builders for any object and morphism, and the
-# per-morphism equalizer diagram built from them: the reference for
-# build_lambda, which reads everything off the terminal object T.
+# The general leg builders for any object and morphism of a setup
+# reference (`conftest.setup_reference`), and the per-morphism equalizer
+# diagram built from them: the reference for build_lambda, which reads
+# everything off the terminal object T.
 
 
-def middle_blocks(setup, obj_index, d, n):
+def middle_blocks(ref, obj_index, d, n):
     """Ordered (j, rows) blocks of CH_E (x) CH_G^{<n} in degree d."""
-    ring_E = object_ring(setup, obj_index)
-    ring_G = setup.data_G.ring
+    ring_E = object_ring(ref, obj_index)
+    ring_G = ref.data_G.ring
     return [(j, ring_E.dim(d - j) * ring_G.dim(j))
             for j in range(min(n - 1, d) + 1)]
 
 
-def right_blocks(setup, e1_index, d, n):
+def right_blocks(ref, e1_index, d, n):
     """Ordered ((j2, j3), rows) blocks of CH_{E1} (x) (CH_{E1} (x)
     CH_G)^{<n} in degree d."""
-    ring_E = object_ring(setup, e1_index)
-    ring_G = setup.data_G.ring
+    ring_E = object_ring(ref, e1_index)
+    ring_G = ref.data_G.ring
     return [((j2, j3),
              ring_E.dim(d - j2 - j3) * ring_E.dim(j2) * ring_G.dim(j3))
             for j2 in range(min(n - 1, d) + 1)
@@ -71,18 +74,18 @@ def offsets(blocks):
     return offs, pos
 
 
-def lambda_block(setup, obj_index, d, n):
+def lambda_block(ref, obj_index, d, n):
     """lambda_E in degree d for any object E."""
-    return np.vstack([res_comult_reference(setup, obj_index, d - j, j)
-                      for j, _ in middle_blocks(setup, obj_index, d, n)])
+    return np.vstack([res_comult_reference(ref, obj_index, d - j, j)
+                      for j, _ in middle_blocks(ref, obj_index, d, n)])
 
 
-def leg1_block(setup, i1, d, n):
+def leg1_block(ref, i1, d, n):
     """Leg 1 of any morphism out of object i1: comultiply the E1 factor."""
-    ring_E = object_ring(setup, i1)
-    ring_G = setup.data_G.ring
-    src_offs, src_total = offsets(middle_blocks(setup, i1, d, n))
-    tgt_blocks = right_blocks(setup, i1, d, n)
+    ring_E = object_ring(ref, i1)
+    ring_G = ref.data_G.ring
+    src_offs, src_total = offsets(middle_blocks(ref, i1, d, n))
+    tgt_blocks = right_blocks(ref, i1, d, n)
     tgt_offs, tgt_total = offsets(tgt_blocks)
     mat = fl.zeros(tgt_total, src_total)
     for (j2, j3), rows in tgt_blocks:
@@ -92,18 +95,18 @@ def leg1_block(setup, i1, d, n):
             mat[tgt_offs[(j2, j3)]:tgt_offs[(j2, j3)] + rows,
                 src_offs[j3]:src_offs[j3] + src_rows] = fl.kron(
                     comult_split_reference(ring_E, i - j2, j2),
-                    fl.identity(ring_G.dim(j3)), setup.p)
+                    fl.identity(ring_G.dim(j3)), ref.p)
     return mat
 
 
-def leg2_block(setup, i1, i2, rmap, d, n):
+def leg2_block(ref, i1, i2, rmap, d, n):
     """Leg 2 of the inclusion E_i1 <= E_i2 with map `rmap`: restrict the
     E2 factor along the map into factor one, expand the centralizer factor
     into factors two and three."""
-    ring_E2 = object_ring(setup, i2)
-    ring_G = setup.data_G.ring
-    src_offs, src_total = offsets(middle_blocks(setup, i2, d, n))
-    tgt_blocks = right_blocks(setup, i1, d, n)
+    ring_E2 = object_ring(ref, i2)
+    ring_G = ref.data_G.ring
+    src_offs, src_total = offsets(middle_blocks(ref, i2, d, n))
+    tgt_blocks = right_blocks(ref, i1, d, n)
     tgt_offs, tgt_total = offsets(tgt_blocks)
     mat = fl.zeros(tgt_total, src_total)
     for (j2, j3), rows in tgt_blocks:
@@ -113,32 +116,32 @@ def leg2_block(setup, i1, i2, rmap, d, n):
             mat[tgt_offs[(j2, j3)]:tgt_offs[(j2, j3)] + rows,
                 src_offs[j]:src_offs[j] + src_rows] = fl.kron(
                     rmap.matrix(d - j),
-                    res_comult_reference(setup, i1, j2, j3), setup.p)
+                    res_comult_reference(ref, i1, j2, j3), ref.p)
     return mat
 
 
-def per_morphism_lambda(setup, n, D):
+def per_morphism_lambda(ref, n, D):
     """The equalizer diagram with lambda built for every object and the
     legs compared on it over every inclusion; the rank is that of the
     lambda stacked over every object."""
-    p = setup.p
-    maps = inclusion_maps(setup)
-    ring_G = setup.data_G.ring
+    p = ref.p
+    maps = inclusion_maps(ref)
+    ring_G = ref.data_G.ring
     diagram = EqualizerDiagram(
-        group=setup.G, p=p, level=n, cutoff=D, object_count=setup.top + 1,
+        group=ref.G, p=p, level=n, cutoff=D, object_count=ref.top + 1,
         morphism_count=len(maps))
     for d in range(D + 1):
-        lam = [lambda_block(setup, i, d, n)
-               for i in range(setup.top + 1)]
+        lam = [lambda_block(ref, i, d, n)
+               for i in range(ref.top + 1)]
         diagram.source_dims[d] = ring_G.dim(d)
         diagram.middle_dims[d] = sum(m.shape[0] for m in lam)
         agree = True
         for i1, i2 in maps:
-            a = leg1_block(setup, i1, d, n)
-            b = leg2_block(setup, i1, i2, maps[i1, i2], d, n)
+            a = leg1_block(ref, i1, d, n)
+            b = leg2_block(ref, i1, i2, maps[i1, i2], d, n)
             if (fl.matmul(a, lam[i1], p) != fl.matmul(b, lam[i2], p)).any():
                 agree = False
-            if i1 == i2 == setup.top:
+            if i1 == i2 == ref.top:
                 eq_dim = fl.kernel_matrix((a - b) % p, p).shape[1]
         diagram.legs_agree[d] = agree
         diagram.eq_dims[d] = eq_dim
@@ -148,33 +151,32 @@ def per_morphism_lambda(setup, n, D):
     return diagram
 
 
-def seed_and_cut(setup, n, D):
+def seed_and_cut(ref, n, D):
     """The general equalizer solve over the whole category, the reference
     for build_lambda: seed with the kernel of the top object's self pair,
     take each other object's component from its first inclusion into the
     top (the rows whose middle factor is the unit monomial), then cut by
     every morphism's condition.  Returns (eq_dims, cuts tested, cuts that
     changed the space)."""
-    p = setup.p
-    maps = inclusion_maps(setup)
-    objects = lattice_pairs(setup)[0]
-    top = max(range(len(objects)), key=lambda i: len(objects[i]))
+    p = ref.p
+    maps = inclusion_maps(ref)
+    top = max(range(len(ref.objects)), key=lambda i: len(ref.objects[i]))
     order = sorted(maps, key=lambda m: (m != (top, top), m[1] != top))
     eq_dims, tested, changed = {}, 0, 0
     for d in range(D + 1):
         solved = {}
         for i1, i2 in order:
-            a = leg1_block(setup, i1, d, n)
-            b = leg2_block(setup, i1, i2, maps[i1, i2], d, n)
+            a = leg1_block(ref, i1, d, n)
+            b = leg2_block(ref, i1, i2, maps[i1, i2], d, n)
             if (i1, i2) == (top, top):
                 solved[top] = fl.kernel_matrix((a - b) % p, p)
                 continue
             b_solved = fl.matmul(b, solved[i2], p)
             if i1 not in solved:
-                offs, _ = offsets(right_blocks(setup, i1, d, n))
+                offs, _ = offsets(right_blocks(ref, i1, d, n))
                 solved[i1] = np.vstack([
                     b_solved[offs[(0, j)]:offs[(0, j)] + rows]
-                    for j, rows in middle_blocks(setup, i1, d, n)])
+                    for j, rows in middle_blocks(ref, i1, d, n)])
             cond = (fl.matmul(a, solved[i1], p) - b_solved) % p
             tested += 1
             if cond.any():
@@ -186,7 +188,7 @@ def seed_and_cut(setup, n, D):
     return eq_dims, tested, changed
 
 
-def f_iso_reference(group, D, p):
+def f_iso_reference(ref, D):
     """The limit as the kernel of one block per morphism (identity minus
     the morphism's map) over the product of every object's ring, with
     kernel and image tested against the stacked restrictions from G to
@@ -195,12 +197,12 @@ def f_iso_reference(group, D, p):
     (degree, coords, least m with x^{p^m} = 0 | None) and the image
     report (degree, coords, least j with z^{p^j} in the image | None),
     None when the cutoff ends the search first."""
-    setup = loc._AbelianSetup(group, p)
-    maps = inclusion_maps(setup)
-    ring_G = setup.data_G.ring
-    n_obj = setup.top + 1
-    rings = [object_ring(setup, i) for i in range(n_obj)]
-    res = [restriction_from_G(setup, i) for i in range(n_obj)]
+    p = ref.p
+    maps = inclusion_maps(ref)
+    ring_G = ref.data_G.ring
+    n_obj = ref.top + 1
+    rings = [object_ring(ref, i) for i in range(n_obj)]
+    res = [restriction_from_G(ref, i) for i in range(n_obj)]
 
     stacks = [np.vstack([res[i].matrix(d) for i in range(n_obj)])
               if ring_G.dim(d) else fl.zeros(0, 0) for d in range(D + 1)]
@@ -285,24 +287,24 @@ class TestSetup:
     def check_reference(group, p):
         setup = loc._AbelianSetup(group, p)
         ref = setup_reference(group, p)
-        assert lattice_pairs(setup) == (ref.objects, ref.morphisms)
-        for i in range(setup.top + 1):
-            k, b = object_class(setup, i)
-            assert setup.ids[setup.basis_codes[k][b]].tolist() \
-                == ref.bases[i], i
-            assert (setup.res_G[k][b] == ref.res_G[i]).all(), i
-        for (k, l), (sub, sup) in setup.inclusions.items():
-            assert all(object_class(setup, i)[0] == k for i in sub.tolist())
-            assert all(object_class(setup, j)[0] == l for j in sup.tolist())
-            chars = setup.characters(k, l)
-            assert chars.shape == (len(sub), l, k)
-            for i, j, mat in zip(sub.tolist(), sup.tolist(), chars):
-                assert (mat == ref.chars[i, j]).all(), (i, j)
-        r = len(setup.counts) - 1
-        res_T = [mat for k in range(r + 1) for mat in setup.characters(k, r)]
+        assert lattice_objects(gp.elementary_abelians(group, p)) \
+            == ref.objects
+        assert gp.lattice_size(setup.r, p) \
+            == (len(ref.objects), len(ref.morphisms))
+        assert sorted(setup.ids.tolist()) == list(ref.objects[-1])
+        assert setup.ids[setup.basis_T].tolist() == ref.bases[-1]
+        assert (setup.res_T == ref.res_G[-1]).all()
+        # G's characters on T, read at each object's basis, are its
+        # restriction from G
+        code = {x: c for c, x in enumerate(setup.ids.tolist())}
+        for i, basis in enumerate(ref.bases):
+            assert (setup.in_G[:, [code[x] for x in basis]]
+                    == ref.res_G[i]).all(), i
+        res_T = [mat for stack in loc._top_restrictions(setup)
+                 for mat in stack]
         assert len(res_T) == len(ref.res_T)
         assert all((a == b).all() for a, b in zip(res_T, ref.res_T))
-        assert setup.functorial
+        assert setup.functorial and functorial_reference(setup, ref)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("name", ABELIAN_CATALOG)
@@ -371,68 +373,79 @@ class TestBuildLambda:
                                          ([9, 3], 3)])
     def test_top_self_kernel_is_the_equalizer(self, spec, p):
         # no condition past the top object's self pair cuts the space
-        setup = loc._AbelianSetup(G(spec), p)
+        ref = setup_reference(G(spec), p)
         for n in (1, 2, 3):
-            eq_dims, tested, changed = seed_and_cut(setup, n, 6)
+            eq_dims, tested, changed = seed_and_cut(ref, n, 6)
             assert tested and not changed, (n, changed)
             assert eq_dims == build_lambda(G(spec), n, 6, p).eq_dims, n
 
     @staticmethod
-    def inclusion_at(setup, i, j):
-        """(k, l, m): the inclusion E_i <= E_j is the m-th of
-        `setup.inclusions[k, l]`."""
-        (k, _), (l, _) = object_class(setup, i), object_class(setup, j)
-        sub, sup = setup.inclusions[k, l]
-        return k, l, int(np.flatnonzero((sub == i) & (sup == j))[0])
+    def flip_character(setup, c):
+        """One character value of the element of T of code c, off by one."""
+        setup.in_G[0, c] = (setup.in_G[0, c] + 1) % setup.p
 
-    def test_wrong_morphism_map_breaks_the_legs(self):
-        # a morphism whose map does not compose with restriction from G:
-        # one wrong entry in the characters of E_8 on E_1's basis, which
-        # both `functorial` and `inclusion_maps` read
-        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        assert (1, 8) in lattice_pairs(setup)[1]
-        k, l, m = self.inclusion_at(setup, 1, 8)
-        setup.characters(k, l)[m, 0, 0] ^= 1
+    @pytest.mark.parametrize("spec, p", [([2, 2, 2], 2), ([3, 3], 3),
+                                         ([4, 2], 2), ([9, 3], 3), ([3], 3)])
+    def test_wrong_character_on_top_breaks_the_legs(self, monkeypatch, spec,
+                                                    p):
+        # one character value of the last element of T, all of whose
+        # coordinates are p - 1, so not a unit code: G's characters on T
+        # are no longer linear, so no inclusion is certified to compose,
+        # the legs agree in no degree, no level is onto and d1 gives up
+        setup = loc._AbelianSetup(G(spec), p)
+        self.flip_character(setup, len(setup.ids) - 1)
+        assert not setup.functorial
         for n in (1, 2, 3):
-            for diagram in (loc._build_lambda(setup, n, 5),
-                            per_morphism_lambda(setup, n, 5)):
-                assert not any(diagram.legs_agree[d] for d in range(1, 6))
+            diagram = loc._build_lambda(setup, n, 5)
+            assert not any(diagram.legs_agree.values()), n
+            assert not any(diagram.onto_equalizer.values()), n
+            assert all(diagram.injective.values()), n
+        monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
+        for D in (0, 3, 6):
+            rep = bounds_report(G(spec), 2, D, p)
+            assert (rep["d1"], rep["d1_verdict"]) == (D + 2, "unresolved")
 
-    def test_wrong_map_in_each_inclusion_class_breaks_functoriality(self):
-        # one wrong entry in the characters of one inclusion of each
-        # (rank E_i, rank E_j) class, so a batch that skipped a class would
-        # be seen; the classes with rank E_i = 0 have empty matrices
-        setup = loc._AbelianSetup(G([2, 2, 2]), 2)
-        assert setup.functorial
-        assert sorted(setup.inclusions) == [(a, b) for a in range(4)
-                                            for b in range(a, 4)]
-        for (k, l), (sub, sup) in setup.inclusions.items():
-            if not k:
-                continue
-            chars = setup.characters(k, l)
-            chars[0, 0, 0] ^= 1
+    @pytest.mark.parametrize("spec, p", [
+        *((name, p) for name in ABELIAN_CATALOG for p in (2, 3, 5)),
+        ([5, 5], 5), ([25, 5], 5), ([2, 2, 2, 2], 2)], ids=str)
+    def test_linearity_matches_per_inclusion_reference(self, spec, p):
+        # `functorial` checks T alone; the reference checks each inclusion
+        # of the whole lattice.  Unperturbed both hold.  Then one character
+        # value is flipped at each element of T that some object's basis
+        # holds, other than the unit codes, and both fail.  At rank <= 1
+        # every inclusion is 1 <= E or E <= E, whose check holds whatever
+        # the characters, so the perturbed runs start at rank 2
+        group = catalog_group(spec) if isinstance(spec, str) else G(spec)
+        setup = loc._AbelianSetup(group, p)
+        ref = setup_reference(group, p)
+        assert setup.functorial and functorial_reference(setup, ref)
+        if setup.r < 2:
+            return
+        code = {x: c for c, x in enumerate(setup.ids.tolist())}
+        units = set((p ** np.arange(setup.r)).tolist())
+        read = sorted({code[x] for basis in ref.bases for x in basis} - units)
+        assert read
+        for c in read:
+            self.flip_character(setup, c)
             del setup.functorial
-            assert not setup.functorial, (sub[0], sup[0])
-            chars[0, 0, 0] ^= 1
+            assert not setup.functorial, c
+            assert not functorial_reference(setup, ref), c
+            setup.in_G[0, c] = (setup.in_G[0, c] - 1) % p
         del setup.functorial
         assert setup.functorial
 
     @staticmethod
-    def wrong_type_block(monkeypatch, wrong_type, mutate):
-        """Patch `_type_blocks` so that `mutate(rows, lam, t, p)` changes
-        the rows of `wrong_type`, the t-th type of its degree, alone."""
-        real = loc._type_blocks
+    def wrong_type_block(wrong_type, mutate, ring, n, D, p):
+        """The blocks of `conftest.type_blocks`, with `mutate(rows, lam, t,
+        p)` changing the rows of `wrong_type`, the t-th type of its degree,
+        alone."""
+        for types, orbits, rows, lam in type_blocks(ring, n, D, p):
+            hit = np.flatnonzero((types == wrong_type).all(axis=1))
+            if len(hit):
+                mutate(rows, lam, hit[0], p)
+            yield types, orbits, rows, lam
 
-        def wrong(ring, n, D, p):
-            for types, orbits, rows, lam in real(ring, n, D, p):
-                hit = np.flatnonzero((types == wrong_type).all(axis=1))
-                if len(hit):
-                    mutate(rows, lam, hit[0], p)
-                yield types, orbits, rows, lam
-
-        monkeypatch.setattr(loc, "_type_blocks", wrong)
-
-    def test_wrong_top_leg_two_breaks_the_legs(self, monkeypatch):
+    def test_wrong_top_leg_two_breaks_the_legs(self):
         # one wrong leg-2 entry of the type (0, 1, 2), at a column where
         # lambda_T is not zero, in a row that is not a pin row (a wrong pin
         # is refused: test_block_without_its_pin_row_is_refused).  Where
@@ -446,15 +459,14 @@ class TestBuildLambda:
             r = max(found, key=lambda r: c1[r] != c2[r])
             v2[r] = (v2[r] + 1) % p
 
-        self.wrong_type_block(monkeypatch, (0, 1, 2), mutate)
         for p in (2, 3):
-            setup = loc._AbelianSetup(G([p] * 3), p)
+            ring = elem_abelian_ring(3, p)
             for n in (2, 3):
-                diagram = loc._build_lambda(setup, n, 5)
-                assert [d for d, ok in diagram.legs_agree.items()
-                        if not ok] == [3], (p, n)
+                _, agree = rank_type_blocks("", self.wrong_type_block(
+                    (0, 1, 2), mutate, ring, n, 5, p), p)
+                assert [d for d, ok in agree.items() if not ok] == [3], (p, n)
 
-    def test_wrong_top_leg_one_counit_breaks_the_legs(self, monkeypatch):
+    def test_wrong_top_leg_one_counit_breaks_the_legs(self):
         # one wrong leg-1 entry of the type (0, 0, 1), in a counit row, where
         # both legs are the same unit vector, at a column where lambda_T is
         # not zero; level 1 has that row and no other
@@ -464,27 +476,27 @@ class TestBuildLambda:
             r = np.flatnonzero(counit & (lam[t, c1] != 0))[0]
             v1[r] = (v1[r] + 1) % p
 
-        self.wrong_type_block(monkeypatch, (0, 0, 1), mutate)
         for p in (2, 3):
-            setup = loc._AbelianSetup(G([p] * 3), p)
+            ring = elem_abelian_ring(3, p)
             for n in (1, 2, 3):
-                diagram = loc._build_lambda(setup, n, 5)
-                assert [d for d, ok in diagram.legs_agree.items()
-                        if not ok] == [1], (p, n)
+                _, agree = rank_type_blocks("", self.wrong_type_block(
+                    (0, 0, 1), mutate, ring, n, 5, p), p)
+                assert [d for d, ok in agree.items() if not ok] == [1], (p, n)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k, p, n, D", [
         (2, 2, 3, 6), (2, 3, 4, 6), (3, 2, 3, 5), (3, 5, 3, 5)])
     def test_pin_rank_matches_elimination_on_perturbed_blocks(
-            self, monkeypatch, k, p, n, D, seed):
+            self, k, p, n, D, seed):
         # random entries of random rows changed, the pin rows' leg-2
-        # entries kept invertible: eq_dims and legs_agree against each
-        # perturbed block built dense and ranked by elimination
+        # entries kept invertible: the pin-row ranking of
+        # `conftest.rank_type_blocks` against each perturbed block built
+        # dense and ranked by elimination
         rng = np.random.default_rng(seed)
-        real, seen = loc._type_blocks, []
+        ring, seen = elem_abelian_ring(k, p), []
 
-        def perturbed(ring, n, D, p):
-            for types, orbits, rows, lam in real(ring, n, D, p):
+        def perturbed():
+            for types, orbits, rows, lam in type_blocks(ring, n, D, p):
                 owner, c1, v1, c2, v2 = rows
                 hit = rng.random(len(owner)) < 0.1
                 v1[hit] = rng.integers(0, p, hit.sum())
@@ -494,11 +506,9 @@ class TestBuildLambda:
                 seen.append((types, orbits, rows, lam))
                 yield types, orbits, rows, lam
 
-        monkeypatch.setattr(loc, "_type_blocks", perturbed)
-        setup = loc._AbelianSetup(G([p] * k), p)
-        diagram = loc._build_lambda(setup, n, D)
+        eq_dims, legs_agree = rank_type_blocks("", perturbed(), p)
         for d, (types, orbits, rows, lam) in enumerate(seen):
-            eq_dim, agree = 0, setup.functorial
+            eq_dim, agree = 0, True
             for t in range(len(types)):
                 _, c1, v1, c2, v2 = rows[:, rows[0] == t]
                 cols = np.unique(c2)
@@ -509,22 +519,17 @@ class TestBuildLambda:
                 cond %= p
                 eq_dim += orbits[t] * (len(cols) - fl.rank(cond, p))
                 agree = agree and not fl.matmul(cond, lam[t, cols], p).any()
-            assert (diagram.eq_dims[d], diagram.legs_agree[d]) \
-                == (eq_dim, agree), d
-        assert any(diagram.eq_dims[d] < setup.data_G.ring.dim(d)
-                   for d in range(D + 1))
+            assert (eq_dims[d], legs_agree[d]) == (eq_dim, agree), d
+        assert any(eq_dims[d] < ring.dim(d) for d in range(D + 1))
 
     @pytest.mark.parametrize("fault", ["drop", "zero"])
-    def test_block_without_its_pin_row_is_refused(self, monkeypatch, capsys,
-                                                  tmp_path, fault):
+    def test_block_without_its_pin_row_is_refused(self, fault):
         # a block's rank rests on its pin rows, one per column gamma != 0
         # with a unit leg-2 entry there: the last block of degree 3 loses
         # one, or has its leg-2 entry zeroed, and is refused, not ranked
-        real = loc._type_blocks
-
         def faulty(ring, n, D, p):
             for d, (types, orbits, rows, lam) in enumerate(
-                    real(ring, n, D, p)):
+                    type_blocks(ring, n, D, p)):
                 if d == 3:
                     owner, c1, v1, c2, v2 = rows
                     r = np.flatnonzero((c1 == 0) & (c2 != 0))[-1]
@@ -534,30 +539,54 @@ class TestBuildLambda:
                         v2[r] = 0
                 yield types, orbits, rows, lam
 
-        monkeypatch.setattr(loc, "_type_blocks", faulty)
         group = G([2, 2])
         message = (f"{group.name}: a column of the equalizer block of type "
                    "(1, 2) has no pin row with an invertible leg-2 entry")
         for n in (2, 3):
             with pytest.raises(ValueError) as exc:
-                build_lambda(group, n, 5, 2)
+                rank_type_blocks(group.name, faulty(
+                    elem_abelian_ring(2, 2), n, 5, 2), 2)
             assert str(exc.value) == message, n
-        path = tmp_path / "group.json"
-        path.write_text('{"abelian": [2, 2], "name": "%s"}' % group.name)
-        assert main(["localize", "--group", str(path), "--level", "2",
-                     "--cutoff", "5"]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_type_block_has_rank_one_below_its_columns(self, k, p):
+        # the identities that `build_lambda` states, block by block: at
+        # levels 1..6 through degree 9 (7 at rank 5), every pin entry is
+        # C(gamma, gamma) = 1, every row vanishes on lambda_T's column, and
+        # every block of m columns has rank m - 1
+        ring, D = elem_abelian_ring(k, p), 7 if k == 5 else 9
+        blocks = 0
+        for n in range(1, 7):
+            seen = []
+
+            def recording():
+                for block in type_blocks(ring, n, D, p):
+                    seen.append(block)
+                    yield block
+
+            eq_dims, legs_agree = rank_type_blocks("", recording(), p)
+            assert eq_dims == {d: ring.dim(d) for d in range(D + 1)}, n
+            assert all(legs_agree.values()), n
+            for types, orbits, rows, lam in seen:
+                owner, c1, v1, c2, v2 = rows
+                assert (v2[(c1 == 0) & (c2 != 0)] == 1).all(), n
+                assert not ((v1 * lam[owner, c1] - v2 * lam[owner, c2])
+                            % p).any(), n
+            blocks += len(seen)
+        assert blocks == 6 * (D + 1)
 
     def test_objects_share_one_ring_per_rank(self):
-        # one stack per rank class, of res_{G->E} and of the characters of
-        # each class of inclusions, over G's one ring of rank 3
-        setup = loc._AbelianSetup(gp.load_group({"abelian": [3, 3, 3]}), 3)
+        # one stack of res_{T->E} per rank class, over G's one ring of
+        # rank 3, and the counts of the objects and inclusions in closed
+        # form
+        group = gp.load_group({"abelian": [3, 3, 3]})
+        setup = loc._AbelianSetup(group, 3)
         assert setup.data_G.ring is elem_abelian_ring(3, 3)
-        assert setup.counts == [1, 13, 13, 1]
-        assert [res.shape for res in setup.res_G] == [
-            (count, 3, k) for k, count in enumerate(setup.counts)]
-        for (k, l), pairs in setup.inclusions.items():
-            assert setup.characters(k, l).shape == (pairs.shape[1], l, k)
+        assert [stack.shape for stack in loc._top_restrictions(setup)] == [
+            (count, 3, k) for k, count in enumerate([1, 13, 13, 1])]
+        diagram = build_lambda(group, 1, 2, 3)
+        assert (diagram.object_count, diagram.morphism_count) == (28, 133)
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", ABELIAN_CATALOG)
@@ -571,9 +600,10 @@ class TestBuildLambda:
     def check_reference(group, p, levels, D):
         # every field equal, down to the type of each value
         setup = loc._AbelianSetup(group, p)
+        ref = setup_reference(group, p)
         for n in levels:
             got = loc._build_lambda(setup, n, D)
-            want = per_morphism_lambda(setup, n, D)
+            want = per_morphism_lambda(ref, n, D)
             assert got == want and repr(got) == repr(want), n
 
     @staticmethod
@@ -582,42 +612,50 @@ class TestBuildLambda:
         coordinates, one dense matrix per degree: its column count minus
         its rank, and whether it annihilates lambda_T while every morphism
         composes with restriction from G."""
-        p = setup.p
+        p, ref = setup.p, top_reference(setup.G, setup.p)
         eq_dims, legs_agree = {}, {}
         for d in range(D + 1):
-            cond = top_condition_reference(setup, d, n)
-            lam = lambda_block(setup, setup.top, d, n)
+            cond = top_condition_reference(ref, d, n)
+            lam = lambda_block(ref, ref.top, d, n)
             eq_dims[d] = cond.shape[1] - fl.rank(cond, p)
             legs_agree[d] = (setup.functorial
                              and not fl.matmul(cond, lam, p).any())
         return eq_dims, legs_agree
+
+    @classmethod
+    def check_full_condition(cls, setup, n, D):
+        """The library's diagram and the type blocks ranked by their pin
+        rows, both against the full condition."""
+        want = cls.full_condition_reference(setup, n, D)
+        diagram = loc._build_lambda(setup, n, D)
+        assert (diagram.eq_dims, diagram.legs_agree) == want
+        eq_dims, agree = rank_type_blocks(
+            setup.G.name, type_blocks(setup.data_G.ring, n, D, setup.p),
+            setup.p)
+        assert (eq_dims, {d: setup.functorial and ok
+                          for d, ok in agree.items()}) == want
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("name", ABELIAN_CATALOG)
     def test_type_blocks_match_full_condition_on_catalog(self, name, p):
         setup = loc._AbelianSetup(catalog_group(name), p)
         for n in (1, 2, 3, 4):
-            diagram = loc._build_lambda(setup, n, 6)
-            assert (diagram.eq_dims, diagram.legs_agree) \
-                == self.full_condition_reference(setup, n, 6), n
+            self.check_full_condition(setup, n, 6)
 
     @pytest.mark.parametrize("k, p, n, D", TYPE_GRID)
     def test_type_blocks_match_full_condition_on_grid(self, k, p, n, D):
-        setup = loc._AbelianSetup(G([p] * k), p)
-        diagram = loc._build_lambda(setup, n, D)
-        assert (diagram.eq_dims, diagram.legs_agree) \
-            == self.full_condition_reference(setup, n, D)
+        self.check_full_condition(loc._AbelianSetup(G([p] * k), p), n, D)
 
     @staticmethod
     def check_type_blocks(ring, n, D, p):
-        """Every type block of `_type_blocks`, rows, columns and
+        """Every type block of `conftest.type_blocks`, rows, columns and
         coefficients, against the dense per-type reference
         `conftest.type_legs`: the same rows, each once, with the same
         entries at the same columns, and lambda_T's column, zero off the
         block; and the types of each degree with their orbit sizes."""
         columns = [g for e in range(min(n - 1, D) + 1) for g in ring.basis(e)]
         for d, (types, orbits, rows, lam) in enumerate(
-                loc._type_blocks(ring, n, D, p)):
+                type_blocks(ring, n, D, p)):
             assert dict(zip(map(tuple, types.tolist()), orbits.tolist())) \
                 == collections.Counter(tuple(sorted(a))
                                        for a in ring.basis(d)), d
@@ -660,15 +698,15 @@ class TestBuildLambda:
         # res_{G->T} is bijective in each degree, and lambda_T, whose j = 0
         # block it is, has rank dim CH_G^d at each level
         group = catalog_group(spec) if isinstance(spec, str) else G(spec)
-        setup = loc._AbelianSetup(group, p)
-        assert setup.res_top_invertible
-        ring_G = setup.data_G.ring
+        assert loc._AbelianSetup(group, p).res_top_invertible
+        ref = top_reference(group, p)
+        ring_G = ref.data_G.ring
         for d in range(9):
             dim = ring_G.dim(d)
-            res = restriction_from_G(setup, setup.top).matrix(d)
+            res = restriction_from_G(ref, ref.top).matrix(d)
             assert res.shape == (dim, dim) and fl.rank(res, p) == dim, d
             for n in (1, 2, 3):
-                lam = lambda_block(setup, setup.top, d, n)
+                lam = lambda_block(ref, ref.top, d, n)
                 assert fl.rank(lam, p) == dim, (d, n)
 
     def test_monotone_injectivity(self):
@@ -693,9 +731,9 @@ class TestBuildLambda:
     def test_morphism_maps_are_functorial(self, spec, p):
         # the map of E_i -> E_j composed with restriction from G to E_j is
         # restriction from G to E_i
-        setup = loc._AbelianSetup(G(spec), p)
-        res = [restriction_from_G(setup, i) for i in range(setup.top + 1)]
-        for (i, j), rmap in inclusion_maps(setup).items():
+        ref = setup_reference(G(spec), p)
+        res = [restriction_from_G(ref, i) for i in range(ref.top + 1)]
+        for (i, j), rmap in inclusion_maps(ref).items():
             for d in range(5):
                 via_j = fl.matmul(rmap.matrix(d), res[j].matrix(d), p)
                 assert (via_j == res[i].matrix(d)).all(), (i, j, d)
@@ -708,13 +746,13 @@ class TestBuildLambda:
             raise AssertionError("poly_mul_raw called")
 
         monkeypatch.setattr(chow, "poly_mul_raw", refuse)
-        setup = loc._AbelianSetup(G([3, 3, 3]), 3)
-        maps = inclusion_maps(setup)
-        rings = [object_ring(setup, i) for i in range(setup.top + 1)]
+        ref = setup_reference(G([3, 3, 3]), 3)
+        maps = inclusion_maps(ref)
+        rings = [object_ring(ref, i) for i in range(ref.top + 1)]
         for d in range(7):
             for i, ring in enumerate(rings):
-                assert restriction_from_G(setup, i).matrix(d).shape == (
-                    ring.dim(d), setup.data_G.ring.dim(d))
+                assert restriction_from_G(ref, i).matrix(d).shape == (
+                    ring.dim(d), ref.data_G.ring.dim(d))
             for (i, j), rmap in maps.items():
                 assert rmap.matrix(d).shape == (rings[i].dim(d),
                                                 rings[j].dim(d))
@@ -743,7 +781,8 @@ class TestFIso:
         # the reference's searches find no kernel and every limit vector
         # in the image at p^0, which f_iso_check certifies without them
         cert = f_iso_check(group, D, p)
-        limit_dims, kernel_report, image_report = f_iso_reference(group, D, p)
+        limit_dims, kernel_report, image_report = f_iso_reference(
+            setup_reference(group, p), D)
         assert cert.limit_dims == limit_dims
         assert kernel_report == []
         assert same_reports([(d, vec, 0) for d, vec in cert.image_report],
@@ -754,13 +793,12 @@ class TestFIso:
     def test_top_is_terminal(self, spec, p):
         # T contains every object, every object has exactly one morphism
         # into T, and T's own map is the identity
-        setup = loc._AbelianSetup(G(spec), p)
-        objects = lattice_pairs(setup)[0]
-        top = set(objects[setup.top])
-        assert all(top.issuperset(obj) for obj in objects)
-        into_top = [i for i, j in lattice_pairs(setup)[1] if j == setup.top]
-        assert into_top == list(range(len(objects)))
-        own = inclusion_maps(setup)[setup.top, setup.top]
+        ref = setup_reference(G(spec), p)
+        top = set(ref.objects[ref.top])
+        assert all(top.issuperset(obj) for obj in ref.objects)
+        into_top = [i for i, j in ref.morphisms if j == ref.top]
+        assert into_top == list(range(len(ref.objects)))
+        own = inclusion_maps(ref)[ref.top, ref.top]
         for d in range(7):
             mat = own.matrix(d)
             assert (mat == fl.identity(mat.shape[0])).all(), d
@@ -796,7 +834,6 @@ class TestFIso:
                 assert (mat == next(want)).all()
         assert next(want, None) is None
         assert "functorial" not in vars(setup)
-        assert sorted(setup._characters) == [(k, 3) for k in range(4)]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_singular_restriction_is_refused(self, monkeypatch, capsys,
@@ -806,12 +843,13 @@ class TestFIso:
         # point that reads injectivity or the F-isomorphism off the
         # invertible restriction refuses the setup instead
         group = G([p, p])
+        singular = np.array([[1, 0], [1, 0]])
         setup = loc._AbelianSetup(group, p)
-        for k in range(3):
-            setup.res_G[k] = np.array([[1, 0], [1, 0]]) \
-                @ setup.characters(k, 2) % p
+        setup.res_T = singular
         monkeypatch.setattr(loc, "_AbelianSetup", lambda *args: setup)
-        assert f_iso_reference(group, 6, p)[1]
+        ref = setup_reference(group, p)
+        ref.res_G = [singular @ res % p for res in ref.res_T]
+        assert f_iso_reference(ref, 6)[1]
         message = (f"{group.name}: restriction to T, the subgroup of "
                    f"elements of order dividing {p}, is not invertible on "
                    "degree-1 classes")
@@ -865,15 +903,15 @@ class TestD0D1:
 
 @pytest.fixture
 def setup_calls(monkeypatch):
-    """Arguments of every gp.elementary_abelians call, one per setup."""
+    """Arguments of every localization setup built."""
     calls = []
-    real = gp.elementary_abelians
+    real = loc._AbelianSetup.__init__
 
-    def counting(*args, **kwargs):
+    def counting(setup, *args):
         calls.append(args)
-        return real(*args, **kwargs)
+        real(setup, *args)
 
-    monkeypatch.setattr(gp, "elementary_abelians", counting)
+    monkeypatch.setattr(loc._AbelianSetup, "__init__", counting)
     return calls
 
 
@@ -903,7 +941,6 @@ class TestLevelSweep:
 
         monkeypatch.setattr(loc._AbelianSetup, "functorial", False)
         monkeypatch.setattr(loc, "_build_lambda", refuse)
-        monkeypatch.setattr(loc, "_type_blocks", refuse)
         rep = bounds_report(G([2, 2]), 3, 5, 2)
         assert (rep["d0"], rep["d0_verdict"]) == (0, "verified-through-cutoff")
         assert (rep["d1"], rep["d1_verdict"]) == (7, "unresolved")
@@ -970,6 +1007,22 @@ class TestLevelSweep:
         assert capsys.readouterr() == (
             "", "error: (Z/2)^2: the Frobenius y^E -> y^(pE) is not injective "
                 "on degree-1 classes\n")
+
+    def test_localize_and_d0_enumerate_no_subgroup(self, monkeypatch,
+                                                   capsys, data_dir):
+        # the counts come from Gaussian binomials and every check reads T
+        # alone: only quillen-check enumerates the lattice
+        def refuse(*args):
+            raise AssertionError("no subgroup is enumerated")
+
+        monkeypatch.setattr(gp, "elementary_abelians", refuse)
+        path = str(data_dir / "groups" / "z2cube.json")
+        for argv in (["localize", "--level", "3"], ["d0"],
+                     ["d0", "--faithful-degree", "3"]):
+            assert main([*argv, "--group", path, "--cutoff", "6"]) == 0, argv
+        capsys.readouterr()
+        with pytest.raises(AssertionError, match="no subgroup"):
+            main(["quillen-check", "--group", path, "--cutoff", "2"])
 
     def test_one_setup_per_run(self, setup_calls, capsys, data_dir):
         bounds_report(G([2, 2]), 2, 4, 2)
